@@ -110,6 +110,23 @@ print(
 )
 EOF
 
+echo
+echo "== repo benchmark seam (bench/ self-tests + one traced run) =="
+# bench/ patches transport and service methods *by name*.  A renamed or
+# vanished target does not fail the run by itself -- it is one stderr line
+# ("trace: ... not found; ... skipped") -- so fail on that line as well as
+# on a non-zero exit (span coverage not green, output check failed).
+python -m pytest bench/ -q
+TRACE_ERR="$(mktemp)"
+if ! python3 bench/run.py --workload svc_asyncio_fastnet --trace 1 2>"$TRACE_ERR" \
+        || grep -q "not found;" "$TRACE_ERR"; then
+    cat "$TRACE_ERR" >&2
+    rm -f "$TRACE_ERR"
+    echo "traced benchmark run FAILED (non-zero exit, or a patch target was 'not found;')" >&2
+    exit 1
+fi
+rm -f "$TRACE_ERR"
+
 # Stash the committed baseline before the bench run overwrites the file.
 BASELINE="$(mktemp)"
 trap 'rm -f "$BASELINE"' EXIT

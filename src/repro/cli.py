@@ -130,35 +130,39 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--attack", choices=ATTACKS, default="none")
     add_fanout_args(run)
 
+    def add_wallclock_args(
+        p: argparse.ArgumentParser, time_scale: float, attack: bool = True
+    ) -> None:
+        """One agreement on a wall-clock backend: who proposes what, against
+        which cast, at what speed, over which codec."""
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--value", default="v", help="the General's value")
+        p.add_argument("--general", type=int, default=0)
+        if attack:
+            p.add_argument(
+                "--attack", choices=ASYNC_ATTACKS, default="mirror",
+                help="byzantine cast (default: one mirror-amplifying participant)",
+            )
+        p.add_argument(
+            "--time-scale",
+            type=float,
+            default=time_scale,
+            help="wall-clock seconds per protocol time unit "
+            f"(default: {time_scale})",
+        )
+        p.add_argument(
+            "--codec",
+            choices=("msgpack", "json"),
+            default=None,
+            help="wire codec (default: msgpack; json is the no-dependency fallback)",
+        )
+
     run_async = sub.add_parser(
         "run-async",
         help="run one agreement on the asyncio runtime backend (real coroutines)",
     )
     add_model_args(run_async)
-    run_async.add_argument("--seed", type=int, default=0)
-    run_async.add_argument("--value", default="v", help="the General's value")
-    run_async.add_argument("--general", type=int, default=0)
-    run_async.add_argument(
-        "--attack", choices=ASYNC_ATTACKS, default="mirror",
-        help="byzantine cast (default: one mirror-amplifying participant)",
-    )
-    run_async.add_argument(
-        "--time-scale",
-        type=float,
-        default=None,
-        help="wall-clock seconds per protocol time unit (default: 0.02)",
-    )
-    run_async.add_argument(
-        "--codec",
-        choices=("msgpack", "json"),
-        default=None,
-        help="wire codec (default: msgpack; json is the no-dependency fallback)",
-    )
-    run_async.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run the event loop on uvloop (fails if uvloop is not installed)",
-    )
+    add_wallclock_args(run_async, time_scale=0.02)
 
     run_socket = sub.add_parser(
         "run-socket",
@@ -166,36 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(UDP datagrams, one OS process per node)",
     )
     add_model_args(run_socket)
-    run_socket.add_argument("--seed", type=int, default=0)
-    run_socket.add_argument("--value", default="v", help="the General's value")
-    run_socket.add_argument("--general", type=int, default=0)
-    run_socket.add_argument(
-        "--attack", choices=ASYNC_ATTACKS, default="mirror",
-        help="byzantine cast (default: one mirror-amplifying participant)",
-    )
-    run_socket.add_argument(
-        "--time-scale",
-        type=float,
-        default=None,
-        help="wall-clock seconds per protocol time unit (default: 0.05)",
-    )
+    add_wallclock_args(run_socket, time_scale=0.05)
     run_socket.add_argument(
         "--timeout-units",
         type=float,
         default=None,
         help="hard per-child deadline in protocol units (default: 3 * Delta_agr)",
-    )
-    run_socket.add_argument(
-        "--codec",
-        choices=("msgpack", "json"),
-        default=None,
-        help="wire codec (default: msgpack; json is the no-dependency fallback)",
-    )
-    run_socket.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="node children run their event loops on uvloop "
-        "(fails if uvloop is not installed)",
     )
 
     chaos = sub.add_parser(
@@ -213,15 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rho", type=float, default=0.0,
         help="clock drift bound (default 0: wall clocks share one epoch)",
     )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--value", default="v", help="the General's value")
-    chaos.add_argument("--general", type=int, default=0)
-    chaos.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.02,
-        help="wall-clock seconds per protocol time unit (default: 0.02)",
-    )
+    add_wallclock_args(chaos, time_scale=0.02, attack=False)
     chaos.add_argument(
         "--kill-at-d",
         type=float,
@@ -255,12 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.1,
         help="supervisor base backoff before a respawn (default: 0.1s)",
-    )
-    chaos.add_argument(
-        "--codec",
-        choices=("msgpack", "json"),
-        default=None,
-        help="wire codec (default: msgpack; json is the no-dependency fallback)",
     )
     chaos.add_argument("--trace", action="store_true", help="record child traces")
 
@@ -563,11 +529,7 @@ def _wallclock_verdict(
 def cmd_run_async(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.runtime.aio import (
-        DEFAULT_TIME_SCALE,
-        install_uvloop,
-        run_agreement_async,
-    )
+    from repro.runtime.aio import run_agreement_async
 
     params = _params(args)
     general = args.general
@@ -578,14 +540,6 @@ def cmd_run_async(args: argparse.Namespace) -> int:
     except SystemExit as exc:
         return int(exc.code)
 
-    if args.uvloop:
-        try:
-            install_uvloop(strict=True)
-        except RuntimeError as exc:
-            print(f"run-async: {exc}", file=sys.stderr)
-            return 2
-
-    time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
     cluster, decisions = asyncio.run(
         run_agreement_async(
             n=params.n,
@@ -594,7 +548,7 @@ def cmd_run_async(args: argparse.Namespace) -> int:
             value=args.value,
             general=general,
             byzantine=byzantine,
-            time_scale=time_scale,
+            time_scale=args.time_scale,
             delta=args.delta,
             rho=args.rho,
             codec=args.codec,
@@ -609,13 +563,13 @@ def cmd_run_async(args: argparse.Namespace) -> int:
         args.value,
         f"transport: {cluster.transport.sent_count} sent, "
         f"{cluster.transport.delivered_count} delivered "
-        f"(time_scale={time_scale}s/unit)",
+        f"(time_scale={args.time_scale}s/unit)",
     )
     return 0 if ok else 1
 
 
 def cmd_run_socket(args: argparse.Namespace) -> int:
-    from repro.runtime.socket_host import DEFAULT_TIME_SCALE, run_agreement_socket
+    from repro.runtime.socket_host import run_agreement_socket
 
     params = _params(args)
     general = args.general
@@ -626,7 +580,6 @@ def cmd_run_socket(args: argparse.Namespace) -> int:
     except SystemExit as exc:
         return int(exc.code)
 
-    time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
     report, decisions = run_agreement_socket(
         n=params.n,
         f=params.f,
@@ -634,12 +587,11 @@ def cmd_run_socket(args: argparse.Namespace) -> int:
         value=args.value,
         general=general,
         byzantine=byzantine,
-        time_scale=time_scale,
+        time_scale=args.time_scale,
         delta=args.delta,
         rho=args.rho,
         timeout_units=args.timeout_units,
         codec=args.codec,
-        uvloop=args.uvloop,
     )
 
     leaked = {i: c for i, c in report.live_timers.items() if c != 0}
@@ -653,7 +605,7 @@ def cmd_run_socket(args: argparse.Namespace) -> int:
         args.value,
         f"transport: {report.sent_count} sent, {report.delivered_count} delivered, "
         f"{report.rejected_count} rejected frames "
-        f"(time_scale={time_scale}s/unit, udp localhost)\n"
+        f"(time_scale={args.time_scale}s/unit, udp localhost)\n"
         f"rejected/node: {rejected if rejected else 'none'}\n"
         f"live timers: {'all drained' if not leaked else leaked}\n"
         f"children:    {'all exited 0' if not dirty else dirty}",
@@ -727,12 +679,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _run_service(args: argparse.Namespace):
-    """Run one service workload on the selected backend; returns the report.
-
-    The asyncio report is a :class:`~repro.service.service.ServiceReport`,
-    the socket one a :class:`~repro.service.socket_service.
-    SocketServiceReport`; both carry the fields the printers below read.
-    """
+    """Run one service workload on the selected backend; returns its
+    :class:`~repro.service.service.ServiceReport`."""
     f = args.f if args.f is not None else max_faults(args.n)
     params = ProtocolParams(n=args.n, f=f, delta=args.delta, rho=args.rho)
     if args.primary >= args.n:
@@ -842,15 +790,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"max {lat['max_ms']:.0f}ms")
     print(f"live state:    peak {report.peak_live_instances} slot instances, "
           f"{report.peak_live_timers} timers", end="")
-    bound = getattr(report, "live_bound", None)
-    if bound is not None:
-        print(f" (bound {bound}, violations {report.bound_violations} "
-              f"across {report.samples} samples)")
+    if report.live_bound is not None:
+        print(f" (bound {report.live_bound}, violations "
+              f"{report.bound_violations} across {report.samples} samples)")
     else:
         print()
-    repaired = getattr(report, "repaired_entries", 0)
-    if repaired:
-        print(f"repair:        {repaired} entries adopted via f+1 vouching")
+    if report.repaired_entries:
+        print(f"repair:        {report.repaired_entries} entries adopted via "
+              "f+1 vouching")
     return _service_verdict(args, report)
 
 
@@ -859,10 +806,9 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
     report = _run_service(args)
     lat = summarize_latencies(report.latencies)
-    issued = getattr(report, "commands_issued", None)
-    if issued is None:
-        issued = report.commands_submitted
-    achieved = issued / report.elapsed_s if report.elapsed_s > 0 else 0.0
+    achieved = (
+        report.commands_issued / report.elapsed_s if report.elapsed_s > 0 else 0.0
+    )
     print(f"offered:  {args.rate:g} commands/s "
           f"({'fixed' if args.fixed else 'poisson'}), {args.commands} total")
     print(f"achieved: {achieved:.0f} submitted/s, "

@@ -154,6 +154,26 @@ def validate_live_script(script: FaultScript, backend: str = "socket") -> None:
 # ---------------------------------------------------------------------------
 # Shared link-fault dispatch (asyncio transport and socket children)
 # ---------------------------------------------------------------------------
+def link_fault_directive(action: FaultAction) -> Optional[tuple[str, dict]]:
+    """The ``(kind, args)`` directive of a link-level action, else ``None``.
+
+    The args are plain JSON-able values, so the same directive is applied
+    in-process by :class:`AsyncioFaultDriver` and shipped down the control
+    pipes by :class:`WallClockFaultDriver`.
+    """
+    if isinstance(action, Partition):
+        return "partition", {"island": list(action.island)}
+    if isinstance(action, Heal):
+        return "heal", {}
+    if isinstance(action, Isolate):
+        return "isolate", {"nodes": list(action.nodes)}
+    if isinstance(action, Reconnect):
+        return "reconnect", {"nodes": list(action.nodes)}
+    if isinstance(action, SwapPolicy):
+        return "policy", {"policy": action.policy}
+    return None
+
+
 def apply_transport_fault(
     transport, params: ProtocolParams, kind: str, args: dict
 ) -> None:
@@ -261,18 +281,9 @@ class AsyncioFaultDriver:
             tracer.record(transport.now(), None, "timeline", action=action.kind)
         else:
             tracer.bump("timeline")
-        if isinstance(action, Partition):
-            transport.set_partition(frozenset(action.island))
-        elif isinstance(action, Heal):
-            transport.heal_partitions()
-        elif isinstance(action, Isolate):
-            transport.isolate(action.nodes)
-        elif isinstance(action, Reconnect):
-            transport.reconnect(action.nodes)
-        elif isinstance(action, SwapPolicy):
-            transport.set_policy(
-                build_live_policy(action.policy, cluster.params, transport.now)
-            )
+        directive = link_fault_directive(action)
+        if directive is not None:
+            apply_transport_fault(transport, cluster.params, *directive)
         elif isinstance(action, Crash):
             for node_id in action.nodes:
                 crash_in_process(cluster.nodes[node_id], action.state_loss)
@@ -351,22 +362,15 @@ class WallClockFaultDriver:
     # ------------------------------------------------------------------
     def _apply(self, action: FaultAction, index: int) -> None:
         cluster = self.cluster
-        if isinstance(action, Crash):
+        directive = link_fault_directive(action)
+        if directive is not None:
+            cluster.broadcast_fault(*directive)
+        elif isinstance(action, Crash):
             for node_id in action.nodes:
                 cluster.kill_node(node_id, state_loss=action.state_loss)
         elif isinstance(action, Restart):
             for node_id in action.nodes:
                 cluster.revive_node(node_id, scramble=action.scramble)
-        elif isinstance(action, Partition):
-            cluster.broadcast_fault("partition", {"island": list(action.island)})
-        elif isinstance(action, Heal):
-            cluster.broadcast_fault("heal", {})
-        elif isinstance(action, Isolate):
-            cluster.broadcast_fault("isolate", {"nodes": list(action.nodes)})
-        elif isinstance(action, Reconnect):
-            cluster.broadcast_fault("reconnect", {"nodes": list(action.nodes)})
-        elif isinstance(action, SwapPolicy):
-            cluster.broadcast_fault("policy", {"policy": action.policy})
         elif isinstance(action, Coherent):
             pass  # marker only
 
@@ -530,6 +534,7 @@ __all__ = [
     "apply_transport_fault",
     "build_live_policy",
     "crash_in_process",
+    "link_fault_directive",
     "restart_in_process",
     "run_chaos_agreement",
     "validate_live_script",

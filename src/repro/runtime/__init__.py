@@ -5,12 +5,14 @@
   may import outside itself and ``repro.node.msglog``).
 * :mod:`repro.runtime.sim_host` -- the discrete-event backend (bit-identical
   adapter over ``repro.sim``).
+* :mod:`repro.runtime.wire` -- the one wall-clock transport (policy draws,
+  drop matrix, coalescing, counters) both backends below carry.
 * :mod:`repro.runtime.aio` -- the asyncio backend: real coroutines,
-  wall-clock-scaled timers, in-process transport.
-* :mod:`repro.runtime.socket_host` -- the real-socket backend: UDP
-  datagrams on localhost, one OS process per node.
-* :mod:`repro.runtime.framing` -- the authenticated wire format shared by
-  both non-sim transports.
+  wall-clock-scaled timers, the in-process carrier.
+* :mod:`repro.runtime.socket_host` -- the real-socket backend: the UDP
+  carrier on localhost, one OS process per node.
+* :mod:`repro.runtime.framing` -- the authenticated wire format that
+  transport speaks.
 
 The backends are imported lazily so pulling in the API (or the sim adapter)
 never drags the asyncio machinery along, and vice versa.

@@ -3,9 +3,10 @@
 Runs a full n-node agreement instance over real coroutines: nodes are plain
 :class:`~repro.core.agreement.ProtocolNode` objects (the exact same protocol
 code the simulator drives), timers are ``loop.call_later`` wake-ups, and
-messages travel through an in-process :class:`AsyncioTransport` that models
-bounded delivery delay with the same :class:`~repro.net.delivery.
-DeliveryPolicy` objects the simulator uses.
+messages travel through :class:`AsyncioTransport` -- the in-process carrier
+under :class:`~repro.runtime.wire.WireTransport`, which models bounded
+delivery delay with the same :class:`~repro.net.delivery.DeliveryPolicy`
+objects the simulator uses.
 
 Time model
 ----------
@@ -35,44 +36,16 @@ from typing import Callable, Optional
 from repro.core.agreement import Decision, ProtocolNode
 from repro.core.messages import Value
 from repro.core.params import ProtocolParams
-from repro.net.delivery import (
-    DeliveryPolicy,
-    FixedDelay,
-    LinkPartitionPolicy,
-    UniformDelay,
-)
+from repro.net.delivery import DeliveryPolicy, UniformDelay
 from repro.net.network import Envelope
 from repro.runtime.api import INERT_TIMER, Action, TimerHandle, TimerRegistry
-from repro.runtime.framing import (
-    FrameBatcher,
-    FrameEncoder,
-    FrameError,
-    decode_frames,
-    derive_key,
-)
+from repro.runtime.framing import FrameError, decode_frames, derive_key
+from repro.runtime.wire import WireTransport
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
 
 #: Default wall-clock seconds per protocol time unit (d = 20 ms).
 DEFAULT_TIME_SCALE = 0.02
-
-
-def install_uvloop(strict: bool = False) -> bool:
-    """Install uvloop as the event-loop policy if it is importable.
-
-    Opt-in acceleration: call before ``asyncio.run``.  Returns ``True`` on
-    success; with ``strict`` a missing uvloop raises instead of returning
-    ``False``, so ``--uvloop`` on the CLI fails loudly rather than silently
-    running the default loop.
-    """
-    try:
-        import uvloop  # type: ignore
-    except ImportError:
-        if strict:
-            raise RuntimeError("uvloop requested but not installed")
-        return False
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
 
 
 class AioTimerHandle:
@@ -95,29 +68,18 @@ class AioTimerHandle:
         return self._alive
 
 
-class AsyncioTransport:
-    """In-process asyncio message fabric with authenticated sender identity.
+class AsyncioTransport(WireTransport):
+    """The in-process carrier: every node on one loop, one shared fabric.
 
-    Mirrors the :class:`~repro.net.network.Network` contract the protocol
-    nodes rely on -- ``register`` / ``send`` / ``broadcast`` / ``node_ids``
-    plus sent/delivered/dropped accounting -- but delivery is a
-    ``loop.call_later`` wake-up instead of a simulator event.  The delivery
-    policy draws per-copy delays (in protocol units) from the seeded stream,
-    so the *intended* delays are deterministic even though actual arrival
-    interleaving is at the loop's mercy.
+    Every copy still travels as **bytes** -- the same authenticated frames
+    the socket carrier puts on UDP -- so the asyncio backend exercises
+    serialization, coalescing and frame authentication even though it never
+    leaves the process.  Frames that fail to decode are counted in
+    ``rejected_count`` and dropped.
 
-    Every copy travels as **bytes**: the payload is encoded into an
-    authenticated frame (:mod:`repro.runtime.framing` -- the same wire
-    format the socket backend puts on UDP) at send time and decoded at
-    delivery, so the asyncio backend exercises serialization and frame
-    authentication even though it never leaves the process.  Frames that
-    fail to decode are counted in ``rejected_count`` and dropped.
-
-    With ``coalesce`` on (the default), copies whose delivery timers land
-    in the same loop tick are packed into one BATCH frame per (receiver,
-    sender) run and decoded together -- the same datagram coalescing the
-    socket backend puts on the wire, here exercised in-process so the
-    conformance suite covers the batch path on every backend run.
+    What is specific here: the clock is the loop's monotonic clock against
+    a construction-time epoch, any number of nodes register, and a sealed
+    datagram "arrives" by being decoded on the spot and handed to the loop.
     """
 
     def __init__(
@@ -128,174 +90,20 @@ class AsyncioTransport:
         tracer: Optional[Tracer] = None,
         auth_key: Optional[bytes] = None,
         codec: Optional[str] = None,
-        coalesce: bool = True,
     ) -> None:
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {time_scale!r}")
-        self.loop = asyncio.get_running_loop()
-        self.epoch = self.loop.time()
-        self.time_scale = time_scale
-        self.auth_key = auth_key if auth_key is not None else derive_key("aio-transport")
-        self._encoder = FrameEncoder(self.auth_key, codec)
-        self.codec = self._encoder.codec
-        self.coalesce = coalesce
-        self._batcher = FrameBatcher(self._encoder, self._transmit)
-        self._flush_scheduled = False
-        self._policy = policy
-        self._rand = rand if rand is not None else RandomSource(0, "aio/net")
-        self._tracer = tracer
-        self._receivers: dict[int, Callable[[Envelope], None]] = {}
-        self._node_ids: Optional[list[int]] = None
-        self._isolated: frozenset[int] = frozenset()
-        self.sent_count = 0
-        self.delivered_count = 0
-        self.dropped_count = 0
-        self.rejected_count = 0
-        #: Decode units emitted into the fabric -- one per datagram the
-        #: socket backend would put on the wire.  With coalescing this is
-        #: <= sent_count - dropped; the gap is the batching win.
-        self.datagrams_sent = 0
-        #: Copies suppressed by injected link faults (partition cuts and
-        #: isolation) -- kept separate from ordinary policy drops so live
-        #: runs can attribute loss to its cause, like the sim network does.
-        self.dropped_fault_count = 0
-
-    # ------------------------------------------------------------------
-    # Live fault injection (sender-side drop matrix)
-    # ------------------------------------------------------------------
-    @property
-    def policy(self) -> Optional[DeliveryPolicy]:
-        return self._policy
-
-    def set_policy(self, policy: Optional[DeliveryPolicy]) -> None:
-        """Swap the delivery policy mid-run (live ``SwapPolicy``)."""
-        self._policy = policy
-
-    def set_partition(self, island: frozenset[int]) -> None:
-        """Cut ``island`` off by wrapping the live policy (sim semantics)."""
-        self._policy = LinkPartitionPolicy(
-            self._policy if self._policy is not None else FixedDelay(0.0),
-            frozenset(island),
+        super().__init__(
+            time_scale,
+            auth_key if auth_key is not None else derive_key("aio-transport"),
+            rand if rand is not None else RandomSource(0, "aio/net"),
+            policy=policy,
+            tracer=tracer,
+            codec=codec,
         )
+        self.epoch = self.loop.time()
 
-    def heal_partitions(self) -> None:
-        """Heal every cut, unwrapping the wrapper stack entirely."""
-        policy = self._policy
-        unwrapped = False
-        while isinstance(policy, LinkPartitionPolicy):
-            policy = policy.inner
-            unwrapped = True
-        if unwrapped:
-            self._policy = policy
-
-    def isolate(self, nodes) -> None:
-        """Hard-disconnect nodes: every copy touching them is suppressed."""
-        self._isolated = self._isolated | frozenset(nodes)
-
-    def reconnect(self, nodes) -> None:
-        """Undo :meth:`isolate` for the given nodes."""
-        self._isolated = self._isolated - frozenset(nodes)
-
-    def _fault_blocked(self, sender: int, receiver: int) -> bool:
-        isolated = self._isolated
-        return bool(isolated) and (sender in isolated or receiver in isolated)
-
-    # ------------------------------------------------------------------
-    # Time (shared axis for every host on this transport)
-    # ------------------------------------------------------------------
     def now(self) -> float:
         """Current protocol-local time (loop seconds / time_scale)."""
         return (self.loop.time() - self.epoch) / self.time_scale
-
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
-    def register(self, node_id: int, receiver: Callable[[Envelope], None]) -> None:
-        if node_id in self._receivers:
-            raise ValueError(f"node {node_id} already registered")
-        self._receivers[node_id] = receiver
-        self._node_ids = None
-
-    @property
-    def node_ids(self) -> list[int]:
-        if self._node_ids is None:
-            self._node_ids = sorted(self._receivers)
-        return list(self._node_ids)
-
-    # ------------------------------------------------------------------
-    # Sending
-    # ------------------------------------------------------------------
-    def send(self, sender: int, receiver: int, payload: object) -> None:
-        if receiver not in self._receivers:
-            raise ValueError(f"unknown receiver {receiver}")
-        body = self._encoder.encode_body(payload, self.now())
-        self._send_copy(sender, receiver, payload, body)
-
-    def broadcast(self, sender: int, payload: object) -> None:
-        """n point-to-point copies, one per registered node (self included).
-
-        The envelope body is encoded **once** for the whole wave (one
-        ``sent_at`` stamp, as the sim network stamps a broadcast once);
-        only the per-copy policy draw and delivery timer differ.
-        """
-        body = self._encoder.encode_body(payload, self.now())
-        for receiver in self.node_ids:
-            self._send_copy(sender, receiver, payload, body)
-
-    def _send_copy(
-        self, sender: int, receiver: int, payload: object, body: bytes
-    ) -> None:
-        self.sent_count += 1
-        tracer = self._tracer
-        if tracer is not None:
-            if tracer.enabled:
-                tracer.record(
-                    self.now(), sender, "send", receiver=receiver, payload=payload
-                )
-            else:
-                tracer.bump("send")
-        if self._fault_blocked(sender, receiver):
-            self.dropped_count += 1
-            self.dropped_fault_count += 1
-            return
-        delay_units = 0.0
-        if self._policy is not None:
-            decision = self._policy.decide(sender, receiver, payload, self._rand)
-            if decision.drop:
-                self.dropped_count += 1
-                if decision.partition:
-                    self.dropped_fault_count += 1
-                return
-            delay_units = decision.delay
-        if delay_units > 0.0:
-            self.loop.call_later(
-                delay_units * self.time_scale,
-                self._enqueue,
-                receiver,
-                sender,
-                body,
-            )
-        else:
-            self._enqueue(receiver, sender, body)
-
-    def _enqueue(self, receiver: int, sender: int, body: bytes) -> None:
-        """A copy's delivery timer fired: queue it for the tick's flush.
-
-        Coalescing happens here, not at send time -- only copies whose
-        *delivery* moments coincide share a datagram, so the policy's drawn
-        delays still govern arrival order exactly as before.
-        """
-        if not self.coalesce:
-            self._transmit(receiver, self._encoder.frame(sender, body), 1)
-            return
-        self._batcher.add(receiver, sender, body)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.loop.call_soon(self._flush)
-
-    def _flush(self) -> None:
-        self._flush_scheduled = False
-        self._batcher.flush()
 
     def _transmit(self, receiver: int, frame_buf, count: int) -> None:
         """Decode one datagram immediately; deliver its frames next tick.
@@ -309,33 +117,17 @@ class AsyncioTransport:
         try:
             frames = decode_frames(frame_buf, self.auth_key)
         except FrameError:
-            self.rejected_count += 1
-            if self._tracer is not None:
-                self._tracer.bump("frame_rejected")
+            self._reject()
             return
-        self.loop.call_soon(self._deliver_frames, receiver, frames)
+        self.loop.call_soon(self._arrive, receiver, frames)
 
-    def _deliver_frames(self, receiver: int, frames) -> None:
-        now = self.now()
-        tracer = self._tracer
-        receive = self._receivers[receiver]
-        for sender, payload, sent_at in frames:
-            self.delivered_count += 1
-            envelope = Envelope(
-                sender=sender,
-                receiver=receiver,
-                payload=payload,
-                sent_at=sent_at,
-                delivered_at=now,
-            )
-            if tracer is not None:
-                if tracer.enabled:
-                    tracer.record(
-                        now, receiver, "deliver", sender=sender, payload=payload
-                    )
-                else:
-                    tracer.bump("deliver")
-            receive(envelope)
+    def _arrive(self, receiver: int, frames) -> None:
+        # The hand-off was queued before close() could see it; a closed
+        # fabric delivers nothing into the (closed) nodes behind it.  The
+        # check sits here, not in _deliver_frames, so that every call of
+        # _deliver_frames moves delivered_count by len(frames).
+        if not self._closed:
+            self._deliver_frames(receiver, frames)
 
 
 class AsyncioHost:
@@ -607,7 +399,8 @@ class AsyncioCluster:
         await asyncio.sleep(duration_units * self.transport.time_scale)
 
     def close(self) -> None:
-        """Cancel every node's pending timers (cleanup ticks included)."""
+        """Close the fabric, then cancel every node's pending timers."""
+        self.transport.close()
         for host in self.hosts.values():
             host.close()
 
@@ -652,6 +445,5 @@ __all__ = [
     "AsyncioCluster",
     "AsyncioHost",
     "AsyncioTransport",
-    "install_uvloop",
     "run_agreement_async",
 ]

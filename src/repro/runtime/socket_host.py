@@ -9,14 +9,14 @@ so not a line of protocol code changes.
 
 Pieces
 ------
-* :class:`SocketTransport` -- one non-blocking UDP socket per node, wired
-  into the asyncio loop via ``loop.add_reader``.  Every message is one
-  authenticated frame (:mod:`repro.runtime.framing`); malformed or
-  unauthenticated datagrams are counted and dropped, never delivered.  The
-  sim's :class:`~repro.net.delivery.DeliveryPolicy` objects are reused for
-  seeded per-copy delay/drop draws, *injected at the sender*: the policy is
-  consulted before the datagram leaves, a drop means it is never
-  transmitted, and a delay holds the ``sendto`` back on the sender's loop.
+* :class:`SocketTransport` -- the UDP carrier under
+  :class:`~repro.runtime.wire.WireTransport`: one non-blocking socket per
+  node, wired into the asyncio loop via ``loop.add_reader``.  Every
+  datagram is one authenticated frame (:mod:`repro.runtime.framing`);
+  malformed or unauthenticated datagrams are counted and dropped, never
+  delivered.  Policy draws, the drop matrix and coalescing are the shared
+  transport's, *injected at the sender*: a drop means the copy is never
+  transmitted, and a delay holds it back on the sender's loop.
 * :class:`SocketHost` -- wall-clock timers scaled by ``time_scale``
   (seconds per protocol unit), sharing one epoch across all nodes so
   ``now()`` readings are mutually consistent.  A closed host refuses new
@@ -54,22 +54,12 @@ from typing import Any, Callable, Optional
 from repro.core.agreement import Decision, ProtocolNode
 from repro.core.messages import Value
 from repro.core.params import ProtocolParams
-from repro.net.delivery import (
-    DeliveryPolicy,
-    FixedDelay,
-    LinkPartitionPolicy,
-    UniformDelay,
-)
+from repro.net.delivery import DeliveryPolicy, UniformDelay
 from repro.net.network import Envelope
 from repro.runtime import udp_batch
 from repro.runtime.aio import AsyncioHost
-from repro.runtime.framing import (
-    FrameBatcher,
-    FrameEncoder,
-    FrameError,
-    decode_frames,
-    derive_key,
-)
+from repro.runtime.framing import FrameError, decode_frames, derive_key
+from repro.runtime.wire import WireTransport
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
 
@@ -81,15 +71,21 @@ DEFAULT_TIME_SCALE = 0.05
 STARTUP_TIMEOUT_S = 30.0
 
 
-class SocketTransport:
-    """One node's UDP endpoint: authenticated frames over real datagrams.
+class SocketTransport(WireTransport):
+    """The UDP carrier: one node's endpoint, real datagrams on localhost.
 
     ``directory`` maps node ids to ``(host, port)`` addresses.  In-process
     harnesses share one mutable dict (each transport registers itself on
     construction); cluster children receive the full address book from the
-    parent.  The transport also owns the shared clock axis -- ``now()`` is
-    wall clock against ``epoch_wall``, scaled by ``time_scale`` -- so hosts
-    bind their clock straight to it, exactly like the asyncio backend.
+    parent.  The clock is wall time against the shared ``epoch_wall``,
+    scaled by ``time_scale``, so every process sharing the epoch reads one
+    axis.  Exactly one node registers -- the one this socket belongs to.
+
+    A tick's sealed datagrams collect in an outbox and leave in one
+    ``sendmmsg`` where the platform has it (``sendto`` otherwise); the
+    socket is wired into the loop via ``add_reader`` and drained with
+    ``recvmmsg``/``recvfrom``.  Malformed or unauthenticated datagrams are
+    counted and dropped, never delivered.
     """
 
     def __init__(
@@ -104,33 +100,29 @@ class SocketTransport:
         rand: Optional[RandomSource] = None,
         tracer: Optional[Tracer] = None,
         codec: Optional[str] = None,
-        coalesce: bool = True,
-        use_mmsg: bool = True,
     ) -> None:
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {time_scale!r}")
         self.node_id = node_id
-        self.auth_key = auth_key
-        self.time_scale = time_scale
-        self._encoder = FrameEncoder(auth_key, codec)
-        self.codec = self._encoder.codec
-        self.coalesce = coalesce
-        self._batcher = FrameBatcher(self._encoder, self._transmit_buf)
-        self._flush_scheduled = False
+        self.directory = directory if directory is not None else {}
+        super().__init__(
+            time_scale,
+            auth_key,
+            rand if rand is not None else RandomSource(0, f"socket/net/{node_id}"),
+            routes=self.directory,
+            policy=policy,
+            tracer=tracer,
+            codec=codec,
+        )
         self._outbox: list[tuple[bytes, tuple[str, int]]] = []
         # Batched syscalls are feature-detected once per process and
         # disabled permanently on the first runtime failure (seccomp, exotic
         # kernels); sendto/recvfrom is always the fallback.
-        self._use_mmsg = use_mmsg and udp_batch.available()
-        self._mmsg_rx = udp_batch.MmsgReceiver() if self._use_mmsg else None
-        self.loop = asyncio.get_running_loop()
+        self._mmsg_rx = udp_batch.MmsgReceiver() if udp_batch.available() else None
         if sock is None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sock.bind(("127.0.0.1", 0))
         sock.setblocking(False)
         self.sock = sock
         self.address: tuple[str, int] = sock.getsockname()
-        self.directory = directory if directory is not None else {}
         self.directory[node_id] = self.address
         # Local wall epoch -> per-process monotonic epoch: readings stay
         # monotone within the process while remaining (roughly, to process
@@ -139,211 +131,43 @@ class SocketTransport:
             epoch_wall = time.time()
         self.epoch_wall = epoch_wall
         self._epoch_mono = time.monotonic() - (time.time() - epoch_wall)
-        self._policy = policy
-        self._rand = rand if rand is not None else RandomSource(0, f"socket/net/{node_id}")
-        self._tracer = tracer
-        self._receiver: Optional[Callable[[Envelope], None]] = None
-        self._pending_sends: list[asyncio.TimerHandle] = []
-        self._closed = False
-        self._isolated: frozenset[int] = frozenset()
-        self.sent_count = 0
-        self.delivered_count = 0
-        self.dropped_count = 0
-        #: Copies suppressed at this sender by injected link faults
-        #: (partition cuts, isolation) rather than the ordinary policy.
-        self.dropped_fault_count = 0
-        #: Datagrams refused at the receiver: truncated, oversized, garbage,
-        #: or failing authentication.  Never delivered, always counted.
-        self.rejected_count = 0
-        #: Datagrams actually put on the wire.  With coalescing this is
-        #: <= sent_count - dropped; the gap is the batching win.
-        self.datagrams_sent = 0
         self.loop.add_reader(self.sock.fileno(), self._on_readable)
 
-    # ------------------------------------------------------------------
-    # Live fault injection (sender-side drop matrix)
-    # ------------------------------------------------------------------
-    @property
-    def policy(self) -> Optional[DeliveryPolicy]:
-        return self._policy
-
-    def set_policy(self, policy: Optional[DeliveryPolicy]) -> None:
-        """Swap the delivery policy mid-run (live ``SwapPolicy``)."""
-        self._policy = policy
-
-    def set_partition(self, island: frozenset[int]) -> None:
-        """Cut ``island`` off by wrapping the live policy (sim semantics).
-
-        Every child applies the same island spec to its own sender, so the
-        cut is consistent cluster-wide: a copy crossing the cut is dropped
-        before any byte leaves the process.
-        """
-        self._policy = LinkPartitionPolicy(
-            self._policy if self._policy is not None else FixedDelay(0.0),
-            frozenset(island),
-        )
-
-    def heal_partitions(self) -> None:
-        """Heal every cut, unwrapping the wrapper stack entirely."""
-        policy = self._policy
-        unwrapped = False
-        while isinstance(policy, LinkPartitionPolicy):
-            policy = policy.inner
-            unwrapped = True
-        if unwrapped:
-            self._policy = policy
-
-    def isolate(self, nodes) -> None:
-        """Hard-disconnect nodes: every copy touching them is suppressed."""
-        self._isolated = self._isolated | frozenset(nodes)
-
-    def reconnect(self, nodes) -> None:
-        """Undo :meth:`isolate` for the given nodes."""
-        self._isolated = self._isolated - frozenset(nodes)
-
-    def _fault_blocked(self, sender: int, receiver: int) -> bool:
-        isolated = self._isolated
-        return bool(isolated) and (sender in isolated or receiver in isolated)
-
-    # ------------------------------------------------------------------
-    # Time (shared axis for every transport on this epoch)
-    # ------------------------------------------------------------------
     def now(self) -> float:
         """Current protocol-local time (wall seconds since epoch / scale)."""
         return (time.monotonic() - self._epoch_mono) / self.time_scale
 
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
     def register(self, node_id: int, receiver: Callable[[Envelope], None]) -> None:
         """Attach the local node's message handler (one node per socket)."""
         if node_id != self.node_id:
             raise ValueError(
                 f"transport for node {self.node_id} cannot register node {node_id}"
             )
-        if self._receiver is not None:
-            raise ValueError(f"node {node_id} already registered")
-        self._receiver = receiver
-
-    @property
-    def node_ids(self) -> list[int]:
-        return sorted(self.directory)
+        super().register(node_id, receiver)
 
     # ------------------------------------------------------------------
-    # Sending (policy consulted at the sender, before any byte moves)
+    # Sending: outbox -> sendmmsg / sendto
     # ------------------------------------------------------------------
-    def send(self, sender: int, receiver: int, payload: object) -> None:
-        if self._closed:
-            return
-        if receiver not in self.directory:
-            raise ValueError(f"unknown receiver {receiver}")
-        body = self._encoder.encode_body(payload, self.now())
-        self._send_copy(sender, receiver, payload, body)
-
-    def broadcast(self, sender: int, payload: object) -> None:
-        """n point-to-point datagrams, one per known node (self included).
-
-        The envelope body is encoded **once** for the whole wave (one
-        ``sent_at`` stamp, matching the sim network's single timestamp per
-        broadcast); only the per-copy policy draw and transmit differ.
-        Copies released in the same loop tick are coalesced into BATCH
-        datagrams per receiver before anything hits the socket.
-        """
-        if self._closed:
-            return
-        body = self._encoder.encode_body(payload, self.now())
-        for receiver in self.node_ids:
-            self._send_copy(sender, receiver, payload, body)
-
-    def _send_copy(
-        self, sender: int, receiver: int, payload: object, body: bytes
-    ) -> None:
-        self.sent_count += 1
-        tracer = self._tracer
-        if tracer is not None:
-            if tracer.enabled:
-                tracer.record(
-                    self.now(), sender, "send", receiver=receiver, payload=payload
-                )
-            else:
-                tracer.bump("send")
-        if self._fault_blocked(sender, receiver):
-            self.dropped_count += 1
-            self.dropped_fault_count += 1
-            return
-        delay_units = 0.0
-        if self._policy is not None:
-            decision = self._policy.decide(sender, receiver, payload, self._rand)
-            if decision.drop:
-                self.dropped_count += 1
-                if decision.partition:
-                    self.dropped_fault_count += 1
-                return
-            delay_units = decision.delay
-        if delay_units <= 0.0:
-            self._enqueue(receiver, sender, body)
-        else:
-            handle = self.loop.call_later(
-                delay_units * self.time_scale, self._enqueue, receiver, sender, body
-            )
-            self._pending_sends.append(handle)
-            if len(self._pending_sends) > 256:
-                # Compact out handles whose deadline has passed (they have
-                # fired); only genuinely pending held-back sends survive to
-                # be cancelled by close().
-                now_loop = self.loop.time()
-                self._pending_sends = [
-                    h for h in self._pending_sends if h.when() > now_loop
-                ]
-
-    def _enqueue(self, receiver: int, sender: int, body: bytes) -> None:
-        """A copy's release moment arrived: queue it for the tick's flush.
-
-        Coalescing happens here, not at send time -- only copies whose
-        policy-drawn release moments land in the same loop tick share a
-        datagram, so drawn delays still govern arrival order.
-        """
-        if self._closed:
-            return
-        if not self.coalesce:
-            self._send_datagram(bytes(self._encoder.frame(sender, body)), receiver)
-            return
-        self._batcher.add(receiver, sender, body)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.loop.call_soon(self._flush)
-
-    def _flush(self) -> None:
-        """Emit every coalesced run queued this tick, batching the syscalls."""
-        self._flush_scheduled = False
-        if self._closed:
-            self._batcher.clear()
-            return
-        self._batcher.flush()
-        outbox = self._outbox
-        if not outbox:
-            return
-        if len(outbox) > 1 and self._use_mmsg:
-            try:
-                sent = udp_batch.send_many(self.sock, outbox)
-            except OSError:
-                udp_batch.disable()
-                self._use_mmsg = False
-                self._mmsg_rx = None
-                sent = 0
-            self.datagrams_sent += sent
-            del outbox[:sent]  # kernel took the head; sendto the tail
-        for payload, addr in outbox:
-            self._sendto(payload, addr)
-        del outbox[:]
-
-    def _transmit_buf(self, receiver: int, frame_buf, count: int) -> None:
+    def _transmit(self, receiver: int, frame_buf, count: int) -> None:
         # FrameBatcher hands us its encoder's reused buffer; copy to stable
         # bytes so the whole tick's datagrams can go out in one sendmmsg.
         self._outbox.append((bytes(frame_buf), self.directory[receiver]))
 
-    def _send_datagram(self, frame: bytes, receiver: int) -> None:
-        self._sendto(frame, self.directory[receiver])
+    def _flush(self) -> None:
+        """Seal the tick's runs, then put them on the wire in one batch."""
+        super()._flush()
+        outbox = self._outbox
+        if len(outbox) > 1 and self._mmsg_rx is not None:
+            try:
+                sent = udp_batch.send_many(self.sock, outbox)
+            except OSError:
+                self._disable_mmsg()
+                sent = 0
+            self.datagrams_sent += sent
+            del outbox[:sent]  # kernel took the head; sendto the tail
+        for frame, addr in outbox:
+            self._sendto(frame, addr)
+        del outbox[:]
 
     def _sendto(self, frame: bytes, addr: tuple[str, int]) -> None:
         self.datagrams_sent += 1
@@ -356,8 +180,12 @@ class SocketTransport:
             # the resend logic covers it.  Count it as a drop.
             self.dropped_count += 1
 
+    def _disable_mmsg(self) -> None:
+        udp_batch.disable()
+        self._mmsg_rx = None
+
     # ------------------------------------------------------------------
-    # Receiving
+    # Receiving: add_reader -> recvmmsg / recvfrom
     # ------------------------------------------------------------------
     def _on_readable(self) -> None:
         if self._mmsg_rx is not None:
@@ -368,9 +196,7 @@ class SocketTransport:
                 try:
                     batch = self._mmsg_rx.recv(self.sock)
                 except OSError:
-                    udp_batch.disable()
-                    self._use_mmsg = False
-                    self._mmsg_rx = None
+                    self._disable_mmsg()
                     break  # fall through to the recvfrom loop below
                 if not batch:
                     return
@@ -379,9 +205,7 @@ class SocketTransport:
         while True:
             try:
                 data, _addr = self.sock.recvfrom(65536)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
+            except OSError:  # drained (BlockingIOError) or closed under us
                 return
             self._handle_datagram(data)
 
@@ -389,50 +213,18 @@ class SocketTransport:
         try:
             frames = decode_frames(data, self.auth_key)
         except FrameError:
-            self.rejected_count += 1
-            if self._tracer is not None:
-                self._tracer.bump("frame_rejected")
+            self._reject()
             return
-        receiver = self._receiver
-        if receiver is None:
-            self.rejected_count += 1
-            return
-        now = self.now()
-        tracer = self._tracer
-        for sender, payload, sent_at in frames:
-            self.delivered_count += 1
-            envelope = Envelope(
-                sender=sender,
-                receiver=self.node_id,
-                payload=payload,
-                sent_at=sent_at,
-                delivered_at=now,
-            )
-            if tracer is not None:
-                if tracer.enabled:
-                    tracer.record(
-                        now,
-                        self.node_id,
-                        "deliver",
-                        sender=sender,
-                        payload=payload,
-                    )
-                else:
-                    tracer.bump("deliver")
-            receiver(envelope)
+        self._deliver_frames(self.node_id, frames)
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Cancel held-back sends, detach the reader, close the socket."""
+        """Drop whatever is unsent, detach the reader, close the socket."""
         if self._closed:
             return
-        self._closed = True
-        for handle in self._pending_sends:
-            handle.cancel()
-        self._pending_sends.clear()
-        self._batcher.clear()
+        super().close()
         self._outbox.clear()
         try:
             self.loop.remove_reader(self.sock.fileno())
@@ -496,7 +288,6 @@ async def _child_run(
         rand=root.split(f"net/{node_id}"),
         tracer=tracer,
         codec=cfg.get("codec"),
-        coalesce=cfg.get("coalesce", True),
     )
     host = SocketHost(
         node_id,
@@ -691,12 +482,6 @@ def _socket_node_main(cfg: dict, conn) -> None:
         if msg[0] != "start":  # parent aborted setup
             return
         _tag, peers, epoch_wall, key = msg
-        if cfg.get("uvloop"):
-            # Availability was validated in the parent; non-strict here so a
-            # child on a stripped image degrades instead of crashing.
-            from repro.runtime.aio import install_uvloop
-
-            install_uvloop()
         asyncio.run(_child_run(cfg, conn, sock, peers, epoch_wall, key))
     finally:
         sock.close()
@@ -800,18 +585,8 @@ class SocketCluster:
         repropose_every_d: Optional[float] = None,
         value_pool: tuple = ("A", "B", "C"),
         codec: Optional[str] = None,
-        coalesce: bool = True,
-        uvloop: bool = False,
         metrics: bool = False,
     ) -> None:
-        if uvloop:
-            # Validate availability up front in the parent: a child crashing
-            # on import would surface as an opaque spawn failure.
-            try:
-                import uvloop as _uvloop  # noqa: F401
-            except ImportError as exc:
-                raise RuntimeError("uvloop requested but not installed") from exc
-        self.uvloop = uvloop
         byzantine = byzantine or {}
         if len(byzantine) > params.f:
             raise ValueError(f"{len(byzantine)} Byzantine nodes exceeds f={params.f}")
@@ -819,7 +594,6 @@ class SocketCluster:
         self.seed = seed
         self.time_scale = time_scale
         self.codec = codec
-        self.coalesce = coalesce
         self.general = general
         self.value = value
         self.trace = trace
@@ -903,8 +677,6 @@ class SocketCluster:
             "repropose_every_d": self._repropose_every_d,
             "value_pool": self._value_pool,
             "codec": self.codec,
-            "coalesce": self.coalesce,
-            "uvloop": self.uvloop,
             "metrics": self.metrics,
             "service": self._service_cfg,
         }
@@ -1505,8 +1277,6 @@ def run_agreement_socket(
     restart_backoff_s: float = 0.25,
     repropose_every_d: Optional[float] = None,
     codec: Optional[str] = None,
-    coalesce: bool = True,
-    uvloop: bool = False,
 ) -> tuple[SocketRunReport, dict[int, Decision]]:
     """Spawn a socket cluster, run one agreement, tear every process down.
 
@@ -1532,8 +1302,6 @@ def run_agreement_socket(
         restart_backoff_s=restart_backoff_s,
         repropose_every_d=repropose_every_d,
         codec=codec,
-        coalesce=coalesce,
-        uvloop=uvloop,
     )
     try:
         report = cluster.run_agreement()

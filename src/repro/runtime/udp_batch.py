@@ -7,10 +7,11 @@ wraps both through ``libc`` with plain ``sendto``/``recvfrom`` as the
 universal fallback:
 
 * ``HAVE_MMSG`` is the import-time feature probe (Linux + libc symbols).
-* The first runtime failure of either call flips a module-wide kill switch
-  (:func:`disable`), so a seccomp filter or exotic kernel degrades the
-  transport to the fallback path once, loudly, and permanently -- never a
-  crash loop in an event-loop reader.
+* The first *real* runtime failure of either call flips a module-wide kill
+  switch (:func:`disable`), so a seccomp filter or exotic kernel degrades
+  the transport to the fallback path once, loudly, and permanently -- never
+  a crash loop in an event-loop reader.  Back-pressure from a non-blocking
+  socket is not a failure and leaves the switch alone.
 
 Only IPv4 is supported (the runtime binds ``127.0.0.1``); everything here
 is loopback-local cluster traffic, same as the transports it serves.
@@ -19,6 +20,7 @@ is loopback-local cluster traffic, same as the transports it serves.
 from __future__ import annotations
 
 import ctypes
+import errno
 import socket
 import struct
 import sys
@@ -32,6 +34,12 @@ __all__ = [
 ]
 
 _MSG_DONTWAIT = 0x40  # Linux: non-blocking for this call only
+
+#: "Not right now" answers from a non-blocking socket: a momentarily full
+#: buffer or an interrupted call, not a reason to give up on the syscall.
+_TRANSIENT = frozenset(
+    {errno.EAGAIN, errno.EWOULDBLOCK, errno.EINTR, errno.ENOBUFS}
+)
 
 
 class _Iovec(ctypes.Structure):
@@ -104,7 +112,9 @@ def send_many(sock: socket.socket, datagrams) -> int:
     """Send ``[(payload_bytes, (host, port)), ...]`` in one ``sendmmsg``.
 
     Returns the number of datagrams the kernel accepted (callers resend the
-    tail via ``sendto`` if short).  Raises ``OSError`` on outright failure;
+    tail via ``sendto`` if short) -- zero under back-pressure (``EAGAIN``,
+    ``EINTR``, ``ENOBUFS``), which is the socket being busy, not the
+    syscall being unusable.  Raises ``OSError`` on outright failure;
     callers should :func:`disable` and fall back.  Payloads must be
     ``bytes`` (immutable: the kernel reads them during the call).
     """
@@ -129,8 +139,10 @@ def send_many(sock: socket.socket, datagrams) -> int:
         hdr.msg_iovlen = 1
     sent = _libc.sendmmsg(sock.fileno(), headers, count, 0)
     if sent < 0:
-        errno = ctypes.get_errno()
-        raise OSError(errno, f"sendmmsg failed: errno {errno}")
+        err = ctypes.get_errno()
+        if err in _TRANSIENT:
+            return 0
+        raise OSError(err, f"sendmmsg failed: errno {err}")
     return sent
 
 
@@ -167,8 +179,8 @@ class MmsgReceiver:
             sock.fileno(), self._headers, self._max_batch, _MSG_DONTWAIT, None
         )
         if got < 0:
-            errno = ctypes.get_errno()
-            if errno in (11, 35):  # EAGAIN / EWOULDBLOCK (linux / bsd values)
+            err = ctypes.get_errno()
+            if err in _TRANSIENT:
                 return []
-            raise OSError(errno, f"recvmmsg failed: errno {errno}")
+            raise OSError(err, f"recvmmsg failed: errno {err}")
         return [self._views[i][: self._headers[i].msg_len] for i in range(got)]

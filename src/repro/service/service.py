@@ -32,10 +32,11 @@ from repro.service.workload import OpenLoopWorkload
 
 @dataclass
 class ServiceReport:
-    """Everything one service run measured."""
+    """Everything one service run measured, on either wall-clock backend."""
 
     elapsed_s: float
-    commands_submitted: int
+    #: Commands the workload handed to the primary's coordinator.
+    commands_issued: int
     commands_decided: int
     #: Commands applied at every correct replica (the min across them).
     commands_applied: int
@@ -46,17 +47,21 @@ class ServiceReport:
     #: Max live slot instances at any sampled node, over the whole run.
     peak_live_instances: int
     peak_live_timers: int
-    #: The O(window) drain bound the sampler checks against.
-    live_bound: int
+    #: The O(window) drain bound the in-process sampler checks against
+    #: (None where nothing samples: socket children report peaks only).
+    live_bound: Optional[int] = None
     #: Samples (after warmup) whose live-instance count exceeded the bound.
-    bound_violations: int
-    samples: int
+    bound_violations: int = 0
+    samples: int = 0
     #: Per-command decide latency, seconds from stamped arrival.
     latencies: list[float] = field(default_factory=list)
     identical_logs: bool = False
     digests: dict[int, str] = field(default_factory=dict)
     applied_per_replica: dict[int, int] = field(default_factory=dict)
+    #: Slot outcomes laggards adopted after f+1 vouching.
     repaired_entries: int = 0
+    #: Fate of each node's process (socket backend; empty in-process).
+    exit_reasons: dict[int, str] = field(default_factory=dict)
 
     @property
     def commands_per_s(self) -> float:
@@ -268,7 +273,7 @@ class ReplicatedLogService:
         identical = all(log == logs[0] for log in logs[1:])
         return ServiceReport(
             elapsed_s=elapsed_s,
-            commands_submitted=coord.commands_submitted,
+            commands_issued=coord.commands_submitted,
             commands_decided=coord.commands_decided,
             commands_applied=min(
                 applier.commands_applied for applier in appliers.values()

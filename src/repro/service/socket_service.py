@@ -25,7 +25,6 @@ from __future__ import annotations
 import multiprocessing.connection
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.agreement import ProtocolNode
@@ -33,6 +32,7 @@ from repro.core.params import ProtocolParams
 from repro.runtime.socket_host import SocketCluster
 from repro.service.applier import ReplicaApplier
 from repro.service.coordinator import LogCoordinator
+from repro.service.service import ServiceReport
 
 
 class ChildLogService:
@@ -164,42 +164,6 @@ class ChildLogService:
                 latencies=list(coordinator.latencies),
             )
         return out
-
-
-@dataclass
-class SocketServiceReport:
-    """Parent-side view of one socket-backend service run."""
-
-    elapsed_s: float
-    commands_issued: int
-    commands_decided: int
-    #: Commands applied at every correct replica (min across them).
-    commands_applied: int
-    slots_launched: int
-    slots_decided: int
-    slots_aborted: int
-    peak_in_flight: int
-    peak_live_instances: int
-    peak_live_timers: int
-    latencies: list[float] = field(default_factory=list)
-    identical_logs: bool = False
-    digests: dict[int, str] = field(default_factory=dict)
-    applied_per_replica: dict[int, int] = field(default_factory=dict)
-    exit_reasons: dict[int, str] = field(default_factory=dict)
-    #: Slot outcomes the parent shipped to laggards after f+1 vouching.
-    repaired_entries: int = 0
-
-    @property
-    def commands_per_s(self) -> float:
-        if self.elapsed_s <= 0.0:
-            return 0.0
-        return self.commands_decided / self.elapsed_s
-
-    @property
-    def instances_per_s(self) -> float:
-        if self.elapsed_s <= 0.0:
-            return 0.0
-        return (self.slots_decided + self.slots_aborted) / self.elapsed_s
 
 
 class SocketLogService(SocketCluster):
@@ -386,7 +350,7 @@ class SocketLogService(SocketCluster):
         seed: int = 0,
         poisson: bool = True,
         settle_timeout_s: float = 30.0,
-    ) -> SocketServiceReport:
+    ) -> ServiceReport:
         """Sustain the open-loop workload to completion; returns the report.
 
         ``settle_timeout_s`` bounds how long the parent waits for every
@@ -482,7 +446,7 @@ class SocketLogService(SocketCluster):
 
     def _service_report(
         self, elapsed_s: float, issued: int, results: dict[int, dict]
-    ) -> SocketServiceReport:
+    ) -> ServiceReport:
         service_by_node = {
             node_id: payload.get("service")
             for node_id, payload in results.items()
@@ -502,7 +466,7 @@ class SocketLogService(SocketCluster):
             )
             and len(set(digests.values())) == 1
         )
-        return SocketServiceReport(
+        return ServiceReport(
             elapsed_s=elapsed_s,
             commands_issued=issued,
             commands_decided=primary_svc.get("commands_decided", 0),
@@ -528,4 +492,4 @@ class SocketLogService(SocketCluster):
         )
 
 
-__all__ = ["ChildLogService", "SocketLogService", "SocketServiceReport"]
+__all__ = ["ChildLogService", "SocketLogService"]

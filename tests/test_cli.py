@@ -164,3 +164,10 @@ class TestParser:
     def test_unknown_attack_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--attack", "nuclear"])
+
+    @pytest.mark.parametrize("command", ["run-async", "run-socket"])
+    def test_removed_uvloop_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--uvloop"])
+        assert exc.value.code == 2
+        assert "--uvloop" in capsys.readouterr().err

@@ -8,7 +8,9 @@ firing and staying idempotent, refusal of timers after ``close()``,
 ``live_timer_count()`` draining to zero, authenticated transport, exactly
 one broadcast copy per node (the sender included), per-node randomness,
 trace attribution (also under interleaved sends) -- and executed against
-all three backends.  A new backend earns its keep by passing this file.
+all three backends (plus one transport-teardown contract on the two that
+have a transport to tear down).  A new backend earns its keep by passing
+this file.
 
 The asyncio and socket halves necessarily run against the wall clock:
 delays are kept tiny and assertions are about *ordering and counting*,
@@ -108,6 +110,7 @@ class AioHarness:
     def close(self) -> None:
         for host in self.hosts:
             host.close()
+        self.transport.close()
 
 
 class SocketHarness:
@@ -402,6 +405,30 @@ async def contract_coalescing_preserves_per_sender_fifo(h) -> None:
     assert all(e.sender == 0 for e in inbox)
 
 
+async def contract_closed_transport_delivers_nothing(h) -> None:
+    """Closing the fabric strands what was still in flight (wall-clock only).
+
+    A copy held back by its policy delay has a release timer pending on the
+    sender's loop when the transport closes; that timer still fires, and
+    must find nothing to do -- no datagram emitted, nothing delivered into
+    a node whose host is being torn down.
+    """
+    host_a, host_b = h.make_host(0), h.make_host(1)
+    inbox: list = []
+    host_a.attach(lambda e: None)
+    host_b.attach(inbox.append)
+    host_a.send(1, "held")  # FixedDelay(0.25): released a quarter unit later
+    sender, receiver = host_a.transport, host_b.transport
+    assert sender.sent_count == 1
+    before = (sender.datagrams_sent, receiver.delivered_count)
+    sender.close()
+    host_a.send(1, "late")  # a closed transport accepts nothing new either
+    await h.drive(2.0)
+    assert inbox == []
+    assert (sender.datagrams_sent, receiver.delivered_count) == before
+    assert sender.sent_count == 1
+
+
 CONTRACTS = [
     contract_monotonic_now,
     contract_timers_fire_in_deadline_order,
@@ -420,7 +447,17 @@ CONTRACTS = [
     contract_close_then_respawn_starts_fresh,
     contract_coalescing_preserves_per_sender_fifo,
 ]
-CONTRACT_IDS = [fn.__name__.removeprefix("contract_") for fn in CONTRACTS]
+#: The sim network has no lifecycle of its own (the kernel simply stops
+#: being run), so transport teardown is a wall-clock-only contract.
+WALLCLOCK_CONTRACTS = CONTRACTS + [contract_closed_transport_delivers_nothing]
+
+
+def _ids(contracts) -> list[str]:
+    return [fn.__name__.removeprefix("contract_") for fn in contracts]
+
+
+CONTRACT_IDS = _ids(CONTRACTS)
+WALLCLOCK_IDS = _ids(WALLCLOCK_CONTRACTS)
 
 
 async def _run_contract(harness_cls, contract) -> None:
@@ -436,14 +473,31 @@ def test_sim_host_conformance(contract) -> None:
     asyncio.run(_run_contract(SimHarness, contract))
 
 
-@pytest.mark.parametrize("contract", CONTRACTS, ids=CONTRACT_IDS)
+@pytest.mark.parametrize("contract", WALLCLOCK_CONTRACTS, ids=WALLCLOCK_IDS)
 def test_asyncio_host_conformance(contract) -> None:
     asyncio.run(_run_contract(AioHarness, contract))
 
 
-@pytest.mark.parametrize("contract", CONTRACTS, ids=CONTRACT_IDS)
+@pytest.mark.parametrize("contract", WALLCLOCK_CONTRACTS, ids=WALLCLOCK_IDS)
 def test_socket_host_conformance(contract) -> None:
     asyncio.run(_run_contract(SocketHarness, contract))
+
+
+def test_asyncio_close_strands_an_already_decoded_datagram() -> None:
+    """The last hop too: decoded and handed to the loop, then closed."""
+
+    async def scenario():
+        transport = AsyncioTransport(time_scale=0.002)  # no policy: no delay
+        inbox: list = []
+        transport.register(0, inbox.append)
+        transport.send(0, 0, "in flight")
+        await asyncio.sleep(0)  # exactly the flush: sealed, decoded, queued
+        assert transport.datagrams_sent == 1 and inbox == []
+        transport.close()
+        await asyncio.sleep(0.01)
+        return transport.delivered_count, inbox
+
+    assert asyncio.run(scenario()) == (0, [])
 
 
 # ---------------------------------------------------------------------------

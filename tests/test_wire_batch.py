@@ -4,8 +4,8 @@ The framing tests pin the *format*; this file pins the machinery the lean
 wire path rides on: the vendored msgpack subset (:mod:`repro.runtime.mpack`)
 at its encoding edges, the batched UDP syscalls
 (:mod:`repro.runtime.udp_batch`) against a real loopback socket pair, the
-kill-switch degradation story, the transports' datagram accounting under
-coalescing, and the opt-in uvloop hook.
+kill-switch degradation story, and the transports' datagram accounting
+under coalescing.
 """
 
 from __future__ import annotations
@@ -162,6 +162,57 @@ class TestMmsg:
             monkeypatch.setattr(udp_batch, "_disabled", False)
         assert udp_batch.available()
 
+    def test_back_pressure_spares_the_kill_switch_real_failure_trips_it(
+        self, monkeypatch
+    ) -> None:
+        # EAGAIN from a full send buffer is the socket being busy: the tick's
+        # datagrams fall through to sendto and sendmmsg stays available.
+        # EPERM (seccomp) is the syscall being unusable: permanent fallback.
+        import errno
+        import time as _time
+
+        from repro.runtime.socket_host import SocketTransport
+
+        monkeypatch.setattr(udp_batch, "_disabled", False)
+        monkeypatch.setattr(
+            udp_batch._libc, "sendmmsg", lambda *args: -1, raising=False
+        )
+        failing_with = [errno.EAGAIN]
+        monkeypatch.setattr(
+            udp_batch.ctypes, "get_errno", lambda: failing_with[0]
+        )
+
+        async def scenario():
+            _tx, rx, addr = _socket_pair()
+            _tx.close()
+            transport = SocketTransport(
+                0, auth_key=KEY, time_scale=0.001, epoch_wall=_time.time(),
+                directory={1: addr, 2: addr},
+            )
+            try:
+                for errno_now, still_available in (
+                    (errno.EAGAIN, True), (errno.EPERM, False),
+                ):
+                    failing_with[0] = errno_now
+                    before = transport.datagrams_sent
+                    transport.send(0, 1, "a")
+                    transport.send(0, 2, "b")  # two receivers: two datagrams
+                    await asyncio.sleep(0.02)
+                    assert udp_batch.available() is still_available
+                    assert transport.datagrams_sent == before + 2
+                received = []
+                while True:
+                    try:
+                        received.append(rx.recvfrom(65536)[0])
+                    except BlockingIOError:
+                        break
+                assert len(received) == 4, "sendto must carry what sendmmsg refused"
+            finally:
+                transport.close()
+                rx.close()
+
+        asyncio.run(scenario())
+
 
 def _drain_one(receiver, rx):
     for _ in range(100):
@@ -196,28 +247,6 @@ class TestTransportCoalescing:
         datagrams, payloads = asyncio.run(scenario())
         assert payloads == [f"m{i}" for i in range(10)]
         assert datagrams < 10, "a same-tick burst must coalesce"
-
-    def test_uncoalesced_transport_sends_one_datagram_each(self) -> None:
-        from repro.net.delivery import FixedDelay
-        from repro.runtime.aio import AsyncioTransport
-        from repro.sim.rand import RandomSource
-
-        async def scenario():
-            transport = AsyncioTransport(
-                time_scale=0.001, policy=FixedDelay(0.25),
-                rand=RandomSource(7, "net"), coalesce=False,
-            )
-            inbox: list = []
-            transport.register(0, lambda e: None)
-            transport.register(1, inbox.append)
-            for i in range(10):
-                transport.send(0, 1, f"m{i}")
-            await asyncio.sleep(0.05)
-            return transport.datagrams_sent, [e.payload for e in inbox]
-
-        datagrams, payloads = asyncio.run(scenario())
-        assert payloads == [f"m{i}" for i in range(10)]
-        assert datagrams == 10
 
     def test_socket_burst_coalesces_on_the_wire(self) -> None:
         # Count *actual UDP datagrams* with a passive observer socket: ten
@@ -260,21 +289,3 @@ class TestTransportCoalescing:
         datagrams, messages = asyncio.run(scenario())
         assert messages == [f"m{i}" for i in range(10)]
         assert datagrams < 10, "the burst must coalesce into BATCH datagrams"
-
-
-# ---------------------------------------------------------------------------
-# uvloop hook: graceful when missing, loud when demanded
-# ---------------------------------------------------------------------------
-class TestUvloopHook:
-    def test_missing_uvloop_is_graceful_by_default(self) -> None:
-        from repro.runtime.aio import install_uvloop
-
-        try:
-            import uvloop  # noqa: F401
-        except ImportError:
-            assert install_uvloop() is False
-            with pytest.raises(RuntimeError, match="uvloop"):
-                install_uvloop(strict=True)
-        else:  # pragma: no cover - exercised only where uvloop is installed
-            assert install_uvloop() is True
-            asyncio.set_event_loop_policy(None)
