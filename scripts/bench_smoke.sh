@@ -68,6 +68,17 @@ if ! timeout -k 10 120 python -m repro.cli serve --backend asyncio \
 fi
 
 echo
+echo "== resource hygiene (dev mode; a leaked socket or timer fails the test) =="
+# -X dev turns on asyncio debug mode and ResourceWarning; any object the GC
+# has to close for us (a socket, a never-awaited coroutine) becomes an
+# unraisable-exception warning, which the second -W turns into a failure of
+# the test that leaked it.  Covers the control plane and the service's
+# fetch timers and body store.
+python -X dev -W error::ResourceWarning -m pytest \
+    -W error::pytest.PytestUnraisableExceptionWarning \
+    tests/test_obs.py tests/test_service.py -q
+
+echo
 echo "== live cluster control plane gate (/metrics scrape + injected kill + recovery) =="
 # The control plane end to end, driven over HTTP like an operator would:
 # scrape every node's Prometheus /metrics, POST a FaultScript that

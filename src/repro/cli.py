@@ -795,6 +795,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{report.bound_violations} across {report.samples} samples)")
     else:
         print()
+    print(f"batch bodies:  {report.body_fetches} fetch rounds, "
+          f"{report.bodies_rejected} rejected on hash mismatch")
     if report.repaired_entries:
         print(f"repair:        {report.repaired_entries} entries adopted via "
               "f+1 vouching")

@@ -437,6 +437,10 @@ class AgreementInstance:
 class ProtocolNode(Node):
     """A correct node running ss-Byz-Agree for every General."""
 
+    #: Service-layer hook: handed every delivered payload that is not a
+    #: protocol message (no ``general``); such payloads are dropped if unset.
+    on_service_payload: Optional[Callable[[Delivery], None]] = None
+
     def __init__(
         self,
         node_id: int,
@@ -590,7 +594,10 @@ class ProtocolNode(Node):
         msg = envelope.payload
         general = getattr(msg, "general", None)
         if general is None:
-            return  # not an ss-Byz-Agree message; ignore silently
+            # Not an ss-Byz-Agree message: a layer above may claim it.
+            if self.on_service_payload is not None:
+                self.on_service_payload(envelope)
+            return
         inst = self.instances.get(general)
         if inst is None:
             gate = self.instance_gate

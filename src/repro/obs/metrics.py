@@ -30,6 +30,7 @@ REQUIRED_SERIES = (
     "repro_watch_fires_total",
     "repro_live_timers",
     "repro_live_slot_instances",
+    "repro_service_body_fetches_total",
     "repro_decision_latency_seconds",
     "repro_decide_latency_seconds",
 )
@@ -286,6 +287,14 @@ class NodeMetrics:
         self.commands_applied = reg.counter(
             "repro_commands_applied_total",
             "Replicated-log commands applied at this replica", labels)
+        self.body_fetches = reg.counter(
+            "repro_service_body_fetches_total",
+            "body_req rounds sent for a decided slot whose batch was missing",
+            labels)
+        self.bodies_rejected = reg.counter(
+            "repro_service_bodies_rejected_total",
+            "Batch bodies refused: hash differs from the decided digest",
+            labels)
         self.decision_latency = reg.histogram(
             "repro_decision_latency_seconds",
             "Agreement latency: initiation (tau_g) to decision, wall seconds",
@@ -334,6 +343,8 @@ class NodeMetrics:
             if applier is not None:
                 self.commands_applied.set_total(applier.commands_applied)
                 self.live_instances.set(applier.live_slot_instances)
+                self.body_fetches.set_total(applier.body_fetches)
+                self.bodies_rejected.set_total(applier.bodies_rejected)
             coordinator = getattr(service, "coordinator", None)
             if coordinator is not None:
                 latencies = coordinator.latencies

@@ -10,14 +10,16 @@ the whole stack.
 Pieces
 ------
 * :class:`~repro.service.coordinator.LogCoordinator` -- primary-side slot
-  pipeline: batches client commands into one agreement value per slot,
+  pipeline: batches client commands into one slot, ships the batch body
+  once per replica and proposes its digest as the agreement value,
   launches up to ``window`` concurrent slots, re-enqueues aborted batches,
   and stamps per-command decide latency.
 * :class:`~repro.service.applier.ReplicaApplier` -- replica-side applier:
-  in-index-order apply with gap buffering, abort slots recorded as skips,
-  and scheduled retirement of each applied slot's
-  :class:`~repro.core.agreement.AgreementInstance` so live protocol state
-  stays bounded by the window, not the log length.
+  in-index-order apply with gap buffering, a decided digest held until
+  the body that hashes to it is present (fetched from any peer if lost),
+  abort slots recorded as skips, and scheduled retirement of each applied
+  slot's :class:`~repro.core.agreement.AgreementInstance` so live protocol
+  state stays bounded by the window, not the log length.
 * :class:`~repro.service.workload.OpenLoopWorkload` -- target-rate arrival
   generator (Poisson or fixed-interval) whose latency stamps are taken at
   the *theoretical* arrival instants, so queueing delay is measured, not
@@ -30,7 +32,7 @@ Pieces
   service across OS processes on the UDP socket backend.
 """
 
-from repro.service.applier import ReplicaApplier
+from repro.service.applier import ReplicaApplier, batch_digest
 from repro.service.coordinator import LogCoordinator
 from repro.service.service import ReplicatedLogService, ServiceReport
 from repro.service.workload import OpenLoopWorkload
@@ -41,4 +43,5 @@ __all__ = [
     "ReplicaApplier",
     "ReplicatedLogService",
     "ServiceReport",
+    "batch_digest",
 ]

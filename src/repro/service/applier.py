@@ -3,6 +3,20 @@
 Extends the :class:`~repro.extensions.state_machine.Replica` gap-healing
 applier for service duty:
 
+* **The decided value is a digest; the batch arrives once, separately.**
+  The primary broadcasts ``("body", slot, batch)`` and proposes
+  :func:`batch_digest` of it, so a decided slot is applied only once a
+  body whose hash equals the decided digest is in hand.  Bodies pushed by
+  the authenticated primary are kept for ``body_span`` slots ahead of
+  ``next_index`` (nothing else is stored, so the store is bounded); a
+  decided slot at the head of the line with no matching body *holds*
+  in-order draining there, and after ``d`` the replica broadcasts
+  ``("body_req", slot)`` for it (and for any decided slot queued behind
+  it that lacks its body too) -- re-armed every ``d``, one timer at most
+  -- which any replica holding the slot's body answers point-to-point.  A
+  fetched body is accepted on hash match alone: the digest was agreed on,
+  so whoever supplies the preimage is irrelevant.  ``applied``, outcomes,
+  :meth:`digest` and the f+1 adoption path all hold *bodies*.
 * **Aborted slots become skips.**  ss-Byz-Agree's Agreement property covers
   BOTTOM: when a slot aborts, it aborts at every correct node, so recording
   the slot as an empty skip (and letting the coordinator re-submit its
@@ -25,13 +39,21 @@ they matter; the default ``6d`` leaves the full relay tail intact.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
-
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
 from repro.core.agreement import Decision, ProtocolNode
 from repro.core.params import BOTTOM
 from repro.extensions.state_machine import ApplyCallback, Replica
+from repro.runtime.api import INERT_TIMER, Delivery, TimerHandle
+
+
+def batch_digest(batch: tuple) -> str:
+    """A slot's agreement value: 128 bits of SHA-256 over the batch, as hex.
+
+    ``repr`` of a tuple of wire-safe scalars is deterministic and survives
+    both codecs unchanged, and a hex ``str`` is itself wire-safe.
+    """
+    return hashlib.sha256(repr(batch).encode()).hexdigest()[:32]
 
 
 class ReplicaApplier(Replica):
@@ -53,6 +75,19 @@ class ReplicaApplier(Replica):
         self._retire_ready: set[int] = set()
         self._retire_next = 0
         self._outcomes: dict[int, object] = {}
+        #: Bodies for slots not yet finalized: slot -> (digest, batch).
+        #: Keys stay within ``[next_index, next_index + body_span)``.
+        self._bodies: dict[int, tuple[str, tuple]] = {}
+        #: Slots ahead of ``next_index`` a body is kept for.  The service
+        #: sets it to the coordinator's ``unretired_cap + window``: a
+        #: correct primary never launches further ahead of a replica that
+        #: keeps up, and a replica that does not is healed by fetch/repair.
+        self.body_span = 32
+        #: ``body_req`` rounds sent (0 with a correct primary and no loss).
+        self.body_fetches = 0
+        #: Bodies refused because their hash differed from the decided digest.
+        self.bodies_rejected = 0
+        self._fetch_timer: TimerHandle = INERT_TIMER
         #: Called with the new watermark whenever retirement advances; the
         #: service wires the primary's applier to the coordinator's
         #: :meth:`~repro.service.coordinator.LogCoordinator.notify_retired`
@@ -60,6 +95,12 @@ class ReplicaApplier(Replica):
         self.on_retire: Optional[Callable[[int], None]] = None
         super().__init__(node, primary, on_apply)
         node.instance_gate = self._gate
+        node.on_service_payload = self._on_service_payload
+
+    def detach(self) -> None:
+        super().detach()
+        self._fetch_timer.cancel()
+        self.node.on_service_payload = None
 
     # ------------------------------------------------------------------
     # Decision intake (aborts included, unlike the base Replica)
@@ -76,19 +117,95 @@ class ReplicaApplier(Replica):
         self._schedule_retire(index)
 
     def _drain(self) -> None:
-        while self._next_index in self._pending:
-            value = self._pending.pop(self._next_index)
-            self._outcomes[self._next_index] = value
+        pending = self._pending
+        while self._next_index in pending:
+            index = self._next_index
+            value = pending[index]
+            held = self._bodies.pop(index, None)
             if value is BOTTOM:
-                self.skipped.append(self._next_index)
-            else:
-                self.applied.append((self._next_index, value))
-                self.commands_applied += (
-                    len(value) if isinstance(value, tuple) else 1
-                )
+                outcome = BOTTOM  # a body stored for the slot goes with it
+                self.skipped.append(index)
+            elif held is not None and held[0] == value:
+                outcome = held[1]
+                self.applied.append((index, outcome))
+                self.commands_applied += len(outcome)
                 if self.on_apply is not None:
-                    self.on_apply(self._next_index, value)
+                    self.on_apply(index, outcome)
+            else:
+                # Decided, but the body is missing or is not the one agreed
+                # on: hold here (nothing after it may apply) and go fetch.
+                if held is not None:
+                    self.bodies_rejected += 1
+                if not self._fetch_timer.alive:
+                    self._arm_fetch()
+                return
+            del pending[index]
+            self._outcomes[index] = outcome
             self._next_index += 1
+        self._fetch_timer.cancel()
+
+    # ------------------------------------------------------------------
+    # Batch bodies: pushed once by the primary, fetched from peers if lost
+    # ------------------------------------------------------------------
+    def _on_service_payload(self, envelope: Delivery) -> None:
+        payload = envelope.payload
+        if not (isinstance(payload, tuple) and payload):
+            return
+        if payload[0] == "body" and len(payload) == 3:
+            self._on_body(envelope.sender, payload[1], payload[2])
+        elif payload[0] == "body_req" and len(payload) == 2:
+            self._on_body_req(envelope.sender, payload[1])
+
+    def _on_body(self, sender: int, slot: object, batch: object) -> None:
+        if not (isinstance(slot, int) and isinstance(batch, tuple)):
+            return
+        if not self._next_index <= slot < self._next_index + self.body_span:
+            return
+        decided = self._pending.get(slot)
+        if decided is None:
+            # Undecided: only the primary's push is worth keeping.
+            if sender == self.primary:
+                self._bodies[slot] = (batch_digest(batch), batch)
+        elif decided is not BOTTOM:
+            digest = batch_digest(batch)
+            if digest == decided:
+                self._bodies[slot] = (digest, batch)
+                self._drain()
+            else:
+                self.bodies_rejected += 1
+
+    def _on_body_req(self, sender: int, slot: object) -> None:
+        if not isinstance(slot, int):
+            return
+        body = self._outcomes.get(slot)
+        if body is None and slot in self._bodies:
+            body = self._bodies[slot][1]  # unverified; the requester checks
+        if body is not None and body is not BOTTOM:
+            self.node.send(sender, ("body", slot, body))
+
+    def _arm_fetch(self) -> None:
+        self._fetch_timer = self.node.after_local(
+            self.node.params.d, self._fetch, tag=f"body_req:{self.primary}"
+        )
+
+    def _fetch(self) -> None:
+        """The head-of-line slot has been held for ``d``: ask every peer.
+
+        Armed only while that slot is held, and cancelled by the drain that
+        releases it.  Decided slots queued behind it whose body is missing
+        too are asked for in the same round, so a replica that fell behind
+        the span catches up in one round, not one ``d`` per slot.
+        """
+        self.body_fetches += 1
+        bodies = self._bodies
+        horizon = self._next_index + self.body_span
+        for slot, decided in self._pending.items():
+            if decided is BOTTOM or slot >= horizon:
+                continue
+            held = bodies.get(slot)
+            if held is None or held[0] != decided:
+                self.node.broadcast(("body_req", slot))
+        self._arm_fetch()
 
     # ------------------------------------------------------------------
     # Retirement (measured, contiguous, gate-backed)
@@ -168,21 +285,35 @@ class ReplicaApplier(Replica):
     def adopt_entries(self, entries: Iterable[tuple[int, object]]) -> int:
         """Catch-up: adopt slot outcomes fetched out of band.
 
-        ``entries`` are ``(index, value)`` pairs (value ``BOTTOM`` for a
-        skipped slot) whose provenance the *caller* vouches for -- the
-        service layer only adopts outcomes matching at f+1 peers, so at
-        least one correct replica applied each.  Returns how many entries
-        were new.
+        ``entries`` are ``(index, outcome)`` pairs in slot order (a batch
+        tuple, or ``BOTTOM`` for a skipped slot) whose provenance the
+        *caller* vouches for -- the service layer only adopts outcomes
+        matching at f+1 peers, so at least one correct replica applied
+        each.  A slot this replica has itself decided outranks the vote: an
+        entry that agrees supplies the held slot's body, one that does not
+        is refused, counted in ``bodies_rejected``, and ends the adoption
+        there.  Returns how many entries were taken.
         """
         adopted = 0
-        for index, value in entries:
-            if index < self._next_index or index in self._pending:
+        for index, outcome in entries:
+            if index < self._next_index:
                 continue
-            self._pending[index] = value
+            value = outcome if outcome is BOTTOM else batch_digest(outcome)
+            decided = self._pending.setdefault(index, value)
+            if decided != value:
+                self.bodies_rejected += 1
+                break
+            if outcome is not BOTTOM:
+                self._bodies[index] = (value, outcome)
             adopted += 1
         if adopted:
             self._drain()
         return adopted
 
+    @property
+    def bodies_held(self) -> int:
+        """Batch bodies stored for slots not yet finalized."""
+        return len(self._bodies)
 
-__all__ = ["ReplicaApplier"]
+
+__all__ = ["ReplicaApplier", "batch_digest"]

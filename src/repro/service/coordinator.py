@@ -3,10 +3,17 @@
 Turns a stream of client commands into slot-indexed
 :class:`~repro.extensions.concurrent.ConcurrentGeneral` invocations:
 
-* **Batching.**  Up to ``max_batch`` queued commands become one agreement
-  value (a tuple of command strings), so a single protocol execution
-  carries many commands -- the ratio is the service's main throughput
-  lever, bounded above by the wire layer's frame-size limit.
+* **Batching.**  Up to ``max_batch`` queued commands become one slot, so a
+  single protocol execution carries many commands -- the ratio is the
+  service's main throughput lever, bounded above by the wire layer's
+  frame-size limit on the one frame that carries the batch.
+* **Digest value, body shipped once.**  The paper's primitives only ever
+  compare an agreement value for equality, so the slot's value is
+  ``batch_digest(batch)`` and the batch itself travels exactly once per
+  replica, as a ``("body", slot, batch)`` service payload broadcast just
+  *before* the digest is proposed.  None of the O(n^2) support / approve /
+  ready / echo envelopes carries a command.  If either send raises, the
+  batch goes back to the queue head and no slot index is spent.
 * **Windowing.**  At most ``window`` slots are in flight (launched but not
   yet returned at the primary).  The window bounds message pressure; new
   slots launch the moment an in-flight slot returns.
@@ -46,6 +53,7 @@ from repro.core.agreement import Decision, ProtocolNode
 from repro.core.params import BOTTOM
 from repro.extensions.concurrent import ConcurrentGeneral
 from repro.extensions.state_machine import DecisionTap
+from repro.service.applier import batch_digest
 
 
 class LogCoordinator(DecisionTap):
@@ -88,6 +96,10 @@ class LogCoordinator(DecisionTap):
         self.slots_decided = 0
         self.slots_aborted = 0
         self.peak_in_flight = 0
+        #: Why the last launch attempt failed (cleared by the next one that
+        #: succeeds).  While set, ``submit`` stops waiting for queue space,
+        #: so the client's next call re-attempts the launch and sees it.
+        self.launch_error: Optional[Exception] = None
         self._space = asyncio.Event()
         self._space.set()
         self._drained = asyncio.Event()
@@ -105,13 +117,18 @@ class LogCoordinator(DecisionTap):
         units); an open-loop generator passes the theoretical arrival
         instant so queueing delay counts against the latency.
         """
-        while len(self._queue) >= self.max_queue:
+        # A stuck launch frees no space: fall through so the client sees why.
+        while len(self._queue) >= self.max_queue and self.launch_error is None:
             self._space.clear()
             await self._space.wait()
         self.submit_nowait(command, arrival)
 
     def submit_nowait(self, command: object, arrival: Optional[float] = None) -> None:
-        """Enqueue one command without waiting (queue bound not enforced)."""
+        """Enqueue one command without waiting (queue bound not enforced).
+
+        Raises whatever the launch it triggers raises (a batch too large
+        for one wire frame, say); the command stays queued, nothing is lost.
+        """
         stamp = arrival if arrival is not None else self.clock()
         self._queue.append((command, stamp))
         self.commands_submitted += 1
@@ -140,10 +157,11 @@ class LogCoordinator(DecisionTap):
 
     def notify_retired(self) -> None:
         """Re-open the launch gate after the retirement watermark moved."""
-        self._launch()
+        self._launch_from_callback()
 
     def _launch(self) -> None:
         queue = self._queue
+        general = self.general
         gated = self.retired_watermark is not None
         while queue and len(self._in_flight) < self.window:
             if gated and self.unretired >= self.unretired_cap:
@@ -151,13 +169,39 @@ class LogCoordinator(DecisionTap):
             batch = []
             while queue and len(batch) < self.max_batch:
                 batch.append(queue.popleft())
-            slot = self.general.propose(tuple(cmd for cmd, _stamp in batch))
+            commands = tuple(cmd for cmd, _stamp in batch)
+            slot = general.next_index
+            try:
+                # Body first: a batch too big for one frame raises here,
+                # before the slot index is spent.
+                self.node.broadcast(("body", slot, commands))
+                general.propose(batch_digest(commands), index=slot)
+            except Exception as exc:
+                queue.extendleft(reversed(batch))
+                general.next_index = slot
+                self.launch_error = exc
+                self._space.set()  # a blocked submit() must see this too
+                raise
+            self.launch_error = None
             self._in_flight[slot] = batch
             self.slots_launched += 1
             if len(self._in_flight) > self.peak_in_flight:
                 self.peak_in_flight = len(self._in_flight)
         if len(queue) < self.max_queue and not self._space.is_set():
             self._space.set()
+
+    def _launch_from_callback(self) -> None:
+        """Launch from a decision or retirement callback.
+
+        A failure must not unwind the protocol code that called back: the
+        batch is already back at the queue head and the error is kept in
+        ``launch_error``; the next :meth:`submit` / :meth:`submit_nowait`
+        re-attempts the launch and raises it to the client.
+        """
+        try:
+            self._launch()
+        except Exception:
+            pass
 
     def _on_decision(self, decision: Decision) -> None:
         general = decision.general
@@ -180,7 +224,7 @@ class LogCoordinator(DecisionTap):
             latencies = self.latencies
             for _cmd, stamp in batch:
                 latencies.append(now - stamp)
-        self._launch()
+        self._launch_from_callback()
         if not self._queue and not self._in_flight:
             self._drained.set()
 

@@ -10,6 +10,11 @@ needs beyond the protocol:
   within an O(window) bound (``live_bound``) even as thousands of slots
   stream through -- live protocol state drains back toward the in-flight
   window continuously, not just at teardown.
+* **Body dissemination.**  The slot value the protocol agrees on is a
+  digest; the batch travels once per replica as a ``body`` payload and is
+  fetched from any peer, on hash match, if it went missing (see
+  :mod:`repro.service.applier`).  ``body_fetches`` / ``bodies_rejected``
+  in the report read 0 on a clean run.
 * **An f+1 repair path.**  A replica that missed decisions (crashed and
   restarted mid-run) adopts slot outcomes that at least ``f + 1`` peers
   report identically -- since at most ``f`` are faulty, at least one
@@ -60,6 +65,11 @@ class ServiceReport:
     applied_per_replica: dict[int, int] = field(default_factory=dict)
     #: Slot outcomes laggards adopted after f+1 vouching.
     repaired_entries: int = 0
+    #: ``body_req`` rounds replicas sent for a decided slot whose batch body
+    #: had not arrived, and bodies refused on a hash mismatch (summed over
+    #: replicas).  Both 0 on a clean run: a lost body, not a protocol abort.
+    body_fetches: int = 0
+    bodies_rejected: int = 0
     #: Fate of each node's process (socket backend; empty in-process).
     exit_reasons: dict[int, str] = field(default_factory=dict)
 
@@ -112,6 +122,8 @@ class ReplicatedLogService:
         primary_applier.on_retire = (
             lambda _watermark: self.coordinator.notify_retired()
         )
+        for applier in self.appliers.values():
+            applier.body_span = self.coordinator.unretired_cap + window
         #: Enforced, not emergent: the coordinator refuses to launch past
         #: 3 * window launched-but-unretired slots at the primary, and the
         #: other replicas' watermarks trail the primary's by at most the
@@ -298,6 +310,8 @@ class ReplicatedLogService:
                 for node_id, applier in appliers.items()
             },
             repaired_entries=self.repaired_entries,
+            body_fetches=sum(a.body_fetches for a in appliers.values()),
+            bodies_rejected=sum(a.bodies_rejected for a in appliers.values()),
         )
 
     # ------------------------------------------------------------------

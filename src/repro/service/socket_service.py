@@ -13,8 +13,14 @@ Wire-level protocol over the existing control/results pipes:
   rate-limited apply progress, so the parent knows when every replica has
   caught up without streaming per-slot decisions.
 * the final ``("result", ...)`` payload gains a ``"service"`` dict with the
-  child's applied-log digest, counters, peak live-instance/timer readings,
-  and (on the primary) the per-command latency list.
+  child's applied-log digest, counters (``body_fetches`` and
+  ``bodies_rejected`` among them), peak live-instance/timer readings, and
+  (on the primary) the per-command latency list.
+
+Batch bodies do not use the pipes: like every agreement message they
+travel node to node over UDP (``body`` pushed once by the primary,
+``body_req`` / ``body`` between any two replicas -- see
+:mod:`repro.service.applier`).
 
 Latency stamps use ``time.time()`` wall clock: parent and children share
 the machine, so cross-process stamps are directly comparable.
@@ -50,11 +56,14 @@ class ChildLogService:
             self.primary,
             retire_after_d=service_cfg.get("retire_after_d", 6.0),
         )
+        window = service_cfg.get("window", 8)
+        # unretired_cap + window at the coordinator's default cap of 3 * window.
+        self.applier.body_span = 4 * window
         self.coordinator: Optional[LogCoordinator] = None
         if node.node_id == self.primary:
             self.coordinator = LogCoordinator(
                 node,
-                window=service_cfg.get("window", 8),
+                window=window,
                 max_batch=service_cfg.get("max_batch", 64),
                 clock=time.time,
                 retired_watermark=lambda: self.applier.retire_watermark,
@@ -151,6 +160,8 @@ class ChildLogService:
             "live_slot_instances": applier.live_slot_instances,
             "peak_live_instances": self.peak_live_instances,
             "peak_live_timers": self.peak_live_timers,
+            "body_fetches": applier.body_fetches,
+            "bodies_rejected": applier.bodies_rejected,
         }
         coordinator = self.coordinator
         if coordinator is not None:
@@ -489,6 +500,12 @@ class SocketLogService(SocketCluster):
             applied_per_replica=applied,
             exit_reasons=dict(self._exit_reason),
             repaired_entries=self.repaired_entries,
+            body_fetches=sum(
+                svc["body_fetches"] for svc in service_by_node.values()
+            ),
+            bodies_rejected=sum(
+                svc["bodies_rejected"] for svc in service_by_node.values()
+            ),
         )
 
 

@@ -36,6 +36,15 @@ def _get(url: str) -> tuple[int, str, str]:
         )
 
 
+def _get_error_code(url: str) -> int:
+    """The status of a GET that must fail; the error's socket is closed."""
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _get(url)
+    # An HTTPError *is* the response: it owns the connection's socket.
+    err.value.close()
+    return err.value.code
+
+
 def _post(url: str, payload: object) -> tuple[int, dict]:
     data = json.dumps(payload).encode()
     req = urllib.request.Request(
@@ -45,7 +54,8 @@ def _post(url: str, payload: object) -> tuple[int, dict]:
         with urllib.request.urlopen(req, timeout=5.0) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:  # the error owns the response socket; close it
+            return exc.code, json.loads(exc.read())
 
 
 class TestMetricsRegistry:
@@ -162,6 +172,22 @@ class TestNodeMetrics:
         assert metrics.decide_latency.count == 3
         assert metrics.decide_latency.sum == pytest.approx(0.6)
 
+    def test_sample_exposes_body_fetch_and_reject_counters(self):
+        from types import SimpleNamespace
+
+        metrics = NodeMetrics(node_id=2, time_scale=1.0)
+        applier = SimpleNamespace(
+            commands_applied=7, live_slot_instances=3,
+            body_fetches=4, bodies_rejected=1,
+        )
+        metrics.sample(
+            service=SimpleNamespace(applier=applier, coordinator=None)
+        )
+        parsed = parse_prometheus_text(metrics.render())
+        label = '{node="2"}'
+        assert parsed["repro_service_body_fetches_total"][label] == 4
+        assert parsed["repro_service_bodies_rejected_total"][label] == 1
+
 
 class TestParseFaultPayload:
     def test_accepts_bare_list_and_actions_wrapper(self):
@@ -219,18 +245,14 @@ class TestObservabilityServer:
             code, reply = _post(f"{server.url}/faults", ["boom"])
             assert code == 400 and "bad spec" in reply["error"]
 
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(f"{server.url}/nope")
-            assert err.value.code == 404
+            assert _get_error_code(f"{server.url}/nope") == 404
         finally:
             server.close()
 
     def test_unwired_routes_404(self):
         server = ObservabilityServer(render=lambda: "").start()
         try:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(f"{server.url}/status")
-            assert err.value.code == 404
+            assert _get_error_code(f"{server.url}/status") == 404
             code, reply = _post(f"{server.url}/faults", [])
             assert code == 404
         finally:
@@ -295,6 +317,12 @@ class TestAsyncioControlPlane:
         # The primary's decide latencies were streamed in.
         assert parsed["repro_decide_latency_seconds_count"]['{node="0"}'] == 60
         assert parsed["repro_commands_applied_total"]['{node="0"}'] == 60
+        # A clean run lost no batch body and refused none.
+        assert report.body_fetches == 0 and report.bodies_rejected == 0
+        for node_id in range(params.n):
+            label = f'{{node="{node_id}"}}'
+            assert parsed["repro_service_body_fetches_total"][label] == 0
+            assert parsed["repro_service_bodies_rejected_total"][label] == 0
 
         assert status["backend"] == "asyncio"
         assert status["n"] == 4 and status["f"] == 1

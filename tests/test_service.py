@@ -4,7 +4,8 @@ Unit layer: the coordinator's windowing/batching/abort-requeue and the
 applier's gap buffering, abort-as-skip, and measured retirement run against
 the deterministic simulator.  Service layer: end-to-end open-loop runs on
 the asyncio wall-clock backend, including a Crash/Restart churn timeline
-healed via the f+1 repair path.
+healed via the f+1 repair path, and lossy / Byzantine delivery of the
+batch bodies the decided digests stand for.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from repro.core.agreement import Decision
 from repro.core.params import BOTTOM, ProtocolParams
 from repro.extensions.concurrent import ConcurrentGeneral
 from repro.harness.scenario import Cluster, ScenarioConfig
-from repro.service.applier import ReplicaApplier
+from repro.net.delivery import DeliveryDecision, UniformDelay
+from repro.net.network import Envelope
+from repro.runtime.framing import FrameEncoder, OversizedFrameError, derive_key
+from repro.service.applier import ReplicaApplier, batch_digest
 from repro.service.coordinator import LogCoordinator
 from repro.service.workload import OpenLoopWorkload
 
@@ -36,6 +40,27 @@ def _decision(general: tuple, value, when: float = 1.0) -> Decision:
         tau_g_real=0.0,
         returned_local=when,
         returned_real=when,
+    )
+
+
+def _deliver(node, sender: int, payload) -> None:
+    """Hand ``node`` one delivered payload from an authenticated sender."""
+    node.on_message(
+        Envelope(
+            sender=sender,
+            receiver=node.node_id,
+            payload=payload,
+            sent_at=0.0,
+            delivered_at=0.0,
+        )
+    )
+
+
+def _push_and_decide(applier: ReplicaApplier, slot: int, batch: tuple) -> None:
+    """What a clean slot looks like at a replica: body, then its digest."""
+    _deliver(applier.node, applier.primary, ("body", slot, batch))
+    applier._on_decision(
+        _decision((applier.primary, slot), batch_digest(batch))
     )
 
 
@@ -117,23 +142,121 @@ class TestCoordinator:
         assert coord.in_flight == 1
         assert coord.slots_decided == 0
 
+    def test_failed_launch_restores_batch_and_slot(self, params4):
+        # 128 commands of 200 chars cannot fit one 16 KB frame.  The launch
+        # must fail loudly with nothing lost and no slot index spent.
+        from repro.runtime.aio import AsyncioCluster
+
+        big = [f"{i:03d}" + "x" * 197 for i in range(128)]
+
+        async def body():
+            cluster = AsyncioCluster(params4, seed=11, time_scale=0.02)
+            gate = {"open": False}
+            coord = LogCoordinator(
+                cluster.protocol_node(0),
+                window=2,
+                max_batch=128,
+                retired_watermark=lambda: 0 if gate["open"] else -1,
+                unretired_cap=1,
+            )
+            try:
+                for cmd in big[:-1]:
+                    coord.submit_nowait(cmd)  # gated: queued, not launched
+                assert coord.slots_launched == 0
+                gate["open"] = True
+                # From a protocol callback the failure is kept, not raised.
+                coord.notify_retired()
+                assert isinstance(coord.launch_error, OversizedFrameError)
+                assert coord.backlog == 127
+                # From the client's side it surfaces.
+                with pytest.raises(OversizedFrameError):
+                    coord.submit_nowait(big[-1])
+                assert coord.backlog == 128
+                assert [cmd for cmd, _stamp in coord._queue] == big
+                assert coord.slots_launched == 0
+                assert coord.in_flight == 0
+                assert coord.general.next_index == 0
+                # A following small batch launches as the very next slot.
+                coord.max_batch = 8
+                coord.notify_retired()
+                assert coord.launch_error is None
+                assert coord.slots_launched == 1
+                assert coord.general.next_index == 1
+                assert [cmd for cmd, _stamp in coord._in_flight[0]] == big[:8]
+                assert coord.backlog == 120
+            finally:
+                coord.detach()
+                cluster.close()
+
+        asyncio.run(body())
+
 
 class TestApplier:
     def test_out_of_order_decisions_buffer_then_heal(self, params4):
         cluster = Cluster(ScenarioConfig(params=params4, seed=4))
         applier = ReplicaApplier(cluster.protocol_node(1), primary=0)
-        applier._on_decision(_decision((0, 1), ("b",)))
+        _push_and_decide(applier, 1, ("b",))
         assert applier.applied == []  # gap at 0: buffered, not applied
-        applier._on_decision(_decision((0, 0), ("a",)))
+        _push_and_decide(applier, 0, ("a",))
         assert applier.applied == [(0, ("a",)), (1, ("b",))]
         assert applier.commands_applied == 2
         assert applier.next_index == 2
+        assert applier.bodies_held == 0
+        assert applier.body_fetches == 0 and applier.bodies_rejected == 0
+
+    def test_decided_digest_holds_until_its_body_arrives(self, params4):
+        cluster = Cluster(ScenarioConfig(params=params4, seed=4))
+        node = cluster.protocol_node(1)
+        applier = ReplicaApplier(node, primary=0)
+        applier._on_decision(_decision((0, 0), batch_digest(("a",))))
+        _push_and_decide(applier, 1, ("b",))
+        # Slot 0 is decided but bodiless: nothing applies, not even slot 1.
+        assert applier.applied == [] and applier.next_index == 0
+        # A body that does not hash to the decided digest is refused, from
+        # the primary or anyone else; the right one is taken from any peer.
+        _deliver(node, 0, ("body", 0, ("evil",)))
+        _deliver(node, 2, ("body", 0, ("evil",)))
+        assert applier.applied == [] and applier.bodies_rejected == 2
+        _deliver(node, 2, ("body", 0, ("a",)))
+        assert applier.applied == [(0, ("a",)), (1, ("b",))]
+        assert applier.bodies_held == 0
+        # Malformed service payloads are ignored, never raised on.
+        for junk in (("body",), ("body", "x", ("a",)), ("body", 5, "str"),
+                     ("body_req", None), ("other", 1), (), "text"):
+            _deliver(node, 2, junk)
+        assert applier.next_index == 2
+
+    def test_one_fetch_round_asks_for_every_held_slot_in_the_span(self, params4):
+        cluster = Cluster(ScenarioConfig(params=params4, seed=10))
+        node = cluster.protocol_node(1)
+        applier = ReplicaApplier(node, primary=0)
+        applier.body_span = 4
+        asked: list = []
+        node.broadcast = asked.append
+        for slot in (0, 2, 3, 9):  # decided, body never seen
+            applier._on_decision(_decision((0, slot), batch_digest((slot,))))
+        _push_and_decide(applier, 1, ("b",))  # decided, body in hand
+        cluster.run_for(0.9 * params4.d)
+        assert asked == [] and applier.body_fetches == 0  # not before d
+        cluster.run_for(0.2 * params4.d)
+        # One round: the held head of the line and the bodiless slots
+        # behind it, but nothing beyond the span (slot 9) -- and one timer.
+        assert applier.body_fetches == 1
+        assert sorted(asked) == [("body_req", 0), ("body_req", 2), ("body_req", 3)]
+        cluster.run_for(params4.d)
+        assert applier.body_fetches == 2
+        # The bodies arrive (from any peer): everything drains, fetching stops.
+        for slot in (3, 2, 0):
+            _deliver(node, 3, ("body", slot, (slot,)))
+        assert applier.next_index == 4
+        cluster.run_for(3 * params4.d)
+        assert applier.body_fetches == 2
 
     def test_abort_recorded_as_skip(self, params4):
         cluster = Cluster(ScenarioConfig(params=params4, seed=5))
         applier = ReplicaApplier(cluster.protocol_node(1), primary=0)
         applier._on_decision(_decision((0, 0), BOTTOM))
-        applier._on_decision(_decision((0, 1), ("x", "y")))
+        _push_and_decide(applier, 1, ("x", "y"))
         assert applier.skipped == [0]
         assert applier.applied == [(1, ("x", "y"))]
         assert applier.commands_applied == 2
@@ -144,9 +267,11 @@ class TestApplier:
         cluster = Cluster(ScenarioConfig(params=params4, seed=6))
         node1 = cluster.protocol_node(1)
         applier = ReplicaApplier(node1, primary=0, retire_after_d=6.0)
-        cg = ConcurrentGeneral(cluster.protocol_node(0))
-        for v in ("a", "b", "c"):
-            cg.propose((v,))
+        primary = cluster.protocol_node(0)
+        cg = ConcurrentGeneral(primary)
+        for slot, v in enumerate(("a", "b", "c")):
+            primary.broadcast(("body", slot, (v,)))
+            cg.propose(batch_digest((v,)))
         cluster.run_for(params4.delta_agr + 10 * params4.d)
         assert applier.next_index == 3
         # 6d after each decision its instance retires, in slot order.
@@ -169,6 +294,37 @@ class TestApplier:
         assert applier.skipped == [1]
         # Re-adopting settled slots is a no-op.
         assert applier.adopt_entries([(0, ("a",))]) == 0
+
+    def test_adoption_supplies_the_body_of_a_held_slot(self, params4):
+        cluster = Cluster(ScenarioConfig(params=params4, seed=8))
+        applier = ReplicaApplier(cluster.protocol_node(1), primary=0)
+        applier._on_decision(_decision((0, 0), batch_digest(("a",))))
+        applier._on_decision(_decision((0, 1), BOTTOM))
+        assert applier.next_index == 0  # decided, no body: held
+        assert applier.adopt_entries([(0, ("a",)), (1, BOTTOM), (2, ("c",))]) == 3
+        assert applier.applied == [(0, ("a",)), (2, ("c",))]
+        assert applier.skipped == [1]
+        assert applier.bodies_rejected == 0
+
+    def test_adoption_never_overrides_a_decided_digest(self, params4):
+        cluster = Cluster(ScenarioConfig(params=params4, seed=9))
+        applier = ReplicaApplier(cluster.protocol_node(1), primary=0)
+        applier._on_decision(_decision((0, 1), batch_digest(("b",))))
+        # Slot 1 was decided here as H(("b",)): an f+1 vote for anything
+        # else is refused and contiguous adoption stops in front of it.
+        adopted = applier.adopt_entries(
+            [(0, ("a",)), (1, ("not-b",)), (2, ("c",))]
+        )
+        assert adopted == 1
+        assert applier.applied == [(0, ("a",))]
+        assert applier.next_index == 1
+        assert applier.bodies_rejected == 1
+        assert applier.outcome(2) is None
+        # ... and so is a vote that the decided slot was skipped.
+        assert applier.adopt_entries([(1, BOTTOM)]) == 0
+        assert applier.bodies_rejected == 2
+        assert applier.adopt_entries([(1, ("b",)), (2, ("c",))]) == 2
+        assert applier.applied == [(0, ("a",)), (1, ("b",)), (2, ("c",))]
 
 
 class TestOpenLoopWorkload:
@@ -281,6 +437,398 @@ class TestServiceAsyncio:
         assert report.commands_applied == 400
         assert min(report.applied_per_replica.values()) == 400
         assert len(set(report.digests.values())) == 1
+
+
+class _WithholdBodies:
+    """The default delays, minus the primary's ``body`` pushes ``drop`` picks.
+
+    ``drop(receiver, slot, batch)`` sees only copies the primary sends; a
+    peer's answer to a ``body_req`` always gets through.  Copies to or from
+    a node in ``instant`` skip the delay (so a forger can win every race).
+    """
+
+    def __init__(self, primary: int, drop, instant=()) -> None:
+        self.inner = UniformDelay(0.05, 0.5)
+        self.primary = primary
+        self.drop = drop
+        self.instant = frozenset(instant)
+
+    def decide(self, sender, receiver, payload, rng):
+        if (
+            sender == self.primary
+            and isinstance(payload, tuple)
+            and payload[0] == "body"
+            and self.drop(receiver, payload[1], payload[2])
+        ):
+            return DeliveryDecision.dropped()
+        if sender in self.instant or receiver in self.instant:
+            return DeliveryDecision(delay=0.0)
+        return self.inner.decide(sender, receiver, payload, rng)
+
+
+class _LyingPeer:
+    """A Byzantine replica: silent in the protocol, answers every
+    ``body_req`` with a forged body."""
+
+    def install(self, node) -> None:
+        pass
+
+    def on_message(self, node, envelope) -> None:
+        payload = envelope.payload
+        if isinstance(payload, tuple) and payload[0] == "body_req":
+            node.send(envelope.sender, ("body", payload[1], ("forged",)))
+
+
+class TestBodyDelivery:
+    """Lossy and Byzantine delivery of batch bodies (asyncio, d = 100 ms)."""
+
+    TIME_SCALE = 0.1
+
+    def _cluster(self, params4, seed, drop=None, byzantine=None):
+        from repro.runtime.aio import AsyncioCluster
+
+        policy = None
+        if drop is not None:
+            policy = _WithholdBodies(0, drop, instant=byzantine or ())
+        return AsyncioCluster(
+            params4,
+            seed=seed,
+            time_scale=self.TIME_SCALE,
+            policy=policy,
+            byzantine=byzantine,
+        )
+
+    async def _settle(self, service, slots: int, timeout_s: float = 10.0):
+        """Wait until every applier finalized ``slots`` slots (or time out)."""
+        deadline = asyncio.get_running_loop().time() + timeout_s
+        while asyncio.get_running_loop().time() < deadline:
+            if all(a.next_index >= slots for a in service.appliers.values()):
+                return True
+            await asyncio.sleep(0.02)
+        return False
+
+    def test_withheld_body_is_fetched_from_a_peer(self, params4):
+        from repro.service import ReplicatedLogService
+
+        async def body():
+            cluster = self._cluster(params4, 31, drop=lambda r, slot, batch: r == 2)
+            service = ReplicatedLogService(
+                cluster, primary=0, window=4, max_batch=16
+            )
+            try:
+                report = await service.run_workload(
+                    rate=200.0, total=40, seed=5, drain_timeout_s=30.0
+                )
+                fetches = {
+                    i: a.body_fetches for i, a in service.appliers.items()
+                }
+                return report, fetches
+            finally:
+                cluster.close()
+
+        report, fetches = asyncio.run(body())
+        assert report.identical_logs
+        assert report.commands_applied == 40
+        assert report.repaired_entries == 0  # healed by fetch, not by vote
+        assert fetches[2] >= 1
+        assert fetches[0] == fetches[1] == fetches[3] == 0
+        assert report.body_fetches == fetches[2]
+        assert report.bodies_rejected == 0
+
+    def test_clean_run_fetches_and_rejects_nothing(self, params4):
+        from repro.service import ReplicatedLogService
+
+        async def body():
+            cluster = self._cluster(params4, 32)
+            service = ReplicatedLogService(
+                cluster, primary=0, window=4, max_batch=16
+            )
+            try:
+                report = await service.run_workload(
+                    rate=200.0, total=60, seed=6, drain_timeout_s=30.0
+                )
+                held = max(a.bodies_held for a in service.appliers.values())
+                return report, held
+            finally:
+                cluster.close()
+
+        report, held = asyncio.run(body())
+        assert report.identical_logs and report.commands_applied == 60
+        assert report.body_fetches == 0
+        assert report.bodies_rejected == 0
+        assert held == 0
+
+    def test_mismatched_bodies_are_rejected_then_the_right_one_fetched(
+        self, params4
+    ):
+        from repro.service import ReplicatedLogService
+
+        async def body():
+            # Replica 3 is Byzantine and forges every body it is asked for;
+            # the primary's real push never reaches replica 2, which gets an
+            # equivocated body under the primary's name instead.
+            cluster = self._cluster(
+                params4, 33,
+                drop=lambda r, slot, batch: r == 2 and batch == ("c0",),
+                byzantine={3: _LyingPeer()},
+            )
+            service = ReplicatedLogService(
+                cluster, primary=0, window=4, max_batch=16
+            )
+            try:
+                cluster.transport.send(0, 2, ("body", 0, ("equivocated",)))
+                service.coordinator.submit_nowait("c0")
+                settled = await self._settle(service, 1)
+                await service.stop()
+                return settled, service.report(), service.appliers[2]
+            finally:
+                cluster.close()
+
+        settled, report, victim = asyncio.run(body())
+        assert settled
+        assert report.identical_logs
+        assert victim.applied == [(0, ("c0",))]
+        # The primary's equivocated push and the peer's forgery, both refused
+        # (the forger answers every round, so at least once).
+        assert victim.bodies_rejected >= 2
+        assert victim.body_fetches >= 1
+        assert report.bodies_rejected == victim.bodies_rejected
+
+    def test_body_sent_to_nobody_stalls_that_slot_and_all_after(self, params4):
+        from repro.service import ReplicatedLogService
+
+        async def body():
+            cluster = self._cluster(params4, 34, drop=lambda r, slot, batch: slot == 1)
+            service = ReplicatedLogService(
+                cluster, primary=0, window=4, max_batch=16
+            )
+            d_s = params4.d * self.TIME_SCALE
+            try:
+                for i in range(3):
+                    service.coordinator.submit_nowait(f"c{i}")  # slots 0, 1, 2
+                await asyncio.sleep(12 * d_s)
+                timers_a = {
+                    i: cluster.hosts[i].live_timer_count()
+                    for i in service.appliers
+                }
+                fetches_a = {
+                    i: a.body_fetches for i, a in service.appliers.items()
+                }
+                await asyncio.sleep(6 * d_s)
+                timers_b = {
+                    i: cluster.hosts[i].live_timer_count()
+                    for i in service.appliers
+                }
+                logs = {i: list(a.applied) for i, a in service.appliers.items()}
+                pending = {
+                    i: sorted(a._pending) for i, a in service.appliers.items()
+                }
+                fetches_b = {
+                    i: a.body_fetches for i, a in service.appliers.items()
+                }
+                await service.stop()
+                timers_c = {
+                    i: cluster.hosts[i].live_timer_count()
+                    for i in service.appliers
+                }
+                return (logs, pending, timers_a, timers_b, timers_c,
+                        fetches_a, fetches_b)
+            finally:
+                cluster.close()
+
+        logs, pending, t_a, t_b, t_c, f_a, f_b = asyncio.run(body())
+        for node_id, log in logs.items():
+            # Slot 1 and everything after it is decided but never applied.
+            assert log == [(0, ("c0",))], node_id
+            assert pending[node_id] == [1, 2], node_id
+            # One request round per d while the head of the line is held...
+            assert 4 <= f_b[node_id] - f_a[node_id] <= 8, (f_a, f_b)
+            # ... from ONE re-armed timer: the live set does not grow, and
+            # stopping the service removes exactly that one.
+            assert t_b[node_id] <= t_a[node_id], (t_a, t_b)
+            assert t_c[node_id] == t_b[node_id] - 1, (t_b, t_c)
+
+    def test_aborted_slot_drops_its_body_and_recommits_once(self, params4):
+        from repro.service import ReplicatedLogService
+
+        async def body():
+            cluster = self._cluster(params4, 35)
+            service = ReplicatedLogService(
+                cluster, primary=0, window=4, max_batch=16
+            )
+            d_s = params4.d * self.TIME_SCALE
+            try:
+                service.coordinator.submit_nowait("c0")
+                # Every push lands within 0.5 d; no decision comes that fast.
+                await asyncio.sleep(0.8 * d_s)
+                held_before = [
+                    a.bodies_held for a in service.appliers.values()
+                ]
+                undecided = all(
+                    a.next_index == 0 and not a._pending
+                    for a in service.appliers.values()
+                )
+                # Slot 0 aborts at every correct node (Agreement covers
+                # BOTTOM): appliers skip it, the primary re-proposes.
+                for node_id in cluster.correct_ids:
+                    cluster.protocol_node(node_id).on_decision(
+                        _decision((0, 0), BOTTOM)
+                    )
+                held_after = [
+                    a.bodies_held for a in service.appliers.values()
+                ]
+                settled = await self._settle(service, 2)
+                await service.stop()
+                return (held_before, undecided, held_after, settled,
+                        service.report(), service)
+            finally:
+                cluster.close()
+
+        before, undecided, after, settled, report, service = asyncio.run(body())
+        assert undecided and settled
+        assert before == [1, 1, 1, 1]
+        assert after == [0, 0, 0, 0]
+        assert report.slots_aborted == 1 and report.slots_launched == 2
+        assert report.identical_logs
+        for applier in service.appliers.values():
+            assert applier.skipped == [0]
+            assert applier.applied == [(1, ("c0",))]  # once, under slot 1
+            assert applier.bodies_held == 0
+        assert report.body_fetches == 0
+
+    def test_body_store_is_bounded_and_primary_only(self, params4):
+        from repro.service import ReplicatedLogService
+
+        async def body():
+            cluster = self._cluster(params4, 36)
+            service = ReplicatedLogService(
+                cluster, primary=0, window=2, max_batch=4
+            )
+            coord = service.coordinator
+            span = coord.unretired_cap + coord.window
+            d_s = params4.d * self.TIME_SCALE
+            try:
+                send = cluster.transport.send
+                for slot in range(3 * span):
+                    send(0, 2, ("body", slot, (f"p{slot}",)))  # the primary
+                    send(1, 2, ("body", slot, (f"q{slot}",)))  # a peer
+                send(0, 2, ("body", 10**9, ("far",)))
+                await asyncio.sleep(0.8 * d_s)
+                victim = service.appliers[2]
+                stored = {
+                    slot: body for slot, (_d, body) in victim._bodies.items()
+                }
+                await service.stop()
+                return span, victim.body_span, stored
+            finally:
+                cluster.close()
+
+        span, body_span, stored = asyncio.run(body())
+        assert span == 8 and body_span == span
+        # Only the primary's pushes, only for the span ahead of next_index.
+        assert stored == {slot: (f"p{slot}",) for slot in range(span)}
+
+class TestEnvelopeSize:
+    """No agreement envelope carries the batch: one ``body`` payload does."""
+
+    def _one_slot(self, params4, batch_size: int) -> list:
+        """Everything any node handed to broadcast/send for one slot."""
+        from repro.runtime.aio import AsyncioCluster
+        from repro.service import ReplicatedLogService
+
+        async def body():
+            cluster = AsyncioCluster(params4, seed=41, time_scale=0.05)
+            service = ReplicatedLogService(
+                cluster, primary=0, window=8, max_batch=128
+            )
+            transport = cluster.transport
+            emitted: list = []
+            real_broadcast, real_send = transport.broadcast, transport.send
+
+            def broadcast(sender, payload):
+                emitted.append(payload)
+                real_broadcast(sender, payload)
+
+            def send(sender, receiver, payload):
+                emitted.append(payload)
+                real_send(sender, receiver, payload)
+
+            transport.broadcast, transport.send = broadcast, send
+            coord = service.coordinator
+            try:
+                # Hold the launch gate shut while the queue fills, so the
+                # whole batch is cut into ONE slot.
+                watermark = coord.retired_watermark
+                coord.retired_watermark = lambda: -coord.unretired_cap
+                for i in range(batch_size):
+                    coord.submit_nowait(f"cmd{i}")
+                coord.retired_watermark = watermark
+                coord.notify_retired()
+                assert await service.drain(timeout_s=10.0)
+                assert coord.slots_launched == 1
+                await service.stop()
+                assert service.report().commands_applied == batch_size
+                return emitted
+            finally:
+                cluster.close()
+
+        return asyncio.run(body())
+
+    def test_envelopes_do_not_grow_with_the_batch(self, params4):
+        from repro.core.messages import ALL_MESSAGE_TYPES
+
+        sizes: dict[int, dict] = {}
+        for batch_size in (1, 128):
+            emitted = self._one_slot(params4, batch_size)
+            # Exactly one payload contains the commands: the body frame.
+            carrying = [p for p in emitted if "cmd0" in repr(p)]
+            batch = tuple(f"cmd{i}" for i in range(batch_size))
+            assert carrying == [("body", 0, batch)]
+            envelopes = [p for p in emitted if isinstance(p, ALL_MESSAGE_TYPES)]
+            kinds = {type(p).__name__ for p in envelopes}
+            assert {"InitiatorMsg", "SupportMsg", "ApproveMsg", "ReadyMsg",
+                    "MBInitMsg", "MBEchoMsg"} <= kinds
+            assert all(p.value == batch_digest(batch) for p in envelopes)
+            per_codec = {}
+            for codec in ("msgpack", "json"):
+                encoder = FrameEncoder(derive_key("size"), codec)
+                per_codec[codec] = {
+                    name: max(
+                        len(encoder.encode_body(p, 1234.5678))
+                        for p in envelopes if type(p).__name__ == name
+                    )
+                    for name in kinds
+                }
+            sizes[batch_size] = per_codec
+        # Same bytes whether the slot carries 1 command or 128 ...
+        assert sizes[1] == sizes[128]
+        # ... and small: <= 128 B under the transports' codec.  (JSON spends
+        # 127 B on envelope syntax before the 32-hex digest, so its bound is
+        # the same constant plus that.)
+        assert max(sizes[128]["msgpack"].values()) <= 128
+        assert max(sizes[128]["json"].values()) <= 160
+
+class TestSocketChildService:
+    def test_child_reports_body_counters_and_sizes_its_store(self, params4):
+        from repro.service.socket_service import ChildLogService
+
+        cluster = Cluster(ScenarioConfig(params=params4, seed=45))
+        cfg = {"primary": 0, "window": 3, "max_batch": 8}
+        primary = ChildLogService(cluster.protocol_node(0), cfg, conn=None)
+        replica = ChildLogService(cluster.protocol_node(1), cfg, conn=None)
+        # Every child sizes its body store like the in-process service:
+        # the coordinator's unretired_cap + window.
+        coord = primary.coordinator
+        assert primary.applier.body_span == coord.unretired_cap + coord.window
+        assert replica.applier.body_span == primary.applier.body_span
+        replica.applier._on_decision(
+            _decision((0, 0), batch_digest(("a",)))
+        )
+        _deliver(replica.node, 2, ("body", 0, ("forged",)))
+        result = replica.result()
+        assert result["body_fetches"] == 0
+        assert result["bodies_rejected"] == 1
+        assert primary.result()["body_fetches"] == 0
 
 
 class TestDrainAndSampling:
