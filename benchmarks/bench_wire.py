@@ -11,6 +11,9 @@ Four layers of the rebuilt wire pipeline get a number in BENCH_perf.json:
   for future PRs (``speedup_vs_reference`` is machine-independent).
 * ``wire_codec_encode`` / ``wire_codec_decode`` -- frames/s per codec on
   single-frame encode and decode, lean vs reference paths side by side.
+  The decode row also carries the second gate: on a service-shaped stream
+  the compiled decode plans must beat the generic tree decode >= 2.5x per
+  envelope (``speedup_vs_reference``, machine-independent like the 3x).
 * ``wire_hmac_seal`` -- authentication throughput (MB/s) of the primed
   memoryview seal against per-frame ``hmac.new`` over concatenated bytes.
 * ``wire_coalesce`` -- datagrams emitted for a broadcast-wave workload,
@@ -25,9 +28,17 @@ from __future__ import annotations
 import socket
 import time
 
-from repro.core.messages import ApproveMsg, MBEchoMsg, MBInitMsg, SupportMsg
+from repro.core.messages import (
+    ApproveMsg,
+    MBEchoMsg,
+    MBInitMsg,
+    ReadyMsg,
+    SupportMsg,
+)
+from repro.runtime import framing
 from repro.runtime.framing import (
     FrameBatcher,
+    FrameDecoder,
     FrameEncoder,
     decode_frame,
     decode_frames,
@@ -54,6 +65,25 @@ def _message_stream(count: int) -> list:
                 MBEchoMsg(0, origin, "m", k),
                 SupportMsg(i % 4, "v"),
                 ApproveMsg(i % 4, ("t", i % 7)),
+            )[i % 4]
+        )
+    return stream
+
+
+def _service_stream(count: int) -> list:
+    """What the replicated-log service puts on the wire, all distinct:
+    ``general = (primary, slot)`` with the slot index past uint8, a 32-hex
+    batch digest as the value."""
+    digest = "0123456789abcdef" * 2
+    stream = []
+    for i in range(count):
+        general = (0, 200 + i)
+        stream.append(
+            (
+                MBInitMsg(general, i % 4, digest, 1),
+                MBEchoMsg(general, i % 4, digest, 1),
+                SupportMsg(general, digest),
+                ReadyMsg(general, digest),
             )[i % 4]
         )
     return stream
@@ -148,6 +178,36 @@ def bench_wire_batch_pipeline(benchmark):
 # ---------------------------------------------------------------------------
 # Per-codec encode/decode throughput
 # ---------------------------------------------------------------------------
+def _compiled_vs_generic_decode() -> tuple[float, float, float]:
+    """Seconds per envelope: generic tree decode, compiled plans, memo hit.
+
+    Envelope decode only -- the tag check is the same on every path.  The
+    payloads are all distinct and each compiled repeat starts a fresh
+    decoder, so there the memo never answers (its upkeep is still paid).
+    """
+    codec = framing.CODECS["msgpack"]
+    encoder = FrameEncoder(KEY, "msgpack")
+    stream = _service_stream(N_MSGS)
+    bodies = [encoder.encode_body(m, 1.0) for m in stream]
+
+    def through(decoder: FrameDecoder, some) -> list:
+        return [decoder._envelope(codec, b, 0, len(b))[1] for b in some]
+
+    generic_s, _ = _best_of(
+        lambda: [framing._decode_envelope(codec, b) for b in bodies]
+    )
+    cold = FrameDecoder(KEY)
+    assert through(cold, bodies) == stream, "compiled decode corrupted the stream"
+    assert (cold.compiled, cold.generic) == (N_MSGS, 0), "a plan fell back"
+    compiled_s, _ = _best_of(lambda: through(FrameDecoder(KEY), bodies))
+    warm = FrameDecoder(KEY)
+    hot = bodies[:500]  # under the memo cap: every later pass is all hits
+    through(warm, hot)
+    memo_s, _ = _best_of(lambda: through(warm, hot))
+    assert warm.compiled == len(hot), "the memo did not answer"
+    return generic_s / N_MSGS, compiled_s / N_MSGS, memo_s / len(hot)
+
+
 def bench_wire_codec_encode_decode(benchmark):
     stream = _message_stream(N_MSGS)
     rows = []
@@ -174,6 +234,20 @@ def bench_wire_codec_encode_decode(benchmark):
         recorded[f"{codec}_decode_frames_per_s"] = N_MSGS / dec_s
         recorded[f"{codec}_bytes_per_frame"] = wire_bytes / N_MSGS
     print_rows("W2: per-codec encode/decode", rows)
+
+    generic_s, compiled_s, memo_s = _compiled_vs_generic_decode()
+    decode_speedup = generic_s / compiled_s
+    print_rows(
+        "W2b: compiled vs generic envelope decode (service-shaped stream)",
+        [
+            {
+                "generic_us": generic_s * 1e6,
+                "compiled_us": compiled_s * 1e6,
+                "memo_hit_us": memo_s * 1e6,
+                "speedup": decode_speedup,
+            }
+        ],
+    )
     # msgpack is preferred because it wins on both axes; keep that visible.
     record_bench_result(
         "wire_codec_encode",
@@ -185,12 +259,18 @@ def bench_wire_codec_encode_decode(benchmark):
         "wire_codec_decode",
         kind="kernel",
         frames_per_s=recorded["msgpack_decode_frames_per_s"],
+        compiled_envelopes_per_s=1.0 / compiled_s,
+        generic_envelopes_per_s=1.0 / generic_s,
+        memo_hit_envelopes_per_s=1.0 / memo_s,
+        speedup_vs_reference=decode_speedup,
         **{k: v for k, v in recorded.items() if "decode" in k},
     )
     encoder = FrameEncoder(KEY, "msgpack")
     benchmark.pedantic(
         lambda: [encoder.encode(0, m, 1.0) for m in stream], rounds=3, iterations=1
     )
+    # Acceptance gate: a silent fallback to the generic decoder fails here.
+    assert decode_speedup >= 2.5, f"compiled decode {decode_speedup:.2f}x < 2.5x"
 
 
 # ---------------------------------------------------------------------------

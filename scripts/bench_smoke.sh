@@ -209,12 +209,15 @@ if evaluator < 3.0:
 wire = results["wire_batch_pipeline"]["speedup_vs_reference"]
 if wire < 3.0:
     sys.exit(f"lean wire path regressed: {wire:.2f}x < 3x vs JSON reference")
+decode = results["wire_codec_decode"]["speedup_vs_reference"]
+if decode < 2.5:
+    sys.exit(f"compiled frame decode regressed: {decode:.2f}x < 2.5x vs generic decode")
 if not results["shard_scaling"].get("digest_equal"):
     sys.exit("sharded kernel diverged from serial (shard_scaling.digest_equal)")
 
 print(
     f"ok: {len(results)} results; msglog {msglog:.1f}x, "
-    f"evaluator {evaluator:.1f}x, wire {wire:.1f}x vs reference"
+    f"evaluator {evaluator:.1f}x, wire {wire:.1f}x, decode {decode:.1f}x vs reference"
 )
 EOF
 

@@ -109,13 +109,16 @@ class AsyncioTransport(WireTransport):
         """Decode one datagram immediately; deliver its frames next tick.
 
         Decode happens here because ``frame_buf`` is the encoder's reused
-        buffer (invalid after the next frame is built); delivery is
-        deferred so a receiver's reply sends never run synchronously
+        buffer (invalid after the next frame is built), and from a ``bytes``
+        snapshot of it: anything that outlives this call holding a view of
+        the buffer itself (a retained traceback, a sampling profiler) would
+        make the encoder's next ``del buf[:]`` a ``BufferError``.  Delivery
+        is deferred so a receiver's reply sends never run synchronously
         inside another node's ``send`` call.
         """
         self.datagrams_sent += 1
         try:
-            frames = decode_frames(frame_buf, self.auth_key)
+            frames = decode_frames(bytes(frame_buf), self.decoder)
         except FrameError:
             self._reject()
             return

@@ -46,6 +46,15 @@ never builds the tagged tree at all -- per-message-class byte skeletons
 straight into a preallocated ``bytearray``, and the HMAC is computed over
 a ``memoryview`` of that same buffer, so a steady-state send does zero
 intermediate ``bytes`` concatenations.
+
+Decoding mirrors that: :class:`FrameDecoder` verifies the tag from a primed
+HMAC context, then tries per-class *decode plans* compiled from the same
+skeletons -- constant bytes compared in place, only the field values read --
+and remembers each distinct payload it has decoded, because the protocol's
+relay waves hand a receiver the byte-identical payload once per sender.
+Whatever a plan does not match exactly takes the generic tree decode
+(:func:`_decode_envelope`), which stays the one authority on what is
+rejected.
 """
 
 from __future__ import annotations
@@ -272,6 +281,109 @@ def _pack_payload_into(buf: bytearray, obj: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Compiled msgpack decode: the same skeletons, read back without a tree
+# ---------------------------------------------------------------------------
+#: What every msgpack envelope opens with: fixmap(2), "t", the float64 tag.
+_ENVELOPE_HEAD = _ENVELOPE_PREFIX + b"\xcb"
+_BE_F64 = struct.Struct(">d")
+#: Envelope offsets of ``sent_at`` and of the *tail* after it (the ``"p"``
+#: key and the payload) -- the part n relays of one message share.
+_SENT_AT_OFFSET = len(_ENVELOPE_HEAD)
+_TAIL_OFFSET = _SENT_AT_OFFSET + _BE_F64.size
+_BE_U16 = struct.Struct(">H")
+_BE_U32 = struct.Struct(">I")
+#: One plan per message class, from the skeleton the encoder packs it with:
+#: (the constant bytes from the ``"p"`` key through the field-map header,
+#: the class, its field keys in constructor order).
+_DECODE_PLANS = tuple(
+    (_ENVELOPE_P + prefix, cls, tuple(key for key, _name in fields))
+    for cls, (prefix, fields) in _MSG_SKELETONS.items()
+)
+#: Tuple nesting the compiled path follows (the service's ``general`` is
+#: ``(primary, index)``: depth 1).  Deeper values go to the generic decoder,
+#: whose own recursion limit then decides alone what is too deep.
+_MAX_TUP_DEPTH = 4
+
+
+class _NoPlan(Exception):
+    """The bytes are not something the compiled decoder reads."""
+
+
+def _read_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
+    """Read one field value at ``pos``: ``(value, end)`` or :class:`_NoPlan`.
+
+    Covers what message fields hold on the hot path -- non-negative ints up
+    to 32 bits, strings under 64 KB, and tuples of those.  A read past the
+    end raises ``IndexError``/``struct.error``; a *string* cut short slices
+    short instead, which the caller's final length check catches.
+    """
+    tag = buf[pos]
+    if tag < 0x80:  # positive fixint
+        return tag, pos + 1
+    if 0xA0 <= tag <= 0xBF:  # fixstr
+        start = pos + 1
+        end = start + (tag & 0x1F)
+    elif tag == 0xD9:  # str8
+        start = pos + 2
+        end = start + buf[pos + 1]
+    elif tag == 0xCC:  # uint8
+        return buf[pos + 1], pos + 2
+    elif tag == 0xCD:  # uint16
+        return _BE_U16.unpack_from(buf, pos + 1)[0], pos + 3
+    elif tag == 0xCE:  # uint32
+        return _BE_U32.unpack_from(buf, pos + 1)[0], pos + 5
+    elif tag == 0xDA:  # str16
+        start = pos + 3
+        end = start + _BE_U16.unpack_from(buf, pos + 1)[0]
+    elif tag == 0x82 and depth < _MAX_TUP_DEPTH and buf.startswith(_TUP_PREFIX, pos):
+        pos += len(_TUP_PREFIX)
+        tag = buf[pos]
+        if 0x90 <= tag <= 0x9F:  # fixarray
+            count = tag & 0x0F
+            pos += 1
+        elif tag == 0xDC:  # array16
+            count = _BE_U16.unpack_from(buf, pos + 1)[0]
+            pos += 3
+        else:
+            raise _NoPlan
+        items = []
+        for _ in range(count):
+            item, pos = _read_value(buf, pos, depth + 1)
+            items.append(item)
+        return tuple(items), pos
+    else:
+        raise _NoPlan
+    return buf[start:end].decode(), end
+
+
+def _decode_message(tail: bytes) -> Any:
+    """Compiled decode of an envelope's bytes after ``sent_at``.
+
+    Returns the message, or ``None`` unless ``tail`` is *exactly* the
+    ``"p"`` key and one message as the skeleton encoder lays it out: same
+    constant bytes, same field order, nothing trailing.
+    """
+    for head, cls, keys in _DECODE_PLANS:
+        if tail.startswith(head):
+            break
+    else:
+        return None
+    pos = len(head)
+    values = []
+    try:
+        for key in keys:
+            if not tail.startswith(key, pos):
+                return None
+            value, pos = _read_value(tail, pos + len(key))
+            values.append(value)
+    except (_NoPlan, IndexError, struct.error, UnicodeDecodeError):
+        return None
+    if pos != len(tail):
+        return None
+    return cls(*values)
+
+
+# ---------------------------------------------------------------------------
 # Codec registry
 # ---------------------------------------------------------------------------
 def _json_encode_body_into(buf: bytearray, payload: Any, sent_at: float) -> None:
@@ -468,7 +580,9 @@ class FrameBatcher:
     buffer and must consume it before returning.  ``flush`` snapshots the
     queue first, so a transmit callback that triggers new ``add`` calls
     (delivery handlers sending replies in-process) starts a fresh
-    generation instead of mutating the one being drained.
+    generation instead of mutating the one being drained.  A transmit that
+    raises does not cost the other runs their turn: ``flush`` emits them
+    all and re-raises the first error afterwards.
     """
 
     __slots__ = ("_budget", "_encoder", "_pending", "_transmit")
@@ -506,11 +620,22 @@ class FrameBatcher:
             run.append(body)
 
     def flush(self) -> None:
+        # The queue was swapped out, so a run not emitted here is lost: one
+        # raising emit (a transmit error for one receiver) must not take
+        # the rest of the tick's runs with it.  Emit them all, then raise
+        # the first error.
+        first_error = None
         while self._pending:
             snapshot = self._pending
             self._pending = {}
             for key, run in snapshot.items():
-                self._emit(key, run)
+                try:
+                    self._emit(key, run)
+                except Exception as exc:
+                    if first_error is None:
+                        first_error = exc
+        if first_error is not None:
+            raise first_error
 
     def clear(self) -> None:
         """Drop everything queued (transport close path)."""
@@ -572,37 +697,12 @@ def encode_batch_frame(
     return bytes(encoder.frame_batch(sender, bodies))
 
 
-def _decode_outer(data, key: bytes) -> tuple[WireCodec, bool, int, memoryview]:
-    """Validate structure + tag; return (codec, is_batch, sender, body view)."""
-    size = len(data)
-    if size < MIN_FRAME_BYTES:
-        raise TruncatedFrameError(
-            f"frame is {size} bytes, shorter than the {MIN_FRAME_BYTES}-byte minimum"
-        )
-    magic, codec_byte, sender, body_len = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FrameCodecError(f"bad magic {magic!r}")
-    if body_len > MAX_BODY_BYTES:
-        raise OversizedFrameError(
-            f"declared body of {body_len} bytes exceeds the {MAX_BODY_BYTES} cap"
-        )
-    expected = HEADER_BYTES + body_len + TAG_BYTES
-    if size < expected:
-        raise TruncatedFrameError(f"frame is {size} bytes but declares {expected}")
-    if size > expected:
-        raise FrameCodecError(f"{size - expected} trailing bytes after the tag")
-    view = memoryview(data)
-    good = hmac.new(key, view[: HEADER_BYTES + body_len], hashlib.sha256)
-    if not hmac.compare_digest(view[HEADER_BYTES + body_len :], good.digest()[:TAG_BYTES]):
-        raise FrameAuthError("authentication tag mismatch")
-    entry = CODEC_BYTES.get(codec_byte)
-    if entry is None:
-        raise FrameCodecError(f"unknown codec byte {codec_byte!r}")
-    codec_name, is_batch = entry
-    return CODECS[codec_name], is_batch, sender, view[HEADER_BYTES : HEADER_BYTES + body_len]
-
-
 def _decode_envelope(codec: WireCodec, body) -> tuple[float, Any]:
+    """Generic decode of one envelope: codec parse, then the tagged tree.
+
+    The authority on what an authenticated body may hold -- and the oracle
+    the compiled path is differentially tested against.
+    """
     # One umbrella: *any* failure while interpreting an authenticated body
     # (codec parse, envelope shape, payload tags, a malformed "t") must
     # surface as FrameCodecError -- the transports catch FrameError only,
@@ -622,47 +722,161 @@ def _decode_envelope(codec: WireCodec, body) -> tuple[float, Any]:
     return float(sent_at), payload
 
 
-def decode_frame(data, key: bytes) -> Frame:
+_MSGPACK = CODECS["msgpack"]
+#: Distinct payloads a decoder remembers.  About 160 are live at once under
+#: the service's ``window`` = 8; at the cap the memo is emptied and refills
+#: from traffic, so a flood of distinct payloads costs compiled decodes,
+#: never memory.
+_MEMO_CAP = 1024
+
+
+class FrameDecoder:
+    """Per-transport decoder: primed HMAC, compiled plans, a payload memo.
+
+    The receive-side twin of :class:`FrameEncoder`.  The tag is verified
+    first, from a copy of a pre-keyed HMAC context; nothing below runs on an
+    unauthenticated byte.  Each msgpack envelope then goes, in order, to
+
+    * the **memo** -- the envelope bytes after ``sent_at`` -> the message
+      they decode to.  Sender and ``sent_at`` sit outside those bytes, so
+      the relays of one ``(p, m, k)`` triplet by n senders are one entry.
+      The key is the exact bytes and the value a pure function of them, so
+      an entry cannot be poisoned; only the (immutable) messages the
+      compiled path produced are ever stored, and one object is handed to
+      every receiver, as the sim network does;
+    * the **compiled plans** (:func:`_decode_message`);
+    * the **generic decoder** (:func:`_decode_envelope`) -- every JSON
+      frame, every non-message payload, and anything a plan does not match
+      byte for byte.
+
+    ``memo_hits`` / ``compiled`` / ``generic`` count envelopes per path.
+    """
+
+    __slots__ = ("_hmac", "_memo", "compiled", "generic", "memo_hits")
+
+    def __init__(self, key: bytes) -> None:
+        self._hmac = hmac.new(key, digestmod=hashlib.sha256)
+        self._memo: dict[bytes, Any] = {}
+        self.memo_hits = 0
+        self.compiled = 0
+        self.generic = 0
+
+    def _open(self, data) -> tuple[bytes, WireCodec, bool, int, int]:
+        """Validate structure + tag: (bytes, codec, is_batch, sender, body end)."""
+        if data.__class__ is not bytes:
+            # recvmmsg hands in views of buffers it reuses; everything past
+            # this point slices, searches and keys a dict by these bytes.
+            data = bytes(data)
+        size = len(data)
+        if size < MIN_FRAME_BYTES:
+            raise TruncatedFrameError(
+                f"frame is {size} bytes, shorter than the {MIN_FRAME_BYTES}-byte minimum"
+            )
+        magic, codec_byte, sender, body_len = _HEADER.unpack_from(data)
+        if magic != MAGIC:
+            raise FrameCodecError(f"bad magic {magic!r}")
+        if body_len > MAX_BODY_BYTES:
+            raise OversizedFrameError(
+                f"declared body of {body_len} bytes exceeds the {MAX_BODY_BYTES} cap"
+            )
+        end = HEADER_BYTES + body_len
+        expected = end + TAG_BYTES
+        if size < expected:
+            raise TruncatedFrameError(f"frame is {size} bytes but declares {expected}")
+        if size > expected:
+            raise FrameCodecError(f"{size - expected} trailing bytes after the tag")
+        good = self._hmac.copy()
+        good.update(data[:end])
+        if not hmac.compare_digest(data[end:], good.digest()[:TAG_BYTES]):
+            raise FrameAuthError("authentication tag mismatch")
+        entry = CODEC_BYTES.get(codec_byte)
+        if entry is None:
+            raise FrameCodecError(f"unknown codec byte {codec_byte!r}")
+        codec_name, is_batch = entry
+        return data, CODECS[codec_name], is_batch, sender, end
+
+    def _envelope(
+        self, codec: WireCodec, data: bytes, start: int, end: int
+    ) -> tuple[float, Any]:
+        """Decode the (authenticated) envelope ``data[start:end]``."""
+        if codec is _MSGPACK and data.startswith(_ENVELOPE_HEAD, start, end):
+            # An envelope cut inside sent_at has an empty tail, which no
+            # plan matches: like every mismatch it gets the generic verdict.
+            tail = data[start + _TAIL_OFFSET : end]
+            memo = self._memo
+            message = memo.get(tail)
+            if message is not None:
+                self.memo_hits += 1
+                return _BE_F64.unpack_from(data, start + _SENT_AT_OFFSET)[0], message
+            message = _decode_message(tail)
+            if message is not None:
+                self.compiled += 1
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                memo[tail] = message
+                return _BE_F64.unpack_from(data, start + _SENT_AT_OFFSET)[0], message
+        self.generic += 1
+        return _decode_envelope(codec, data[start:end])
+
+    def decode_frame(self, data) -> Frame:
+        """Decode and authenticate one single-message frame."""
+        data, codec, is_batch, sender, end = self._open(data)
+        if is_batch:
+            raise FrameCodecError("batch frame passed to single-frame decode")
+        sent_at, payload = self._envelope(codec, data, HEADER_BYTES, end)
+        return Frame(sender, payload, sent_at)
+
+    def decode_frames(self, data) -> tuple[Frame, ...]:
+        """Decode one datagram into its frames (single -> 1, batch -> N)."""
+        data, codec, is_batch, sender, end = self._open(data)
+        if not is_batch:
+            sent_at, payload = self._envelope(codec, data, HEADER_BYTES, end)
+            return (Frame(sender, payload, sent_at),)
+        pos = HEADER_BYTES
+        if pos == end:
+            raise FrameCodecError("empty batch frame")
+        frames = []
+        while pos < end:
+            if pos + _BATCH_LEN.size > end:
+                raise FrameCodecError("truncated batch entry header")
+            (sub_len,) = _BATCH_LEN.unpack_from(data, pos)
+            pos += _BATCH_LEN.size
+            if pos + sub_len > end:
+                raise FrameCodecError("batch entry overruns the frame body")
+            sent_at, payload = self._envelope(codec, data, pos, pos + sub_len)
+            frames.append(Frame(sender, payload, sent_at))
+            pos += sub_len
+        return tuple(frames)
+
+
+def _decoder(key) -> FrameDecoder:
+    return key if key.__class__ is FrameDecoder else FrameDecoder(key)
+
+
+def decode_frame(data, key) -> Frame:
     """Decode and authenticate one single-message frame.
 
     Raises :class:`FrameError` variants; a BATCH frame is refused here --
     transports use :func:`decode_frames`, which handles both shapes.
+    ``key`` is as for :func:`decode_frames`.
     """
-    codec, is_batch, sender, body = _decode_outer(data, key)
-    if is_batch:
-        raise FrameCodecError("batch frame passed to single-frame decode")
-    sent_at, payload = _decode_envelope(codec, body)
-    return Frame(sender=sender, payload=payload, sent_at=sent_at)
+    return _decoder(key).decode_frame(data)
 
 
-def decode_frames(data, key: bytes) -> tuple[Frame, ...]:
+def decode_frames(data, key) -> tuple[Frame, ...]:
     """Decode one datagram into its frames (single -> 1, batch -> N).
+
+    ``key`` is the frame key, or the :class:`FrameDecoder` a transport
+    keeps for it (primed HMAC, payload memo, path counters); a bare key
+    decodes through a fresh decoder -- the simple path, as
+    :func:`encode_frame` is to :class:`FrameEncoder`.
 
     A batch decodes atomically: if any entry is malformed the whole
     datagram raises (and the transport counts one rejected datagram),
     never a prefix of its messages -- partial delivery would violate
     per-sender FIFO.
     """
-    codec, is_batch, sender, body = _decode_outer(data, key)
-    if not is_batch:
-        sent_at, payload = _decode_envelope(codec, body)
-        return (Frame(sender=sender, payload=payload, sent_at=sent_at),)
-    size = len(body)
-    if size == 0:
-        raise FrameCodecError("empty batch frame")
-    frames = []
-    pos = 0
-    while pos < size:
-        if pos + _BATCH_LEN.size > size:
-            raise FrameCodecError("truncated batch entry header")
-        (sub_len,) = _BATCH_LEN.unpack_from(body, pos)
-        pos += _BATCH_LEN.size
-        if pos + sub_len > size:
-            raise FrameCodecError("batch entry overruns the frame body")
-        sent_at, payload = _decode_envelope(codec, body[pos : pos + sub_len])
-        frames.append(Frame(sender=sender, payload=payload, sent_at=sent_at))
-        pos += sub_len
-    return tuple(frames)
+    return _decoder(key).decode_frames(data)
 
 
 __all__ = [
@@ -676,6 +890,7 @@ __all__ = [
     "FrameAuthError",
     "FrameBatcher",
     "FrameCodecError",
+    "FrameDecoder",
     "FrameEncoder",
     "FrameError",
     "HAVE_MSGPACK",

@@ -211,7 +211,7 @@ class SocketTransport(WireTransport):
 
     def _handle_datagram(self, data) -> None:
         try:
-            frames = decode_frames(data, self.auth_key)
+            frames = decode_frames(data, self.decoder)
         except FrameError:
             self._reject()
             return

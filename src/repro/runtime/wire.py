@@ -16,7 +16,7 @@ A *carrier* subclass supplies only what genuinely differs:
 * how a sealed datagram reaches its receiver -- :meth:`_transmit`, which
   ends (here or in another process) in one :meth:`_deliver_frames` call.
 
-:class:`~repro.runtime.aio.AsyncioTransport` decodes in place and hands the
+:class:`~repro.runtime.aio.AsyncioTransport` decodes on the spot and hands the
 frames to the loop; :class:`~repro.runtime.socket_host.SocketTransport` puts
 the bytes on a UDP socket and decodes what its own socket receives.
 """
@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional
 
 from repro.net.delivery import DeliveryPolicy, FixedDelay, LinkPartitionPolicy
 from repro.net.network import Envelope
-from repro.runtime.framing import FrameBatcher, FrameEncoder
+from repro.runtime.framing import FrameBatcher, FrameDecoder, FrameEncoder
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
 
@@ -63,6 +63,10 @@ class WireTransport:
         self.auth_key = auth_key
         self._encoder = FrameEncoder(auth_key, codec)
         self.codec = self._encoder.codec
+        #: What the carrier hands :func:`~repro.runtime.framing.decode_frames`
+        #: with each datagram; its ``memo_hits`` / ``compiled`` / ``generic``
+        #: counters say which decode path this transport's envelopes took.
+        self.decoder = FrameDecoder(auth_key)
         self._batcher = FrameBatcher(self._encoder, self._transmit)
         self._flush_scheduled = False
         self._policy = policy

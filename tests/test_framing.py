@@ -14,6 +14,13 @@ The msgpack codec is exercised unconditionally: the vendored
 :mod:`repro.runtime.mpack` subset backs it when the C extension is absent,
 and the cross-implementation tests (skipped without the wheel) pin the two
 implementations to interoperable bytes.
+
+The receive path's compiled decode plans and payload memo
+(:class:`FrameDecoder`) are pinned *differentially*: for valid, truncated,
+bit-flipped and byte-inserted bodies, single and BATCH, the decoder must
+reach the verdict -- and the value, type for type -- that the generic tree
+decode alone reaches.  That holds with or without the C extension, since the
+generic decoder under test is whichever one the leg has.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.messages import (
     ALL_MESSAGE_TYPES,
@@ -40,6 +49,7 @@ from repro.runtime.framing import (
     FrameAuthError,
     FrameBatcher,
     FrameCodecError,
+    FrameDecoder,
     FrameEncoder,
     FrameError,
     HEADER_BYTES,
@@ -444,3 +454,327 @@ def _authentic_frame(body: bytes, codec_byte: bytes = b"J") -> bytes:
     header = struct.pack(">2s c I I", b"SB", codec_byte, 1, len(body))
     tag = hmac.new(KEY, header + body, hashlib.sha256).digest()[:16]
     return header + body + tag
+
+
+# ---------------------------------------------------------------------------
+# Compiled decode plans + payload memo (FrameDecoder) against the generic path
+# ---------------------------------------------------------------------------
+class _GenericOnly(FrameDecoder):
+    """The oracle: the same outer checks, every envelope decoded generically."""
+
+    __slots__ = ()
+
+    def _envelope(self, codec, data, start, end):
+        return framing._decode_envelope(codec, data[start:end])
+
+
+def _outcome(decoder, data):
+    """What a decode did, types included (``repr`` tells 1 / True / 1.0 and
+    tuple / list apart, and makes a NaN ``sent_at`` comparable)."""
+    try:
+        frames = decoder.decode_frames(data)
+    except FrameError as exc:
+        return ("rejected", type(exc))
+    return [
+        (f.sender, repr(f.sent_at), type(f.payload), repr(f.payload)) for f in frames
+    ]
+
+
+def _assert_paths_agree(bodies, codec="msgpack", decoder=None) -> list:
+    """One single frame per body, then all of them as one BATCH frame.
+
+    ``FrameEncoder`` seals whatever body bytes it is handed, so the frames
+    are authentic however mangled their insides.  Each goes through the
+    oracle and twice through ``decoder`` (a fresh one by default): cold,
+    then with whatever it memoized.
+    """
+    framer = FrameEncoder(KEY, codec)
+    datagrams = [bytes(framer.frame(1, body)) for body in bodies]
+    datagrams.append(bytes(framer.frame_batch(1, bodies)))
+    outcomes = []
+    for data in datagrams:
+        expected = _outcome(_GenericOnly(KEY), data)
+        under_test = decoder if decoder is not None else FrameDecoder(KEY)
+        assert _outcome(under_test, data) == expected
+        assert _outcome(under_test, data) == expected
+        outcomes.append(expected)
+    return outcomes
+
+
+DIGEST = "0123456789abcdef" * 2
+GENERALS = [0, 3, 127, 128] + [
+    (0, index)
+    for index in (0, 127, 128, 255, 256, 65535, 65536, 2 ** 32 - 1, 2 ** 32)
+]
+FIELD_VALUES = [
+    DIGEST,
+    "",
+    "x" * 31,
+    "x" * 32,
+    "x" * 33,
+    "x" * 255,
+    "x" * 256,
+    "é漢" * 9,
+    ("a", 1, ("nested", (2, ("deeper", 3)))),
+    ("five", ("levels", ("of", ("tuple", ("nesting", ("here",)))))),
+    tuple(range(20)),
+    (),
+    BOTTOM,
+    None,
+    2.5,
+    float("inf"),
+    True,
+    False,
+    -1,
+    -33,
+    2 ** 63 - 1,
+    ["a", "list"],
+    {"a": "map"},
+]
+
+
+def _messages_over(generals, values) -> list:
+    messages = []
+    for i, (general, value) in enumerate(
+        (g, v) for g in generals for v in values
+    ):
+        ia = ALL_MESSAGE_TYPES[i % 4]
+        mb = ALL_MESSAGE_TYPES[4 + i % 4]
+        messages.append(ia(general=general, value=value))
+        messages.append(mb(general=general, origin=i % 7, value=value, k=1 + i % 300))
+    return messages
+
+
+def _mutations(body: bytes, rng: random.Random, count: int) -> list:
+    mutated = []
+    for _ in range(count):
+        at = rng.randrange(len(body))
+        kind = rng.randrange(3)
+        if kind == 0:
+            mutated.append(body[:at])
+        elif kind == 1:
+            flipped = bytearray(body)
+            flipped[at] ^= 1 << rng.randrange(8)
+            mutated.append(bytes(flipped))
+        else:
+            mutated.append(body[:at] + bytes([rng.randrange(256)]) + body[at:])
+    return mutated
+
+
+class TestCompiledDecodeMatchesGeneric:
+    def test_every_class_and_field_shape(self) -> None:
+        encoder = FrameEncoder(KEY, "msgpack")
+        messages = _messages_over(GENERALS, FIELD_VALUES)
+        assert {type(m) for m in messages} == set(ALL_MESSAGE_TYPES)
+        for message in messages:
+            body = encoder.encode_body(message, 12.5)
+            single, again, batch = _assert_paths_agree([body, body])
+            assert single == [(1, "12.5", type(message), repr(message))]
+            assert again == single and batch == single * 2
+
+    def test_hot_path_shapes_are_compiled_not_merely_equal(self) -> None:
+        # The differential above passes vacuously if a plan quietly stops
+        # matching: pin what must take the compiled path.  The service's
+        # general is (primary, slot), whose slot leaves fixint at 128.
+        encoder = FrameEncoder(KEY, "msgpack")
+        for general in GENERALS:
+            for value in (DIGEST, "x" * 256, "é漢", ("t", (1, 2)), 7, 70000):
+                for message in _messages_over([general], [value]):
+                    decoder = FrameDecoder(KEY)
+                    frame = bytes(encoder.encode(2, message, 1.0))
+                    assert decoder.decode_frame(frame) == Frame(2, message, 1.0)
+                    took = (decoder.compiled, decoder.generic)
+                    wide = general == (0, 2 ** 32)  # 64-bit ints stay generic
+                    assert took == ((0, 1) if wide else (1, 0)), (message, took)
+
+    def test_json_frames_and_non_messages_take_the_generic_path(self) -> None:
+        decoder = FrameDecoder(KEY)
+        message = SupportMsg(general=(0, 5), value=DIGEST)
+        decoder.decode_frame(encode_frame(1, message, KEY, codec="json"))
+        for payload in (("body", 3, ("c1", "c2")), ("body_req", 3), BOTTOM, "s", 5):
+            decoder.decode_frame(encode_frame(1, payload, KEY, codec="msgpack"))
+        assert (decoder.compiled, decoder.memo_hits, decoder.generic) == (0, 0, 6)
+
+    def test_msgpack_body_under_a_json_codec_byte_is_rejected_on_both(self) -> None:
+        body = FrameEncoder(KEY, "msgpack").encode_body(SupportMsg(0, "v"), 1.0)
+        single, batch = _assert_paths_agree([body], codec="json")
+        assert single == batch == ("rejected", FrameCodecError)
+
+    def test_seeded_mutation_fuzz(self) -> None:
+        rng = random.Random(0xDEC0DE)
+        encoder = FrameEncoder(KEY, "msgpack")
+        messages = _messages_over(GENERALS, FIELD_VALUES[:12])
+        # One decoder throughout: whatever earlier mutants left in the memo
+        # must not change what a later one decodes to.
+        decoder = FrameDecoder(KEY)
+        rejected = accepted = 0
+        for message in messages:
+            body = encoder.encode_body(message, rng.random() * 1e4)
+            for mutant in _mutations(body, rng, 12):
+                for outcome in _assert_paths_agree([mutant], decoder=decoder):
+                    if outcome[0] == "rejected":
+                        rejected += 1
+                    else:
+                        accepted += 1
+        # Both verdicts and all three paths occur: no side of the
+        # comparison sat idle.
+        assert rejected > 500 and accepted > 500
+        assert min(decoder.compiled, decoder.memo_hits, decoder.generic) > 200
+
+    def test_non_canonical_and_reordered_encodings(self) -> None:
+        # What the skeleton encoder never emits but the generic decoder
+        # accepts: the compiled path must agree or stand aside.
+        good = FrameEncoder(KEY, "msgpack").encode_body(
+            MBEchoMsg(general=5, origin=1, value="v", k=2), 1.0
+        )
+        tree = mpack.unpackb(good)
+        fields = tree["p"]["f"]
+        variants = [
+            {"p": tree["p"], "t": tree["t"]},                      # keys swapped
+            {"t": 1, "p": tree["p"]},                              # integer sent_at
+            {"t": 1.0, "p": {**tree["p"], "f": dict(reversed(fields.items()))}},
+            {"t": 1.0, "p": {**tree["p"], "f": {**fields, "extra": 1}}},
+            {"t": 1.0, "p": {**tree["p"], "f": {"general": 5}}},   # missing fields
+            {"t": 1.0, "p": {**tree["p"], "k": "NoSuchMsg"}},
+            {"t": 1.0, "p": tree["p"], "x": 0},                    # third envelope key
+        ]
+        bodies = [mpack.packb(v) for v in variants]
+        bodies.append(good.replace(b"\x05", b"\xcd\x00\x05", 1))   # uint16 for a fixint
+        bodies.append(good + b"\x00")                              # trailing byte
+        bodies.append(good[:-1] + b"\xa1")                         # string cut short
+        bodies.append(good.replace(b"\xa1v", b"\xa1\xff", 1))      # invalid UTF-8
+        outcomes = _assert_paths_agree(bodies)
+        assert outcomes[-1] == ("rejected", FrameCodecError)
+
+    def test_nesting_beyond_the_compiled_depth_still_agrees(self) -> None:
+        value = "leaf"
+        for _ in range(40):
+            value = (value,)
+        body = FrameEncoder(KEY, "msgpack").encode_body(ReadyMsg(1, value), 0.0)
+        decoder = FrameDecoder(KEY)
+        frame = bytes(FrameEncoder(KEY, "msgpack").frame(1, body))
+        assert decoder.decode_frame(frame).payload == ReadyMsg(1, value)
+        assert (decoder.compiled, decoder.generic) == (0, 1)
+
+    def test_malformed_entry_rejects_the_batch_after_a_compiled_one(self) -> None:
+        encoder = FrameEncoder(KEY, "msgpack")
+        good = encoder.encode_body(SupportMsg((0, 200), DIGEST), 1.0)
+        batch = bytes(encoder.frame_batch(1, [good, good[:-3]]))
+        decoder = FrameDecoder(KEY)
+        with pytest.raises(FrameCodecError):
+            decoder.decode_frames(batch)
+        assert decoder.compiled == 1  # the good entry was read, none delivered
+
+
+_scalars = st.one_of(
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 64 - 1),
+    st.text(max_size=40),
+    st.sampled_from([DIGEST, "x" * 255, "x" * 256, None, True, False, BOTTOM]),
+    st.floats(allow_nan=False),
+)
+_values = st.recursive(
+    _scalars, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=8
+)
+_generals = st.one_of(
+    st.integers(min_value=0, max_value=2 ** 33),
+    st.tuples(st.integers(0, 7), st.integers(0, 2 ** 33)),
+)
+
+
+@st.composite
+def _message_bodies(draw) -> bytes:
+    cls = draw(st.sampled_from(ALL_MESSAGE_TYPES))
+    fields = {"general": draw(_generals), "value": draw(_values)}
+    if cls in (MBInitMsg, MBEchoMsg, MBInitPrimeMsg, MBEchoPrimeMsg):
+        fields["origin"] = draw(st.integers(0, 300))
+        fields["k"] = draw(st.integers(0, 70000))
+    sent_at = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return FrameEncoder(KEY, "msgpack").encode_body(cls(**fields), sent_at)
+
+
+class TestCompiledDecodeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_message_bodies(), min_size=1, max_size=4))
+    def test_valid_bodies_agree(self, bodies) -> None:
+        for outcome in _assert_paths_agree(bodies):
+            assert outcome[0] != "rejected"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_message_bodies(), st.randoms(use_true_random=False))
+    def test_mutated_bodies_agree(self, body, rng) -> None:
+        _assert_paths_agree(_mutations(body, rng, 3))
+
+
+class TestDecoderMemo:
+    def test_same_payload_from_two_senders_is_decoded_once(self) -> None:
+        encoder = FrameEncoder(KEY, "msgpack")
+        decoder = FrameDecoder(KEY)
+        message = MBEchoMsg(general=(0, 300), origin=2, value=DIGEST, k=1)
+        first = decoder.decode_frame(bytes(encoder.encode(1, message, 10.0)))
+        second = decoder.decode_frame(bytes(encoder.encode(3, message, 11.5)))
+        assert first == Frame(1, message, 10.0)
+        assert second == Frame(3, message, 11.5)
+        assert second.payload is first.payload
+        assert (decoder.compiled, decoder.memo_hits, decoder.generic) == (1, 1, 0)
+
+    def test_memo_entries_re_encode_to_their_key(self) -> None:
+        # Content-addressed: a hit can only return the message its own bytes
+        # decode to.
+        encoder = FrameEncoder(KEY, "msgpack")
+        decoder = FrameDecoder(KEY)
+        for message in _messages_over(GENERALS[:-1], [DIGEST, ("t", 1)]):
+            decoder.decode_frame(bytes(encoder.encode(0, message, 1.0)))
+        assert decoder._memo
+        for key, message in decoder._memo.items():
+            packed = bytearray(framing._ENVELOPE_P)
+            framing._pack_payload_into(packed, message)
+            assert bytes(packed) == key
+
+    def test_distinct_payload_flood_never_exceeds_the_cap(self) -> None:
+        encoder = FrameEncoder(KEY, "msgpack")
+        decoder = FrameDecoder(KEY)
+        cap = framing._MEMO_CAP
+        assert cap <= 1024
+        peak = 0
+        for index in range(10 * cap):
+            frame = bytes(encoder.encode(1, SupportMsg((0, index), DIGEST), 0.0))
+            decoder.decode_frame(frame)
+            peak = max(peak, len(decoder._memo))
+        assert peak == cap
+        assert (decoder.compiled, decoder.memo_hits) == (10 * cap, 0)
+
+    def test_unauthenticated_datagrams_touch_nothing(self) -> None:
+        encoder = FrameEncoder(KEY, "msgpack")
+        decoder = FrameDecoder(KEY)
+        message = SupportMsg((0, 1), DIGEST)
+        frame = bytes(encoder.encode(1, message, 0.0))
+        forged_tag = frame[:-1] + bytes([frame[-1] ^ 1])
+        # A different (well-formed) message under the original's tag.
+        other = bytes(encoder.encode(1, SupportMsg((0, 2), DIGEST), 0.0))
+        forged_body = other[:-16] + frame[-16:]
+        wrong_key = bytes(FrameEncoder(OTHER_KEY, "msgpack").encode(1, message, 0.0))
+        for bad in (forged_tag, forged_body, wrong_key):
+            with pytest.raises(FrameAuthError):
+                decoder.decode_frames(bad)
+        assert (decoder.compiled, decoder.memo_hits, decoder.generic) == (0, 0, 0)
+        assert not decoder._memo
+        # ... and a memo that does hold the payload is not consulted either.
+        decoder.decode_frames(frame)
+        with pytest.raises(FrameAuthError):
+            decoder.decode_frames(forged_tag)
+        assert (decoder.compiled, decoder.memo_hits, decoder.generic) == (1, 0, 0)
+
+    def test_module_level_decode_accepts_a_key_or_a_decoder(self) -> None:
+        decoder = FrameDecoder(KEY)
+        frame = encode_frame(4, ReadyMsg(1, "v"), KEY, codec="msgpack")
+        assert decode_frames(frame, decoder) == decode_frames(frame, KEY)
+        assert decode_frame(frame, decoder) == decode_frame(frame, KEY)
+        assert decoder.compiled + decoder.memo_hits == 2
+
+    def test_views_and_bytearrays_decode_like_bytes(self) -> None:
+        # recvmmsg hands the socket carrier memoryviews of reused buffers.
+        decoder = FrameDecoder(KEY)
+        frame = encode_frame(4, ReadyMsg(1, "v"), KEY, codec="msgpack")
+        expected = (Frame(4, ReadyMsg(1, "v"), 0.0),)
+        assert decoder.decode_frames(memoryview(bytearray(frame))) == expected
+        assert decoder.decode_frames(bytearray(frame)) == expected

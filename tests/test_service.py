@@ -363,7 +363,7 @@ class TestServiceAsyncio:
         from repro.service import ReplicatedLogService
 
         async def body():
-            cluster = AsyncioCluster(params4, seed=8, time_scale=0.05)
+            cluster = AsyncioCluster(params4, seed=8, time_scale=0.1)
             service = ReplicatedLogService(
                 cluster, primary=0, window=4, max_batch=32
             )
@@ -394,13 +394,63 @@ class TestServiceAsyncio:
         assert final_live <= report.live_bound
         assert retired > 0
 
+    def test_messages_never_fall_back_to_the_generic_decoder(
+        self, params4, monkeypatch
+    ):
+        # 200 slots, so ``general = (primary, slot)`` crosses 128 and its
+        # slot index leaves msgpack's fixint: a decode plan that quietly
+        # stops matching must fail here, not show up as a slow benchmark.
+        from repro.core.messages import ALL_MESSAGE_TYPES
+        from repro.runtime import framing
+        from repro.runtime.aio import AsyncioCluster
+        from repro.service import ReplicatedLogService
+
+        went_generic: list = []
+        real_decode_envelope = framing._decode_envelope
+
+        def spy(codec, body):
+            sent_at, payload = real_decode_envelope(codec, body)
+            went_generic.append(payload)
+            return sent_at, payload
+
+        monkeypatch.setattr(framing, "_decode_envelope", spy)
+
+        async def body():
+            cluster = AsyncioCluster(params4, seed=12, time_scale=0.1)
+            service = ReplicatedLogService(
+                cluster, primary=0, window=8, max_batch=1
+            )
+            try:
+                report = await service.run_workload(
+                    rate=100.0, total=200, seed=3, drain_timeout_s=30.0
+                )
+                return report, cluster.transport
+            finally:
+                cluster.close()
+
+        report, transport = self._run(body())
+        assert report.identical_logs and report.commands_applied == 200
+        assert report.slots_decided == 200
+        decoder = transport.decoder
+        assert transport.rejected_count == 0
+        assert decoder.generic == len(went_generic) > 0
+        # Exactly the service's own ("body", slot, batch) tuples.
+        assert not [p for p in went_generic if isinstance(p, ALL_MESSAGE_TYPES)]
+        assert {p[0] for p in went_generic} <= {"body", "body_req"}
+        envelopes = decoder.compiled + decoder.memo_hits + decoder.generic
+        assert envelopes >= transport.delivered_count
+        assert decoder.generic < 0.05 * envelopes
+        # One shared fabric: each relayed triplet is decoded once, then
+        # recognised for every further sender and receiver.
+        assert decoder.memo_hits > 5 * decoder.compiled
+
     def test_crash_restart_churn_heals_to_identical_logs(self, params4):
         from repro.faults.live import crash_in_process, restart_in_process
         from repro.runtime.aio import AsyncioCluster
         from repro.service import ReplicatedLogService
 
         async def body():
-            cluster = AsyncioCluster(params4, seed=9, time_scale=0.05)
+            cluster = AsyncioCluster(params4, seed=9, time_scale=0.1)
             service = ReplicatedLogService(
                 cluster, primary=0, window=4, max_batch=16
             )
@@ -737,7 +787,7 @@ class TestEnvelopeSize:
         from repro.service import ReplicatedLogService
 
         async def body():
-            cluster = AsyncioCluster(params4, seed=41, time_scale=0.05)
+            cluster = AsyncioCluster(params4, seed=41, time_scale=0.1)
             service = ReplicatedLogService(
                 cluster, primary=0, window=8, max_batch=128
             )

@@ -4,8 +4,9 @@ The framing tests pin the *format*; this file pins the machinery the lean
 wire path rides on: the vendored msgpack subset (:mod:`repro.runtime.mpack`)
 at its encoding edges, the batched UDP syscalls
 (:mod:`repro.runtime.udp_batch`) against a real loopback socket pair, the
-kill-switch degradation story, and the transports' datagram accounting
-under coalescing.
+kill-switch degradation story, the transports' datagram accounting under
+coalescing, and what one raising emit or one retained buffer view may cost
+a tick (nothing beyond itself).
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ import struct
 import pytest
 
 from repro.runtime import mpack, udp_batch
-from repro.runtime.framing import FrameEncoder, decode_frames, derive_key
+from repro.runtime.framing import (
+    FrameBatcher,
+    FrameEncoder,
+    decode_frames,
+    derive_key,
+)
 
 KEY = derive_key("wire-batch")
 
@@ -289,3 +295,89 @@ class TestTransportCoalescing:
         datagrams, messages = asyncio.run(scenario())
         assert messages == [f"m{i}" for i in range(10)]
         assert datagrams < 10, "the burst must coalesce into BATCH datagrams"
+
+
+# ---------------------------------------------------------------------------
+# One bad emit or one retained reference must not cost a tick its datagrams
+# ---------------------------------------------------------------------------
+class TestTickSurvivesOneBadDatagram:
+    def test_raising_transmit_still_delivers_the_other_runs_in_order(self) -> None:
+        encoder = FrameEncoder(KEY, "msgpack")
+        sent: list[tuple[int, list]] = []
+
+        def transmit(receiver, frame, count) -> None:
+            if receiver in (2, 4):
+                raise OSError(f"receiver {receiver} is unreachable")
+            sent.append((receiver, [f.payload for f in decode_frames(frame, KEY)]))
+
+        batcher = FrameBatcher(encoder, transmit)
+        for receiver in (1, 2, 3, 4, 5):
+            for i in range(3):
+                batcher.add(receiver, 0, encoder.encode_body(f"r{receiver}m{i}"))
+        with pytest.raises(OSError, match="receiver 2"):  # the first error
+            batcher.flush()
+        assert sent == [
+            (r, [f"r{r}m{i}" for i in range(3)]) for r in (1, 3, 5)
+        ]
+        assert not batcher.pending
+        batcher.flush()  # nothing left over to re-send or re-raise
+        assert len(sent) == 3
+
+    def test_held_view_of_a_decoded_datagram_cannot_fail_the_next_flush(
+        self, monkeypatch
+    ) -> None:
+        # A sampling profiler or a retained traceback keeps a decode frame
+        # alive -- and with it a view of whatever that frame was decoding.
+        # If that were the encoder's reused bytearray, the next frame()'s
+        # ``del buf[:]`` would be a BufferError and the tick's copies lost.
+        from repro.runtime import aio
+
+        held: list[memoryview] = []
+        real_decode = aio.decode_frames
+
+        def retaining_decode(data, key):
+            held.append(memoryview(data))
+            return real_decode(data, key)
+
+        monkeypatch.setattr(aio, "decode_frames", retaining_decode)
+
+        async def scenario():
+            transport = aio.AsyncioTransport(time_scale=0.001)
+            inbox: list = []
+            transport.register(0, lambda e: None)
+            transport.register(1, inbox.append)
+            try:
+                for tick in range(3):
+                    transport.send(0, 1, f"tick{tick}")
+                    await asyncio.sleep(0.01)
+            finally:
+                transport.close()
+            return [e.payload for e in inbox], transport.rejected_count
+
+        payloads, rejected = asyncio.run(scenario())
+        assert payloads == ["tick0", "tick1", "tick2"]
+        assert rejected == 0
+        assert len(held) == 3 and all(type(v.obj) is bytes for v in held)
+
+    def test_malformed_batch_counts_one_rejection_and_delivers_nothing(self) -> None:
+        # An authentic BATCH whose first entry is a well-formed message (the
+        # compiled path reads it) and whose second is cut short: one
+        # rejected datagram, no delivery -- not a prefix.
+        from repro.core.messages import SupportMsg
+        from repro.runtime.aio import AsyncioTransport
+
+        async def scenario():
+            transport = AsyncioTransport(time_scale=0.001, auth_key=KEY)
+            inbox: list = []
+            transport.register(1, inbox.append)
+            encoder = FrameEncoder(KEY)
+            good = encoder.encode_body(SupportMsg((0, 200), "v"), 1.0)
+            try:
+                transport._transmit(1, encoder.frame_batch(0, [good, good[:-2]]), 2)
+                await asyncio.sleep(0.01)
+            finally:
+                transport.close()
+            return inbox, transport.rejected_count, transport.delivered_count
+
+        inbox, rejected, delivered = asyncio.run(scenario())
+        assert (inbox, rejected, delivered) == ([], 1, 0)
