@@ -1,16 +1,16 @@
-"""Wire micro-benchmarks: the lean path against the PR 5 reference path.
+"""Wire micro-benchmarks: the lean path against the reference path.
 
 Four layers of the rebuilt wire pipeline get a number in BENCH_perf.json:
 
 * ``wire_batch_pipeline`` -- the headline gate.  Encode-and-authenticate a
   protocol-shaped message stream through the lean path (msgpack skeletons
   into a reused buffer, coalesced into BATCH datagrams, primed-HMAC seal)
-  against the PR 5 reference path (``encode_frame`` with the JSON codec:
-  fresh dict tree, fresh bytes, fresh HMAC per message).  Must win >= 3x;
+  against the reference path (``encode_frame``: fresh dict tree, fresh
+  bytes, fresh HMAC per message, one datagram each).  Must win >= 3x;
   this is the acceptance gate for the rewrite and the regression tripwire
   for future PRs (``speedup_vs_reference`` is machine-independent).
-* ``wire_codec_encode`` / ``wire_codec_decode`` -- frames/s per codec on
-  single-frame encode and decode, lean vs reference paths side by side.
+* ``wire_codec_encode`` / ``wire_codec_decode`` -- frames/s on single-frame
+  encode (lean vs reference side by side) and decode.
   The decode row also carries the second gate: on a service-shaped stream
   the compiled decode plans must beat the generic tree decode >= 2.5x per
   envelope (``speedup_vs_reference``, machine-independent like the 3x).
@@ -100,13 +100,13 @@ def _best_of(fn, repeats: int = 3):
 
 
 # ---------------------------------------------------------------------------
-# Headline gate: lean batched pipeline vs PR 5 reference path
+# Headline gate: lean batched pipeline vs the reference path
 # ---------------------------------------------------------------------------
 def _reference_pipeline(stream) -> int:
-    """The PR 5 path: JSON tree, fresh bytes, fresh HMAC, one datagram each."""
+    """The reference path: dict tree, fresh bytes, fresh HMAC, one datagram each."""
     total = 0
     for msg in stream:
-        frame = encode_frame(0, msg, KEY, sent_at=1.0, codec="json")
+        frame = encode_frame(0, msg, KEY, sent_at=1.0)
         total += len(frame)
     return total
 
@@ -129,7 +129,7 @@ def bench_wire_batch_pipeline(benchmark):
         sink["datagrams"] += 1
         sink["messages"] += count
 
-    encoder = FrameEncoder(KEY, "msgpack")
+    encoder = FrameEncoder(KEY)
     batcher = FrameBatcher(encoder, transmit)
 
     lean_s, _ = _best_of(lambda: _lean_pipeline(stream, encoder, batcher))
@@ -159,7 +159,7 @@ def bench_wire_batch_pipeline(benchmark):
             "lean_msgs_per_s": N_MSGS / lean_s,
         }
     ]
-    print_rows("W1: lean batched pipeline vs PR5 reference", rows)
+    print_rows("W1: lean batched pipeline vs reference", rows)
     record_bench_result(
         "wire_batch_pipeline",
         kind="kernel",
@@ -171,12 +171,12 @@ def bench_wire_batch_pipeline(benchmark):
     benchmark.pedantic(
         lambda: _lean_pipeline(stream, encoder, batcher), rounds=3, iterations=1
     )
-    # Acceptance gate: the lean path must beat the PR 5 path >= 3x.
+    # Acceptance gate: the lean path must beat the reference path >= 3x.
     assert speedup >= 3.0, f"wire pipeline speedup {speedup:.2f}x < 3x"
 
 
 # ---------------------------------------------------------------------------
-# Per-codec encode/decode throughput
+# Single-frame encode/decode throughput
 # ---------------------------------------------------------------------------
 def _compiled_vs_generic_decode() -> tuple[float, float, float]:
     """Seconds per envelope: generic tree decode, compiled plans, memo hit.
@@ -185,17 +185,14 @@ def _compiled_vs_generic_decode() -> tuple[float, float, float]:
     payloads are all distinct and each compiled repeat starts a fresh
     decoder, so there the memo never answers (its upkeep is still paid).
     """
-    codec = framing.CODECS["msgpack"]
-    encoder = FrameEncoder(KEY, "msgpack")
+    encoder = FrameEncoder(KEY)
     stream = _service_stream(N_MSGS)
     bodies = [encoder.encode_body(m, 1.0) for m in stream]
 
     def through(decoder: FrameDecoder, some) -> list:
-        return [decoder._envelope(codec, b, 0, len(b))[1] for b in some]
+        return [decoder._envelope(b, 0, len(b))[1] for b in some]
 
-    generic_s, _ = _best_of(
-        lambda: [framing._decode_envelope(codec, b) for b in bodies]
-    )
+    generic_s, _ = _best_of(lambda: [framing._decode_envelope(b) for b in bodies])
     cold = FrameDecoder(KEY)
     assert through(cold, bodies) == stream, "compiled decode corrupted the stream"
     assert (cold.compiled, cold.generic) == (N_MSGS, 0), "a plan fell back"
@@ -210,30 +207,23 @@ def _compiled_vs_generic_decode() -> tuple[float, float, float]:
 
 def bench_wire_codec_encode_decode(benchmark):
     stream = _message_stream(N_MSGS)
-    rows = []
-    recorded: dict[str, float] = {}
-    for codec in ("json", "msgpack"):
-        encoder = FrameEncoder(KEY, codec)
-        enc_s, _ = _best_of(
-            lambda e=encoder: sum(len(e.encode(0, m, 1.0)) for m in stream)
-        )
-        frames = [bytes(encoder.encode(0, m, 1.0)) for m in stream]
-        dec_s, _ = _best_of(
-            lambda fs=frames: sum(1 for f in fs if decode_frame(f, KEY))
-        )
-        wire_bytes = sum(len(f) for f in frames)
-        rows.append(
+    encoder = FrameEncoder(KEY)
+    enc_s, _ = _best_of(lambda: sum(len(encoder.encode(0, m, 1.0)) for m in stream))
+    ref_s, _ = _best_of(lambda: sum(len(encode_frame(0, m, KEY, 1.0)) for m in stream))
+    frames = [bytes(encoder.encode(0, m, 1.0)) for m in stream]
+    dec_s, _ = _best_of(lambda: sum(1 for f in frames if decode_frame(f, KEY)))
+    bytes_per_frame = sum(len(f) for f in frames) / N_MSGS
+    print_rows(
+        "W2: single-frame encode/decode",
+        [
             {
-                "codec": codec,
                 "encode_frames_per_s": N_MSGS / enc_s,
+                "reference_encode_frames_per_s": N_MSGS / ref_s,
                 "decode_frames_per_s": N_MSGS / dec_s,
-                "bytes_per_frame": wire_bytes / N_MSGS,
+                "bytes_per_frame": bytes_per_frame,
             }
-        )
-        recorded[f"{codec}_encode_frames_per_s"] = N_MSGS / enc_s
-        recorded[f"{codec}_decode_frames_per_s"] = N_MSGS / dec_s
-        recorded[f"{codec}_bytes_per_frame"] = wire_bytes / N_MSGS
-    print_rows("W2: per-codec encode/decode", rows)
+        ],
+    )
 
     generic_s, compiled_s, memo_s = _compiled_vs_generic_decode()
     decode_speedup = generic_s / compiled_s
@@ -248,24 +238,22 @@ def bench_wire_codec_encode_decode(benchmark):
             }
         ],
     )
-    # msgpack is preferred because it wins on both axes; keep that visible.
     record_bench_result(
         "wire_codec_encode",
         kind="kernel",
-        frames_per_s=recorded["msgpack_encode_frames_per_s"],
-        **{k: v for k, v in recorded.items() if "encode" in k or "bytes" in k},
+        frames_per_s=N_MSGS / enc_s,
+        reference_frames_per_s=N_MSGS / ref_s,
+        bytes_per_frame=bytes_per_frame,
     )
     record_bench_result(
         "wire_codec_decode",
         kind="kernel",
-        frames_per_s=recorded["msgpack_decode_frames_per_s"],
+        frames_per_s=N_MSGS / dec_s,
         compiled_envelopes_per_s=1.0 / compiled_s,
         generic_envelopes_per_s=1.0 / generic_s,
         memo_hit_envelopes_per_s=1.0 / memo_s,
         speedup_vs_reference=decode_speedup,
-        **{k: v for k, v in recorded.items() if "decode" in k},
     )
-    encoder = FrameEncoder(KEY, "msgpack")
     benchmark.pedantic(
         lambda: [encoder.encode(0, m, 1.0) for m in stream], rounds=3, iterations=1
     )
@@ -288,7 +276,7 @@ def bench_wire_hmac_seal(benchmark):
     # the win is coalescing: one seal per BATCH datagram instead of one per
     # message (see W1/W4).  This row keeps the authentication cost itself
     # on the record so a future HMAC regression trips the gate.
-    encoder = FrameEncoder(KEY, "msgpack")
+    encoder = FrameEncoder(KEY)
     small = bytes(encoder.encode_body(MBEchoMsg(0, 1, "m", 1), 1.0))
     large = bytes(encoder.encode_body("x" * HMAC_BATCH_BODY, 1.0))
 
@@ -330,7 +318,7 @@ def bench_wire_hmac_seal(benchmark):
 # ---------------------------------------------------------------------------
 def bench_wire_coalesce(benchmark):
     stream = _message_stream(N_MSGS)
-    encoder = FrameEncoder(KEY, "msgpack")
+    encoder = FrameEncoder(KEY)
 
     counts = {"datagrams": 0}
     batcher = FrameBatcher(
@@ -395,7 +383,7 @@ def bench_wire_socket_pingpong(benchmark):
     a.settimeout(5.0)
     b.settimeout(5.0)
     addr_a, addr_b = a.getsockname(), b.getsockname()
-    enc_a, enc_b = FrameEncoder(KEY, "msgpack"), FrameEncoder(KEY, "msgpack")
+    enc_a, enc_b = FrameEncoder(KEY), FrameEncoder(KEY)
     msg = MBEchoMsg(0, 1, "m", 1)
 
     def pingpong_round() -> None:

@@ -208,7 +208,7 @@ if evaluator < 3.0:
     sys.exit(f"push evaluator regressed: {evaluator:.2f}x < 3x vs reference")
 wire = results["wire_batch_pipeline"]["speedup_vs_reference"]
 if wire < 3.0:
-    sys.exit(f"lean wire path regressed: {wire:.2f}x < 3x vs JSON reference")
+    sys.exit(f"lean wire path regressed: {wire:.2f}x < 3x vs the tree-building reference")
 decode = results["wire_codec_decode"]["speedup_vs_reference"]
 if decode < 2.5:
     sys.exit(f"compiled frame decode regressed: {decode:.2f}x < 2.5x vs generic decode")

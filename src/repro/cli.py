@@ -85,11 +85,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, default=7, help="number of nodes")
+    def add_model_args(
+        p: argparse.ArgumentParser, n: int = 7, rho: float = 1e-4
+    ) -> None:
+        """The paper's model.  ``chaos`` and the service commands pass n=4,
+        rho=0: their wall clocks share one epoch."""
+        p.add_argument("--n", type=int, default=n, help=f"number of nodes (default: {n})")
         p.add_argument("--f", type=int, default=None, help="fault bound (default: max for n)")
         p.add_argument("--delta", type=float, default=1.0, help="message delay bound")
-        p.add_argument("--rho", type=float, default=1e-4, help="clock drift bound")
+        p.add_argument(
+            "--rho", type=float, default=rho, help=f"clock drift bound (default: {rho})"
+        )
 
     def add_fanout_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -134,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p: argparse.ArgumentParser, time_scale: float, attack: bool = True
     ) -> None:
         """One agreement on a wall-clock backend: who proposes what, against
-        which cast, at what speed, over which codec."""
+        which cast, at what speed."""
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--value", default="v", help="the General's value")
         p.add_argument("--general", type=int, default=0)
@@ -149,12 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=time_scale,
             help="wall-clock seconds per protocol time unit "
             f"(default: {time_scale})",
-        )
-        p.add_argument(
-            "--codec",
-            choices=("msgpack", "json"),
-            default=None,
-            help="wire codec (default: msgpack; json is the no-dependency fallback)",
         )
 
     run_async = sub.add_parser(
@@ -183,16 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="SIGKILL f socket-backend nodes mid-agreement and verify the "
         "supervisor heals them into re-convergence",
     )
-    chaos.add_argument("--n", type=int, default=4, help="number of nodes")
-    chaos.add_argument(
-        "--f", type=int, default=None, help="fault bound = victims killed "
-        "(default: max for n)"
-    )
-    chaos.add_argument("--delta", type=float, default=1.0, help="message delay bound")
-    chaos.add_argument(
-        "--rho", type=float, default=0.0,
-        help="clock drift bound (default 0: wall clocks share one epoch)",
-    )
+    add_model_args(chaos, n=4, rho=0.0)
     add_wallclock_args(chaos, time_scale=0.02, attack=False)
     chaos.add_argument(
         "--kill-at-d",
@@ -237,15 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default="asyncio",
             help="wall-clock runtime hosting the replicas (default: asyncio)",
         )
-        p.add_argument("--n", type=int, default=4, help="number of nodes")
-        p.add_argument(
-            "--f", type=int, default=None, help="fault bound (default: max for n)"
-        )
-        p.add_argument("--delta", type=float, default=1.0, help="message delay bound")
-        p.add_argument(
-            "--rho", type=float, default=0.0,
-            help="clock drift bound (default 0: wall clocks share one epoch)",
-        )
+        add_model_args(p, n=4, rho=0.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--primary", type=int, default=0,
@@ -551,7 +534,6 @@ def cmd_run_async(args: argparse.Namespace) -> int:
             time_scale=args.time_scale,
             delta=args.delta,
             rho=args.rho,
-            codec=args.codec,
         )
     )
 
@@ -591,7 +573,6 @@ def cmd_run_socket(args: argparse.Namespace) -> int:
         delta=args.delta,
         rho=args.rho,
         timeout_units=args.timeout_units,
-        codec=args.codec,
     )
 
     leaked = {i: c for i, c in report.live_timers.items() if c != 0}
@@ -633,7 +614,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             trace=args.trace,
             delta=args.delta,
             rho=args.rho,
-            codec=args.codec,
         )
     except ValueError as exc:
         print(f"chaos: {exc}", file=sys.stderr)

@@ -426,7 +426,6 @@ def run_chaos_agreement(
     trace: bool = False,
     delta: float = 1.0,
     rho: float = 0.0,
-    codec: Optional[str] = None,
 ) -> ChaosReport:
     """SIGKILL ``f`` nodes mid-agreement and verify live re-convergence.
 
@@ -479,7 +478,6 @@ def run_chaos_agreement(
         fault_script=script,
         repropose_every_d=2.0,
         value_pool=(value, "B", "C"),
-        codec=codec,
     )
     try:
         report = cluster.run_agreement()

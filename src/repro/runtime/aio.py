@@ -89,7 +89,6 @@ class AsyncioTransport(WireTransport):
         rand: Optional[RandomSource] = None,
         tracer: Optional[Tracer] = None,
         auth_key: Optional[bytes] = None,
-        codec: Optional[str] = None,
     ) -> None:
         super().__init__(
             time_scale,
@@ -97,7 +96,6 @@ class AsyncioTransport(WireTransport):
             rand if rand is not None else RandomSource(0, "aio/net"),
             policy=policy,
             tracer=tracer,
-            codec=codec,
         )
         self.epoch = self.loop.time()
 
@@ -262,7 +260,6 @@ class AsyncioCluster:
         byzantine: Optional[dict] = None,
         policy: Optional[DeliveryPolicy] = None,
         trace: bool = False,
-        codec: Optional[str] = None,
     ) -> None:
         from repro.faults.byzantine import ByzantineNode
 
@@ -277,7 +274,6 @@ class AsyncioCluster:
             rand=self.rng.split("net"),
             tracer=self.tracer,
             auth_key=derive_key(f"aio-cluster/{seed}"),
-            codec=codec,
         )
         self.nodes: dict[int, object] = {}
         self.hosts: dict[int, AsyncioHost] = {}
@@ -419,7 +415,6 @@ async def run_agreement_async(
     delta: float = 1.0,
     rho: float = 0.0,
     trace: bool = False,
-    codec: Optional[str] = None,
 ) -> tuple[AsyncioCluster, dict[int, Decision]]:
     """Build an asyncio cluster, run one agreement, tear the timers down.
 
@@ -433,7 +428,6 @@ async def run_agreement_async(
         time_scale=time_scale,
         byzantine=byzantine,
         trace=trace,
-        codec=codec,
     )
     try:
         decisions = await cluster.run_agreement(general, value)

@@ -11,10 +11,10 @@ transports agree on the format byte for byte, and the hardening tests in
 Frame layout (big-endian)::
 
     magic   2 bytes   b"SB"
-    codec   1 byte    b"J"/b"M" single frame, b"j"/b"m" batch frame
+    codec   1 byte    b"M" single frame, b"m" batch frame
     sender  4 bytes   claimed sender id
     length  4 bytes   body length in bytes (<= MAX_BODY_BYTES)
-    body    N bytes   single: codec({"t": sent_at, "p": <tagged payload>})
+    body    N bytes   single: msgpack({"t": sent_at, "p": <tagged payload>})
                       batch:  1+ entries of [u16 sublen][single-frame body]
     tag     16 bytes  HMAC-SHA256(key, header || body), truncated
 
@@ -37,11 +37,10 @@ Payloads are the protocol message dataclasses, scalars, tuples and the
 ``BOTTOM`` sentinel; anything else is refused at encode time rather than
 silently mangled.
 
-Two codecs share that payload model.  JSON is the no-dependency fallback;
-msgpack is the preferred codec and is *always* available: the C extension
-is used when installed, otherwise the vendored subset in
-:mod:`repro.runtime.mpack` produces interoperable bytes.  The hot path
-never builds the tagged tree at all -- per-message-class byte skeletons
+There is one codec: msgpack, as the vendored subset in
+:mod:`repro.runtime.mpack` reads and writes it.  The header keeps its codec
+byte and any other value is refused like bad magic.  The hot path never
+builds the tagged tree at all -- per-message-class byte skeletons
 (:data:`_MSG_SKELETONS`) let :class:`FrameEncoder` pack dataclass fields
 straight into a preallocated ``bytearray``, and the HMAC is computed over
 a ``memoryview`` of that same buffer, so a steady-state send does zero
@@ -62,7 +61,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac
-import json
 import struct
 from typing import Any, Callable, NamedTuple
 
@@ -71,24 +69,13 @@ from repro.core.params import BOTTOM
 from repro.runtime import mpack
 from repro.runtime.mpack import MpackError
 
-try:  # optional accelerator: the C extension decodes ~10x faster than mpack
-    import msgpack  # type: ignore
-
-    HAVE_MSGPACK = True
-except ImportError:  # pragma: no cover - exercised on images without the wheel
-    msgpack = None
-    HAVE_MSGPACK = False
-
-#: Which implementation backs the msgpack codec ("c" extension or the
-#: vendored pure-Python subset).  The wire bytes mean the same thing either
-#: way; this only affects speed and is surfaced for diagnostics/benchmarks.
-MSGPACK_IMPL = "c" if HAVE_MSGPACK else "py"
+#: Provenance label for benchmark records: the msgpack implementation is
+#: always the vendored pure-Python :mod:`repro.runtime.mpack`.
+MSGPACK_IMPL = "py"
 
 MAGIC = b"SB"
-CODEC_JSON = b"J"
 CODEC_MSGPACK = b"M"
 #: Batch (coalesced) frames reuse the codec letter in lowercase.
-CODEC_JSON_BATCH = b"j"
 CODEC_MSGPACK_BATCH = b"m"
 #: Bound on the encoded body.  Protocol messages are tens of bytes; the cap
 #: keeps every frame inside a single localhost UDP datagram with room to
@@ -101,8 +88,8 @@ _HEADER = struct.Struct(">2s c I I")
 HEADER_BYTES = _HEADER.size
 _HEADER_PLACEHOLDER = bytes(HEADER_BYTES)
 _BATCH_LEN = struct.Struct(">H")
-#: Smallest well-formed frame (empty body is still invalid JSON, but the
-#: *structural* minimum is header + tag).
+#: Smallest well-formed frame (an empty body is still not an envelope, but
+#: the *structural* minimum is header + tag).
 MIN_FRAME_BYTES = HEADER_BYTES + TAG_BYTES
 
 _MESSAGE_CLASSES = {cls.__name__: cls for cls in ALL_MESSAGE_TYPES}
@@ -134,7 +121,7 @@ def derive_key(material: str) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Payload tagging: protocol objects <-> codec-neutral trees
+# Payload tagging: protocol objects <-> plain trees
 # ---------------------------------------------------------------------------
 def _to_wire(obj: Any) -> Any:
     if obj is BOTTOM:
@@ -280,6 +267,17 @@ def _pack_payload_into(buf: bytearray, obj: Any) -> None:
     raise FrameCodecError(f"payload type {type(obj).__name__!r} is not wire-safe")
 
 
+def _encode_body_into(buf: bytearray, payload: Any, sent_at: float) -> None:
+    """Append the envelope bytes for one message to a caller-owned buffer."""
+    buf += _ENVELOPE_PREFIX
+    buf += _ENVELOPE_T.pack(0xCB, sent_at)
+    buf += _ENVELOPE_P
+    try:
+        _pack_payload_into(buf, payload)
+    except MpackError as exc:
+        raise FrameCodecError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # Compiled msgpack decode: the same skeletons, read back without a tree
 # ---------------------------------------------------------------------------
@@ -384,77 +382,6 @@ def _decode_message(tail: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Codec registry
-# ---------------------------------------------------------------------------
-def _json_encode_body_into(buf: bytearray, payload: Any, sent_at: float) -> None:
-    tree = {"t": sent_at, "p": _to_wire(payload)}
-    buf += json.dumps(tree, separators=(",", ":")).encode()
-
-
-def _json_decode_body(body) -> Any:
-    return json.loads(bytes(body))
-
-
-def _msgpack_encode_body_into(buf: bytearray, payload: Any, sent_at: float) -> None:
-    buf += _ENVELOPE_PREFIX
-    buf += _ENVELOPE_T.pack(0xCB, sent_at)
-    buf += _ENVELOPE_P
-    try:
-        _pack_payload_into(buf, payload)
-    except MpackError as exc:
-        raise FrameCodecError(str(exc)) from exc
-
-
-def _msgpack_decode_body(body) -> Any:
-    if HAVE_MSGPACK:
-        return msgpack.unpackb(body, raw=False)
-    return mpack.unpackb(body)
-
-
-class WireCodec(NamedTuple):
-    """One entry in the codec registry.
-
-    ``encode_body_into`` appends the envelope bytes for one message to a
-    caller-owned buffer; ``decode_body`` parses a body (bytes-like, usually
-    a ``memoryview``) back into the codec-neutral tree.  ``byte`` and
-    ``batch_byte`` are the wire codec bytes for single and coalesced frames.
-    """
-
-    name: str
-    byte: bytes
-    batch_byte: bytes
-    encode_body_into: Callable[[bytearray, Any, float], None]
-    decode_body: Callable[[Any], Any]
-
-
-CODECS: dict[str, WireCodec] = {
-    "json": WireCodec("json", CODEC_JSON, CODEC_JSON_BATCH,
-                      _json_encode_body_into, _json_decode_body),
-    "msgpack": WireCodec("msgpack", CODEC_MSGPACK, CODEC_MSGPACK_BATCH,
-                         _msgpack_encode_body_into, _msgpack_decode_body),
-}
-#: codec byte -> (codec name, is_batch); decode dispatches on the received
-#: byte, so a json-configured node still understands msgpack frames -- the
-#: codec is per-frame negotiated, not cluster-fixed.
-CODEC_BYTES: dict[bytes, tuple[str, bool]] = {}
-for _codec in CODECS.values():
-    CODEC_BYTES[_codec.byte] = (_codec.name, False)
-    CODEC_BYTES[_codec.batch_byte] = (_codec.name, True)
-#: The codec transports use when none is requested.  msgpack: smaller
-#: bodies, and the skeleton packer beats json.dumps + tree building even
-#: without the C extension.
-PREFERRED_CODEC = "msgpack"
-
-
-def resolve_codec(name: str | None) -> WireCodec:
-    """Look up a codec by name (``None`` -> :data:`PREFERRED_CODEC`)."""
-    codec = CODECS.get(PREFERRED_CODEC if name is None else name)
-    if codec is None:
-        raise FrameCodecError(f"unknown codec {name!r}")
-    return codec
-
-
-# ---------------------------------------------------------------------------
 # Frames
 # ---------------------------------------------------------------------------
 class Frame(NamedTuple):
@@ -466,7 +393,7 @@ class Frame(NamedTuple):
 
 
 class FrameEncoder:
-    """Per-transport encoder: preallocated buffers, primed HMAC, one codec.
+    """Per-transport encoder: preallocated buffers and a primed HMAC.
 
     The frame-assembly methods (:meth:`encode`, :meth:`frame`,
     :meth:`frame_batch`) return the encoder's *reused* ``bytearray``: valid
@@ -478,24 +405,18 @@ class FrameEncoder:
     pre-keyed HMAC context, skipping the per-frame key schedule).
     """
 
-    __slots__ = ("_buf", "_body_buf", "_codec", "_hmac", "_key")
+    __slots__ = ("_buf", "_body_buf", "_hmac")
 
-    def __init__(self, key: bytes, codec: str | None = None) -> None:
-        self._codec = resolve_codec(codec)
-        self._key = key
+    def __init__(self, key: bytes) -> None:
         self._hmac = hmac.new(key, digestmod=hashlib.sha256)
         self._buf = bytearray()
         self._body_buf = bytearray()
-
-    @property
-    def codec(self) -> str:
-        return self._codec.name
 
     def encode_body(self, payload: Any, sent_at: float = 0.0) -> bytes:
         """Encode one message envelope to stable bytes (queueable)."""
         buf = self._body_buf
         del buf[:]
-        self._codec.encode_body_into(buf, payload, float(sent_at))
+        _encode_body_into(buf, payload, float(sent_at))
         if len(buf) > MAX_BODY_BYTES:
             raise OversizedFrameError(
                 f"encoded body is {len(buf)} bytes (max {MAX_BODY_BYTES})"
@@ -522,7 +443,7 @@ class FrameEncoder:
         del buf[:]
         buf += _HEADER_PLACEHOLDER
         buf += body
-        _HEADER.pack_into(buf, 0, MAGIC, self._codec.byte, sender & 0xFFFFFFFF, len(body))
+        _HEADER.pack_into(buf, 0, MAGIC, CODEC_MSGPACK, sender & 0xFFFFFFFF, len(body))
         return self._seal(buf)
 
     def frame_batch(self, sender: int, bodies) -> bytearray:
@@ -541,7 +462,7 @@ class FrameEncoder:
                 f"batch body is {body_len} bytes (max {MAX_BODY_BYTES})"
             )
         _HEADER.pack_into(
-            buf, 0, MAGIC, self._codec.batch_byte, sender & 0xFFFFFFFF, body_len
+            buf, 0, MAGIC, CODEC_MSGPACK_BATCH, sender & 0xFFFFFFFF, body_len
         )
         return self._seal(buf)
 
@@ -554,13 +475,13 @@ class FrameEncoder:
         buf = self._buf
         del buf[:]
         buf += _HEADER_PLACEHOLDER
-        self._codec.encode_body_into(buf, payload, float(sent_at))
+        _encode_body_into(buf, payload, float(sent_at))
         body_len = len(buf) - HEADER_BYTES
         if body_len > MAX_BODY_BYTES:
             raise OversizedFrameError(
                 f"encoded body is {body_len} bytes (max {MAX_BODY_BYTES})"
             )
-        _HEADER.pack_into(buf, 0, MAGIC, self._codec.byte, sender & 0xFFFFFFFF, body_len)
+        _HEADER.pack_into(buf, 0, MAGIC, CODEC_MSGPACK, sender & 0xFFFFFFFF, body_len)
         return self._seal(buf)
 
 
@@ -650,65 +571,46 @@ class FrameBatcher:
         self._transmit(receiver, frame, len(run) - 1)
 
 
-def encode_frame(
-    sender: int,
-    payload: Any,
-    key: bytes,
-    sent_at: float = 0.0,
-    codec: str = "json",
-) -> bytes:
+def encode_frame(sender: int, payload: Any, key: bytes, sent_at: float = 0.0) -> bytes:
     """Encode one authenticated frame (raises :class:`FrameError` variants).
 
     This is the simple reference path -- fresh buffers, fresh HMAC key
     schedule, tree-building encode -- kept as the module-level convenience
-    API and as the baseline the wire benchmarks measure
-    :class:`FrameEncoder` against.  Transports use :class:`FrameEncoder`.
+    API and as the reference the skeleton packer is tested and benchmarked
+    against.  Transports use :class:`FrameEncoder`.
     """
-    tree = {"t": sent_at, "p": _to_wire(payload)}
-    spec = resolve_codec(codec)
-    if spec.name == "json":
-        body = json.dumps(tree, separators=(",", ":")).encode()
-    elif HAVE_MSGPACK:
-        body = msgpack.packb(tree, use_bin_type=True)
-    else:
-        try:
-            body = mpack.packb(tree)
-        except MpackError as exc:
-            raise FrameCodecError(str(exc)) from exc
+    try:
+        body = mpack.packb({"t": sent_at, "p": _to_wire(payload)})
+    except MpackError as exc:
+        raise FrameCodecError(str(exc)) from exc
     if len(body) > MAX_BODY_BYTES:
         raise OversizedFrameError(
             f"encoded body is {len(body)} bytes (max {MAX_BODY_BYTES})"
         )
-    header = _HEADER.pack(MAGIC, spec.byte, sender & 0xFFFFFFFF, len(body))
+    header = _HEADER.pack(MAGIC, CODEC_MSGPACK, sender & 0xFFFFFFFF, len(body))
     tag = hmac.new(key, header + body, hashlib.sha256).digest()[:TAG_BYTES]
     return header + body + tag
 
 
-def encode_batch_frame(
-    sender: int,
-    payloads,
-    key: bytes,
-    sent_at: float = 0.0,
-    codec: str | None = None,
-) -> bytes:
+def encode_batch_frame(sender: int, payloads, key: bytes, sent_at: float = 0.0) -> bytes:
     """Encode several payloads into one BATCH frame (test/tool convenience)."""
-    encoder = FrameEncoder(key, codec)
+    encoder = FrameEncoder(key)
     bodies = [encoder.encode_body(payload, sent_at) for payload in payloads]
     return bytes(encoder.frame_batch(sender, bodies))
 
 
-def _decode_envelope(codec: WireCodec, body) -> tuple[float, Any]:
-    """Generic decode of one envelope: codec parse, then the tagged tree.
+def _decode_envelope(body: bytes) -> tuple[float, Any]:
+    """Generic decode of one envelope: msgpack parse, then the tagged tree.
 
     The authority on what an authenticated body may hold -- and the oracle
     the compiled path is differentially tested against.
     """
     # One umbrella: *any* failure while interpreting an authenticated body
-    # (codec parse, envelope shape, payload tags, a malformed "t") must
+    # (msgpack parse, envelope shape, payload tags, a malformed "t") must
     # surface as FrameCodecError -- the transports catch FrameError only,
     # and a leaked ValueError would abort an event-loop reader mid-batch.
     try:
-        tree = codec.decode_body(body)
+        tree = mpack.unpackb(body)
         if not isinstance(tree, dict) or "t" not in tree or "p" not in tree:
             raise FrameCodecError("body is not a framed envelope")
         sent_at = tree["t"]
@@ -722,7 +624,6 @@ def _decode_envelope(codec: WireCodec, body) -> tuple[float, Any]:
     return float(sent_at), payload
 
 
-_MSGPACK = CODECS["msgpack"]
 #: Distinct payloads a decoder remembers.  About 160 are live at once under
 #: the service's ``window`` = 8; at the cap the memo is emptied and refills
 #: from traffic, so a flood of distinct payloads costs compiled decodes,
@@ -735,7 +636,7 @@ class FrameDecoder:
 
     The receive-side twin of :class:`FrameEncoder`.  The tag is verified
     first, from a copy of a pre-keyed HMAC context; nothing below runs on an
-    unauthenticated byte.  Each msgpack envelope then goes, in order, to
+    unauthenticated byte.  Each envelope then goes, in order, to
 
     * the **memo** -- the envelope bytes after ``sent_at`` -> the message
       they decode to.  Sender and ``sent_at`` sit outside those bytes, so
@@ -745,9 +646,8 @@ class FrameDecoder:
       compiled path produced are ever stored, and one object is handed to
       every receiver, as the sim network does;
     * the **compiled plans** (:func:`_decode_message`);
-    * the **generic decoder** (:func:`_decode_envelope`) -- every JSON
-      frame, every non-message payload, and anything a plan does not match
-      byte for byte.
+    * the **generic decoder** (:func:`_decode_envelope`) -- every
+      non-message payload, and anything a plan does not match byte for byte.
 
     ``memo_hits`` / ``compiled`` / ``generic`` count envelopes per path.
     """
@@ -761,11 +661,11 @@ class FrameDecoder:
         self.compiled = 0
         self.generic = 0
 
-    def _open(self, data) -> tuple[bytes, WireCodec, bool, int, int]:
-        """Validate structure + tag: (bytes, codec, is_batch, sender, body end)."""
+    def _open(self, data) -> tuple[bytes, bool, int, int]:
+        """Validate structure + tag: (bytes, is_batch, sender, body end)."""
         if data.__class__ is not bytes:
-            # recvmmsg hands in views of buffers it reuses; everything past
-            # this point slices, searches and keys a dict by these bytes.
+            # Everything past this point slices, searches and keys a dict
+            # by these bytes.
             data = bytes(data)
         size = len(data)
         if size < MIN_FRAME_BYTES:
@@ -789,17 +689,17 @@ class FrameDecoder:
         good.update(data[:end])
         if not hmac.compare_digest(data[end:], good.digest()[:TAG_BYTES]):
             raise FrameAuthError("authentication tag mismatch")
-        entry = CODEC_BYTES.get(codec_byte)
-        if entry is None:
+        if codec_byte == CODEC_MSGPACK:
+            is_batch = False
+        elif codec_byte == CODEC_MSGPACK_BATCH:
+            is_batch = True
+        else:
             raise FrameCodecError(f"unknown codec byte {codec_byte!r}")
-        codec_name, is_batch = entry
-        return data, CODECS[codec_name], is_batch, sender, end
+        return data, is_batch, sender, end
 
-    def _envelope(
-        self, codec: WireCodec, data: bytes, start: int, end: int
-    ) -> tuple[float, Any]:
+    def _envelope(self, data: bytes, start: int, end: int) -> tuple[float, Any]:
         """Decode the (authenticated) envelope ``data[start:end]``."""
-        if codec is _MSGPACK and data.startswith(_ENVELOPE_HEAD, start, end):
+        if data.startswith(_ENVELOPE_HEAD, start, end):
             # An envelope cut inside sent_at has an empty tail, which no
             # plan matches: like every mismatch it gets the generic verdict.
             tail = data[start + _TAIL_OFFSET : end]
@@ -816,21 +716,21 @@ class FrameDecoder:
                 memo[tail] = message
                 return _BE_F64.unpack_from(data, start + _SENT_AT_OFFSET)[0], message
         self.generic += 1
-        return _decode_envelope(codec, data[start:end])
+        return _decode_envelope(data[start:end])
 
     def decode_frame(self, data) -> Frame:
         """Decode and authenticate one single-message frame."""
-        data, codec, is_batch, sender, end = self._open(data)
+        data, is_batch, sender, end = self._open(data)
         if is_batch:
             raise FrameCodecError("batch frame passed to single-frame decode")
-        sent_at, payload = self._envelope(codec, data, HEADER_BYTES, end)
+        sent_at, payload = self._envelope(data, HEADER_BYTES, end)
         return Frame(sender, payload, sent_at)
 
     def decode_frames(self, data) -> tuple[Frame, ...]:
         """Decode one datagram into its frames (single -> 1, batch -> N)."""
-        data, codec, is_batch, sender, end = self._open(data)
+        data, is_batch, sender, end = self._open(data)
         if not is_batch:
-            sent_at, payload = self._envelope(codec, data, HEADER_BYTES, end)
+            sent_at, payload = self._envelope(data, HEADER_BYTES, end)
             return (Frame(sender, payload, sent_at),)
         pos = HEADER_BYTES
         if pos == end:
@@ -843,7 +743,7 @@ class FrameDecoder:
             pos += _BATCH_LEN.size
             if pos + sub_len > end:
                 raise FrameCodecError("batch entry overruns the frame body")
-            sent_at, payload = self._envelope(codec, data, pos, pos + sub_len)
+            sent_at, payload = self._envelope(data, pos, pos + sub_len)
             frames.append(Frame(sender, payload, sent_at))
             pos += sub_len
         return tuple(frames)
@@ -880,10 +780,6 @@ def decode_frames(data, key) -> tuple[Frame, ...]:
 
 
 __all__ = [
-    "CODECS",
-    "CODEC_BYTES",
-    "CODEC_JSON",
-    "CODEC_JSON_BATCH",
     "CODEC_MSGPACK",
     "CODEC_MSGPACK_BATCH",
     "Frame",
@@ -893,21 +789,17 @@ __all__ = [
     "FrameDecoder",
     "FrameEncoder",
     "FrameError",
-    "HAVE_MSGPACK",
     "HEADER_BYTES",
     "MAGIC",
     "MAX_BODY_BYTES",
     "MIN_FRAME_BYTES",
     "MSGPACK_IMPL",
     "OversizedFrameError",
-    "PREFERRED_CODEC",
     "TAG_BYTES",
     "TruncatedFrameError",
-    "WireCodec",
     "decode_frame",
     "decode_frames",
     "derive_key",
     "encode_batch_frame",
     "encode_frame",
-    "resolve_codec",
 ]

@@ -1,15 +1,10 @@
-"""Vendored msgpack subset: the wire codec without the wheel.
+"""Vendored msgpack subset: the wire codec, with no dependency.
 
-The container image does not ship the ``msgpack`` C extension, which left
-the frame format's ``b"M"`` codec byte dead code gated on an import.  This
-module implements the subset of the msgpack spec the framing layer actually
-emits -- nil, bool, int64-range integers, float64, str, bin, array, map
-with string keys -- so the msgpack codec is *always* available: the C
-extension is used when installed (``repro.runtime.framing`` prefers it for
-decode), and this pure-Python fallback keeps the bytes on the wire
-identical in meaning either way.  Interop is by construction: everything
-packed here unpacks under ``msgpack.unpackb`` and vice versa (covered by
-the with-msgpack CI leg).
+This module implements the subset of the msgpack spec the framing layer
+actually emits -- nil, bool, int64-range integers, float64, str, bin,
+array, map with string keys -- in canonical (smallest) form.  It is the
+only msgpack implementation the runtime uses: what :func:`unpackb` refuses
+is refused everywhere the code runs.
 
 Encode is append-only into a caller-supplied ``bytearray`` so the framing
 layer can assemble header + body + tag in one preallocated buffer without
@@ -65,13 +60,12 @@ def pack_str_into(buf: bytearray, value: str) -> None:
 
 
 def pack_into(buf: bytearray, obj: Any) -> None:
-    """Append one msgpack value for ``obj`` (the codec-neutral tree types).
+    """Append one msgpack value for ``obj`` (the tagged-tree types).
 
-    Accepts exactly what the JSON codec accepts -- ``dict`` (string keys),
-    ``list``/``tuple`` (encoded as arrays), ``str``, ``int`` (int64/uint64
-    range), ``float``, ``bool``, ``None``, plus ``bytes`` -- and raises
-    :class:`MpackError` for anything else, so undecodable payloads fail at
-    encode time on either codec.
+    Accepts ``dict`` (string keys), ``list``/``tuple`` (encoded as arrays),
+    ``str``, ``int`` (int64/uint64 range), ``float``, ``bool``, ``None``
+    and ``bytes``, and raises :class:`MpackError` for anything else, so
+    undecodable payloads fail at encode time.
     """
     kind = type(obj)
     if kind is str:
@@ -79,8 +73,7 @@ def pack_into(buf: bytearray, obj: Any) -> None:
     elif kind is bool:
         buf.append(0xC3 if obj else 0xC2)
     elif kind is int:
-        # Canonical (smallest) format at every boundary, matching what the
-        # C extension emits -- byte-identical wires with or without it.
+        # Canonical (smallest) format at every boundary.
         if 0 <= obj < 128:
             buf.append(obj)
         elif -32 <= obj < 0:

@@ -56,7 +56,6 @@ from repro.core.messages import Value
 from repro.core.params import ProtocolParams
 from repro.net.delivery import DeliveryPolicy, UniformDelay
 from repro.net.network import Envelope
-from repro.runtime import udp_batch
 from repro.runtime.aio import AsyncioHost
 from repro.runtime.framing import FrameError, decode_frames, derive_key
 from repro.runtime.wire import WireTransport
@@ -81,11 +80,10 @@ class SocketTransport(WireTransport):
     scaled by ``time_scale``, so every process sharing the epoch reads one
     axis.  Exactly one node registers -- the one this socket belongs to.
 
-    A tick's sealed datagrams collect in an outbox and leave in one
-    ``sendmmsg`` where the platform has it (``sendto`` otherwise); the
-    socket is wired into the loop via ``add_reader`` and drained with
-    ``recvmmsg``/``recvfrom``.  Malformed or unauthenticated datagrams are
-    counted and dropped, never delivered.
+    Each sealed datagram leaves in one ``sendto``, straight from the
+    encoder's buffer; the socket is wired into the loop via ``add_reader``
+    and drained with ``recvfrom``.  Malformed or unauthenticated datagrams
+    are counted and dropped, never delivered.
     """
 
     def __init__(
@@ -99,7 +97,6 @@ class SocketTransport(WireTransport):
         policy: Optional[DeliveryPolicy] = None,
         rand: Optional[RandomSource] = None,
         tracer: Optional[Tracer] = None,
-        codec: Optional[str] = None,
     ) -> None:
         self.node_id = node_id
         self.directory = directory if directory is not None else {}
@@ -110,13 +107,7 @@ class SocketTransport(WireTransport):
             routes=self.directory,
             policy=policy,
             tracer=tracer,
-            codec=codec,
         )
-        self._outbox: list[tuple[bytes, tuple[str, int]]] = []
-        # Batched syscalls are feature-detected once per process and
-        # disabled permanently on the first runtime failure (seccomp, exotic
-        # kernels); sendto/recvfrom is always the fallback.
-        self._mmsg_rx = udp_batch.MmsgReceiver() if udp_batch.available() else None
         if sock is None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sock.bind(("127.0.0.1", 0))
@@ -146,76 +137,35 @@ class SocketTransport(WireTransport):
         super().register(node_id, receiver)
 
     # ------------------------------------------------------------------
-    # Sending: outbox -> sendmmsg / sendto
+    # Sending: sendto
     # ------------------------------------------------------------------
     def _transmit(self, receiver: int, frame_buf, count: int) -> None:
-        # FrameBatcher hands us its encoder's reused buffer; copy to stable
-        # bytes so the whole tick's datagrams can go out in one sendmmsg.
-        self._outbox.append((bytes(frame_buf), self.directory[receiver]))
-
-    def _flush(self) -> None:
-        """Seal the tick's runs, then put them on the wire in one batch."""
-        super()._flush()
-        outbox = self._outbox
-        if len(outbox) > 1 and self._mmsg_rx is not None:
-            try:
-                sent = udp_batch.send_many(self.sock, outbox)
-            except OSError:
-                self._disable_mmsg()
-                sent = 0
-            self.datagrams_sent += sent
-            del outbox[:sent]  # kernel took the head; sendto the tail
-        for frame, addr in outbox:
-            self._sendto(frame, addr)
-        del outbox[:]
-
-    def _sendto(self, frame: bytes, addr: tuple[str, int]) -> None:
-        self.datagrams_sent += 1
         try:
-            self.sock.sendto(frame, addr)
+            self.sock.sendto(frame_buf, self.directory[receiver])
         except OSError:
             # Localhost UDP can still fail transiently (full socket buffer);
             # the model permits loss only through the policy, but a lost
             # datagram is indistinguishable from a drop to the receiver, and
-            # the resend logic covers it.  Count it as a drop.
-            self.dropped_count += 1
-
-    def _disable_mmsg(self) -> None:
-        udp_batch.disable()
-        self._mmsg_rx = None
+            # the resend logic covers it.  Count its copies as drops.
+            self.dropped_count += count
+        else:
+            self.datagrams_sent += 1
 
     # ------------------------------------------------------------------
-    # Receiving: add_reader -> recvmmsg / recvfrom
+    # Receiving: add_reader -> recvfrom
     # ------------------------------------------------------------------
     def _on_readable(self) -> None:
-        if self._mmsg_rx is not None:
-            # Drain in recvmmsg batches: one syscall per up-to-32 datagrams.
-            # The returned views live in the receiver's own buffers and are
-            # decoded before the next recv overwrites them.
-            while True:
-                try:
-                    batch = self._mmsg_rx.recv(self.sock)
-                except OSError:
-                    self._disable_mmsg()
-                    break  # fall through to the recvfrom loop below
-                if not batch:
-                    return
-                for view in batch:
-                    self._handle_datagram(view)
         while True:
             try:
                 data, _addr = self.sock.recvfrom(65536)
             except OSError:  # drained (BlockingIOError) or closed under us
                 return
-            self._handle_datagram(data)
-
-    def _handle_datagram(self, data) -> None:
-        try:
-            frames = decode_frames(data, self.decoder)
-        except FrameError:
-            self._reject()
-            return
-        self._deliver_frames(self.node_id, frames)
+            try:
+                frames = decode_frames(data, self.decoder)
+            except FrameError:
+                self._reject()
+                continue
+            self._deliver_frames(self.node_id, frames)
 
     # ------------------------------------------------------------------
     # Teardown
@@ -225,7 +175,6 @@ class SocketTransport(WireTransport):
         if self._closed:
             return
         super().close()
-        self._outbox.clear()
         try:
             self.loop.remove_reader(self.sock.fileno())
         except (ValueError, OSError):
@@ -287,7 +236,6 @@ async def _child_run(
         policy=cfg["policy"] if cfg["policy"] is not None else _default_policy(params),
         rand=root.split(f"net/{node_id}"),
         tracer=tracer,
-        codec=cfg.get("codec"),
     )
     host = SocketHost(
         node_id,
@@ -584,7 +532,6 @@ class SocketCluster:
         fault_script: object = None,
         repropose_every_d: Optional[float] = None,
         value_pool: tuple = ("A", "B", "C"),
-        codec: Optional[str] = None,
         metrics: bool = False,
     ) -> None:
         byzantine = byzantine or {}
@@ -593,7 +540,6 @@ class SocketCluster:
         self.params = params
         self.seed = seed
         self.time_scale = time_scale
-        self.codec = codec
         self.general = general
         self.value = value
         self.trace = trace
@@ -676,7 +622,6 @@ class SocketCluster:
             "scramble": scramble,
             "repropose_every_d": self._repropose_every_d,
             "value_pool": self._value_pool,
-            "codec": self.codec,
             "metrics": self.metrics,
             "service": self._service_cfg,
         }
@@ -1276,7 +1221,6 @@ def run_agreement_socket(
     restart_budget: int = 3,
     restart_backoff_s: float = 0.25,
     repropose_every_d: Optional[float] = None,
-    codec: Optional[str] = None,
 ) -> tuple[SocketRunReport, dict[int, Decision]]:
     """Spawn a socket cluster, run one agreement, tear every process down.
 
@@ -1301,7 +1245,6 @@ def run_agreement_socket(
         restart_budget=restart_budget,
         restart_backoff_s=restart_backoff_s,
         repropose_every_d=repropose_every_d,
-        codec=codec,
     )
     try:
         report = cluster.run_agreement()

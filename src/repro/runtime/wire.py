@@ -54,15 +54,13 @@ class WireTransport:
         routes: Optional[Mapping[int, object]] = None,
         policy: Optional[DeliveryPolicy] = None,
         tracer: Optional[Tracer] = None,
-        codec: Optional[str] = None,
     ) -> None:
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale!r}")
         self.loop = asyncio.get_running_loop()
         self.time_scale = time_scale
         self.auth_key = auth_key
-        self._encoder = FrameEncoder(auth_key, codec)
-        self.codec = self._encoder.codec
+        self._encoder = FrameEncoder(auth_key)
         #: What the carrier hands :func:`~repro.runtime.framing.decode_frames`
         #: with each datagram; its ``memo_hits`` / ``compiled`` / ``generic``
         #: counters say which decode path this transport's envelopes took.

@@ -51,7 +51,7 @@ def batch_digest(batch: tuple) -> str:
     """A slot's agreement value: 128 bits of SHA-256 over the batch, as hex.
 
     ``repr`` of a tuple of wire-safe scalars is deterministic and survives
-    both codecs unchanged, and a hex ``str`` is itself wire-safe.
+    the wire unchanged, and a hex ``str`` is itself wire-safe.
     """
     return hashlib.sha256(repr(batch).encode()).hexdigest()[:32]
 

@@ -171,3 +171,28 @@ class TestParser:
             main([command, "--uvloop"])
         assert exc.value.code == 2
         assert "--uvloop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-async", "run-socket", "chaos"])
+    def test_removed_codec_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--codec", "json"])
+        assert exc.value.code == 2
+        assert "--codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "commands, n, rho",
+        [
+            # The simulator's model: drifting clocks, n = 7.
+            (["constants", "run", "run-async", "run-socket", "stabilize"], 7, 1e-4),
+            # Wall-clock fault and service runs: hosts share one epoch.
+            (["chaos"], 4, 0.0),
+            (["serve", "workload"], 4, 0.0),
+        ],
+        ids=["model", "chaos", "service"],
+    )
+    def test_model_option_defaults_are_pinned(self, commands, n, rho):
+        from repro.cli import _build_parser
+
+        for command in commands:
+            args = _build_parser().parse_args([command])
+            assert (args.n, args.f, args.delta, args.rho) == (n, None, 1.0, rho), command

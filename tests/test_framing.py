@@ -4,23 +4,19 @@ Both non-sim transports (:class:`~repro.runtime.aio.AsyncioTransport` and
 :class:`~repro.runtime.socket_host.SocketTransport`) move every message
 through :mod:`repro.runtime.framing`, so this file is the single place the
 wire format is pinned down: payload round-trips for the whole protocol
-vocabulary across both codecs, the zero-alloc :class:`FrameEncoder` fast
-path, BATCH-frame coalescing (pack/split round-trips, every-prefix
-truncation, overflow refusal, atomic rejection), and refusal -- with the
+vocabulary, the zero-alloc :class:`FrameEncoder` fast path checked byte for
+byte against the tree-building reference and against golden frames from
+before the format had one codec, BATCH-frame coalescing (pack/split
+round-trips, every-prefix truncation, overflow refusal, atomic rejection),
+and refusal -- with the
 right exception -- of truncated, oversized, tampered, forged-sender and
 garbage frames.
-
-The msgpack codec is exercised unconditionally: the vendored
-:mod:`repro.runtime.mpack` subset backs it when the C extension is absent,
-and the cross-implementation tests (skipped without the wheel) pin the two
-implementations to interoperable bytes.
 
 The receive path's compiled decode plans and payload memo
 (:class:`FrameDecoder`) are pinned *differentially*: for valid, truncated,
 bit-flipped and byte-inserted bodies, single and BATCH, the decoder must
 reach the verdict -- and the value, type for type -- that the generic tree
-decode alone reaches.  That holds with or without the C extension, since the
-generic decoder under test is whichever one the leg has.
+decode (:func:`repro.runtime.mpack.unpackb`, the sole oracle) alone reaches.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from repro.runtime.framing import (
     MAX_BODY_BYTES,
     MIN_FRAME_BYTES,
     OversizedFrameError,
-    PREFERRED_CODEC,
     TruncatedFrameError,
     decode_frame,
     decode_frames,
@@ -67,7 +62,9 @@ from repro.runtime.framing import (
 
 KEY = derive_key("test")
 OTHER_KEY = derive_key("not-the-test-key")
-CODECS = ("json", "msgpack")
+#: Keeps the ``[...msgpack]`` node ids these tests had while a second codec
+#: existed, so their history (and CI's floor list) carries on unbroken.
+MSGPACK_ID = pytest.mark.parametrize((), [pytest.param(id="msgpack")])
 
 ROUND_TRIP_PAYLOADS = [
     "a plain string value",
@@ -92,10 +89,10 @@ ROUND_TRIP_PAYLOADS = [
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("codec", CODECS)
+    @MSGPACK_ID
     @pytest.mark.parametrize("payload", ROUND_TRIP_PAYLOADS, ids=repr)
-    def test_payload_survives(self, codec, payload) -> None:
-        frame = encode_frame(7, payload, KEY, sent_at=1.5, codec=codec)
+    def test_payload_survives(self, payload) -> None:
+        frame = encode_frame(7, payload, KEY, sent_at=1.5)
         decoded = decode_frame(frame, KEY)
         assert decoded == Frame(sender=7, payload=payload, sent_at=1.5)
 
@@ -103,64 +100,43 @@ class TestRoundTrip:
         decoded = decode_frame(encode_frame(0, BOTTOM, KEY), KEY)
         assert decoded.payload is BOTTOM
 
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_message_dataclasses_reconstruct_their_types(self, codec) -> None:
+    @MSGPACK_ID
+    def test_message_dataclasses_reconstruct_their_types(self) -> None:
         for cls in ALL_MESSAGE_TYPES:
             original = (
                 cls(general=0, value="v")
                 if cls in (InitiatorMsg, SupportMsg, ApproveMsg, ReadyMsg)
                 else cls(general=0, origin=1, value="v", k=2)
             )
-            frame = encode_frame(1, original, KEY, codec=codec)
+            frame = encode_frame(1, original, KEY)
             decoded = decode_frame(frame, KEY).payload
             assert type(decoded) is cls
             assert decoded == original
 
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_unencodable_payload_refused_at_encode(self, codec) -> None:
-        with pytest.raises(FrameCodecError):
-            encode_frame(0, object(), KEY, codec=codec)
-        with pytest.raises(FrameCodecError):
-            encode_frame(0, {1: "non-string key"}, KEY, codec=codec)
+    @MSGPACK_ID
+    def test_unencodable_payload_refused_at_encode(self) -> None:
+        for payload in (object(), {1: "non-string key"}):
+            with pytest.raises(FrameCodecError):
+                encode_frame(0, payload, KEY)
+            with pytest.raises(FrameCodecError):
+                FrameEncoder(KEY).encode(0, payload)
 
     def test_msgpack_codec_always_available(self) -> None:
-        # The vendored subset backs the b"M" codec when the wheel is absent;
-        # "msgpack not installed" is no longer a reachable refusal.
+        # The vendored subset is the codec: nothing to install, no import
+        # to gate on, and the label the benchmark records says so.
+        assert framing.MSGPACK_IMPL == "py"
         msg = MBInitMsg(general=0, origin=3, value="A", k=1)
-        frame = encode_frame(3, msg, KEY, sent_at=2.0, codec="msgpack")
+        frame = encode_frame(3, msg, KEY, sent_at=2.0)
+        assert frame[2:3] == b"M"
         assert decode_frame(frame, KEY) == Frame(3, msg, 2.0)
-
-    def test_msgpack_decode_without_c_extension(self, monkeypatch) -> None:
-        # Force the pure-Python decode branch even when the wheel is
-        # installed, so both decode implementations run in every CI leg.
-        frame = encode_frame(5, ROUND_TRIP_PAYLOADS[-1], KEY, codec="msgpack")
-        monkeypatch.setattr(framing, "HAVE_MSGPACK", False)
-        assert decode_frame(frame, KEY).payload == ROUND_TRIP_PAYLOADS[-1]
-
-    @pytest.mark.skipif(not framing.HAVE_MSGPACK, reason="msgpack not installed")
-    def test_vendored_mpack_interops_with_c_msgpack(self) -> None:
-        import msgpack
-
-        for payload in ROUND_TRIP_PAYLOADS:
-            tree = framing._to_wire(payload)
-            assert msgpack.unpackb(mpack.packb(tree), raw=False) == tree
-            assert mpack.unpackb(msgpack.packb(tree, use_bin_type=True)) == tree
-
-    def test_unknown_codec_name_refused(self) -> None:
-        with pytest.raises(FrameCodecError):
-            encode_frame(0, "x", KEY, codec="pickle")
-
-    def test_preferred_codec_is_msgpack(self) -> None:
-        assert PREFERRED_CODEC == "msgpack"
-        assert FrameEncoder(KEY).codec == "msgpack"
 
 
 class TestFrameEncoder:
-    @pytest.mark.parametrize("codec", CODECS)
+    @MSGPACK_ID
     @pytest.mark.parametrize("payload", ROUND_TRIP_PAYLOADS, ids=repr)
-    def test_fast_path_matches_reference(self, codec, payload) -> None:
-        encoder = FrameEncoder(KEY, codec)
-        frame = bytes(encoder.encode(7, payload, sent_at=1.5))
+    def test_fast_path_matches_reference(self, payload) -> None:
+        frame = bytes(FrameEncoder(KEY).encode(7, payload, sent_at=1.5))
+        assert frame == encode_frame(7, payload, KEY, sent_at=1.5)
         assert decode_frame(frame, KEY) == Frame(7, payload, 1.5)
 
     def test_buffer_is_reused_across_encodes(self) -> None:
@@ -174,12 +150,11 @@ class TestFrameEncoder:
         assert bytes(first) != copy  # and its contents moved on
 
     def test_body_then_frame_equals_direct_encode(self) -> None:
-        for codec in CODECS:
-            encoder = FrameEncoder(KEY, codec)
-            body = encoder.encode_body("hello", 2.0)
-            framed = bytes(encoder.frame(4, body))
-            direct = bytes(encoder.encode(4, "hello", 2.0))
-            assert framed == direct
+        encoder = FrameEncoder(KEY)
+        body = encoder.encode_body("hello", 2.0)
+        framed = bytes(encoder.frame(4, body))
+        direct = bytes(encoder.encode(4, "hello", 2.0))
+        assert framed == direct
 
     def test_skeleton_pack_matches_tree_pack(self) -> None:
         # The per-class skeleton fast path must emit byte-identical msgpack
@@ -189,25 +164,24 @@ class TestFrameEncoder:
             framing._pack_payload_into(direct, payload)
             assert bytes(direct) == mpack.packb(framing._to_wire(payload))
 
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_oversized_body_refused(self, codec) -> None:
-        encoder = FrameEncoder(KEY, codec)
+    @MSGPACK_ID
+    def test_oversized_body_refused(self) -> None:
+        encoder = FrameEncoder(KEY)
         with pytest.raises(OversizedFrameError):
             encoder.encode(0, "x" * (MAX_BODY_BYTES + 1))
         with pytest.raises(OversizedFrameError):
             encoder.encode_body("x" * (MAX_BODY_BYTES + 1))
 
     def test_int64_overflow_is_a_codec_error_on_msgpack(self) -> None:
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         with pytest.raises(FrameCodecError):
             encoder.encode(0, 2 ** 70)
 
 
 class TestBatchFrames:
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_pack_split_round_trip(self, codec) -> None:
-        batch = encode_batch_frame(9, ROUND_TRIP_PAYLOADS, KEY, sent_at=0.5,
-                                   codec=codec)
+    @MSGPACK_ID
+    def test_pack_split_round_trip(self) -> None:
+        batch = encode_batch_frame(9, ROUND_TRIP_PAYLOADS, KEY, sent_at=0.5)
         frames = decode_frames(batch, KEY)
         assert [f.payload for f in frames] == ROUND_TRIP_PAYLOADS
         assert all(f.sender == 9 and f.sent_at == 0.5 for f in frames)
@@ -218,24 +192,21 @@ class TestBatchFrames:
 
     def test_property_random_corpora_round_trip(self) -> None:
         # Property test: random mixes of the protocol vocabulary, random
-        # batch sizes, both codecs -- every batch splits back to its inputs.
+        # batch sizes -- every batch splits back to its inputs.
         rng = random.Random(0xB47C)
         for trial in range(25):
-            codec = CODECS[trial % 2]
             size = rng.randint(1, 40)
             payloads = [
                 rng.choice(ROUND_TRIP_PAYLOADS) for _ in range(size)
             ]
-            batch = encode_batch_frame(trial, payloads, KEY, codec=codec)
+            batch = encode_batch_frame(trial, payloads, KEY)
             frames = decode_frames(batch, KEY)
             assert [f.payload for f in frames] == payloads
             assert all(f.sender == trial for f in frames)
 
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_every_prefix_of_a_batch_is_refused(self, codec) -> None:
-        batch = encode_batch_frame(
-            2, ROUND_TRIP_PAYLOADS[:5], KEY, codec=codec
-        )
+    @MSGPACK_ID
+    def test_every_prefix_of_a_batch_is_refused(self) -> None:
+        batch = encode_batch_frame(2, ROUND_TRIP_PAYLOADS[:5], KEY)
         for cut in range(len(batch)):
             with pytest.raises(FrameError):
                 decode_frames(batch[:cut], KEY)
@@ -271,7 +242,7 @@ class TestBatchFrames:
     def test_malformed_interior_rejects_the_whole_batch(self) -> None:
         # An authentic batch whose *interior* is garbage (a buggy peer)
         # must reject atomically -- no prefix of its messages delivered.
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         good = encoder.encode_body("fine")
         interior = (
             len(good).to_bytes(2, "big") + good
@@ -282,7 +253,7 @@ class TestBatchFrames:
             decode_frames(frame, KEY)
 
     def test_entry_overrunning_body_is_refused(self) -> None:
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         good = encoder.encode_body("fine")
         interior = (len(good) + 9).to_bytes(2, "big") + good  # lies long
         with pytest.raises(FrameCodecError):
@@ -296,7 +267,7 @@ class TestBatchFrames:
 class TestFrameBatcher:
     def _make(self, budget=MAX_BODY_BYTES):
         sent: list[tuple[int, bytes, int]] = []
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         batcher = FrameBatcher(
             encoder, lambda r, buf, n: sent.append((r, bytes(buf), n)),
             budget=budget,
@@ -389,7 +360,7 @@ class TestOversized:
             decode_frame(bytes(frame) + b"\x00" * 64, KEY)
 
     def test_max_size_body_round_trips(self) -> None:
-        # JSON quotes add 2 bytes; stay just under the cap.
+        # The envelope around the string costs ~20 bytes; stay under the cap.
         payload = "x" * (MAX_BODY_BYTES - 40)
         assert decode_frame(encode_frame(0, payload, KEY), KEY).payload == payload
 
@@ -430,22 +401,103 @@ class TestAuthentication:
         # A frame can be *authentic* yet undecodable (a buggy peer): encode
         # raw bytes with a valid tag, then watch the codec layer refuse it.
         for body in (
-            b"\xff not json at all",
-            b'{"no": "envelope"}',
-            b'{"t": null, "p": 1}',  # non-numeric sent_at must not leak TypeError
-            b'{"t": "x", "p": 1}',
-            b'{"t": true, "p": 1}',
-            b'{"t": 0.0, "p": {"__": "tup", "v": 5}}',  # malformed payload tag
+            b"\xc1 not msgpack at all",
+            mpack.packb({"no": "envelope"}),
+            mpack.packb({"t": None, "p": 1}),  # non-numeric sent_at must not leak TypeError
+            mpack.packb({"t": "x", "p": 1}),
+            mpack.packb({"t": True, "p": 1}),
+            mpack.packb({"t": 0.0, "p": {"__": "tup", "v": 5}}),  # malformed payload tag
         ):
             with pytest.raises(FrameCodecError):
                 decode_frame(_authentic_frame(body), KEY)
 
     def test_unknown_codec_byte_is_refused(self) -> None:
+        body = FrameEncoder(KEY).encode_body("fine")
         with pytest.raises(FrameCodecError):
-            decode_frame(_authentic_frame(b"{}", codec_byte=b"Z"), KEY)
+            decode_frame(_authentic_frame(body, codec_byte=b"Z"), KEY)
+
+    @pytest.mark.parametrize("name", ["J", "j"])
+    def test_retired_json_frames_are_refused(self, name) -> None:
+        # Authentic (right key, valid tag) frames exactly as a node from
+        # before this format had one codec would emit them.
+        frame = bytes.fromhex(RETIRED_JSON_FRAMES[name])
+        assert frame[2:3] == name.encode()
+        with pytest.raises(FrameCodecError, match="unknown codec byte"):
+            decode_frames(frame, KEY)
+        wrong_tag = frame[:-1] + bytes([frame[-1] ^ 1])
+        with pytest.raises(FrameAuthError):  # still authenticated first
+            decode_frames(wrong_tag, KEY)
 
 
-def _authentic_frame(body: bytes, codec_byte: bytes = b"J") -> bytes:
+#: ``encode_frame(1, SupportMsg(0, "v"), KEY, 1.0)`` and
+#: ``encode_batch_frame(1, [SupportMsg(0, "v"), "x"], KEY, 1.0, codec="json")``
+#: as the last commit that had a JSON codec sealed them.
+RETIRED_JSON_FRAMES = {
+    "J": "53424a00000001000000497b2274223a312e302c2270223a7b225f5f223a226d7367222c"
+    "226b223a22537570706f72744d7367222c2266223a7b2267656e6572616c223a302c227661"
+    "6c7565223a2276227d7d7db00a07e5b36765ce262322bf09f4e605",
+    "j": "53426a000000010000005e00497b2274223a312e302c2270223a7b225f5f223a226d7367"
+    "222c226b223a22537570706f72744d7367222c2266223a7b2267656e6572616c223a302c22"
+    "76616c7565223a2276227d7d7d00117b2274223a312e302c2270223a2278227d1ac7306fa8"
+    "22dbe1bd9ed084be65da7a",
+}
+
+#: Frames sealed by ``FrameEncoder(KEY)`` at that same commit: the wire did
+#: not move.  (hex, the frames it must decode to.)
+GOLDEN_FRAMES = [
+    (
+        "53424d000000070000006582a174cb4029000000000000a17083a25f5fa36d7367a16baa53"
+        "7570706f72744d7367a16682a767656e6572616c82a25f5fa3747570a1769200cd012ca576"
+        "616c7565d9203031323334353637383961626364656630313233343536373839616263646566"
+        "e276be5ddc3f05dfe13b5b28561638a4",
+        [Frame(7, SupportMsg(general=(0, 300), value="0123456789abcdef" * 2), 12.5)],
+    ),
+    (
+        "53424d000000020000004b82a174cb0000000000000000a17083a25f5fa36d7367a16ba94d"
+        "424563686f4d7367a16684a767656e6572616c01a66f726967696e03a576616c756581a25f"
+        "5fa3626f74a16bce00011170af59232d155ce5956b66f7ba899c591c",
+        [Frame(2, MBEchoMsg(general=1, origin=3, value=BOTTOM, k=70000), 0.0)],
+    ),
+    (
+        "53424d000000000000003982a174cb3ff0000000000000a17082a25f5fa3747570a17693a4"
+        "626f64790382a25f5fa3747570a17695a26331efcb4004000000000000c0c36b447e4e909c"
+        "fb3e0f6c9ff5e8b60f74",
+        [Frame(0, ("body", 3, ("c1", -17, 2.5, None, True)), 1.0)],
+    ),
+    (
+        "53424d000000040000002c82a174cb400a000000000000a17082a25f5fa36d6170a17681a1"
+        "6b92a17682a25f5fa3747570a17692a174013dd53a5895837ebea6db6d554a64498a",
+        [Frame(4, {"k": ["v", ("t", 1)]}, 3.25)],
+    ),
+    (
+        "53426d000000090000004c003582a174cb3fe0000000000000a17083a25f5fa36d7367a16b"
+        "a852656164794d7367a16682a767656e6572616c00a576616c7565a176001382a174cb3fe0"
+        "000000000000a170a4736f6c6f873cf1bdde79cd556a3062a852029724",
+        [Frame(9, ReadyMsg(general=0, value="v"), 0.5), Frame(9, "solo", 0.5)],
+    ),
+]
+
+
+class TestNoWireBreak:
+    @pytest.mark.parametrize(
+        "golden, frames", GOLDEN_FRAMES, ids=["support", "mb_echo", "body", "map", "batch"]
+    )
+    def test_golden_frame_decodes_and_re_encodes_byte_equal(self, golden, frames) -> None:
+        data = bytes.fromhex(golden)
+        assert list(decode_frames(data, KEY)) == frames
+        encoder = FrameEncoder(KEY)
+        sender = frames[0].sender
+        if len(frames) == 1:
+            again = encoder.encode(sender, frames[0].payload, frames[0].sent_at)
+            assert encode_frame(sender, frames[0].payload, KEY, frames[0].sent_at) == data
+        else:
+            again = encoder.frame_batch(
+                sender, [encoder.encode_body(f.payload, f.sent_at) for f in frames]
+            )
+        assert bytes(again) == data
+
+
+def _authentic_frame(body: bytes, codec_byte: bytes = b"M") -> bytes:
     """A frame with a *valid* tag over an arbitrary body (a buggy peer)."""
     import hashlib
     import hmac
@@ -464,8 +516,8 @@ class _GenericOnly(FrameDecoder):
 
     __slots__ = ()
 
-    def _envelope(self, codec, data, start, end):
-        return framing._decode_envelope(codec, data[start:end])
+    def _envelope(self, data, start, end):
+        return framing._decode_envelope(data[start:end])
 
 
 def _outcome(decoder, data):
@@ -480,7 +532,7 @@ def _outcome(decoder, data):
     ]
 
 
-def _assert_paths_agree(bodies, codec="msgpack", decoder=None) -> list:
+def _assert_paths_agree(bodies, decoder=None) -> list:
     """One single frame per body, then all of them as one BATCH frame.
 
     ``FrameEncoder`` seals whatever body bytes it is handed, so the frames
@@ -488,7 +540,7 @@ def _assert_paths_agree(bodies, codec="msgpack", decoder=None) -> list:
     oracle and twice through ``decoder`` (a fresh one by default): cold,
     then with whatever it memoized.
     """
-    framer = FrameEncoder(KEY, codec)
+    framer = FrameEncoder(KEY)
     datagrams = [bytes(framer.frame(1, body)) for body in bodies]
     datagrams.append(bytes(framer.frame_batch(1, bodies)))
     outcomes = []
@@ -563,7 +615,7 @@ def _mutations(body: bytes, rng: random.Random, count: int) -> list:
 
 class TestCompiledDecodeMatchesGeneric:
     def test_every_class_and_field_shape(self) -> None:
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         messages = _messages_over(GENERALS, FIELD_VALUES)
         assert {type(m) for m in messages} == set(ALL_MESSAGE_TYPES)
         for message in messages:
@@ -576,7 +628,7 @@ class TestCompiledDecodeMatchesGeneric:
         # The differential above passes vacuously if a plan quietly stops
         # matching: pin what must take the compiled path.  The service's
         # general is (primary, slot), whose slot leaves fixint at 128.
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         for general in GENERALS:
             for value in (DIGEST, "x" * 256, "é漢", ("t", (1, 2)), 7, 70000):
                 for message in _messages_over([general], [value]):
@@ -587,22 +639,26 @@ class TestCompiledDecodeMatchesGeneric:
                     wide = general == (0, 2 ** 32)  # 64-bit ints stay generic
                     assert took == ((0, 1) if wide else (1, 0)), (message, took)
 
-    def test_json_frames_and_non_messages_take_the_generic_path(self) -> None:
+    def test_non_messages_take_the_generic_path(self) -> None:
         decoder = FrameDecoder(KEY)
-        message = SupportMsg(general=(0, 5), value=DIGEST)
-        decoder.decode_frame(encode_frame(1, message, KEY, codec="json"))
         for payload in (("body", 3, ("c1", "c2")), ("body_req", 3), BOTTOM, "s", 5):
-            decoder.decode_frame(encode_frame(1, payload, KEY, codec="msgpack"))
-        assert (decoder.compiled, decoder.memo_hits, decoder.generic) == (0, 0, 6)
+            decoder.decode_frame(encode_frame(1, payload, KEY))
+        assert (decoder.compiled, decoder.memo_hits, decoder.generic) == (0, 0, 5)
 
     def test_msgpack_body_under_a_json_codec_byte_is_rejected_on_both(self) -> None:
-        body = FrameEncoder(KEY, "msgpack").encode_body(SupportMsg(0, "v"), 1.0)
-        single, batch = _assert_paths_agree([body], codec="json")
-        assert single == batch == ("rejected", FrameCodecError)
+        # A perfectly good envelope gets no hearing under a retired byte:
+        # the verdict is the header's, on the decoder and the oracle alike.
+        body = FrameEncoder(KEY).encode_body(SupportMsg(0, "v"), 1.0)
+        entry = len(body).to_bytes(2, "big") + body
+        for data in (_authentic_frame(body, b"J"), _authentic_frame(entry, b"j")):
+            decoder = FrameDecoder(KEY)
+            assert _outcome(decoder, data) == ("rejected", FrameCodecError)
+            assert _outcome(_GenericOnly(KEY), data) == ("rejected", FrameCodecError)
+            assert (decoder.compiled, decoder.memo_hits, decoder.generic) == (0, 0, 0)
 
     def test_seeded_mutation_fuzz(self) -> None:
         rng = random.Random(0xDEC0DE)
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         messages = _messages_over(GENERALS, FIELD_VALUES[:12])
         # One decoder throughout: whatever earlier mutants left in the memo
         # must not change what a later one decodes to.
@@ -624,7 +680,7 @@ class TestCompiledDecodeMatchesGeneric:
     def test_non_canonical_and_reordered_encodings(self) -> None:
         # What the skeleton encoder never emits but the generic decoder
         # accepts: the compiled path must agree or stand aside.
-        good = FrameEncoder(KEY, "msgpack").encode_body(
+        good = FrameEncoder(KEY).encode_body(
             MBEchoMsg(general=5, origin=1, value="v", k=2), 1.0
         )
         tree = mpack.unpackb(good)
@@ -650,14 +706,14 @@ class TestCompiledDecodeMatchesGeneric:
         value = "leaf"
         for _ in range(40):
             value = (value,)
-        body = FrameEncoder(KEY, "msgpack").encode_body(ReadyMsg(1, value), 0.0)
+        body = FrameEncoder(KEY).encode_body(ReadyMsg(1, value), 0.0)
         decoder = FrameDecoder(KEY)
-        frame = bytes(FrameEncoder(KEY, "msgpack").frame(1, body))
+        frame = bytes(FrameEncoder(KEY).frame(1, body))
         assert decoder.decode_frame(frame).payload == ReadyMsg(1, value)
         assert (decoder.compiled, decoder.generic) == (0, 1)
 
     def test_malformed_entry_rejects_the_batch_after_a_compiled_one(self) -> None:
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         good = encoder.encode_body(SupportMsg((0, 200), DIGEST), 1.0)
         batch = bytes(encoder.frame_batch(1, [good, good[:-3]]))
         decoder = FrameDecoder(KEY)
@@ -689,7 +745,7 @@ def _message_bodies(draw) -> bytes:
         fields["origin"] = draw(st.integers(0, 300))
         fields["k"] = draw(st.integers(0, 70000))
     sent_at = draw(st.floats(allow_nan=False, allow_infinity=False))
-    return FrameEncoder(KEY, "msgpack").encode_body(cls(**fields), sent_at)
+    return FrameEncoder(KEY).encode_body(cls(**fields), sent_at)
 
 
 class TestCompiledDecodeProperty:
@@ -707,7 +763,7 @@ class TestCompiledDecodeProperty:
 
 class TestDecoderMemo:
     def test_same_payload_from_two_senders_is_decoded_once(self) -> None:
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         decoder = FrameDecoder(KEY)
         message = MBEchoMsg(general=(0, 300), origin=2, value=DIGEST, k=1)
         first = decoder.decode_frame(bytes(encoder.encode(1, message, 10.0)))
@@ -720,7 +776,7 @@ class TestDecoderMemo:
     def test_memo_entries_re_encode_to_their_key(self) -> None:
         # Content-addressed: a hit can only return the message its own bytes
         # decode to.
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         decoder = FrameDecoder(KEY)
         for message in _messages_over(GENERALS[:-1], [DIGEST, ("t", 1)]):
             decoder.decode_frame(bytes(encoder.encode(0, message, 1.0)))
@@ -731,7 +787,7 @@ class TestDecoderMemo:
             assert bytes(packed) == key
 
     def test_distinct_payload_flood_never_exceeds_the_cap(self) -> None:
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         decoder = FrameDecoder(KEY)
         cap = framing._MEMO_CAP
         assert cap <= 1024
@@ -744,7 +800,7 @@ class TestDecoderMemo:
         assert (decoder.compiled, decoder.memo_hits) == (10 * cap, 0)
 
     def test_unauthenticated_datagrams_touch_nothing(self) -> None:
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         decoder = FrameDecoder(KEY)
         message = SupportMsg((0, 1), DIGEST)
         frame = bytes(encoder.encode(1, message, 0.0))
@@ -752,7 +808,7 @@ class TestDecoderMemo:
         # A different (well-formed) message under the original's tag.
         other = bytes(encoder.encode(1, SupportMsg((0, 2), DIGEST), 0.0))
         forged_body = other[:-16] + frame[-16:]
-        wrong_key = bytes(FrameEncoder(OTHER_KEY, "msgpack").encode(1, message, 0.0))
+        wrong_key = bytes(FrameEncoder(OTHER_KEY).encode(1, message, 0.0))
         for bad in (forged_tag, forged_body, wrong_key):
             with pytest.raises(FrameAuthError):
                 decoder.decode_frames(bad)
@@ -766,15 +822,15 @@ class TestDecoderMemo:
 
     def test_module_level_decode_accepts_a_key_or_a_decoder(self) -> None:
         decoder = FrameDecoder(KEY)
-        frame = encode_frame(4, ReadyMsg(1, "v"), KEY, codec="msgpack")
+        frame = encode_frame(4, ReadyMsg(1, "v"), KEY)
         assert decode_frames(frame, decoder) == decode_frames(frame, KEY)
         assert decode_frame(frame, decoder) == decode_frame(frame, KEY)
         assert decoder.compiled + decoder.memo_hits == 2
 
     def test_views_and_bytearrays_decode_like_bytes(self) -> None:
-        # recvmmsg hands the socket carrier memoryviews of reused buffers.
+        # Carriers hand in bytes; tools and tests may hold other buffers.
         decoder = FrameDecoder(KEY)
-        frame = encode_frame(4, ReadyMsg(1, "v"), KEY, codec="msgpack")
+        frame = encode_frame(4, ReadyMsg(1, "v"), KEY)
         expected = (Frame(4, ReadyMsg(1, "v"), 0.0),)
         assert decoder.decode_frames(memoryview(bytearray(frame))) == expected
         assert decoder.decode_frames(bytearray(frame)) == expected

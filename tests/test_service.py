@@ -408,8 +408,8 @@ class TestServiceAsyncio:
         went_generic: list = []
         real_decode_envelope = framing._decode_envelope
 
-        def spy(codec, body):
-            sent_at, payload = real_decode_envelope(codec, body)
+        def spy(body):
+            sent_at, payload = real_decode_envelope(body)
             went_generic.append(payload)
             return sent_at, payload
 
@@ -839,24 +839,18 @@ class TestEnvelopeSize:
             assert {"InitiatorMsg", "SupportMsg", "ApproveMsg", "ReadyMsg",
                     "MBInitMsg", "MBEchoMsg"} <= kinds
             assert all(p.value == batch_digest(batch) for p in envelopes)
-            per_codec = {}
-            for codec in ("msgpack", "json"):
-                encoder = FrameEncoder(derive_key("size"), codec)
-                per_codec[codec] = {
-                    name: max(
-                        len(encoder.encode_body(p, 1234.5678))
-                        for p in envelopes if type(p).__name__ == name
-                    )
-                    for name in kinds
-                }
-            sizes[batch_size] = per_codec
+            encoder = FrameEncoder(derive_key("size"))
+            sizes[batch_size] = {
+                name: max(
+                    len(encoder.encode_body(p, 1234.5678))
+                    for p in envelopes if type(p).__name__ == name
+                )
+                for name in kinds
+            }
         # Same bytes whether the slot carries 1 command or 128 ...
         assert sizes[1] == sizes[128]
-        # ... and small: <= 128 B under the transports' codec.  (JSON spends
-        # 127 B on envelope syntax before the 32-hex digest, so its bound is
-        # the same constant plus that.)
-        assert max(sizes[128]["msgpack"].values()) <= 128
-        assert max(sizes[128]["json"].values()) <= 160
+        # ... and small: <= 128 B on the wire.
+        assert max(sizes[128].values()) <= 128
 
 class TestSocketChildService:
     def test_child_reports_body_counters_and_sizes_its_store(self, params4):

@@ -2,28 +2,32 @@
 
 The framing tests pin the *format*; this file pins the machinery the lean
 wire path rides on: the vendored msgpack subset (:mod:`repro.runtime.mpack`)
-at its encoding edges, the batched UDP syscalls
-(:mod:`repro.runtime.udp_batch`) against a real loopback socket pair, the
-kill-switch degradation story, the transports' datagram accounting under
-coalescing, and what one raising emit or one retained buffer view may cost
-a tick (nothing beyond itself).
+at its encoding edges, the UDP carrier against a real loopback socket pair,
+the transports' datagram accounting under coalescing and under a refusing
+socket, what both carriers do with a frame under a retired codec byte, and
+what one raising emit or one retained buffer view may cost a tick (nothing
+beyond itself).
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-import struct
+import time
 
 import pytest
 
-from repro.runtime import mpack, udp_batch
+from repro.runtime import mpack
 from repro.runtime.framing import (
     FrameBatcher,
     FrameEncoder,
     decode_frames,
     derive_key,
 )
+
+# The authentic (right key, valid tag) JSON frames test_framing pins, as a
+# node from before the format had one codec sealed them.
+from tests.test_framing import KEY as RETIRED_KEY, RETIRED_JSON_FRAMES
 
 KEY = derive_key("wire-batch")
 
@@ -53,7 +57,7 @@ class TestMpack:
 
     def test_format_boundaries(self) -> None:
         # The subset must pick the canonical (smallest) format at each
-        # boundary -- that is what makes it byte-compatible with the wheel.
+        # boundary -- that is what keeps the wire byte-stable.
         assert mpack.packb(127) == b"\x7f"          # positive fixint edge
         assert mpack.packb(128) == b"\xcc\x80"      # -> uint8
         assert mpack.packb(-32) == b"\xe0"          # negative fixint edge
@@ -93,142 +97,6 @@ class TestMpack:
 
 
 # ---------------------------------------------------------------------------
-# sendmmsg/recvmmsg against a real loopback socket pair
-# ---------------------------------------------------------------------------
-def _socket_pair():
-    rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    rx.bind(("127.0.0.1", 0))
-    rx.setblocking(False)
-    tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    tx.bind(("127.0.0.1", 0))
-    return tx, rx, rx.getsockname()
-
-
-@pytest.mark.skipif(not udp_batch.HAVE_MMSG, reason="sendmmsg/recvmmsg unavailable")
-class TestMmsg:
-    def test_send_many_recv_round_trip(self) -> None:
-        tx, rx, addr = _socket_pair()
-        try:
-            payloads = [b"datagram-%d" % i for i in range(10)]
-            sent = udp_batch.send_many(tx, [(p, addr) for p in payloads])
-            assert sent == len(payloads)
-            receiver = udp_batch.MmsgReceiver(max_batch=16)
-            got: list[bytes] = []
-            for _ in range(100):
-                views = receiver.recv(rx)
-                if not views:
-                    if len(got) == len(payloads):
-                        break
-                    continue
-                got.extend(bytes(v) for v in views)
-            assert sorted(got) == sorted(payloads)
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_send_many_empty_is_a_noop(self) -> None:
-        tx, rx, _ = _socket_pair()
-        try:
-            assert udp_batch.send_many(tx, []) == 0
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_recv_on_drained_socket_returns_empty(self) -> None:
-        tx, rx, _ = _socket_pair()
-        try:
-            assert udp_batch.MmsgReceiver(max_batch=4).recv(rx) == []
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_views_are_reused_across_recv_calls(self) -> None:
-        # The zero-alloc contract: views point into preallocated buffers,
-        # valid until the next recv.  Consumers must copy to retain.
-        tx, rx, addr = _socket_pair()
-        try:
-            receiver = udp_batch.MmsgReceiver(max_batch=4)
-            tx.sendto(b"first", addr)
-            views = _drain_one(receiver, rx)
-            stale = views[0]  # NOT copied
-            tx.sendto(b"worse", addr)
-            _drain_one(receiver, rx)
-            assert bytes(stale) == b"worse", "buffers must be reused"
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_kill_switch_is_permanent_and_loud(self, monkeypatch) -> None:
-        assert udp_batch.available()
-        udp_batch.disable()
-        try:
-            assert not udp_batch.available()
-            assert udp_batch.HAVE_MMSG  # probe result is untouched
-        finally:
-            monkeypatch.setattr(udp_batch, "_disabled", False)
-        assert udp_batch.available()
-
-    def test_back_pressure_spares_the_kill_switch_real_failure_trips_it(
-        self, monkeypatch
-    ) -> None:
-        # EAGAIN from a full send buffer is the socket being busy: the tick's
-        # datagrams fall through to sendto and sendmmsg stays available.
-        # EPERM (seccomp) is the syscall being unusable: permanent fallback.
-        import errno
-        import time as _time
-
-        from repro.runtime.socket_host import SocketTransport
-
-        monkeypatch.setattr(udp_batch, "_disabled", False)
-        monkeypatch.setattr(
-            udp_batch._libc, "sendmmsg", lambda *args: -1, raising=False
-        )
-        failing_with = [errno.EAGAIN]
-        monkeypatch.setattr(
-            udp_batch.ctypes, "get_errno", lambda: failing_with[0]
-        )
-
-        async def scenario():
-            _tx, rx, addr = _socket_pair()
-            _tx.close()
-            transport = SocketTransport(
-                0, auth_key=KEY, time_scale=0.001, epoch_wall=_time.time(),
-                directory={1: addr, 2: addr},
-            )
-            try:
-                for errno_now, still_available in (
-                    (errno.EAGAIN, True), (errno.EPERM, False),
-                ):
-                    failing_with[0] = errno_now
-                    before = transport.datagrams_sent
-                    transport.send(0, 1, "a")
-                    transport.send(0, 2, "b")  # two receivers: two datagrams
-                    await asyncio.sleep(0.02)
-                    assert udp_batch.available() is still_available
-                    assert transport.datagrams_sent == before + 2
-                received = []
-                while True:
-                    try:
-                        received.append(rx.recvfrom(65536)[0])
-                    except BlockingIOError:
-                        break
-                assert len(received) == 4, "sendto must carry what sendmmsg refused"
-            finally:
-                transport.close()
-                rx.close()
-
-        asyncio.run(scenario())
-
-
-def _drain_one(receiver, rx):
-    for _ in range(100):
-        views = receiver.recv(rx)
-        if views:
-            return views
-    raise AssertionError("datagram never arrived on loopback")
-
-
-# ---------------------------------------------------------------------------
 # Transport integration: coalescing shrinks the datagram count
 # ---------------------------------------------------------------------------
 class TestTransportCoalescing:
@@ -257,8 +125,6 @@ class TestTransportCoalescing:
     def test_socket_burst_coalesces_on_the_wire(self) -> None:
         # Count *actual UDP datagrams* with a passive observer socket: ten
         # same-tick sends to one receiver must arrive in fewer datagrams.
-        import time as _time
-
         from repro.net.delivery import FixedDelay
         from repro.runtime.socket_host import SocketTransport
         from repro.sim.rand import RandomSource
@@ -269,7 +135,7 @@ class TestTransportCoalescing:
             observer.setblocking(False)
             directory: dict[int, tuple[str, int]] = {1: observer.getsockname()}
             transport = SocketTransport(
-                0, auth_key=KEY, time_scale=0.001, epoch_wall=_time.time(),
+                0, auth_key=KEY, time_scale=0.001, epoch_wall=time.time(),
                 directory=directory, policy=FixedDelay(0.25),
                 rand=RandomSource(7, "net"),
             )
@@ -296,13 +162,148 @@ class TestTransportCoalescing:
         assert messages == [f"m{i}" for i in range(10)]
         assert datagrams < 10, "the burst must coalesce into BATCH datagrams"
 
+    def test_socket_pair_round_trip_drains_every_datagram(self) -> None:
+        # Ten sends in ten ticks are ten datagrams, each one sendto; the
+        # receiving transport's recvfrom loop delivers them all, in order.
+        from repro.runtime.socket_host import SocketTransport
+
+        async def scenario():
+            directory: dict[int, tuple[str, int]] = {}
+            epoch = time.time()
+            tx = SocketTransport(0, KEY, 0.001, epoch, directory)
+            rx = SocketTransport(1, KEY, 0.001, epoch, directory)
+            inbox: list = []
+            rx.register(1, inbox.append)
+            try:
+                for i in range(10):
+                    tx.send(0, 1, f"datagram-{i}")
+                    await asyncio.sleep(0)  # the tick's flush runs
+                    await asyncio.sleep(0)
+                for _ in range(100):
+                    if len(inbox) == 10:
+                        break
+                    await asyncio.sleep(0.005)
+                return (
+                    [e.payload for e in inbox],
+                    (tx.sent_count, tx.datagrams_sent, tx.dropped_count),
+                    (rx.delivered_count, rx.rejected_count),
+                )
+            finally:
+                tx.close()
+                rx.close()
+
+        payloads, sent, received = asyncio.run(scenario())
+        assert payloads == [f"datagram-{i}" for i in range(10)]
+        assert sent == (10, 10, 0)
+        assert received == (10, 0)
+
+    def test_refused_batch_datagram_counts_its_copies_dropped_not_sent(self) -> None:
+        # wire.py's invariant: datagrams_sent <= sent_count - dropped_count.
+        # A BATCH the socket refuses (full buffer) loses all its copies and
+        # never went out.
+        from repro.runtime.socket_host import SocketTransport
+
+        class RefusesOnce:
+            def __init__(self, sock: socket.socket) -> None:
+                self._sock = sock
+                self.refusals = 1
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+            def sendto(self, data, addr):
+                if self.refusals:
+                    self.refusals -= 1
+                    raise BlockingIOError("send buffer full")
+                return self._sock.sendto(data, addr)
+
+        async def scenario():
+            observer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            observer.bind(("127.0.0.1", 0))
+            observer.setblocking(False)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.bind(("127.0.0.1", 0))
+            transport = SocketTransport(
+                0, KEY, 0.001, time.time(), {1: observer.getsockname()},
+                sock=RefusesOnce(sock),
+            )
+            try:
+                counters = []
+                for _round in range(2):  # refused, then accepted
+                    for i in range(3):
+                        transport.send(0, 1, f"m{i}")
+                    await asyncio.sleep(0.01)
+                    counters.append(
+                        (transport.sent_count, transport.dropped_count,
+                         transport.datagrams_sent)
+                    )
+                arrived = decode_frames(observer.recvfrom(65536)[0], KEY)
+                with pytest.raises(BlockingIOError):
+                    observer.recvfrom(65536)
+                return counters, [f.payload for f in arrived]
+            finally:
+                transport.close()
+                observer.close()
+
+        counters, arrived = asyncio.run(scenario())
+        assert counters == [(3, 3, 0), (6, 3, 1)]
+        assert arrived == ["m0", "m1", "m2"]
+
+
+# ---------------------------------------------------------------------------
+# A retired codec byte is rejected, not delivered, on both carriers
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(RETIRED_JSON_FRAMES))
+class TestRetiredCodecByteIsRejectedOnBothCarriers:
+    def test_asyncio_carrier(self, name) -> None:
+        from repro.runtime.aio import AsyncioTransport
+
+        async def scenario():
+            transport = AsyncioTransport(time_scale=0.001, auth_key=RETIRED_KEY)
+            inbox: list = []
+            transport.register(1, inbox.append)
+            try:
+                transport._transmit(1, bytes.fromhex(RETIRED_JSON_FRAMES[name]), 1)
+                transport.send(0, 1, "current")  # the fabric is still up
+                await asyncio.sleep(0.01)
+            finally:
+                transport.close()
+            return [e.payload for e in inbox], transport
+
+        payloads, transport = asyncio.run(scenario())
+        assert payloads == ["current"]
+        assert (transport.rejected_count, transport.delivered_count) == (1, 1)
+
+    def test_socket_carrier(self, name) -> None:
+        from repro.runtime.socket_host import SocketTransport
+
+        async def scenario():
+            transport = SocketTransport(1, RETIRED_KEY, 0.001, time.time())
+            inbox: list = []
+            transport.register(1, inbox.append)
+            peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                peer.sendto(bytes.fromhex(RETIRED_JSON_FRAMES[name]), transport.address)
+                for _ in range(100):
+                    if transport.rejected_count:
+                        break
+                    await asyncio.sleep(0.005)
+            finally:
+                peer.close()
+                transport.close()
+            return inbox, transport
+
+        inbox, transport = asyncio.run(scenario())
+        assert inbox == []
+        assert (transport.rejected_count, transport.delivered_count) == (1, 0)
+
 
 # ---------------------------------------------------------------------------
 # One bad emit or one retained reference must not cost a tick its datagrams
 # ---------------------------------------------------------------------------
 class TestTickSurvivesOneBadDatagram:
     def test_raising_transmit_still_delivers_the_other_runs_in_order(self) -> None:
-        encoder = FrameEncoder(KEY, "msgpack")
+        encoder = FrameEncoder(KEY)
         sent: list[tuple[int, list]] = []
 
         def transmit(receiver, frame, count) -> None:
