@@ -72,11 +72,13 @@ echo "== resource hygiene (dev mode; a leaked socket or timer fails the test) ==
 # -X dev turns on asyncio debug mode and ResourceWarning; any object the GC
 # has to close for us (a socket, a never-awaited coroutine) becomes an
 # unraisable-exception warning, which the second -W turns into a failure of
-# the test that leaked it.  Covers the control plane and the service's
-# fetch timers and body store.
+# the test that leaked it.  Covers the control plane, the service's fetch
+# timers and body store, both carriers and their release heap, and the live
+# fault drivers.
 python -X dev -W error::ResourceWarning -m pytest \
     -W error::pytest.PytestUnraisableExceptionWarning \
-    tests/test_obs.py tests/test_service.py -q
+    tests/test_obs.py tests/test_service.py tests/test_runtime.py \
+    tests/test_wire_batch.py tests/test_live_faults.py -q
 
 echo
 echo "== live cluster control plane gate (/metrics scrape + injected kill + recovery) =="

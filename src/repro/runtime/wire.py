@@ -8,6 +8,12 @@ held-back copy waits out its delay on the sender's loop, and copies whose
 release moments land in the same loop tick are coalesced into one BATCH
 datagram per (receiver, sender) run.  All of that lives here, once.
 
+Held-back copies wait in one heap per transport, ordered by
+``(release_at, seq)``, behind a single loop timer armed for the head -- not
+one loop timer per copy -- so copies due at the same instant are released
+in send order, and :meth:`WireTransport.close` empties the heap and cancels
+that one timer.
+
 A *carrier* subclass supplies only what genuinely differs:
 
 * the clock -- :meth:`now`;
@@ -24,6 +30,7 @@ the bytes on a UDP socket and decodes what its own socket receives.
 from __future__ import annotations
 
 import asyncio
+from heapq import heappop, heappush
 from typing import Callable, Mapping, Optional
 
 from repro.net.delivery import DeliveryPolicy, FixedDelay, LinkPartitionPolicy
@@ -67,6 +74,12 @@ class WireTransport:
         self.decoder = FrameDecoder(auth_key)
         self._batcher = FrameBatcher(self._encoder, self._transmit)
         self._flush_scheduled = False
+        #: Copies waiting out their policy delay, as a heap of
+        #: ``(release_at, seq, receiver, sender, body)`` on the loop's clock;
+        #: one loop timer, armed for the head, releases them.
+        self._held: list[tuple[float, int, int, int, bytes]] = []
+        self._held_seq = 0
+        self._release_timer: Optional[asyncio.TimerHandle] = None
         self._policy = policy
         self._rand = rand
         self._tracer = tracer
@@ -177,7 +190,7 @@ class WireTransport:
 
         The envelope body is encoded **once** for the whole wave (one
         ``sent_at`` stamp, as the sim network stamps a broadcast once);
-        only the per-copy policy draw and release timer differ.
+        only the per-copy policy draw and release instant differ.
         """
         if self._closed:
             return
@@ -211,13 +224,35 @@ class WireTransport:
                 return
             delay_units = decision.delay
         if delay_units > 0.0:
-            # No handle is kept: a release timer that outlives close() finds
-            # _enqueue a no-op.
-            self.loop.call_later(
-                delay_units * self.time_scale, self._enqueue, receiver, sender, body
-            )
+            release_at = self.loop.time() + delay_units * self.time_scale
+            self._held_seq += 1
+            held = self._held
+            heappush(held, (release_at, self._held_seq, receiver, sender, body))
+            if held[0][1] == self._held_seq:  # a new head: re-aim the timer
+                self._arm_release(release_at)
         else:
             self._enqueue(receiver, sender, body)
+
+    def _arm_release(self, release_at: float) -> None:
+        """Point the one release timer at ``release_at`` (the heap head)."""
+        if self._release_timer is not None:
+            self._release_timer.cancel()
+        self._release_timer = self.loop.call_at(release_at, self._release_held)
+
+    def _release_held(self) -> None:
+        """Enqueue every held copy that is due, in ``(release_at, seq)`` order.
+
+        The timer is always armed for the head, and the loop may run it up
+        to one clock tick early, so the head counts as due regardless.
+        """
+        self._release_timer = None
+        held = self._held
+        due = max(held[0][0], self.loop.time())
+        while held and held[0][0] <= due:
+            _at, _seq, receiver, sender, body = heappop(held)
+            self._enqueue(receiver, sender, body)
+        if held:
+            self._arm_release(held[0][0])
 
     def _enqueue(self, receiver: int, sender: int, body: bytes) -> None:
         """A copy's release moment arrived: queue it for the tick's flush.
@@ -281,6 +316,10 @@ class WireTransport:
         """Stop moving messages: held-back and queued copies are dropped."""
         self._closed = True
         self._batcher.clear()
+        self._held.clear()
+        if self._release_timer is not None:
+            self._release_timer.cancel()
+            self._release_timer = None
 
 
 __all__ = ["WireTransport"]

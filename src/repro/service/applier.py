@@ -88,8 +88,8 @@ class ReplicaApplier(Replica):
         #: Bodies refused because their hash differed from the decided digest.
         self.bodies_rejected = 0
         self._fetch_timer: TimerHandle = INERT_TIMER
-        #: Called with the new watermark whenever retirement advances; the
-        #: service wires the primary's applier to the coordinator's
+        #: Called with the new watermark whenever retirement advances; a
+        #: coordinator handed this applier wires it to its
         #: :meth:`~repro.service.coordinator.LogCoordinator.notify_retired`
         #: so a launch pipeline gated on unretired slots resumes promptly.
         self.on_retire: Optional[Callable[[int], None]] = None
@@ -293,14 +293,22 @@ class ReplicaApplier(Replica):
         entry that agrees supplies the held slot's body, one that does not
         is refused, counted in ``bodies_rejected``, and ends the adoption
         there.  Returns how many entries were taken.
+
+        An adopted slot this replica never decided may still hold an
+        instance (built from stray relays); it is scheduled for retirement
+        like a decided one, or the watermark would stop in front of it.
         """
         adopted = 0
+        pending = self._pending
         for index, outcome in entries:
             if index < self._next_index:
                 continue
             value = outcome if outcome is BOTTOM else batch_digest(outcome)
-            decided = self._pending.setdefault(index, value)
-            if decided != value:
+            if index not in pending:
+                pending[index] = value
+                if (self.primary, index) in self.node.instances:
+                    self._schedule_retire(index)
+            elif pending[index] != value:
                 self.bodies_rejected += 1
                 break
             if outcome is not BOTTOM:

@@ -16,17 +16,30 @@ Turns a stream of client commands into slot-indexed
   batch goes back to the queue head and no slot index is spent.
 * **Windowing.**  At most ``window`` slots are in flight (launched but not
   yet returned at the primary).  The window bounds message pressure; new
-  slots launch the moment an in-flight slot returns.
+  slots may launch the moment an in-flight slot returns.
 * **Retirement gate.**  Live protocol state is decided-but-not-yet-retired
   slots as much as in-flight ones, and the retirement delay (``6d``) can
   dwarf a fast-path decide -- so a window on undecided slots alone does
-  *not* bound live state.  When wired to the local applier's retirement
-  watermark (``retired_watermark``), the coordinator additionally refuses
-  to launch while more than ``unretired_cap`` (default ``3 * window``)
-  slots are launched but unretired, turning the service's O(window)
-  live-state bound into an enforced invariant instead of an emergent one.
-  The applier pokes :meth:`notify_retired` as its watermark advances so a
-  gated pipeline resumes without waiting for a decision.
+  *not* bound live state.  When wired to the primary's own
+  :class:`~repro.service.applier.ReplicaApplier` (``applier``), the
+  coordinator additionally refuses to launch while more than
+  ``unretired_cap`` (default ``3 * window``) slots are launched but
+  unretired at that applier's ``retire_watermark``, turning the service's
+  O(window) live-state bound into an enforced invariant instead of an
+  emergent one.  The coordinator sets the applier's ``on_retire`` to
+  :meth:`notify_retired`, so a gated pipeline resumes as the watermark
+  advances, without waiting for a decision.
+* **Paced launches.**  A gated coordinator that launched greedily would
+  spend all ``unretired_cap`` slots in one burst and then stall for the
+  whole retirement tail, which replays the burst ``retire_after_d * d``
+  later, for the life of the run.  So a gated coordinator launches at most
+  one slot per token, with tokens ``launch_interval = (retire_after_d * d
+  + decide_ewma) / unretired_cap`` apart in local time: by Little's law
+  the slot rate the cap sustains anyway, spread evenly.  ``decide_ewma`` is
+  a launch-to-decision EWMA in local time, starting at ``d``.  Commands
+  queued between tokens wait for the next one (a single ``after_local``
+  timer) and leave together as one batch.  An ungated coordinator
+  (``applier`` is None) launches greedily.
 * **Back-pressure.**  The submit queue is bounded; :meth:`submit` awaits
   until space frees.  An open-loop client that stamps arrivals at their
   theoretical instants therefore *measures* the queueing this causes
@@ -47,13 +60,18 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 from repro.core.agreement import Decision, ProtocolNode
 from repro.core.params import BOTTOM
 from repro.extensions.concurrent import ConcurrentGeneral
 from repro.extensions.state_machine import DecisionTap
-from repro.service.applier import batch_digest
+from repro.runtime.api import INERT_TIMER, TimerHandle
+from repro.service.applier import ReplicaApplier, batch_digest
+
+#: Weight of the newest sample in the launch-to-decision EWMA.
+_EWMA_GAIN = 0.125
 
 
 class LogCoordinator(DecisionTap):
@@ -66,7 +84,7 @@ class LogCoordinator(DecisionTap):
         max_batch: int = 64,
         max_queue: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
-        retired_watermark: Optional[Callable[[], int]] = None,
+        applier: Optional[ReplicaApplier] = None,
         unretired_cap: Optional[int] = None,
     ) -> None:
         if window < 1:
@@ -75,12 +93,20 @@ class LogCoordinator(DecisionTap):
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.window = window
         self.max_batch = max_batch
-        #: Local retirement watermark (first slot not yet retired); when
-        #: set, launches gate on ``unretired_cap`` as documented above.
-        self.retired_watermark = retired_watermark
+        #: The primary's own applier: its ``retire_watermark`` (first slot
+        #: not yet retired) and ``retire_after_d`` gate and pace launches as
+        #: documented above.  None launches greedily, window-bound only.
+        self.applier = applier
         self.unretired_cap = (
             unretired_cap if unretired_cap is not None else 3 * window
         )
+        #: Launch-to-decision time of this primary's slots, local units.
+        self.decide_ewma = node.params.d
+        self._launched_at: dict[int, float] = {}
+        self._last_launch = float("-inf")
+        self._token: TimerHandle = INERT_TIMER
+        #: The instant the last token to fire was armed for.
+        self._token_at = float("-inf")
         #: Submit-queue bound: two full windows' worth of batched commands.
         self.max_queue = (
             max_queue if max_queue is not None else 2 * window * max_batch
@@ -106,6 +132,8 @@ class LogCoordinator(DecisionTap):
         self._drained.set()
         self.general = ConcurrentGeneral(node)
         super().__init__(node)
+        if applier is not None:
+            applier.on_retire = lambda _watermark: self.notify_retired()
 
     # ------------------------------------------------------------------
     # Client session API
@@ -151,9 +179,15 @@ class LogCoordinator(DecisionTap):
     @property
     def unretired(self) -> int:
         """Slots launched but not yet retired at the local replica."""
-        if self.retired_watermark is None:
+        if self.applier is None:
             return len(self._in_flight)
-        return self.general.next_index - self.retired_watermark()
+        return self.general.next_index - self.applier.retire_watermark
+
+    @property
+    def launch_interval(self) -> float:
+        """Least local time between two gated launches (see module doc)."""
+        retire_tail = self.applier.retire_after_d * self.node.params.d
+        return (retire_tail + self.decide_ewma) / self.unretired_cap
 
     def notify_retired(self) -> None:
         """Re-open the launch gate after the retirement watermark moved."""
@@ -162,10 +196,24 @@ class LogCoordinator(DecisionTap):
     def _launch(self) -> None:
         queue = self._queue
         general = self.general
-        gated = self.retired_watermark is not None
+        gated = self.applier is not None
         while queue and len(self._in_flight) < self.window:
-            if gated and self.unretired >= self.unretired_cap:
-                break
+            if gated:
+                if self.unretired >= self.unretired_cap:
+                    break
+                # A fired token's instant has come even when the clock reads
+                # a rounding error short of it; re-arming for that shortfall
+                # could land on the same instant for ever.
+                now = max(self.node.local_now(), self._token_at)
+                due = self._last_launch + self.launch_interval
+                if now < due:
+                    if not (self._token.alive or self._detached):
+                        self._token = self.node.after_local(
+                            due - now,
+                            partial(self._on_token, due),
+                            tag=f"launch_token:{self.node.node_id}",
+                        )
+                    break
             batch = []
             while queue and len(batch) < self.max_batch:
                 batch.append(queue.popleft())
@@ -184,14 +232,20 @@ class LogCoordinator(DecisionTap):
                 raise
             self.launch_error = None
             self._in_flight[slot] = batch
+            if gated:
+                self._last_launch = self._launched_at[slot] = now
             self.slots_launched += 1
             if len(self._in_flight) > self.peak_in_flight:
                 self.peak_in_flight = len(self._in_flight)
         if len(queue) < self.max_queue and not self._space.is_set():
             self._space.set()
 
+    def _on_token(self, due: float) -> None:
+        self._token_at = due
+        self._launch_from_callback()
+
     def _launch_from_callback(self) -> None:
-        """Launch from a decision or retirement callback.
+        """Launch from a decision, retirement or token callback.
 
         A failure must not unwind the protocol code that called back: the
         batch is already back at the queue head and the error is kept in
@@ -212,6 +266,10 @@ class LogCoordinator(DecisionTap):
         batch = self._in_flight.pop(general[1], None)
         if batch is None:
             return  # not ours / already settled (re-decision after churn)
+        launched_at = self._launched_at.pop(general[1], None)
+        if launched_at is not None:
+            sample = max(0.0, self.node.local_now() - launched_at)
+            self.decide_ewma += _EWMA_GAIN * (sample - self.decide_ewma)
         if decision.value is BOTTOM:
             self.slots_aborted += 1
             # Every correct replica skipped this slot identically; the
@@ -231,6 +289,11 @@ class LogCoordinator(DecisionTap):
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
+    def detach(self) -> None:
+        """Leave the decision chain and cancel a pending launch token."""
+        super().detach()
+        self._token.cancel()
+
     @property
     def drained(self) -> bool:
         """True when every submitted command's slot has decided."""

@@ -117,10 +117,7 @@ class ReplicatedLogService:
             cluster.protocol_node(primary),
             window=window,
             max_batch=max_batch,
-            retired_watermark=lambda: primary_applier.retire_watermark,
-        )
-        primary_applier.on_retire = (
-            lambda _watermark: self.coordinator.notify_retired()
+            applier=primary_applier,
         )
         for applier in self.appliers.values():
             applier.body_span = self.coordinator.unretired_cap + window

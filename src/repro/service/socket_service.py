@@ -66,10 +66,7 @@ class ChildLogService:
                 window=window,
                 max_batch=service_cfg.get("max_batch", 64),
                 clock=time.time,
-                retired_watermark=lambda: self.applier.retire_watermark,
-            )
-            self.applier.on_retire = (
-                lambda _watermark: self.coordinator.notify_retired()
+                applier=self.applier,
             )
         self.peak_live_instances = 0
         self.peak_live_timers = 0

@@ -11,10 +11,12 @@ batch bodies the decided digests stand for.
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.agreement import Decision
+from repro.core.messages import SupportMsg
 from repro.core.params import BOTTOM, ProtocolParams
 from repro.extensions.concurrent import ConcurrentGeneral
 from repro.harness.scenario import Cluster, ScenarioConfig
@@ -24,6 +26,7 @@ from repro.runtime.framing import FrameEncoder, OversizedFrameError, derive_key
 from repro.service.applier import ReplicaApplier, batch_digest
 from repro.service.coordinator import LogCoordinator
 from repro.service.workload import OpenLoopWorkload
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture
@@ -107,28 +110,34 @@ class TestCoordinator:
 
     def test_retirement_gate_bounds_unretired_slots(self, params4):
         cluster = Cluster(ScenarioConfig(params=params4, seed=7))
-        watermark = {"value": 0}
+        # The coordinator reads only these two attributes of its applier.
+        applier = SimpleNamespace(retire_watermark=0, retire_after_d=6.0)
         coord = LogCoordinator(
-            cluster.protocol_node(0),
-            window=2,
-            max_batch=1,
-            retired_watermark=lambda: watermark["value"],
+            cluster.protocol_node(0), window=2, max_batch=1, applier=applier
         )
         assert coord.unretired_cap == 6  # default 3 * window
         for i in range(20):
             coord.submit_nowait(f"c{i}")
-        # Decide every in-flight slot without moving the watermark: launches
-        # must stop at the cap even though the in-flight window has room.
-        while coord.in_flight:
-            slot = next(iter(coord._in_flight))
-            coord._on_decision(_decision((0, slot), (f"v{slot}",)))
+        assert coord.slots_launched == 1  # paced: one slot per token
+        # Decide every in-flight slot and let each token fire, without moving
+        # the watermark: launches must stop at the cap even though the
+        # in-flight window has room and tokens keep coming.
+        for _ in range(2 * coord.unretired_cap):
+            while coord.in_flight:
+                slot = next(iter(coord._in_flight))
+                coord._on_decision(_decision((0, slot), (f"v{slot}",)))
+            cluster.run_for(2 * params4.d)  # > launch_interval
+            assert coord.unretired <= coord.unretired_cap
         assert coord.slots_launched == coord.unretired_cap
         assert coord.unretired == coord.unretired_cap
         assert coord.in_flight == 0  # gated: decided slots still unretired
         assert coord.backlog == 20 - coord.unretired_cap
-        # Retirement advancing re-opens the gate via notify_retired.
-        watermark["value"] = 3
+        # Retirement advancing re-opens the gate via notify_retired, and the
+        # next token launches the second slot the window admits.
+        applier.retire_watermark = 3
         coord.notify_retired()
+        assert coord.slots_launched == coord.unretired_cap + 1
+        cluster.run_for(1.01 * coord.launch_interval)
         assert coord.in_flight == 2
         assert coord.slots_launched == coord.unretired_cap + 2
         assert coord.unretired == coord.unretired_cap - 1
@@ -151,19 +160,19 @@ class TestCoordinator:
 
         async def body():
             cluster = AsyncioCluster(params4, seed=11, time_scale=0.02)
-            gate = {"open": False}
+            applier = SimpleNamespace(retire_watermark=-1, retire_after_d=6.0)
             coord = LogCoordinator(
                 cluster.protocol_node(0),
                 window=2,
                 max_batch=128,
-                retired_watermark=lambda: 0 if gate["open"] else -1,
+                applier=applier,
                 unretired_cap=1,
             )
             try:
                 for cmd in big[:-1]:
                     coord.submit_nowait(cmd)  # gated: queued, not launched
                 assert coord.slots_launched == 0
-                gate["open"] = True
+                applier.retire_watermark = 0  # the gate opens
                 # From a protocol callback the failure is kept, not raised.
                 coord.notify_retired()
                 assert isinstance(coord.launch_error, OversizedFrameError)
@@ -189,6 +198,121 @@ class TestCoordinator:
                 cluster.close()
 
         asyncio.run(body())
+
+
+class TestLaunchPacing:
+    """One launch per token once the retirement gate is wired (sim time)."""
+
+    def _service(self, params4, seed, **kwargs):
+        from repro.service import ReplicatedLogService
+
+        cluster = Cluster(ScenarioConfig(params=params4, seed=seed))
+        return cluster, ReplicatedLogService(cluster, primary=0, **kwargs)
+
+    def test_launches_are_an_interval_apart_and_never_pass_the_cap(self, params4):
+        cluster, service = self._service(params4, 50, window=4, max_batch=16)
+        coord = service.coordinator
+        node = cluster.protocol_node(0)
+        launches: list[tuple[float, float]] = []
+        propose = coord.general.propose
+
+        def recording_propose(value, index):
+            launches.append((node.local_now(), coord.launch_interval))
+            return propose(value, index=index)
+
+        coord.general.propose = recording_propose
+        # Derived, not configured: (retire_after_d * d + decide_ewma) / cap,
+        # with the EWMA's prior at d.
+        assert coord.launch_interval == pytest.approx(
+            (6.0 * params4.d + params4.d) / coord.unretired_cap
+        )
+        submitted = 0
+        for _step in range(200):  # 20 d of arrivals, three per 0.1 d
+            for _ in range(3):
+                coord.submit_nowait(f"c{submitted}")
+                submitted += 1
+            cluster.run_for(0.1 * params4.d)
+            assert coord.unretired <= coord.unretired_cap
+        cluster.run_for(params4.delta_agr + 10 * params4.d)
+        assert coord.commands_decided == submitted
+        assert coord.slots_aborted == 0
+        assert len(launches) == coord.slots_launched > 20
+        for (before, _), (after, interval) in zip(launches, launches[1:]):
+            assert after - before >= interval - 1e-9
+        # Commands that queue between tokens leave together.
+        assert coord.slots_launched < submitted / 2
+        assert service.appliers[1].next_index == coord.slots_launched
+
+    def test_token_timer_dies_with_detach_and_never_outlives_the_host(
+        self, params4
+    ):
+        cluster, service = self._service(params4, 51)
+        coord = service.coordinator
+        node = cluster.protocol_node(0)
+        coord.submit_nowait("c0")  # the first token is free
+        baseline = node.live_timer_count()
+        coord.submit_nowait("c1")  # waits for the next one
+        assert coord.backlog == 1 and coord._token.alive
+        assert node.live_timer_count() == baseline + 1
+        coord.submit_nowait("c2")  # the same token: no second timer
+        assert node.live_timer_count() == baseline + 1
+        coord.detach()
+        assert not coord._token.alive
+        assert node.live_timer_count() == baseline
+        coord.notify_retired()  # a detached coordinator arms nothing
+        assert node.live_timer_count() == baseline
+
+        cluster, service = self._service(params4, 52)
+        coord = service.coordinator
+        node = cluster.protocol_node(0)
+        coord.submit_nowait("c0")
+        node.host.close()
+        coord.submit_nowait("c1")
+        coord.notify_retired()
+        assert not coord._token.alive
+        assert node.live_timer_count() == 0
+        # Decisions still reach the closed node and retry the launch; none
+        # of those retries may arm a token either.
+        for _ in range(10):
+            cluster.run_for(0.5 * params4.d)
+            coord.submit_nowait("more")
+            assert not coord._token.alive
+            assert node.live_timer_count() == 0
+
+    def test_token_read_a_rounding_error_early_still_launches(self, params4):
+        # A drifting sim clock, read at the instant a token was armed for,
+        # can come out one rounding error short of it.  Re-arming for that
+        # shortfall must not land on the same instant again and again: with
+        # real time far larger than local time, the shortfall is below one
+        # step of the real-time axis, so such a timer never moves it.
+        config = ScenarioConfig(params=params4, seed=54, random_clock_offsets=False)
+        cluster = Cluster(config, _sim=Simulator(start_time=1e4))
+        applier = SimpleNamespace(retire_watermark=0, retire_after_d=6.0)
+        coord = LogCoordinator(
+            cluster.protocol_node(0), window=4, max_batch=1, applier=applier
+        )
+        total = 50
+        for i in range(total):
+            coord.submit_nowait(f"c{i}")
+        cap = 50_000
+        for _step in range(150):
+            applier.retire_watermark = coord.general.next_index
+            executed = cluster.sim.run_until(
+                cluster.sim.now + params4.d, max_events=cap
+            )
+            assert executed < cap, "a launch token re-armed at one instant"
+            if coord.slots_launched == total:
+                break
+        assert coord.slots_launched == total
+
+    def test_ungated_coordinator_launches_greedily(self, params4):
+        cluster = Cluster(ScenarioConfig(params=params4, seed=53))
+        coord = LogCoordinator(cluster.protocol_node(0), window=4, max_batch=1)
+        for i in range(10):
+            coord.submit_nowait(f"c{i}")
+        # No applier, no pacing: the whole window at once, no token timer.
+        assert coord.slots_launched == coord.in_flight == 4
+        assert not coord._token.alive
 
 
 class TestApplier:
@@ -326,6 +450,22 @@ class TestApplier:
         assert applier.adopt_entries([(1, ("b",)), (2, ("c",))]) == 2
         assert applier.applied == [(0, ("a",)), (1, ("b",)), (2, ("c",))]
 
+    def test_adopted_slot_with_a_stray_instance_still_retires(self, params4):
+        # A revenant builds an instance from one stray relay for a slot it
+        # never decides, then adopts that slot: the instance must retire on
+        # schedule, or the watermark stops in front of it for good.
+        cluster = Cluster(ScenarioConfig(params=params4, seed=12))
+        node = cluster.protocol_node(1)
+        applier = ReplicaApplier(node, primary=0)
+        k = 3
+        _deliver(node, 2, SupportMsg((0, k), batch_digest(("x",))))
+        assert (0, k) in node.instances
+        assert applier.adopt_entries([(i, (f"c{i}",)) for i in range(k + 1)]) == k + 1
+        cluster.run_for(applier.retire_after_d * params4.d + 0.1)
+        assert applier.retire_watermark > k
+        assert (0, k) not in node.instances
+        assert applier.live_slot_instances == 0
+
 
 class TestOpenLoopWorkload:
     def test_rejects_bad_config(self):
@@ -371,6 +511,9 @@ class TestServiceAsyncio:
                 report = await service.run_workload(
                     rate=500.0, total=200, seed=1, drain_timeout_s=30.0
                 )
+                # Paced, the run can end inside the first slots' retirement
+                # tail (retire_after_d * d after each decision): outlast it.
+                await cluster.sleep_units(1.2 * service.retire_after_d * params4.d)
                 final_live = max(
                     applier.live_slot_instances
                     for applier in service.appliers.values()
@@ -653,9 +796,14 @@ class TestBodyDelivery:
                 cluster, primary=0, window=4, max_batch=16
             )
             d_s = params4.d * self.TIME_SCALE
+            coord = service.coordinator
             try:
-                for i in range(3):
-                    service.coordinator.submit_nowait(f"c{i}")  # slots 0, 1, 2
+                # One slot per launch token: c0 takes the first at once, c1
+                # the next; c2 arrives after that one and takes a third.
+                coord.submit_nowait("c0")
+                coord.submit_nowait("c1")
+                await asyncio.sleep(1.5 * coord.launch_interval * self.TIME_SCALE)
+                coord.submit_nowait("c2")
                 await asyncio.sleep(12 * d_s)
                 timers_a = {
                     i: cluster.hosts[i].live_timer_count()
@@ -808,11 +956,10 @@ class TestEnvelopeSize:
             try:
                 # Hold the launch gate shut while the queue fills, so the
                 # whole batch is cut into ONE slot.
-                watermark = coord.retired_watermark
-                coord.retired_watermark = lambda: -coord.unretired_cap
+                cap, coord.unretired_cap = coord.unretired_cap, 0
                 for i in range(batch_size):
                     coord.submit_nowait(f"cmd{i}")
-                coord.retired_watermark = watermark
+                coord.unretired_cap = cap
                 coord.notify_retired()
                 assert await service.drain(timeout_s=10.0)
                 assert coord.slots_launched == 1

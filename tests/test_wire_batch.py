@@ -4,7 +4,8 @@ The framing tests pin the *format*; this file pins the machinery the lean
 wire path rides on: the vendored msgpack subset (:mod:`repro.runtime.mpack`)
 at its encoding edges, the UDP carrier against a real loopback socket pair,
 the transports' datagram accounting under coalescing and under a refusing
-socket, what both carriers do with a frame under a retired codec byte, and
+socket, the one release heap held-back copies wait in, what both carriers
+do with a frame under a retired codec byte, and
 what one raising emit or one retained buffer view may cost a tick (nothing
 beyond itself).
 """
@@ -248,6 +249,115 @@ class TestTransportCoalescing:
         counters, arrived = asyncio.run(scenario())
         assert counters == [(3, 3, 0), (6, 3, 1)]
         assert arrived == ["m0", "m1", "m2"]
+
+
+# ---------------------------------------------------------------------------
+# Held-back copies: one heap per transport, one loop timer
+# ---------------------------------------------------------------------------
+class TestReleaseHeap:
+    @staticmethod
+    def _transport(policy):
+        from repro.runtime.aio import AsyncioTransport
+        from repro.sim.rand import RandomSource
+
+        transport = AsyncioTransport(
+            time_scale=0.001, policy=policy, rand=RandomSource(7, "net")
+        )
+        inbox: list = []
+        for node_id in range(3):
+            transport.register(node_id, inbox.append)
+        return transport, inbox
+
+    @staticmethod
+    def _spy_release_timers(transport) -> list:
+        """Every loop timer the transport arms, recorded as it is armed."""
+        loop = transport.loop
+        armed: list[asyncio.TimerHandle] = []
+        call_at = loop.call_at
+
+        def spying_call_at(when, callback, *args, **kwargs):
+            handle = call_at(when, callback, *args, **kwargs)
+            if getattr(callback, "__self__", None) is transport:
+                armed.append(handle)
+            return handle
+
+        loop.call_at = spying_call_at
+        return armed
+
+    def test_equal_release_instants_arrive_in_send_order(self) -> None:
+        # With the loop clock frozen every copy's release instant is the same
+        # float; the heap's sequence number alone must keep send order, for
+        # copies from two senders to two receivers.
+        from repro.net.delivery import FixedDelay
+
+        async def scenario():
+            transport, inbox = self._transport(FixedDelay(1.0))
+            loop = transport.loop
+            frozen = loop.time()
+            loop.time = lambda: frozen
+            try:
+                for i in range(12):
+                    transport.send(i % 2, 1 + i % 2, f"m{i}")
+            finally:
+                del loop.time
+            heads = {entry[0] for entry in transport._held}
+            await asyncio.sleep(0.02)
+            transport.close()
+            return heads, [(e.sender, e.receiver, e.payload) for e in inbox]
+
+        heads, arrived = asyncio.run(scenario())
+        assert len(heads) == 1  # genuinely equal instants
+        # One BATCH per link; on each link, send order.
+        for sender in (0, 1):
+            link = [payload for s, _r, payload in arrived if s == sender]
+            assert link == [f"m{i}" for i in range(sender, 12, 2)]
+        assert sorted(arrived) == sorted(
+            (i % 2, 1 + i % 2, f"m{i}") for i in range(12)
+        )
+
+    def test_many_held_copies_keep_one_loop_timer_armed(self) -> None:
+        from repro.net.delivery import UniformDelay
+
+        async def scenario():
+            transport, inbox = self._transport(UniformDelay(0.5, 5.0))
+            armed = self._spy_release_timers(transport)
+            try:
+                for i in range(50):
+                    transport.broadcast(i % 3, f"w{i}")
+                held = len(transport._held)
+                live = [h for h in armed if not h.cancelled()]
+                await asyncio.sleep(0.03)
+                return held, live, len(inbox), transport._release_timer
+            finally:
+                del transport.loop.call_at
+                transport.close()
+
+        held, live, delivered, timer_after = asyncio.run(scenario())
+        assert held == 150
+        assert len(live) == 1  # re-armed for an earlier head, never added to
+        assert delivered == 150
+        assert timer_after is None  # the heap drained: nothing left armed
+
+    def test_close_strands_held_copies_and_cancels_the_timer(self) -> None:
+        from repro.net.delivery import FixedDelay
+
+        async def scenario():
+            transport, inbox = self._transport(FixedDelay(2.0))
+            armed = self._spy_release_timers(transport)
+            try:
+                for i in range(20):
+                    transport.send(0, 1, f"h{i}")
+                assert len(transport._held) == 20 and len(armed) == 1
+                transport.close()
+                state = (len(transport._held), armed[0].cancelled())
+                await asyncio.sleep(0.01)
+                return state, inbox, transport.datagrams_sent
+            finally:
+                del transport.loop.call_at
+
+        state, inbox, datagrams = asyncio.run(scenario())
+        assert state == (0, True)
+        assert inbox == [] and datagrams == 0
 
 
 # ---------------------------------------------------------------------------
