@@ -5,6 +5,11 @@ drivers are expressed (specs + one engine) without changing a single bit of
 their output.  ``tests/data/golden_rows_pr3.json`` holds rows captured from
 the pre-refactor hand-written driver loops at fixed seeds; the drivers must
 reproduce them exactly, serially and under any worker count.
+
+``tests/data/golden_decay_digests.json`` pins the decay path the golden
+rows never reach: Byzantine-General casts and a havoc -> ``Delta_stb`` ->
+fresh-agreement run (the ``sim_adversary`` benchmark shapes at n = 7),
+recorded as trace digests, engine event counts and decision rows.
 """
 
 from __future__ import annotations
@@ -14,6 +19,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.params import ProtocolParams, max_faults
+from repro.faults.byzantine import (
+    EquivocatingGeneralStrategy,
+    MirrorParticipantStrategy,
+    StaggeredGeneralStrategy,
+    TwoFacedParticipantStrategy,
+)
+from repro.faults.transient import TransientFaultInjector
 from repro.harness import experiments as ex
 from repro.harness.registry import (
     ExperimentSpec,
@@ -23,8 +36,11 @@ from repro.harness.registry import (
     register,
     run_experiment,
 )
+from repro.harness.scenario import Cluster, ScenarioConfig
+from repro.sim.trace import trace_digest
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_rows_pr3.json"
+DECAY_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_decay_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +139,87 @@ class TestRunEngine:
 
 def _identity_seed(seed: int) -> int:
     return seed
+
+
+# ----------------------------------------------------------------------
+# Decay path: casts and havoc -> Delta_stb -> fresh agreement
+# ----------------------------------------------------------------------
+DECAY_N = 7
+DECAY_SEEDS = (1, 2)
+
+
+def _decay_casts(params: ProtocolParams) -> dict[str, dict]:
+    n = params.n
+    others = tuple(range(1, n))
+    left = others[: len(others) // 2]
+    right = others[len(others) // 2 :]
+    return {
+        "equivocate+twofaced": {
+            0: EquivocatingGeneralStrategy("A", "B", left, right),
+            n - 1: TwoFacedParticipantStrategy(left),
+        },
+        "staggered_3phi": {
+            0: StaggeredGeneralStrategy("S", spread_local=3 * params.phi),
+            n - 1: MirrorParticipantStrategy(),
+        },
+    }
+
+
+def _decision_rows(cluster: Cluster) -> list[list]:
+    return [
+        [
+            dec.node,
+            repr(dec.general),
+            repr(dec.value),
+            dec.tau_g_local,
+            dec.tau_g_real,
+            dec.returned_local,
+            dec.returned_real,
+        ]
+        for node in cluster.correct_nodes()
+        for dec in node.decisions
+    ]
+
+
+def _decay_record(cluster: Cluster) -> dict:
+    return {
+        "digest": trace_digest(cluster.tracer),
+        "events": cluster.sim.events_executed,
+        "decisions": _decision_rows(cluster),
+    }
+
+
+def decay_runs() -> dict[str, dict]:
+    """Every pinned decay-path run, keyed ``<shape>/seed=<seed>``."""
+    params = ProtocolParams(n=DECAY_N, f=max_faults(DECAY_N), delta=1.0, rho=1e-4)
+    out: dict[str, dict] = {}
+    for seed in DECAY_SEEDS:
+        for cast, byzantine in _decay_casts(params).items():
+            cluster = Cluster(
+                ScenarioConfig(params=params, seed=seed, byzantine=byzantine, trace=True)
+            )
+            cluster.run_for(3 * params.delta_agr)
+            out[f"{cast}/seed={seed}"] = _decay_record(cluster)
+        cluster = Cluster(ScenarioConfig(params=params, seed=seed, trace=True))
+        injector = TransientFaultInjector(
+            params,
+            cluster.rng.split("injector"),
+            value_pool=["A", "B", "C"],
+            generals=[0, 1],
+        )
+        cluster.run_for(5.0 * params.d)
+        injector.havoc(cluster.correct_nodes(), cluster.net, 300)
+        cluster.mark_coherent()
+        cluster.run_for(params.delta_stb)
+        cluster.propose(general=0, value="recovered")
+        cluster.run_for(params.delta_agr + 10 * params.d)
+        out[f"stabilize/seed={seed}"] = _decay_record(cluster)
+    return out
+
+
+class TestGoldenDecayDigests:
+    """The self-stabilizing decay sweep replays its recorded trajectory."""
+
+    def test_decay_runs_match_golden(self):
+        golden = json.loads(DECAY_GOLDEN_PATH.read_text())
+        assert _normalize(decay_runs()) == golden["runs"]
