@@ -170,6 +170,8 @@ class AgreementInstance:
         # fault rewrites ``tau_g`` under us).
         self._sdr = SdrPrefixCache()
         self._round_deadlines: Optional[tuple[float, list[float]]] = None
+        # Age past which an anchor is stale (see cleanup).
+        self._anchor_horizon = self.params.delta_agr + 3.0 * self.params.d
 
     # ------------------------------------------------------------------
     # Message routing
@@ -382,7 +384,7 @@ class AgreementInstance:
         p = self.params
         self.ia.cleanup()
         self.mb.cleanup()
-        horizon = p.delta_agr + 3.0 * p.d
+        horizon = self._anchor_horizon
         # A (possibly corrupted) anchor older than the whole agreement window
         # is stale: erase it (the paper's "erase any value ... older than
         # (2f + 1) Phi + 3d").
@@ -634,10 +636,11 @@ class ProtocolNode(Node):
             self._last_initiation > now or now - self._last_initiation > p.delta_v
         ):
             self._last_initiation = None
-        for value in list(self._last_initiation_by_value):
-            stamp = self._last_initiation_by_value[value]
-            if stamp > now or now - stamp > p.delta_v:
-                del self._last_initiation_by_value[value]
+        if self._last_initiation_by_value:
+            for value in list(self._last_initiation_by_value):
+                stamp = self._last_initiation_by_value[value]
+                if stamp > now or now - stamp > p.delta_v:
+                    del self._last_initiation_by_value[value]
         if self._failed_initiation_at is not None and (
             self._failed_initiation_at > now
             or now - self._failed_initiation_at > p.delta_reset

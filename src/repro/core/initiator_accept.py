@@ -158,11 +158,11 @@ class InitiatorAccept:
         self.line_exec: dict[tuple[str, Value], float] = {}
         # Re-send throttle gap (the ablation bench sweeps this).
         self.resend_gap = host.params.d * getattr(host, "resend_gap_d", 1.0)
-        # Cached derived constants and per-value keys (ProtocolParams
-        # recomputes its properties on every access; the blocks are hot).
-        self._d = self.params.d
-        self._weak = self.params.weak_quorum
-        self._strong = self.params.strong_quorum
+        # Decay horizons of last(G) and last(G, m) (see cleanup).
+        p = self.params
+        self._last_g_horizon = p.delta_0 - 6.0 * p.d
+        self._last_gm_horizon = 2.0 * p.delta_rmv + 9.0 * p.d
+        # Per-value message keys, built once (the blocks are hot).
         self._value_keys: dict[Value, tuple] = {}
         self._tracer = getattr(host, "tracer", ALWAYS_ENABLED)
 
@@ -305,11 +305,12 @@ class InitiatorAccept:
         self._block_n(value, now)
 
     def _block_l(self, value: Value, now: float) -> None:
-        d = self._d
+        p = self.params
+        d = p.d
         support_key = self._keys_for(value)[0]
 
         # L1/L2: weak quorum of support within the shortest window <= 4d.
-        kth = self.log.kth_latest_distinct(support_key, self._weak)
+        kth = self.log.kth_latest_distinct(support_key, p.weak_quorum)
         if kth is not None and now - kth <= 4.0 * d:
             new_recording = kth - 2.0 * d
             entry = self.i_values.get(value)
@@ -324,43 +325,45 @@ class InitiatorAccept:
 
         # L3/L4: strong quorum of support within [tau - 2d, tau] -> approve.
         strong = self.log.count_distinct_in(support_key, now - 2.0 * d, now)
-        if strong >= self._strong and self._may_send(self.APPROVE, value, now):
+        if strong >= p.strong_quorum and self._may_send(self.APPROVE, value, now):
             self._do_send(self.APPROVE, value, ApproveMsg(self.general, value))
             self._touch_last_gm(value, now)
             self.line_exec[("L4", value)] = now
 
     def _block_m(self, value: Value, now: float) -> None:
-        d = self._d
+        p = self.params
+        d = p.d
         approve_key = self._keys_for(value)[1]
 
         # M1/M2: weak quorum of approve within [tau - 5d, tau] -> ready flag.
         weak = self.log.count_distinct_in(approve_key, now - 5.0 * d, now)
-        if weak >= self._weak:
+        if weak >= p.weak_quorum:
             self._ready_flag(value).set(now)
             self._touch_last_gm(value, now)
             self.line_exec[("M2", value)] = now
 
         # M3/M4: strong quorum of approve within [tau - 3d, tau] -> ready msg.
         strong = self.log.count_distinct_in(approve_key, now - 3.0 * d, now)
-        if strong >= self._strong and self._may_send(self.READY, value, now):
+        if strong >= p.strong_quorum and self._may_send(self.READY, value, now):
             self._do_send(self.READY, value, ReadyMsg(self.general, value))
             self._touch_last_gm(value, now)
             self.line_exec[("M4", value)] = now
 
     def _block_n(self, value: Value, now: float) -> None:
+        p = self.params
         ready_key = self._keys_for(value)[2]
-        if not self._ready_flag(value).is_set(now, self.params.delta_rmv):
+        if not self._ready_flag(value).is_set(now, p.delta_rmv):
             return
 
         # N1/N2: weak quorum of ready messages -> amplify.
         count = self.log.count_distinct(ready_key)
-        if count >= self._weak and self._may_send(self.READY, value, now):
+        if count >= p.weak_quorum and self._may_send(self.READY, value, now):
             self._do_send(self.READY, value, ReadyMsg(self.general, value))
             self._touch_last_gm(value, now)
             self.line_exec[("N2", value)] = now
 
         # N3/N4: strong quorum of ready messages -> I-accept.
-        if count >= self._strong:
+        if count >= p.strong_quorum:
             self._execute_n4(value, now)
 
     def _execute_n4(self, value: Value, now: float) -> None:
@@ -397,7 +400,12 @@ class InitiatorAccept:
     # Cleanup (the background decay process)
     # ------------------------------------------------------------------
     def cleanup(self) -> None:
-        """Run the paper's cleanup rules; call every ~d of local time."""
+        """Run the paper's cleanup rules; call every ~d of local time.
+
+        Each rule is skipped when the state it decays is empty *now*.  The
+        skips read the state itself, never a flag kept by the write path:
+        a transient fault writes state behind that path's back.
+        """
         now = self._now()
         p = self.params
 
@@ -406,11 +414,11 @@ class InitiatorAccept:
 
         # last(G): reset if in the future or older than Delta_0 - 6d.
         if self.last_g is not None:
-            if self.last_g > now or self.last_g < now - (p.delta_0 - 6.0 * p.d):
+            if self.last_g > now or self.last_g < now - self._last_g_horizon:
                 self.last_g = None
 
         # last(G, m): reset if in the future or older than 2 Delta_rmv + 9d.
-        horizon = 2.0 * p.delta_rmv + 9.0 * p.d
+        horizon = self._last_gm_horizon
         for value, history in self.last_gm.items():
             current = history.current
             if current is not None and (current > now or current < now - horizon):
@@ -418,10 +426,11 @@ class InitiatorAccept:
             history.prune(now - horizon - p.delta_rmv)
 
         # i_values entries: expire after Delta_rmv; drop future garbage.
-        for value in list(self.i_values):
-            entry = self.i_values[value]
-            if not self._i_value_live(entry, now) or entry.recording > now:
-                del self.i_values[value]
+        if self.i_values:
+            for value in list(self.i_values):
+                entry = self.i_values[value]
+                if not self._i_value_live(entry, now) or entry.recording > now:
+                    del self.i_values[value]
 
         # ready flags: same decay as other values.
         for flag in self.ready.values():
@@ -431,18 +440,24 @@ class InitiatorAccept:
                 flag.clear()
 
         # Implementation bookkeeping decays on the same horizons.
-        self._sent_at = {
-            key: t for key, t in self._sent_at.items() if now - horizon <= t <= now
-        }
-        self._own_support_sends = [
-            (t, v) for t, v in self._own_support_sends if now - 2.0 * p.d <= t <= now
-        ]
-        self.ignore_until = {
-            v: t for v, t in self.ignore_until.items() if t > now
-        }
-        self.line_exec = {
-            key: t for key, t in self.line_exec.items() if now - horizon <= t <= now
-        }
+        if self._sent_at:
+            self._sent_at = {
+                key: t for key, t in self._sent_at.items() if now - horizon <= t <= now
+            }
+        if self._own_support_sends:
+            self._own_support_sends = [
+                (t, v)
+                for t, v in self._own_support_sends
+                if now - 2.0 * p.d <= t <= now
+            ]
+        if self.ignore_until:
+            self.ignore_until = {
+                v: t for v, t in self.ignore_until.items() if t > now
+            }
+        if self.line_exec:
+            self.line_exec = {
+                key: t for key, t in self.line_exec.items() if now - horizon <= t <= now
+            }
 
     # ------------------------------------------------------------------
     # Reset (3d after the agreement returns) and corruption

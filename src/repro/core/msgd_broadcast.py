@@ -166,10 +166,8 @@ class MsgdBroadcast:
         self._known_triplets: set[Triplet] = set()
         self._states: dict[Triplet, _TripletState] = {}
 
-        # Cached derived constants (ProtocolParams recomputes per access).
-        self._weak = self.params.weak_quorum
-        self._strong = self.params.strong_quorum
-        self._phi = self.params.phi
+        # Decay horizon for messages and derived state (see cleanup).
+        self._horizon = (2 * self.params.f + 3) * self.params.phi
         self._deadline_eps = self.params.d * 1e-9
         # Optional host extras: timer-less hosts fall back to lazy,
         # comparison-based deadline deactivation; tracer-less hosts get
@@ -260,7 +258,8 @@ class MsgdBroadcast:
 
     def _make_state(self, triplet: Triplet) -> _TripletState:
         anchor = self.anchor
-        phi = self._phi
+        p = self.params
+        phi = p.phi
         k = triplet[2]
         state = _TripletState()
         state.anchor = anchor
@@ -269,7 +268,7 @@ class MsgdBroadcast:
         state.y_deadline = anchor + (2 * k + 2) * phi
         log = self.log
         wake = state.wake
-        thresholds = (self._weak, self._strong)
+        thresholds = (p.weak_quorum, p.strong_quorum)
         state.init_w = log.watch(
             (self.INIT,) + triplet, anchor, sentinel=triplet[0], on_event=wake
         )
@@ -289,6 +288,8 @@ class MsgdBroadcast:
     def _run_blocks(self, triplet: Triplet, state: _TripletState) -> None:
         now = self.host.now()
         origin, value, k = triplet
+        weak = self.params.weak_quorum
+        strong = self.params.strong_quorum
 
         # Primitive instances are "implicitly associated with the agreement
         # instance that invoked them" (paper Section 3): only messages that
@@ -311,13 +312,13 @@ class MsgdBroadcast:
                 state.x_active = False
             else:
                 echoes = state.echo_w.count(now)
-                if echoes >= self._weak:
+                if echoes >= weak:
                     self._send_once(
                         self.INIT_PRIME,
                         triplet,
                         MBInitPrimeMsg(self.general, origin, value, k),
                     )
-                if echoes >= self._strong:
+                if echoes >= strong:
                     self._accept(triplet, now)
 
         # Block Y: tau_q <= tau_G + (2k + 2) Phi.
@@ -326,14 +327,14 @@ class MsgdBroadcast:
                 state.y_active = False
             else:
                 init_primes = state.initp_w.count(now)
-                if init_primes >= self._weak and origin not in self.broadcasters:
+                if init_primes >= weak and origin not in self.broadcasters:
                     self.broadcasters[origin] = now
                     self.host.trace(
                         "mb_broadcaster", general=self.general, origin=origin, k=k
                     )
                     if self.on_broadcaster is not None:
                         self.on_broadcaster(origin)
-                if init_primes >= self._strong:
+                if init_primes >= strong:
                     self._send_once(
                         self.ECHO_PRIME,
                         triplet,
@@ -342,11 +343,11 @@ class MsgdBroadcast:
 
         # Block Z: at any time.
         echo_primes = state.echop_w.count(now)
-        if echo_primes >= self._weak:
+        if echo_primes >= weak:
             self._send_once(
                 self.ECHO_PRIME, triplet, MBEchoPrimeMsg(self.general, origin, value, k)
             )
-        if echo_primes >= self._strong:
+        if echo_primes >= strong:
             self._accept(triplet, now)
 
         state.signal = False
@@ -449,20 +450,29 @@ class MsgdBroadcast:
     # Cleanup, reset, corruption
     # ------------------------------------------------------------------
     def cleanup(self) -> None:
-        """Decay rule: drop messages older than ``(2f + 3) Phi``."""
+        """Decay rule: drop messages older than ``(2f + 3) Phi``.
+
+        Each rule is skipped when the state it decays is empty *now* (read
+        from the state itself, never from a write-path flag: a transient
+        fault writes state behind that path's back).
+        """
         now = self.host.now()
-        horizon = (2 * self.params.f + 3) * self._phi
+        horizon = self._horizon
         self.log.prune_older_than(now - horizon)
         self.log.prune_future(now)
         # Stale derived state ages out on the same horizon.
-        self.broadcasters = {
-            node: t for node, t in self.broadcasters.items() if now - t <= horizon
-        }
-        self.accepted = {
-            trip: t
-            for trip, t in self.accepted.items()
-            if now - t <= horizon and t <= now
-        }
+        if self.broadcasters:
+            self.broadcasters = {
+                node: t for node, t in self.broadcasters.items() if now - t <= horizon
+            }
+        if self.accepted:
+            self.accepted = {
+                trip: t
+                for trip, t in self.accepted.items()
+                if now - t <= horizon and t <= now
+            }
+        if not (self._known_triplets or self.accepted or self._states):
+            return
         self._known_triplets = {
             trip
             for trip in self._known_triplets

@@ -17,12 +17,17 @@ delay bound ``delta``, the processing bound ``pi`` -- plus the drift bound
 
 These constants are *protocol configuration*: non-faulty nodes never
 initialize them with arbitrary values (the paper states n, f, d are fixed
-constants), so they survive transient faults.
+constants), so they survive transient faults.  That is also why each one is
+computed once per :class:`ProtocolParams` instance, on first read, and
+cached there: the protocol blocks and the per-``d`` cleanup sweep read them
+millions of times per run.  Equality and hashing see only the model
+inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class _Bottom:
@@ -95,12 +100,12 @@ class ProtocolParams:
     # ------------------------------------------------------------------
     # Quorums
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def weak_quorum(self) -> int:
         """``n - 2f``: guarantees at least one correct member (>= f + 1)."""
         return self.n - 2 * self.f
 
-    @property
+    @cached_property
     def strong_quorum(self) -> int:
         """``n - f``: every correct node can eventually gather this many."""
         return self.n - self.f
@@ -108,52 +113,52 @@ class ProtocolParams:
     # ------------------------------------------------------------------
     # Derived timing constants
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def d(self) -> float:
         """End-to-end send+process bound, as measured on any correct timer."""
         return (self.delta + self.pi) * (1.0 + self.rho)
 
-    @property
+    @cached_property
     def tau_skew(self) -> float:
         """Maximum real-time skew between correct nodes' anchors (6d)."""
         return 6.0 * self.d
 
-    @property
+    @cached_property
     def phi(self) -> float:
         """Duration of one protocol phase: ``tau_skew + 2d = 8d``."""
         return (self.tau_skew + 2.0 * self.d) * self.phi_scale
 
-    @property
+    @cached_property
     def delta_agr(self) -> float:
         """Upper bound on running the agreement: ``(2f + 1) * Phi``."""
         return (2 * self.f + 1) * self.phi
 
-    @property
+    @cached_property
     def delta_0(self) -> float:
         """Minimal gap between initiations with different values: ``13d``."""
         return 13.0 * self.d
 
-    @property
+    @cached_property
     def delta_rmv(self) -> float:
         """Decay age for old values/messages: ``Delta_agr + Delta_0``."""
         return self.delta_agr + self.delta_0
 
-    @property
+    @cached_property
     def delta_v(self) -> float:
         """Minimal gap between initiations of the *same* value."""
         return 15.0 * self.d + 2.0 * self.delta_rmv
 
-    @property
+    @cached_property
     def delta_node(self) -> float:
         """Continuous non-faulty time before a node counts as correct."""
         return self.delta_v + self.delta_agr
 
-    @property
+    @cached_property
     def delta_reset(self) -> float:
         """General's back-off after noticing a failed initiation."""
         return 20.0 * self.d + 4.0 * self.delta_rmv
 
-    @property
+    @cached_property
     def delta_stb(self) -> float:
         """System stabilization time: ``2 * Delta_reset``."""
         return 2.0 * self.delta_reset

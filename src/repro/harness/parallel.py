@@ -21,9 +21,13 @@ process -- no pool, no pickling, deterministic output *ordering and content*
 exactly as before this subsystem existed.  ``workers`` larger than the seed
 count is fine; the pool simply leaves the extra workers idle.
 
+Workers start from a ``forkserver``, never by ``fork`` of the calling
+process: the caller may already run HTTP or metrics threads, and a child
+forked mid-lock by one of them can hang.
+
 Pool reuse
 ----------
-Worker startup (fork/spawn + interpreter warmup) costs a visible fraction
+Worker startup (forkserver fork + interpreter warmup) costs a visible fraction
 of a short driver call, so the executor can outlive a single ``with``
 block: :meth:`SeedPool.shared` returns a per-worker-count cached pool whose
 context exit leaves the processes warm.  Successive ``run_e*`` calls with
@@ -40,6 +44,7 @@ never lambdas or closures.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -119,7 +124,10 @@ class SeedPool:
 
     def _ensure(self) -> None:
         if self._workers > 1 and self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self._workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._workers,
+                mp_context=multiprocessing.get_context("forkserver"),
+            )
 
     def __enter__(self) -> "SeedPool":
         self._ensure()

@@ -474,6 +474,8 @@ class MessageLog:
     # ------------------------------------------------------------------
     def prune_older_than(self, cutoff_local: float) -> int:
         """Drop records with arrival before ``cutoff_local``; return count."""
+        if not self._keys:
+            return 0
         dropped = 0
         empty_keys = []
         for key, klog in self._keys.items():
@@ -496,6 +498,8 @@ class MessageLog:
         emptied here keeps its -- empty -- entry; only age-pruning retires
         keys.)
         """
+        if not self._keys:
+            return 0
         dropped = 0
         for klog in self._keys.values():
             dropped += klog.prune_future(now_local)

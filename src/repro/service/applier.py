@@ -27,9 +27,11 @@ applier for service duty:
   AgreementInstance` is removed from the node entirely (state, timers, and
   its share of the cleanup tick's work).  Retirement advances a contiguous
   watermark in slot order -- a slot is only retired once every slot below
-  it has been applied and retired -- so the node's
-  :attr:`~repro.core.agreement.ProtocolNode.instance_gate` can refuse to
-  resurrect retired keys from straggler relays with one monotone check.
+  it has been applied and retired.  The node's
+  :attr:`~repro.core.agreement.ProtocolNode.instance_gate` refuses to build
+  an instance for any slot already finalized here (retired or not) with
+  one monotone check, so straggler relays neither resurrect retired keys
+  nor plant a timer-less instance in front of the watermark.
 
 The delay must comfortably exceed the protocol's own ``3d`` post-return
 reset, so slow peers still receive this node's relays for the slot while
@@ -244,8 +246,11 @@ class ReplicaApplier(Replica):
             self.on_retire(self._retire_next)
 
     def _gate(self, general: object) -> bool:
+        # A slot below next_index is finalized here (applied, skipped or
+        # adopted): an instance built for it now would get no retire timer
+        # and stop the watermark in front of it.
         if isinstance(general, tuple) and general[0] == self.primary:
-            return general[1] >= self._retire_next
+            return general[1] >= self._next_index
         return True
 
     # ------------------------------------------------------------------

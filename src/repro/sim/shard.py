@@ -614,7 +614,8 @@ class _ProcessShard:
     """One shard event loop in its own OS process, driven over a pipe."""
 
     def __init__(self, config: Any, shard_index: int, shard_count: int) -> None:
-        ctx = multiprocessing.get_context()
+        # Never fork the (possibly threaded) driving process itself.
+        ctx = multiprocessing.get_context("forkserver")
         parent_conn, child_conn = ctx.Pipe()
         self._conn = parent_conn
         self._proc: Optional[Any] = ctx.Process(

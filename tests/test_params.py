@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +114,107 @@ class TestDerivedConstants:
         desc = self.params().describe()
         for key in ("d", "phi", "delta_agr", "delta_stb", "delta_v"):
             assert key in desc
+
+
+CONFIGS = [
+    # (n, f, delta, pi, rho, phi_scale)
+    (4, 1, 1.0, 0.0, 0.0, 1.0),
+    (7, 2, 1.0, 0.0, 1e-4, 1.0),
+    (13, 4, 0.1, 0.01, 1e-3, 1.0),
+    (10, 3, 2.5, 0.25, 0.05, 0.5),
+    (25, 8, 0.3, 0.0, 0.0, 1.25),
+]
+CONSTANTS = (
+    "weak_quorum",
+    "strong_quorum",
+    "d",
+    "tau_skew",
+    "phi",
+    "delta_agr",
+    "delta_0",
+    "delta_rmv",
+    "delta_v",
+    "delta_node",
+    "delta_reset",
+    "delta_stb",
+)
+
+
+def _by_formula(n, f, delta, pi, rho, phi_scale) -> dict:
+    """Every constant from its docstring formula, spelled out afresh."""
+    d = (delta + pi) * (1.0 + rho)
+    tau_skew = 6.0 * d
+    phi = (tau_skew + 2.0 * d) * phi_scale
+    delta_agr = (2 * f + 1) * phi
+    delta_0 = 13.0 * d
+    delta_rmv = delta_agr + delta_0
+    delta_v = 15.0 * d + 2.0 * delta_rmv
+    delta_reset = 20.0 * d + 4.0 * delta_rmv
+    return {
+        "weak_quorum": n - 2 * f,
+        "strong_quorum": n - f,
+        "d": d,
+        "tau_skew": tau_skew,
+        "phi": phi,
+        "delta_agr": delta_agr,
+        "delta_0": delta_0,
+        "delta_rmv": delta_rmv,
+        "delta_v": delta_v,
+        "delta_node": delta_v + delta_agr,
+        "delta_reset": delta_reset,
+        "delta_stb": 2.0 * delta_reset,
+    }
+
+
+def _make(config) -> ProtocolParams:
+    n, f, delta, pi, rho, phi_scale = config
+    return ProtocolParams(n=n, f=f, delta=delta, pi=pi, rho=rho, phi_scale=phi_scale)
+
+
+def _constants(params: ProtocolParams) -> dict:
+    return {name: getattr(params, name) for name in CONSTANTS}
+
+
+class TestComputedOnce:
+    """The derived constants are cached per instance, bit for bit."""
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_each_constant_equals_its_formula(self, config):
+        assert _constants(_make(config)) == _by_formula(*config)
+
+    def test_constants_are_computed_once(self):
+        params = _make(CONFIGS[1])
+        for name in CONSTANTS[2:]:  # floats: a recompute is a new object
+            assert getattr(params, name) is getattr(params, name), name
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_replace_recomputes(self, config):
+        params = _make(config)
+        _constants(params)  # fill the cache before copying
+        changed = dataclasses.replace(params, delta=params.delta * 3, f=0)
+        expected = _by_formula(config[0], 0, config[2] * 3, *config[3:])
+        assert _constants(changed) == expected
+        assert _constants(params) == _by_formula(*config)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip_keeps_equality_and_hash(self, config, read_first):
+        params = _make(config)
+        if read_first:
+            _constants(params)
+        clone = pickle.loads(pickle.dumps(params))
+        assert clone == params
+        assert hash(clone) == hash(params)
+        assert _constants(clone) == _by_formula(*config)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_equality_ignores_which_constants_were_read(self, config):
+        read, fresh = _make(config), _make(config)
+        read.delta_stb, read.weak_quorum  # noqa: B018 -- fill part of a cache
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh)
+        assert {read: 1}[fresh] == 1
+        assert _constants(fresh) == _constants(read)
 
 
 class TestOrderingInvariants:

@@ -466,6 +466,24 @@ class TestApplier:
         assert (0, k) not in node.instances
         assert applier.live_slot_instances == 0
 
+    def test_relay_for_an_adopted_slot_does_not_wedge_retirement(self, params4):
+        # Slot 0's stray instance holds the watermark at 0 while slots 0..k
+        # are adopted; a relay for k then arrives.  A slot finalized here
+        # must not get an instance (it would have no retire timer), or the
+        # watermark stops in front of k for good.
+        cluster = Cluster(ScenarioConfig(params=params4, seed=12))
+        node = cluster.protocol_node(1)
+        applier = ReplicaApplier(node, primary=0)
+        k = 3
+        _deliver(node, 2, SupportMsg((0, 0), batch_digest(("x",))))
+        assert applier.adopt_entries([(i, (f"c{i}",)) for i in range(k + 1)]) == k + 1
+        assert applier.retire_watermark <= k < applier.next_index
+        _deliver(node, 2, SupportMsg((0, k), batch_digest((f"c{k}",))))
+        assert (0, k) not in node.instances
+        cluster.run_for(applier.retire_after_d * params4.d + 0.1)
+        assert applier.retire_watermark > k
+        assert applier.live_slot_instances == 0
+
 
 class TestOpenLoopWorkload:
     def test_rejects_bad_config(self):
