@@ -15,8 +15,9 @@ Prometheus scraper) would:
    straight from the histogram series;
 3. ``POST /faults`` a ``FaultScript`` action that crashes a replica with
    full state loss, then restarts it a few protocol delays later;
-4. after the run drains, invoke the f+1 repair path and assert the
-   revenant converged to the identical applied sequence.
+4. let the run drain -- the revenant asks its peers for the slots it
+   missed and adopts each value ``f + 1`` of them vouch for -- and assert
+   it converged to the identical applied sequence.
 
 The same endpoints exist on the socket backend (one process per node):
 ``python -m repro.cli serve --backend socket --metrics --supervise``
@@ -103,11 +104,10 @@ async def main() -> None:
 
         await task
         await service.drain(timeout_s=30.0)
-        adopted = service.repair()
         await service.stop()
         report = service.report()
 
-        plane.sample()  # refresh the snapshot: repair ran after the sampler
+        plane.sample()  # refresh the snapshot: the sampler has stopped
         status = json.loads(await asyncio.to_thread(_get, f"{url}/status"))
         print(f"\nfinal /status: faults_injected="
               f"{status['faults_injected']} "
@@ -118,8 +118,8 @@ async def main() -> None:
 
     print(f"\n  {report.commands_per_s:7.0f} commands/s decided, "
           f"{report.slots_decided} slots, {report.slots_aborted} aborts")
-    print(f"  revenant node {VICTIM} adopted {adopted} slot outcomes via "
-          f"f+1 vouching after its state-loss crash")
+    print(f"  revenant node {VICTIM} adopted {report.repaired_entries} slots "
+          f"on f+1 matching peer answers after its state-loss crash")
     assert report.identical_logs, "replica sequences diverged"
     assert report.commands_applied == TOTAL
     print(f"\nAll {len(report.digests)} replicas -- the crashed-and-"

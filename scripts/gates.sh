@@ -90,7 +90,8 @@ gate_service_smoke() {
 # The control plane end to end, over HTTP only: scrape every node's
 # /metrics, POST a FaultScript that SIGKILLs a replica mid-workload, then
 # require /status to report the supervised respawn and the run to converge
-# to identical logs (which needs the f+1 log repair of the revenant).
+# to identical logs (which needs the revenant to heal its log from f+1
+# matching peer answers).
 gate_live_cluster() {
     bounded 180 "live cluster gate" python scripts/live_cluster_gate.py
 }

@@ -15,8 +15,8 @@ an operator would, over HTTP only:
     (``restarts >= 1`` and alive again) and its fresh ``/metrics``
     endpoint reports the bumped incarnation;
 6.  wait for the serve process itself: it must exit 0, which requires
-    every replica -- the revenant included, via f+1 log repair -- to have
-    applied the identical full command sequence.
+    every replica -- the revenant included, healed from f+1 peer
+    answers -- to have applied the identical full command sequence.
 
 Stdlib only; exits non-zero with a diagnostic on the first failed step.
 """

@@ -271,8 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--supervise", action="store_true",
-            help="socket backend: respawn children that die mid-run and heal "
-            "laggards via f+1 log repair (the live self-stabilization demo)",
+            help="socket backend: respawn children that die mid-run; a "
+            "revenant heals its log from f+1 peer answers (the live "
+            "self-stabilization demo)",
         )
 
     serve = sub.add_parser(

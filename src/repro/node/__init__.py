@@ -8,7 +8,7 @@ queries ("received X from >= k distinct nodes within [tau - a, tau]") that
 every block of the paper's primitives is written in terms of.
 """
 
-from repro.node.base import Node, NodeContext
+from repro.node.base import Node
 from repro.node.msglog import MessageLog
 
-__all__ = ["MessageLog", "Node", "NodeContext"]
+__all__ = ["MessageLog", "Node"]

@@ -23,23 +23,9 @@ any conforming object) or the legacy sim-specific
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.runtime.api import Delivery, ProtocolHost, TimerHandle
-
-if TYPE_CHECKING:
-    from repro.runtime.sim_host import NodeContext
-
-
-def __getattr__(name: str):
-    # Back-compat: ``NodeContext`` moved to repro.runtime.sim_host (it is
-    # sim-specific); keep the historical import path working lazily so this
-    # module itself stays free of simulator imports.
-    if name == "NodeContext":
-        from repro.runtime.sim_host import NodeContext
-
-        return NodeContext
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Node:
@@ -201,4 +187,4 @@ class Node:
             tracer.bump(kind)
 
 
-__all__ = ["Node", "NodeContext"]
+__all__ = ["Node"]

@@ -26,8 +26,9 @@ Pieces
   hidden.
 * :class:`~repro.service.service.ReplicatedLogService` -- asyncio-backend
   service: appliers on every correct node, the coordinator on the primary,
-  a background state sampler proving the drain *during* the run, and an
-  f+1-matching repair path for replicas that missed decisions.
+  and a background state sampler proving the drain *during* the run.  A
+  replica that missed decisions heals itself inside its applier, from
+  ``f + 1`` matching peer answers, on every backend.
 * :class:`~repro.service.socket_service.SocketLogService` -- the same
   service across OS processes on the UDP socket backend.
 """

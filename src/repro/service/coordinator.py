@@ -23,7 +23,8 @@ Turns a stream of client commands into slot-indexed
   *not* bound live state.  When wired to the primary's own
   :class:`~repro.service.applier.ReplicaApplier` (``applier``), the
   coordinator additionally refuses to launch while more than
-  ``unretired_cap`` (default ``3 * window``) slots are launched but
+  ``unretired_cap`` (``3 * window``; :func:`window_bounds` states it with
+  the two bounds derived from it) slots are launched but
   unretired at that applier's ``retire_watermark``, turning the service's
   O(window) live-state bound into an enforced invariant instead of an
   emergent one.  The coordinator sets the applier's ``on_retire`` to
@@ -62,10 +63,11 @@ Turns a stream of client commands into slot-indexed
   timer covers every in-flight slot.  A retry only reaches replicas that
   have not finalized the slot (the others build no instance for it), so
   where ``n - f`` replicas finalized it and the primary did not, no retry
-  can decide it.  Before retrying, a stall check therefore calls
-  ``on_stall`` (the service wires its f+1 log repair there), and a stalled
-  slot the primary's applier is already past is settled from that
-  applier's outcome instead of retried.  The guarantees above assume the
+  can decide it.  The primary's own applier adopts such a slot from f+1
+  peer answers: it asks ``retire_after_d * d`` after it stalled there and
+  then at most that far apart, far inside ``retry_after``, and the stall
+  check settles a slot that applier is already past instead of retrying
+  it.  The guarantees above assume the
   violation has ended: a retry that aborts at the primary while some
   replica applied the first attempt re-enqueues commands that replica
   already applied.
@@ -81,7 +83,7 @@ import asyncio
 import time
 from collections import deque
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.core.agreement import Decision, ProtocolNode
 from repro.core.params import BOTTOM
@@ -92,6 +94,22 @@ from repro.service.applier import ReplicaApplier, batch_digest
 
 #: Weight of the newest sample in the launch-to-decision EWMA.
 _EWMA_GAIN = 0.125
+
+
+class WindowBounds(NamedTuple):
+    """The bounds a pipeline ``window`` sets, stated once."""
+
+    #: Launched-but-unretired slots the primary's gate admits (``3w``).
+    unretired_cap: int
+    #: Slots ahead of ``next_index`` a replica keeps bodies and tallies
+    #: outcome answers for: the gate's slots plus a window (``4w``).
+    body_span: int
+    #: Live slot instances a correct node may hold (``4w + 2``).
+    live_bound: int
+
+
+def window_bounds(window: int) -> WindowBounds:
+    return WindowBounds(3 * window, 4 * window, 4 * window + 2)
 
 
 class LogCoordinator(DecisionTap):
@@ -105,7 +123,6 @@ class LogCoordinator(DecisionTap):
         max_queue: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
         applier: Optional[ReplicaApplier] = None,
-        unretired_cap: Optional[int] = None,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -117,9 +134,7 @@ class LogCoordinator(DecisionTap):
         #: not yet retired) and ``retire_after_d`` gate and pace launches as
         #: documented above.  None launches greedily, window-bound only.
         self.applier = applier
-        self.unretired_cap = (
-            unretired_cap if unretired_cap is not None else 3 * window
-        )
+        self.unretired_cap = window_bounds(window).unretired_cap
         #: Launch-to-decision time of this primary's slots, local units.
         self.decide_ewma = node.params.d
         #: In-flight slot -> local time of its latest proposal.
@@ -128,9 +143,6 @@ class LogCoordinator(DecisionTap):
         #: again (see module doc).
         self.retry_after = node.params.delta_v + node.params.d
         self._stall_check: TimerHandle = INERT_TIMER
-        #: Called once per stall check that found a stalled slot, before
-        #: any retry (see module doc).
-        self.on_stall: Optional[Callable[[], None]] = None
         self._last_launch = float("-inf")
         self._token: TimerHandle = INERT_TIMER
         #: The instant the last token to fire was armed for.
@@ -329,11 +341,11 @@ class LogCoordinator(DecisionTap):
         due = min(self._launched_at.values()) + self.retry_after
         self._stall_check = self.node.after_local(
             max(0.0, due - self.node.local_now()),
-            self._on_stall_check,
+            self._check_stalls,
             tag=f"stall_check:{self.node.node_id}",
         )
 
-    def _on_stall_check(self) -> None:
+    def _check_stalls(self) -> None:
         now = self.node.local_now()
         # A fired timer's instant has come even when the clock reads a
         # rounding error short of it.
@@ -342,8 +354,6 @@ class LogCoordinator(DecisionTap):
             slot for slot, proposed in self._launched_at.items()
             if proposed <= cutoff
         ]
-        if stalled and self.on_stall is not None:
-            self.on_stall()
         applier = self.applier
         for slot in stalled:
             if applier is not None and slot < applier.next_index:
@@ -389,4 +399,4 @@ class LogCoordinator(DecisionTap):
         await asyncio.wait_for(self._drained.wait(), timeout_s)
 
 
-__all__ = ["LogCoordinator"]
+__all__ = ["LogCoordinator", "WindowBounds", "window_bounds"]

@@ -15,14 +15,15 @@ needs beyond the protocol:
   fetched from any peer, on hash match, if it went missing (see
   :mod:`repro.service.applier`).  ``body_fetches`` / ``bodies_rejected``
   in the report read 0 on a clean run.
-* **An f+1 repair path.**  A replica that missed decisions (crashed and
-  restarted mid-run) adopts slot outcomes that at least ``f + 1`` peers
-  report identically -- since at most ``f`` are faulty, at least one
-  correct replica applied each adopted outcome, so adoption preserves the
-  identical-sequence invariant without re-running agreement.  It runs
-  after the drain, and at any coordinator stall check that finds a slot
-  stalled: a slot the other replicas finalized can reach a primary that
-  missed it no other way.
+* **Self-healing replicas.**  A replica that missed decisions (crashed
+  and restarted mid-run) asks its peers for the slots it lacks and adopts
+  the values at least ``f + 1`` of them answer identically -- at most
+  ``f`` are faulty, so at least one correct replica finalized each
+  adopted value, and adoption preserves the identical-sequence invariant
+  without re-running agreement.  The exchange runs node to node inside
+  each :class:`~repro.service.applier.ReplicaApplier`, the same on every
+  backend; :meth:`ReplicatedLogService.repair` only makes a lagging
+  replica ask at once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 from repro.runtime.aio import AsyncioCluster
 from repro.service.applier import ReplicaApplier
-from repro.service.coordinator import LogCoordinator
+from repro.service.coordinator import LogCoordinator, window_bounds
 from repro.service.workload import OpenLoopWorkload
 
 
@@ -66,7 +67,7 @@ class ServiceReport:
     identical_logs: bool = False
     digests: dict[int, str] = field(default_factory=dict)
     applied_per_replica: dict[int, int] = field(default_factory=dict)
-    #: Slot outcomes laggards adopted after f+1 vouching.
+    #: Slots replicas adopted on f+1 matching peer answers (summed).
     repaired_entries: int = 0
     #: ``body_req`` rounds replicas sent for a decided slot whose batch body
     #: had not arrived, and bodies refused on a hash mismatch (summed over
@@ -122,16 +123,13 @@ class ReplicatedLogService:
             max_batch=max_batch,
             applier=primary_applier,
         )
-        self.coordinator.on_stall = self.repair
+        bounds = window_bounds(window)
         for applier in self.appliers.values():
-            applier.body_span = self.coordinator.unretired_cap + window
-        #: Enforced, not emergent: the coordinator refuses to launch past
-        #: 3 * window launched-but-unretired slots at the primary, and the
-        #: other replicas' watermarks trail the primary's by at most the
-        #: retirement progress of one message delay -- so every correct
-        #: node's live slot instances stay under ~4 windows regardless of
-        #: how many slots the run streams through.
-        self.live_bound = 4 * window + 2
+            applier.body_span = bounds.body_span
+        #: Enforced, not emergent: the coordinator's retirement gate holds
+        #: every correct node's live slot instances under ~4 windows
+        #: regardless of how many slots the run streams through.
+        self.live_bound = bounds.live_bound
         #: Per-sample (elapsed_s, max live slot instances, max live timers).
         self.state_samples: list[tuple[float, int, int]] = []
         self.peak_live_instances = 0
@@ -141,7 +139,6 @@ class ReplicatedLogService:
         self._warmed_up = False
         self._sampler: Optional[asyncio.Task] = None
         self._started_at: Optional[float] = None
-        self.repaired_entries = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -199,14 +196,13 @@ class ReplicatedLogService:
         return live, timers
 
     # ------------------------------------------------------------------
-    # Completion and repair
+    # Completion and catch-up
     # ------------------------------------------------------------------
     async def drain(self, timeout_s: Optional[float] = None) -> bool:
         """Wait for the pipeline to empty and every replica to catch up.
 
         Returns True when every correct replica has finalized every slot
-        the coordinator launched (repair may still be warranted for
-        replicas that missed decisions permanently -- see :meth:`repair`).
+        the coordinator launched.
         """
         # ``is not None``: a zero timeout means "poll once and report",
         # not "wait forever" (0 is falsy, so a truthiness check would
@@ -242,34 +238,12 @@ class ReplicatedLogService:
             await asyncio.sleep(0.01)
         return True
 
-    def repair(self) -> int:
-        """Adopt f+1-matching slot outcomes into lagging replicas.
-
-        Returns the number of entries adopted across all replicas.
-        """
-        f = self.cluster.params.f
-        appliers = list(self.appliers.values())
-        target = max(applier.next_index for applier in appliers)
-        adopted = 0
-        for applier in appliers:
-            if applier.next_index >= target:
-                continue
-            entries = []
-            for index in range(applier.next_index, target):
-                votes: dict[object, int] = {}
-                for peer in appliers:
-                    if peer is applier:
-                        continue
-                    outcome = peer.outcome(index)
-                    if outcome is not None:
-                        votes[outcome] = votes.get(outcome, 0) + 1
-                settled = [v for v, count in votes.items() if count >= f + 1]
-                if len(settled) != 1:
-                    break  # cannot vouch past this slot; stop contiguously
-                entries.append((index, settled[0]))
-            adopted += applier.adopt_entries(entries)
-        self.repaired_entries += adopted
-        return adopted
+    def repair(self) -> None:
+        """Make every replica behind the furthest one ask its peers now."""
+        target = max(applier.next_index for applier in self.appliers.values())
+        for applier in self.appliers.values():
+            if applier.next_index < target:
+                applier.request_outcomes()
 
     # ------------------------------------------------------------------
     # Reporting
@@ -310,7 +284,7 @@ class ReplicatedLogService:
                 node_id: applier.commands_applied
                 for node_id, applier in appliers.items()
             },
-            repaired_entries=self.repaired_entries,
+            repaired_entries=sum(a.slots_adopted for a in appliers.values()),
             body_fetches=sum(a.body_fetches for a in appliers.values()),
             bodies_rejected=sum(a.bodies_rejected for a in appliers.values()),
         )
@@ -336,7 +310,6 @@ class ReplicatedLogService:
         await workload.run()
         await self.drain(drain_timeout_s)
         elapsed = time.monotonic() - started
-        self.repair()
         await self.stop()
         return self.report(elapsed_s=elapsed)
 

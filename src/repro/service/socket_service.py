@@ -13,14 +13,16 @@ Wire-level protocol over the existing control/results pipes:
   rate-limited apply progress, so the parent knows when every replica has
   caught up without streaming per-slot decisions.
 * the final ``("result", ...)`` payload gains a ``"service"`` dict with the
-  child's applied-log digest, counters (``body_fetches`` and
-  ``bodies_rejected`` among them), peak live-instance/timer readings, and
-  (on the primary) the per-command latency list.
+  child's applied-log digest, counters (``body_fetches``,
+  ``bodies_rejected`` and ``repaired_entries`` among them), peak
+  live-instance/timer readings, and (on the primary) the per-command
+  latency list.
 
-Batch bodies do not use the pipes: like every agreement message they
-travel node to node over UDP (``body`` pushed once by the primary,
-``body_req`` / ``body`` between any two replicas -- see
-:mod:`repro.service.applier`).
+Log contents never use the pipes: like every agreement message, batch
+bodies and catch-up travel node to node over UDP (``body`` pushed once by
+the primary, ``body_req`` / ``body`` and ``outcome_req`` / ``outcomes``
+between any two replicas -- see :mod:`repro.service.applier`), so the
+parent is never trusted with what a replica applies.
 
 Latency stamps use ``time.time()`` wall clock: parent and children share
 the machine, so cross-process stamps are directly comparable.
@@ -37,7 +39,7 @@ from repro.core.agreement import ProtocolNode
 from repro.core.params import ProtocolParams
 from repro.runtime.socket_host import SocketCluster
 from repro.service.applier import ReplicaApplier
-from repro.service.coordinator import LogCoordinator
+from repro.service.coordinator import LogCoordinator, window_bounds
 from repro.service.service import ServiceReport
 
 
@@ -57,8 +59,7 @@ class ChildLogService:
             retire_after_d=service_cfg.get("retire_after_d", 6.0),
         )
         window = service_cfg.get("window", 8)
-        # unretired_cap + window at the coordinator's default cap of 3 * window.
-        self.applier.body_span = 4 * window
+        self.applier.body_span = window_bounds(window).body_span
         self.coordinator: Optional[LogCoordinator] = None
         if node.node_id == self.primary:
             self.coordinator = LogCoordinator(
@@ -76,45 +77,14 @@ class ChildLogService:
     # ------------------------------------------------------------------
     # Pipe intake (called from the child poll loop)
     # ------------------------------------------------------------------
-    #: Max slots answered per ("repair_req", ...) message.
-    REPAIR_SPAN = 512
-
     def handle(self, msg: tuple) -> bool:
         """Consume one control message; True iff it was service traffic."""
-        tag = msg[0]
-        if tag == "cmds":
-            if self.coordinator is not None:
-                for command, arrival in msg[1]:
-                    self.coordinator.submit_nowait(command, arrival)
-            return True
-        if tag == "repair_req":
-            # The parent is healing a laggard: answer with this replica's
-            # finalized outcomes for the requested slot range.  Outcomes
-            # survive retirement (the applier keeps them), so even slots
-            # whose protocol state is long gone can be served.
-            _tag, lo, hi = msg
-            hi = min(hi, lo + self.REPAIR_SPAN, self.applier.next_index)
-            entries = []
-            for index in range(lo, hi):
-                outcome = self.applier.outcome(index)
-                if outcome is not None:
-                    entries.append((index, outcome))
-            if entries:
-                try:
-                    self.conn.send(
-                        ("outcomes", self.node.node_id, entries)
-                    )
-                except (BrokenPipeError, OSError):
-                    pass
-            return True
-        if tag == "adopt":
-            # f+1-vouched outcomes from the parent: adopt and report fresh
-            # progress immediately so the catch-up is visible at once.
-            self.applier.adopt_entries(msg[1])
-            self._last_progress = 0.0
-            self.tick_progress()
-            return True
-        return False
+        if msg[0] != "cmds":
+            return False
+        if self.coordinator is not None:
+            for command, arrival in msg[1]:
+                self.coordinator.submit_nowait(command, arrival)
+        return True
 
     def tick_progress(self) -> None:
         """Send an (applied, ...) progress report if it changed."""
@@ -159,6 +129,7 @@ class ChildLogService:
             "peak_live_timers": self.peak_live_timers,
             "body_fetches": applier.body_fetches,
             "bodies_rejected": applier.bodies_rejected,
+            "repaired_entries": applier.slots_adopted,
         }
         coordinator = self.coordinator
         if coordinator is not None:
@@ -207,11 +178,6 @@ class SocketLogService(SocketCluster):
         self.primary = primary
         #: node_id -> (next_slot, commands_applied) progress reports.
         self.progress: dict[int, tuple[int, int]] = {}
-        #: slot -> {peer_id: outcome} votes collected for laggard repair.
-        self._repair_votes: dict[int, dict[int, object]] = {}
-        self._last_repair = 0.0
-        #: Slot outcomes shipped to laggards after f+1 agreement.
-        self.repaired_entries = 0
         #: Workload progress for /status (set by run_workload).
         self.workload_issued = 0
         self.workload_total = 0
@@ -224,11 +190,6 @@ class SocketLogService(SocketCluster):
         if msg[0] == "applied":
             _tag, sender_id, next_slot, applied = msg
             self.progress[sender_id] = (next_slot, applied)
-            return
-        if msg[0] == "outcomes":
-            _tag, sender_id, entries = msg
-            for index, outcome in entries:
-                self._repair_votes.setdefault(index, {})[sender_id] = outcome
             return
         super()._dispatch(report, results, node_id, conn, msg)
 
@@ -249,89 +210,6 @@ class SocketLogService(SocketCluster):
         super()._handle_death(node_id, proc)
 
     # ------------------------------------------------------------------
-    # Laggard repair (parent-brokered f+1 catch-up)
-    # ------------------------------------------------------------------
-    #: Minimum seconds between repair rounds.
-    REPAIR_INTERVAL_S = 0.5
-    #: Max slots requested/shipped per round.
-    REPAIR_SPAN = 512
-
-    def _pump_repair(self, settling: bool) -> None:
-        """Heal laggards: broker f+1-vouched slot outcomes over the pipes.
-
-        A replica respawned after a SIGKILL restarts with an empty applied
-        log, and slots the cluster already retired will never re-decide for
-        it -- without repair it stays behind forever.  The parent asks the
-        peers that are ahead for their finalized outcomes, tallies them per
-        slot, and ships every slot on which at least f+1 peers agree (so at
-        least one *correct* replica vouches for it) to the laggard, which
-        adopts contiguously and reports fresh progress.  Mid-run, only a
-        gap beyond two pipeline windows triggers repair (ordinary skew
-        heals by itself); once the workload is settling, any gap does.
-        """
-        now = time.monotonic()
-        if now - self._last_repair < self.REPAIR_INTERVAL_S:
-            return
-        self._last_repair = now
-        active = [
-            node_id
-            for node_id in self.correct_ids
-            if node_id not in self._retired and node_id in self.conns
-        ]
-        fronts = {
-            node_id: self.progress[node_id][0]
-            for node_id in active
-            if node_id in self.progress
-        }
-        if len(fronts) < 2:
-            return
-        lead = max(fronts.values())
-        threshold = 0 if settling else 2 * self._service_cfg.get("window", 8)
-        laggards = [
-            node_id for node_id, front in fronts.items()
-            if lead - front > threshold
-        ]
-        if not laggards:
-            if self._repair_votes:
-                self._repair_votes.clear()
-            return
-        f = self.params.f
-        for lag_id in laggards:
-            lo = fronts[lag_id]
-            hi = min(lead, lo + self.REPAIR_SPAN)
-            # Ship whatever contiguous f+1-agreed prefix the collected
-            # votes support, then (re)request the range for the rest.
-            entries: list[tuple[int, object]] = []
-            for index in range(lo, hi):
-                votes = self._repair_votes.get(index)
-                if not votes:
-                    break
-                tally: dict = {}
-                for outcome in votes.values():
-                    tally[outcome] = tally.get(outcome, 0) + 1
-                settled = [v for v, count in tally.items() if count >= f + 1]
-                if len(settled) != 1:
-                    break
-                entries.append((index, settled[0]))
-            if entries:
-                conn = self.conns.get(lag_id)
-                if conn is not None:
-                    try:
-                        conn.send(("adopt", entries))
-                        self.repaired_entries += len(entries)
-                    except (BrokenPipeError, OSError):
-                        pass
-            for peer_id in active:
-                if peer_id == lag_id or fronts.get(peer_id, 0) <= lo:
-                    continue
-                conn = self.conns.get(peer_id)
-                if conn is not None:
-                    try:
-                        conn.send(("repair_req", lo, hi))
-                    except (BrokenPipeError, OSError):
-                        pass
-
-    # ------------------------------------------------------------------
     # Control-plane status
     # ------------------------------------------------------------------
     def status_snapshot(self) -> dict:
@@ -340,7 +218,6 @@ class SocketLogService(SocketCluster):
             "primary": self.primary,
             "commands_issued": self.workload_issued,
             "commands_total": self.workload_total,
-            "repaired_entries": self.repaired_entries,
             "progress": {
                 str(node_id): {"next_slot": held[0], "applied": held[1]}
                 for node_id, held in sorted(self.progress.items())
@@ -379,7 +256,6 @@ class SocketLogService(SocketCluster):
         while True:
             self._pump_faults()
             self._pump_supervisor()
-            self._pump_repair(settling=issued >= total)
             now_wall = time.time()
             while issued < total and start + offset <= now_wall:
                 outbox.append((f"cmd{issued}", start + offset))
@@ -496,7 +372,9 @@ class SocketLogService(SocketCluster):
             digests=digests,
             applied_per_replica=applied,
             exit_reasons=dict(self._exit_reason),
-            repaired_entries=self.repaired_entries,
+            repaired_entries=sum(
+                svc["repaired_entries"] for svc in service_by_node.values()
+            ),
             body_fetches=sum(
                 svc["body_fetches"] for svc in service_by_node.values()
             ),

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from repro.net.delivery import FixedDelay
 from repro.net.network import Envelope, Network
-from repro.node.base import Node, NodeContext
+from repro.node.base import Node
 from repro.node.msglog import MessageLog
+from repro.runtime.sim_host import NodeContext
 from repro.sim.clock import ClockConfig
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomSource

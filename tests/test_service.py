@@ -4,13 +4,16 @@ Unit layer: the coordinator's windowing/batching/abort-requeue and the
 applier's gap buffering, abort-as-skip, and measured retirement run against
 the deterministic simulator.  Service layer: end-to-end open-loop runs on
 the asyncio wall-clock backend, including a Crash/Restart churn timeline
-healed via the f+1 repair path, and lossy / Byzantine delivery of the
-batch bodies the decided digests stand for.
+the revenant heals from f+1 matching peer answers, lossy / Byzantine
+delivery of the batch bodies the decided digests stand for, and one socket
+run with a SIGKILLed replica.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +35,10 @@ from repro.sim.engine import Simulator
 @pytest.fixture
 def params4() -> ProtocolParams:
     return ProtocolParams(n=4, f=1, delta=1.0, rho=0.0)
+
+
+#: The catch-up exchange's payload kinds (absent from a clean run).
+CATCH_UP = {"outcome_req", "outcomes"}
 
 
 def _decision(general: tuple, value, when: float = 1.0) -> Decision:
@@ -160,13 +167,10 @@ class TestCoordinator:
 
         async def body():
             cluster = AsyncioCluster(params4, seed=11, time_scale=0.02)
-            applier = SimpleNamespace(retire_watermark=-1, retire_after_d=6.0)
+            # Six slots unretired: the gate (3 * window) is shut.
+            applier = SimpleNamespace(retire_watermark=-6, retire_after_d=6.0)
             coord = LogCoordinator(
-                cluster.protocol_node(0),
-                window=2,
-                max_batch=128,
-                applier=applier,
-                unretired_cap=1,
+                cluster.protocol_node(0), window=2, max_batch=128, applier=applier
             )
             try:
                 for cmd in big[:-1]:
@@ -332,37 +336,43 @@ class TestLaunchPacing:
 
     def test_a_slot_the_others_finalized_is_adopted_not_retried(self, params4):
         # The replicas that finalized slot 0 build no instance for it, so a
-        # retry could never decide it.  The stall check runs the service's
-        # f+1 repair first, the primary adopts the slot, and the check
-        # settles it from the primary's applier instead of retrying.
-        cluster, service, _deaf = self._deaf_primary(params4, 55)
+        # retry could never decide it.  Once the primary hears its peers
+        # again, its applier adopts the slot from their f+1 matching
+        # answers at its next ask (at most ``retire_after_d * d`` apart),
+        # long before the stall check, which then settles the slot from
+        # that applier instead of retrying it.
+        cluster, service, deaf = self._deaf_primary(params4, 55)
         coord = service.coordinator
+        primary = service.appliers[0]
+        deaf[0] = False
+        cluster.run_for((service.retire_after_d + 2) * params4.d)
+        assert primary.slots_adopted == 1
+        assert primary.applied == [(0, ("c0",))]
+        assert coord.in_flight == 1  # settled by the stall check, not here
         cluster.run_for(coord.retry_after)
-        assert service.repaired_entries == 1
         assert coord.slots_retried == 0
         assert coord.in_flight == 0 and coord.slots_decided == 1
         assert coord.commands_decided == 1 and coord.backlog == 0
         for applier in service.appliers.values():
             assert applier.applied == [(0, ("c0",))]
+        assert service.report().repaired_entries == 1
         assert not coord._stall_check.alive
 
     def test_retries_stop_once_the_primary_is_past_the_slot(self, params4):
-        # Without the repair hook the retries reach only replicas that
-        # refuse the slot: none decides, none applies it twice.  Once the
-        # primary's applier is past the slot, the next check settles it and
-        # the retries stop.
+        # Still deaf at the stall check, the primary retries: the retry
+        # reaches only replicas that refuse the slot, so none decides it and
+        # none applies it twice.  Once the primary hears its peers again it
+        # adopts the slot, the next check settles it, and the retries stop.
         cluster, service, deaf = self._deaf_primary(params4, 56)
         coord = service.coordinator
-        coord.on_stall = None
-        deaf[0] = False
-        cluster.run_for(2 * coord.retry_after)
-        assert coord.slots_retried == 2 and coord.in_flight == 1
+        cluster.run_for(coord.retry_after)
+        assert coord.slots_retried == 1 and coord.in_flight == 1
         assert service.appliers[0].next_index == 0
         for node_id in (1, 2, 3):
             assert service.appliers[node_id].applied == [(0, ("c0",))]
-        assert service.repair() == 1
+        deaf[0] = False
         cluster.run_for(coord.retry_after)
-        assert coord.slots_retried == 2
+        assert coord.slots_retried == 1
         assert coord.in_flight == 0 and coord.slots_decided == 1
         for applier in service.appliers.values():
             assert applier.applied == [(0, ("c0",))]
@@ -473,18 +483,21 @@ class TestApplier:
         applier.body_span = 4
         asked: list = []
         node.broadcast = asked.append
-        for slot in (0, 2, 3, 9):  # decided, body never seen
+        for slot in (0, 2, 3):  # decided, body never seen
             applier._on_decision(_decision((0, slot), batch_digest((slot,))))
         _push_and_decide(applier, 1, ("b",))  # decided, body in hand
         cluster.run_for(0.9 * params4.d)
         assert asked == [] and applier.body_fetches == 0  # not before d
         cluster.run_for(0.2 * params4.d)
         # One round: the held head of the line and the bodiless slots
-        # behind it, but nothing beyond the span (slot 9) -- and one timer.
+        # behind it -- and one timer.
         assert applier.body_fetches == 1
         assert sorted(asked) == [("body_req", 0), ("body_req", 2), ("body_req", 3)]
+        # Nothing beyond the span (slot 9) is ever asked for.
+        applier._on_decision(_decision((0, 9), batch_digest((9,))))
         cluster.run_for(params4.d)
         assert applier.body_fetches == 2
+        assert ("body_req", 9) not in asked and len(asked) == 6
         # The bodies arrive (from any peer): everything drains, fetching stops.
         for slot in (3, 2, 0):
             _deliver(node, 3, ("body", slot, (slot,)))
@@ -527,44 +540,69 @@ class TestApplier:
 
     def test_adopt_entries_heals_contiguously(self, params4):
         cluster = Cluster(ScenarioConfig(params=params4, seed=7))
-        applier = ReplicaApplier(cluster.protocol_node(1), primary=0)
-        adopted = applier.adopt_entries([(0, ("a",)), (1, BOTTOM), (2, ("c",))])
-        assert adopted == 3
+        node = cluster.protocol_node(1)
+        applier = ReplicaApplier(node, primary=0)
+        entries = [(0, batch_digest(("a",))), (1, BOTTOM), (2, batch_digest(("c",)))]
+        assert applier.adopt_entries(entries) == 3
+        # Vouched digests hold like decided ones; their bodies are taken
+        # from any peer on hash match.
+        assert applier.applied == []
+        _deliver(node, 2, ("body", 2, ("c",)))
+        _deliver(node, 3, ("body", 0, ("a",)))
         assert applier.applied == [(0, ("a",)), (2, ("c",))]
         assert applier.skipped == [1]
+        assert applier.slots_adopted == 3
         # Re-adopting settled slots is a no-op.
-        assert applier.adopt_entries([(0, ("a",))]) == 0
+        assert applier.adopt_entries(entries[:1]) == 0
 
-    def test_adoption_supplies_the_body_of_a_held_slot(self, params4):
+    def test_adoption_applies_a_held_body_without_a_fetch(self, params4):
         cluster = Cluster(ScenarioConfig(params=params4, seed=8))
-        applier = ReplicaApplier(cluster.protocol_node(1), primary=0)
-        applier._on_decision(_decision((0, 0), batch_digest(("a",))))
+        node = cluster.protocol_node(1)
+        applier = ReplicaApplier(node, primary=0)
+        _deliver(node, 0, ("body", 0, ("a",)))  # the primary's push
         applier._on_decision(_decision((0, 1), BOTTOM))
-        assert applier.next_index == 0  # decided, no body: held
-        assert applier.adopt_entries([(0, ("a",)), (1, BOTTOM), (2, ("c",))]) == 3
-        assert applier.applied == [(0, ("a",)), (2, ("c",))]
+        assert applier.next_index == 0  # slot 0 undecided here
+        # Slot 1 was decided here: an agreeing entry is passed over.
+        assert applier.adopt_entries([(0, batch_digest(("a",))), (1, BOTTOM)]) == 1
+        assert applier.applied == [(0, ("a",))]
         assert applier.skipped == [1]
-        assert applier.bodies_rejected == 0
+        assert applier.body_fetches == 0 and applier.bodies_rejected == 0
 
     def test_adoption_never_overrides_a_decided_digest(self, params4):
         cluster = Cluster(ScenarioConfig(params=params4, seed=9))
-        applier = ReplicaApplier(cluster.protocol_node(1), primary=0)
+        node = cluster.protocol_node(1)
+        applier = ReplicaApplier(node, primary=0)
         applier._on_decision(_decision((0, 1), batch_digest(("b",))))
         # Slot 1 was decided here as H(("b",)): an f+1 vote for anything
         # else is refused and contiguous adoption stops in front of it.
         adopted = applier.adopt_entries(
-            [(0, ("a",)), (1, ("not-b",)), (2, ("c",))]
+            [(0, batch_digest(("a",))), (1, batch_digest(("not-b",))),
+             (2, batch_digest(("c",)))]
         )
         assert adopted == 1
+        assert applier.bodies_rejected == 1
+        _deliver(node, 2, ("body", 0, ("a",)))
         assert applier.applied == [(0, ("a",))]
         assert applier.next_index == 1
-        assert applier.bodies_rejected == 1
         assert applier.outcome(2) is None
         # ... and so is a vote that the decided slot was skipped.
         assert applier.adopt_entries([(1, BOTTOM)]) == 0
         assert applier.bodies_rejected == 2
-        assert applier.adopt_entries([(1, ("b",)), (2, ("c",))]) == 2
+        assert applier.adopt_entries(
+            [(1, batch_digest(("b",))), (2, batch_digest(("c",)))]
+        ) == 1
+        _deliver(node, 2, ("body", 1, ("b",)))
+        _deliver(node, 2, ("body", 2, ("c",)))
         assert applier.applied == [(0, ("a",)), (1, ("b",)), (2, ("c",))]
+
+    @staticmethod
+    def _adopt_and_fetch(applier: ReplicaApplier, k: int) -> None:
+        """Adopt slots 0..k, then hand over their bodies from a peer."""
+        batches = [(f"c{i}",) for i in range(k + 1)]
+        entries = [(i, batch_digest(batch)) for i, batch in enumerate(batches)]
+        assert applier.adopt_entries(entries) == k + 1
+        for i, batch in enumerate(batches):
+            _deliver(applier.node, 2, ("body", i, batch))
 
     def test_adopted_slot_with_a_stray_instance_still_retires(self, params4):
         # A revenant builds an instance from one stray relay for a slot it
@@ -576,7 +614,7 @@ class TestApplier:
         k = 3
         _deliver(node, 2, SupportMsg((0, k), batch_digest(("x",))))
         assert (0, k) in node.instances
-        assert applier.adopt_entries([(i, (f"c{i}",)) for i in range(k + 1)]) == k + 1
+        self._adopt_and_fetch(applier, k)
         cluster.run_for(applier.retire_after_d * params4.d + 0.1)
         assert applier.retire_watermark > k
         assert (0, k) not in node.instances
@@ -592,7 +630,7 @@ class TestApplier:
         applier = ReplicaApplier(node, primary=0)
         k = 3
         _deliver(node, 2, SupportMsg((0, 0), batch_digest(("x",))))
-        assert applier.adopt_entries([(i, (f"c{i}",)) for i in range(k + 1)]) == k + 1
+        self._adopt_and_fetch(applier, k)
         assert applier.retire_watermark <= k < applier.next_index
         _deliver(node, 2, SupportMsg((0, k), batch_digest((f"c{k}",))))
         assert (0, k) not in node.instances
@@ -692,18 +730,36 @@ class TestServiceAsyncio:
             return sent_at, payload
 
         monkeypatch.setattr(framing, "_decode_envelope", spy)
+        time_scale = 0.1
+        worst_lag = [0.0]
+
+        async def watch_lag():
+            # How late the loop ran a short sleep's wake-up: any stall long
+            # enough to break the timing model shows up here.
+            loop = asyncio.get_running_loop()
+            while True:
+                start = loop.time()
+                await asyncio.sleep(0.005)
+                worst_lag[0] = max(worst_lag[0], loop.time() - start - 0.005)
 
         async def body():
-            cluster = AsyncioCluster(params4, seed=12, time_scale=0.1)
+            cluster = AsyncioCluster(params4, seed=12, time_scale=time_scale)
             service = ReplicatedLogService(
                 cluster, primary=0, window=8, max_batch=1
             )
+            watcher = asyncio.create_task(watch_lag())
+            # A full collection of a big heap stalls the loop 100-150 ms
+            # (1-1.5 d), enough to break the timing model now and then;
+            # without the collector a quiet run lags under 30 ms.
+            gc.disable()
             try:
                 report = await service.run_workload(
                     rate=100.0, total=200, seed=3, drain_timeout_s=30.0
                 )
                 return report, cluster.transport
             finally:
+                gc.enable()
+                watcher.cancel()
                 cluster.close()
 
         report, transport = self._run(body())
@@ -714,7 +770,15 @@ class TestServiceAsyncio:
         assert decoder.generic == len(went_generic) > 0
         # Exactly the service's own ("body", slot, batch) tuples.
         assert not [p for p in went_generic if isinstance(p, ALL_MESSAGE_TYPES)]
-        assert {p[0] for p in went_generic} <= {"body", "body_req"}
+        kinds = {p[0] for p in went_generic}
+        if worst_lag[0] < 0.5 * params4.d * time_scale:
+            assert kinds <= {"body", "body_req"}
+        else:
+            # A longer loop stall (a loaded box) can break the timing
+            # model: a slot may then return nowhere, or one replica miss a
+            # slot the others finalized, and the replicas stuck on it ask
+            # their peers -- backing off, so well inside the 5% below.
+            assert kinds <= {"body", "body_req"} | CATCH_UP
         envelopes = decoder.compiled + decoder.memo_hits + decoder.generic
         assert envelopes >= transport.delivered_count
         assert decoder.generic < 0.05 * envelopes
@@ -745,22 +809,19 @@ class TestServiceAsyncio:
                 await asyncio.sleep(0.6)
                 restart_in_process(victim)
                 await task
-                await service.drain(timeout_s=5.0)
-                lag_before = (
-                    service.coordinator.general.next_index
-                    - service.appliers[2].next_index
-                )
-                service.repair()
+                drained = await service.drain(timeout_s=10.0)
                 await service.stop()
-                return service.report(), crashed, lag_before
+                return service.report(), crashed, drained
             finally:
                 cluster.close()
 
-        report, crashed, lag_before = self._run(body())
+        report, crashed, drained = self._run(body())
         assert crashed  # the churn actually happened mid-run
-        assert lag_before >= 0
-        # Every correct replica -- the revenant included -- ends with the
+        # Every correct replica -- the revenant included, which adopted the
+        # slots it slept through from f+1 peer answers -- ends with the
         # identical applied sequence and the full command set.
+        assert drained
+        assert report.repaired_entries > 0
         assert report.identical_logs
         assert report.commands_applied == 400
         assert min(report.applied_per_replica.values()) == 400
@@ -1157,6 +1218,45 @@ class TestSocketChildService:
         assert primary.result()["body_fetches"] == 0
 
 
+class TestSocketService:
+    """The service across OS processes: a replica killed mid-run heals."""
+
+    def test_sigkilled_replica_heals_from_its_peers(self, params4):
+        from repro.service.socket_service import SocketLogService
+
+        time_scale, rate, total = 0.1, 100.0, 300
+        service = SocketLogService(
+            params4,
+            primary=0,
+            window=4,
+            max_batch=32,
+            seed=61,
+            time_scale=time_scale,
+            timeout_units=(2 * total / rate + 60.0) / time_scale,
+            supervise=True,
+        )
+        try:
+            # SIGKILL of replica 2 a third into the schedule (in d, from now).
+            service.inject_fault_script([{
+                "at_d": (0.35 + total / rate / 3) / (time_scale * params4.d),
+                "do": "crash",
+                "nodes": [2],
+                "state_loss": True,
+            }])
+            report = service.run_workload(
+                rate=rate, total=total, seed=61, settle_timeout_s=30.0
+            )
+        finally:
+            service.close()
+        assert report.exit_reasons.get(2) == "signal:9"
+        assert report.identical_logs, report.digests
+        assert len(report.digests) == params4.n
+        assert min(report.applied_per_replica.values()) == total
+        # The revenant restarted empty and caught up from f+1 peer answers.
+        assert report.repaired_entries > 0
+        assert all(proc.exitcode == 0 for proc in service.procs.values())
+
+
 class TestDrainAndSampling:
     """drain() deadline semantics and the warmup-transition bound check.
 
@@ -1227,80 +1327,208 @@ class TestDrainAndSampling:
 
 
 class TestRepairVotePath:
-    """f+1 vouching in ReplicatedLogService.repair, slot by slot."""
+    """f+1 vouching on outcome answers, slot by slot (sim time).
+
+    Every answer is an ordinary delivery between nodes: a laggard asks with
+    ``("outcome_req", next_index)`` and tallies the ``("outcomes", ...)``
+    replies by authenticated sender.
+    """
 
     def _service(self, params4, seed):
         from repro.service import ReplicatedLogService
 
         cluster = Cluster(ScenarioConfig(params=params4, seed=seed))
-        return ReplicatedLogService(cluster, primary=0)
+        return cluster, ReplicatedLogService(cluster, primary=0)
+
+    @staticmethod
+    def _finalize(applier: ReplicaApplier, outcomes: list) -> None:
+        """Finalize slots 0.. at one replica: batches applied, BOTTOM skipped."""
+        for slot, outcome in enumerate(outcomes):
+            if outcome is BOTTOM:
+                applier._on_decision(_decision((0, slot), BOTTOM))
+            else:
+                _push_and_decide(applier, slot, outcome)
+
+    def _repair(self, cluster, service, params4) -> int:
+        """Show each lagging replica a later decided slot (its evidence that
+        the head exists), then let it wait, ask, adopt and fetch; returns
+        the slots adopted so far."""
+        target = max(a.next_index for a in service.appliers.values())
+        for applier in service.appliers.values():
+            if applier.next_index < target:
+                applier._on_decision(_decision((0, 8), BOTTOM))
+        cluster.run_for((service.retire_after_d + 5) * params4.d)
+        return service.report().repaired_entries
 
     def test_f_votes_insufficient_f_plus_1_adopts(self, params4):
-        service = self._service(params4, 40)
+        cluster, service = self._service(params4, 40)
         appliers = service.appliers
-        appliers[0].adopt_entries([(0, ("a",))])
+        self._finalize(appliers[0], [("a",)])
         # Only f=1 peer vouches for slot 0: no laggard may adopt it (the
         # lone voucher could be the one faulty replica).
-        assert service.repair() == 0
-        assert all(
-            appliers[nid].next_index == 0 for nid in (1, 2, 3)
-        )
+        assert self._repair(cluster, service, params4) == 0
+        assert all(appliers[nid].next_index == 0 for nid in (1, 2, 3))
         # A second matching voucher reaches f+1: both laggards adopt.
-        appliers[1].adopt_entries([(0, ("a",))])
-        assert service.repair() == 2
+        self._finalize(appliers[1], [("a",)])
+        assert self._repair(cluster, service, params4) == 2
         assert appliers[2].applied == [(0, ("a",))]
         assert appliers[3].applied == [(0, ("a",))]
-        assert service.repaired_entries == 2
 
     def test_tie_at_f_votes_each_adopts_nothing(self, params4):
-        service = self._service(params4, 41)
+        cluster, service = self._service(params4, 41)
         appliers = service.appliers
-        appliers[0].adopt_entries([(0, ("a",))])
-        appliers[1].adopt_entries([(0, ("b",))])
-        # Two conflicting reports with f votes each: no unique f+1
+        self._finalize(appliers[0], [("a",)])
+        self._finalize(appliers[1], [("b",)])
+        # Two conflicting answers with f votes each: no unique f+1
         # winner, nothing adopted.
-        assert service.repair() == 0
+        assert self._repair(cluster, service, params4) == 0
         assert appliers[2].next_index == 0
         assert appliers[3].next_index == 0
 
     def test_minority_conflicting_vote_does_not_block(self, params4):
-        service = self._service(params4, 42)
+        cluster, service = self._service(params4, 42)
         appliers = service.appliers
-        appliers[0].adopt_entries([(0, ("a",))])
-        appliers[1].adopt_entries([(0, ("a",))])
-        appliers[2].adopt_entries([(0, ("junk",))])  # one faulty report
+        self._finalize(appliers[0], [("a",)])
+        self._finalize(appliers[1], [("a",)])
+        self._finalize(appliers[2], [("junk",)])  # one faulty answer
         # f+1 matching votes settle the slot despite the minority lie.
-        assert service.repair() == 1
+        assert self._repair(cluster, service, params4) == 1
         assert appliers[3].applied == [(0, ("a",))]
 
     def test_disputed_slot_stops_adoption_contiguously(self, params4):
-        service = self._service(params4, 43)
+        cluster, service = self._service(params4, 43)
         appliers = service.appliers
-        appliers[0].adopt_entries(
-            [(0, ("a",)), (1, BOTTOM), (2, ("c",)), (3, ("d",))]
-        )
-        appliers[1].adopt_entries(
-            [(0, ("a",)), (1, BOTTOM), (2, ("x",)), (3, ("d",))]
-        )
-        adopted = service.repair()
+        self._finalize(appliers[0], [("a",), BOTTOM, ("c",), ("d",)])
+        self._finalize(appliers[1], [("a",), BOTTOM, ("x",), ("d",)])
         # Slots 0-1 have f+1 matching vouchers (BOTTOM votes count like
         # any outcome); slot 2 is disputed, so adoption stops there even
         # though slot 3 would have f+1 matching votes -- adopted prefixes
         # must stay contiguous or sequences diverge.
-        assert adopted == 4  # two laggards x slots {0, 1}
+        assert self._repair(cluster, service, params4) == 4  # 2 laggards x 2
         for node_id in (2, 3):
             assert appliers[node_id].next_index == 2
             assert appliers[node_id].applied == [(0, ("a",))]
             assert appliers[node_id].skipped == [1]
 
     def test_replicas_at_target_left_alone(self, params4):
-        service = self._service(params4, 44)
+        cluster, service = self._service(params4, 44)
         appliers = service.appliers
-        for applier in appliers.values():
-            applier.adopt_entries([(0, ("a",)), (1, ("b",))])
+        asked: list[int] = []
+        for node_id, applier in appliers.items():
+            self._finalize(applier, [("a",), ("b",)])
+            applier.request_outcomes = partial(asked.append, node_id)
         # Everyone already at the target: repair touches nothing.
-        assert service.repair() == 0
+        assert self._repair(cluster, service, params4) == 0
+        assert asked == []
         for applier in appliers.values():
             assert applier.next_index == 2
             assert applier.applied == [(0, ("a",)), (1, ("b",))]
-        assert service.repaired_entries == 0
+
+    def test_one_sender_counts_once_however_often_it_answers(self, params4):
+        cluster, service = self._service(params4, 45)
+        laggard = service.appliers[3]
+        forged = ("outcomes", 0, (batch_digest(("x",)),))
+        # A Byzantine peer repeating (or forging) one answer is one vote,
+        # never f+1 on its own; the laggard's own copy is no vote at all.
+        for _ in range(5):
+            _deliver(laggard.node, 1, forged)
+        _deliver(laggard.node, 3, forged)
+        assert laggard.slots_adopted == 0 and laggard._votes == {
+            0: {1: batch_digest(("x",))}
+        }
+        # A second sender reaches f+1.
+        _deliver(laggard.node, 2, forged)
+        assert laggard.slots_adopted == 1
+
+    def test_answers_outside_the_span_are_ignored(self, params4):
+        cluster, service = self._service(params4, 46)
+        laggard = service.appliers[3]
+        span = laggard.body_span
+        far = ("outcomes", span, (batch_digest(("x",)),))
+        for sender in (1, 2):
+            _deliver(laggard.node, sender, far)
+            # Malformed answers are ignored, never raised on.
+            for junk in (("outcomes", 0, [1]), ("outcomes", "0", ()),
+                         ("outcomes", 0, ([],)), ("outcome_req", None),
+                         ("outcome_req", -1)):
+                _deliver(laggard.node, sender, junk)
+        assert laggard._votes == {}
+        assert laggard.slots_adopted == 0 and laggard.next_index == 0
+
+    @staticmethod
+    def _asks(applier: ReplicaApplier) -> list:
+        """``(local time, head)`` of each ``outcome_req`` ``applier`` sends."""
+        node = applier.node
+        asks: list[tuple[float, int]] = []
+        broadcast = node.broadcast
+
+        def recording(payload):
+            if isinstance(payload, tuple) and payload[0] == "outcome_req":
+                asks.append((node.local_now(), payload[1]))
+            return broadcast(payload)
+
+        node.broadcast = recording
+        return asks
+
+    def test_unanswered_asks_back_off_to_the_wait(self, params4):
+        # A head nobody finalized (a slot that returned nowhere): no answer
+        # ever comes.  The first ask is retire_after_d * d into the wait,
+        # then the pause doubles from d up to the wait itself -- 16 asks in
+        # the 90 d before a coordinator's retry, not one every d.
+        cluster, service = self._service(params4, 47)
+        laggard = service.appliers[3]
+        asks = self._asks(laggard)
+        start = laggard.node.local_now()
+        laggard._on_decision(_decision((0, 8), BOTTOM))
+        cluster.run_for(90 * params4.d)
+        waited = [round((t - start) / params4.d, 6) for t, _ in asks]
+        assert waited == [6, 7, 9, 13, *range(19, 90, 6)]
+        assert laggard.next_index == 0 and laggard.slots_adopted == 0
+
+    def test_back_at_the_frontier_a_replica_asks_once_then_waits(self, params4):
+        # Adoption moves the head onto a slot no peer has finalized yet (it
+        # is still in agreement): one more ask at once, in case peers had
+        # more, then a fresh wait for that head -- not an ask every d.
+        cluster, service = self._service(params4, 48)
+        appliers = service.appliers
+        d = params4.d
+        for node_id in (0, 1, 2):
+            self._finalize(appliers[node_id], [("a",), ("b",)])
+        laggard = appliers[3]
+        asks = self._asks(laggard)
+        start = laggard.node.local_now()
+        laggard._on_decision(_decision((0, 8), BOTTOM))
+        cluster.run_for((laggard.retire_after_d + 3) * d)
+        assert laggard.applied == [(0, ("a",)), (1, ("b",))]
+        assert laggard.next_index == 2
+        assert asks[0] == (pytest.approx(start + 6 * d), 0)
+        # Head 2 is asked for once, at once, then not for another 6d.
+        (chase, head), = [ask for ask in asks if ask[1] == 2]
+        cluster.run_for(chase + 6.5 * d - laggard.node.local_now())
+        later = [round((t - chase) / d, 6) for t, head in asks if head == 2]
+        assert later == [0, 6]
+
+    def test_a_clean_run_sends_no_catch_up_traffic(self, params4, monkeypatch):
+        # Decisions land ahead of the head all the time in a pipeline, yet
+        # no head waits retire_after_d * d: a wait that ended too soon, or
+        # a wrong span-ahead inference, would ask here.
+        cluster, service = self._service(params4, 49)
+        coord = service.coordinator
+        asked = [self._asks(applier) for applier in service.appliers.values()]
+        waits = [0]
+        watch_head = ReplicaApplier._watch_head
+
+        def counting(applier, fired=False):
+            waits[0] += bool(applier._pending)
+            return watch_head(applier, fired)
+
+        monkeypatch.setattr(ReplicaApplier, "_watch_head", counting)
+        for i in range(100):
+            coord.submit_nowait(f"c{i}")
+            cluster.run_for(0.5 * params4.d)
+        cluster.run_for(params4.delta_agr + 10 * params4.d)
+        report = service.report()
+        assert report.commands_decided == report.commands_applied == 100
+        assert report.identical_logs
+        assert waits[0] > 0  # heads did wait with evidence
+        assert asked == [[]] * 4 and report.repaired_entries == 0
