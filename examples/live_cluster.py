@@ -6,8 +6,8 @@ this demo runs the same open-loop workload on the asyncio backend but
 *observes and perturbs it from outside*, the way an operator (or a
 Prometheus scraper) would:
 
-1. attach an :class:`~repro.obs.AsyncioControlPlane`, which serves every
-   node's metrics (``GET /metrics``, Prometheus text format, series
+1. attach a :class:`~repro.obs.ControlPlane` to the service, which serves
+   every node's metrics (``GET /metrics``, Prometheus text format, series
    labelled ``node="i"``), a cluster ``GET /status`` JSON snapshot, and
    ``POST /faults``;
 2. mid-workload, scrape ``/metrics`` and print live per-node state --
@@ -19,7 +19,7 @@ Prometheus scraper) would:
    missed and adopts each value ``f + 1`` of them vouch for -- and assert
    it converged to the identical applied sequence.
 
-The same endpoints exist on the socket backend (one process per node):
+The same plane serves the socket backend (one process per node):
 ``python -m repro.cli serve --backend socket --metrics --supervise``
 prints a ``control: http://...`` URL serving cluster-wide ``/status`` +
 ``/faults`` while each child serves its own ``/metrics``.
@@ -32,7 +32,7 @@ import json
 import urllib.request
 
 from repro.core.params import ProtocolParams
-from repro.obs import AsyncioControlPlane, parse_prometheus_text
+from repro.obs import ControlPlane, parse_prometheus_text
 from repro.runtime.aio import AsyncioCluster
 from repro.service import ReplicatedLogService
 from repro.service.workload import OpenLoopWorkload
@@ -63,8 +63,8 @@ async def main() -> None:
     params = ProtocolParams(n=4, f=1, delta=1.0, rho=0.0)
     cluster = AsyncioCluster(params, seed=0, time_scale=TIME_SCALE)
     service = ReplicatedLogService(cluster, primary=0, window=WINDOW)
-    plane = AsyncioControlPlane(cluster, service).start()
-    url = plane.server.url
+    plane = ControlPlane(service).start()
+    url = plane.url
     print(f"control plane: {url}  (GET /metrics, GET /status, POST /faults)")
     try:
         service.start()
@@ -107,13 +107,15 @@ async def main() -> None:
         await service.stop()
         report = service.report()
 
-        plane.sample()  # refresh the snapshot: the sampler has stopped
         status = json.loads(await asyncio.to_thread(_get, f"{url}/status"))
+        applied = {node: held["applied"]
+                   for node, held in status["service"]["progress"].items()}
         print(f"\nfinal /status: faults_injected="
               f"{status['faults_injected']} "
-              f"applied={status['service']['applied_per_replica']}")
+              f"restarts={status['nodes'][str(VICTIM)]['restarts']} "
+              f"applied={applied}")
     finally:
-        await plane.close()
+        plane.close()
         cluster.close()
 
     print(f"\n  {report.commands_per_s:7.0f} commands/s decided, "

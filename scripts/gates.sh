@@ -87,13 +87,17 @@ gate_service_smoke() {
         --n 4 --f 1 --commands 2000 --rate 1000 --time-scale 0.1
 }
 
-# The control plane end to end, over HTTP only: scrape every node's
-# /metrics, POST a FaultScript that SIGKILLs a replica mid-workload, then
-# require /status to report the supervised respawn and the run to converge
-# to identical logs (which needs the revenant to heal its log from f+1
-# matching peer answers).
+# The control plane end to end, over HTTP only, on both backends: scrape
+# every node's /metrics, POST a FaultScript that crashes a replica with
+# full state loss mid-workload (socket: a SIGKILL the supervisor heals;
+# asyncio: plus a scripted restart), then require /status to report the
+# victim alive with restarts >= 1 and the run to converge to identical
+# logs (which needs the revenant to heal its log from f+1 matching peer
+# answers).
 gate_live_cluster() {
-    bounded 180 "live cluster gate" python scripts/live_cluster_gate.py
+    bounded 180 "live cluster gate" sh -c \
+        'python scripts/live_cluster_gate.py --backend socket &&
+         python scripts/live_cluster_gate.py --backend asyncio'
 }
 
 # The scenario-matrix smoke (2 timelines x 2 seeds) through the suite

@@ -1,28 +1,31 @@
 #!/usr/bin/env python
-"""CI gate: the live cluster control plane, end to end.
+"""CI gate: the live cluster control plane, end to end, on either backend.
 
-Drives ``repro.cli serve --backend socket --metrics --supervise`` the way
-an operator would, over HTTP only:
+Drives ``repro.cli serve --backend {asyncio,socket} --metrics`` the way an
+operator would, over HTTP only:
 
 1.  start the cluster and read the ``control: http://...`` line;
-2.  poll ``/status`` until every node is alive and advertises a per-node
-    metrics endpoint;
-3.  scrape every node's ``/metrics`` and assert each required Prometheus
-    series is present and parseable;
-4.  ``POST /faults`` a ``FaultScript`` crash action that SIGKILLs one
-    replica (full state loss) mid-workload;
-5.  poll ``/status`` until the supervisor has respawned the victim
-    (``restarts >= 1`` and alive again) and its fresh ``/metrics``
-    endpoint reports the bumped incarnation;
+2.  poll ``/status`` until every node is alive;
+3.  scrape every node's series and assert each required Prometheus series
+    is present and parseable (socket: each child's own ``metrics_url``;
+    asyncio: the control plane's ``/metrics``, which labels every node);
+4.  ``POST /faults`` a crash of one replica with full state loss
+    mid-workload.  Socket: a SIGKILL, and ``--supervise`` respawns it.
+    Asyncio: the same crash plus a scripted ``restart`` at ``at_d: 6``;
+5.  poll ``/status`` until the victim is alive again with
+    ``restarts >= 1``, and read its incarnation from its series;
 6.  wait for the serve process itself: it must exit 0, which requires
     every replica -- the revenant included, healed from f+1 peer
     answers -- to have applied the identical full command sequence.
+
+Run:  python scripts/live_cluster_gate.py --backend socket
 
 Stdlib only; exits non-zero with a diagnostic on the first failed step.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -36,12 +39,22 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.obs.metrics import REQUIRED_SERIES, parse_prometheus_text  # noqa: E402
 
-#: Hard wall for the whole gate.
-GATE_TIMEOUT_S = 150.0
+#: Hard wall for one backend's run.
+GATE_TIMEOUT_S = 85.0
 COMMANDS = 1500
 RATE = 300.0
 PRIMARY = 0
 VICTIM = 2  # a replica: killing the primary is documented as unhealable
+
+#: What each backend is sent: the socket supervisor respawns a SIGKILLed
+#: child by itself; in-process, the script restarts the node.
+FAULTS = {
+    "socket": [{"at_d": 0.0, "do": "crash", "nodes": [VICTIM],
+                "state_loss": True}],
+    "asyncio": [{"at_d": 0.0, "do": "crash", "nodes": [VICTIM],
+                 "state_loss": True},
+                {"at_d": 6.0, "do": "restart", "nodes": [VICTIM]}],
+}
 
 
 def fail(step: str, detail: str, proc: subprocess.Popen) -> int:
@@ -70,13 +83,16 @@ def http_text(url: str, timeout: float = 5.0) -> str:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--backend", choices=sorted(FAULTS), required=True)
+    backend = parser.parse_args().backend
     deadline = time.monotonic() + GATE_TIMEOUT_S
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--backend", "socket", "--metrics", "--supervise",
+            "--backend", backend, "--metrics", "--supervise",
             "--commands", str(COMMANDS), "--rate", str(RATE),
             "--primary", str(PRIMARY), "--time-scale", "0.05",
             "--seed", "7",
@@ -100,9 +116,12 @@ def main() -> int:
                 break
         if control is None:
             return fail("announce", "no 'control:' line before timeout", proc)
-        print(f"control endpoint: {control}")
+        print(f"[{backend}] control endpoint: {control}")
 
-        # Step 2: every node alive with a metrics endpoint.
+        def metrics_url(node: dict) -> str:
+            return node["metrics_url"] or f"{control}/metrics"
+
+        # Step 2: every node alive (socket: with its own metrics endpoint).
         status = None
         while time.monotonic() < deadline:
             try:
@@ -112,24 +131,23 @@ def main() -> int:
                 continue
             nodes = status.get("nodes", {})
             if status.get("started") and nodes and all(
-                node["alive"] and node["metrics_url"]
+                node["alive"] and (node["metrics_url"] or backend == "asyncio")
                 for node in nodes.values()
             ):
                 break
             time.sleep(0.2)
         else:
             return fail("status", f"cluster never ready: {status}", proc)
-        print(f"all {len(status['nodes'])} nodes alive with metrics endpoints")
+        print(f"all {len(status['nodes'])} nodes alive")
 
         # Step 3: scrape every node, assert the required series.
         for node_id, node in sorted(status["nodes"].items()):
-            text = http_text(node["metrics_url"])
-            series = parse_prometheus_text(text)
-            exposed = set(series)
+            series = parse_prometheus_text(http_text(metrics_url(node)))
+            label = f'{{node="{node_id}"}}'
             missing = [
                 name for name in REQUIRED_SERIES
-                if name not in exposed
-                and f"{name}_count" not in exposed  # histogram samples
+                if label not in series.get(name, {})
+                and label not in series.get(f"{name}_count", {})  # histograms
             ]
             if missing:
                 return fail(
@@ -138,18 +156,15 @@ def main() -> int:
         print(f"scraped {len(status['nodes'])} nodes: "
               f"all {len(REQUIRED_SERIES)} required series present")
 
-        # Step 4: SIGKILL one replica through the fault endpoint.
-        reply = http_json(
-            f"{control}/faults",
-            payload=[{"at_d": 0.0, "do": "crash", "nodes": [VICTIM],
-                      "state_loss": True}],
-        )
-        if reply.get("accepted") != 1:
+        # Step 4: crash one replica through the fault endpoint.
+        faults = FAULTS[backend]
+        reply = http_json(f"{control}/faults", payload=faults)
+        if reply != {"accepted": len(faults), "backend": backend}:
             return fail("inject", f"fault not accepted: {reply}", proc)
         print(f"injected crash(state_loss) for node {VICTIM}: {reply}")
 
-        # Step 5: the supervisor respawns the victim; its new /metrics
-        # endpoint reports the bumped incarnation.
+        # Step 5: the victim is revived; its series report the bumped
+        # incarnation.
         recovered = None
         while time.monotonic() < deadline:
             try:
@@ -165,7 +180,7 @@ def main() -> int:
         if recovered is None:
             return fail("respawn", f"victim never respawned: {status}", proc)
         try:
-            series = parse_prometheus_text(http_text(recovered["metrics_url"]))
+            series = parse_prometheus_text(http_text(metrics_url(recovered)))
             incarnation = series.get("repro_incarnation", {}).get(
                 f'{{node="{VICTIM}"}}', 0.0
             )
@@ -186,7 +201,7 @@ def main() -> int:
             print(f"GATE FAIL [converge]: serve exited {proc.returncode}",
                   file=sys.stderr)
             return 1
-        print("GATE OK: scrape + injected kill + supervised recovery + "
+        print(f"GATE OK [{backend}]: scrape + injected kill + recovery + "
               "identical logs")
         return 0
     finally:

@@ -659,6 +659,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if chaos.ok else 1
 
 
+def _control_plane(args: argparse.Namespace, service):
+    """Start a control plane over the service when ``--metrics`` asks."""
+    if not args.metrics:
+        return None
+    from repro.obs.control import ControlPlane
+
+    plane = ControlPlane(service, port=args.control_port).start()
+    print(f"control: {plane.url}", flush=True)
+    return plane
+
+
 def _run_service(args: argparse.Namespace):
     """Run one service workload on the selected backend; returns its
     :class:`~repro.service.service.ServiceReport`."""
@@ -685,14 +696,7 @@ def _run_service(args: argparse.Namespace):
                 window=args.window,
                 max_batch=args.batch,
             )
-            plane = None
-            if args.metrics:
-                from repro.obs.control import AsyncioControlPlane
-
-                plane = AsyncioControlPlane(
-                    cluster, service, port=args.control_port
-                ).start()
-                print(f"control: {plane.server.url}", flush=True)
+            plane = _control_plane(args, service)
             try:
                 return await service.run_workload(
                     rate=args.rate,
@@ -703,7 +707,7 @@ def _run_service(args: argparse.Namespace):
                 )
             finally:
                 if plane is not None:
-                    await plane.close()
+                    plane.close()
                 cluster.close()
 
         return asyncio.run(body())
@@ -725,12 +729,7 @@ def _run_service(args: argparse.Namespace):
         supervise=args.supervise,
         metrics=args.metrics,
     )
-    plane = None
-    if args.metrics:
-        from repro.obs.control import SocketControlPlane
-
-        plane = SocketControlPlane(service, port=args.control_port).start()
-        print(f"control: {plane.server.url}", flush=True)
+    plane = _control_plane(args, service)
     try:
         return service.run_workload(
             rate=args.rate,

@@ -1,28 +1,30 @@
-"""Live fault drivers: :class:`~repro.faults.timeline.FaultScript` on real time.
+"""The live fault driver: :class:`~repro.faults.timeline.FaultScript` on real time.
 
 The sim installer (:meth:`FaultScript.install`) schedules one simulator
-event per action.  This module interprets the **same** timeline data against
-the wall-clock backends, so one JSON-able spec drives all three:
+event per action.  This module interprets the **same** timeline data on
+the wall-clock backends, so one JSON-able spec drives all three.
 
-* :class:`AsyncioFaultDriver` -- in-process: actions fire as
-  ``loop.call_later`` wake-ups against an :class:`~repro.runtime.aio.
-  AsyncioCluster`.  Link faults go to the shared transport's sender-side
-  drop matrix; ``Crash``/``Restart`` stun and revive the in-process nodes
-  with the sim path's exact semantics (shared wipe/scramble helpers).
-* :class:`WallClockFaultDriver` -- parent-side, for a
-  :class:`~repro.runtime.socket_host.SocketCluster` of OS processes:
-  ``Crash(state_loss=True)`` SIGKILLs the child (the heap is *really*
-  gone), ``Crash(state_loss=False)`` SIGSTOPs it (a stun), ``Restart``
-  SIGCONTs or respawns via the cluster's supervisor, and link faults are
-  broadcast as control-pipe directives every child applies to its own
-  sender.  Fire times are computed on the shared epoch, so ``at_d``
-  offsets mean exactly what they mean in sim.
+:class:`LiveFaultDriver` is written once, against the lifecycle surface
+both :class:`~repro.runtime.aio.AsyncioCluster` and
+:class:`~repro.runtime.socket_host.SocketCluster` provide:
+
+* ``kill_node(id, state_loss)`` -- asyncio stuns the in-process node with
+  the sim ``Crash``'s own helper; socket SIGKILLs the child (the heap is
+  *really* gone) or SIGSTOPs it (a stun);
+* ``revive_node(id, restart, index)`` -- revives it, scrambled from the
+  ``Restart`` action's pool and Generals when it asks for that (socket:
+  SIGCONT, or a respawn through the supervisor);
+* ``link_fault(kind, args)`` -- one :func:`apply_transport_fault`
+  directive, on the shared transport or broadcast to every child;
+* ``now()`` -- protocol time, so ``at_d`` offsets mean what they mean in
+  sim.
 
 Support matrix: ``SwapStrategy`` and ``Havoc`` are sim-only (they need
 in-process node surgery / the sim network's spurious-injection hook) and
 are rejected up front by :func:`validate_live_script`; a live ``SwapPolicy``
-must name a registered policy (:data:`LIVE_POLICY_BUILDERS`) so it can
-travel over a control pipe.
+must name a registered policy
+(:data:`~repro.faults.timeline.POLICY_BUILDERS`) so it can travel over a
+control pipe.
 
 :func:`run_chaos_agreement` is the paper's self-stabilization claim as a
 live demo: SIGKILL ``f`` nodes mid-agreement with full state loss, let the
@@ -33,13 +35,16 @@ bound.
 
 from __future__ import annotations
 
-import time
+import heapq
+import itertools
+import queue
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.params import ProtocolParams
 from repro.faults.timeline import (
-    Coherent,
+    POLICY_BUILDERS,
     Crash,
     FaultAction,
     FaultScript,
@@ -51,76 +56,12 @@ from repro.faults.timeline import (
     Restart,
     SwapPolicy,
     SwapStrategy,
+    build_named_policy,
 )
-from repro.faults.transient import TransientFaultInjector, wipe_protocol_state
-from repro.net.delivery import BurstyDelay, DeliveryPolicy, FixedDelay, UniformDelay
 
 if TYPE_CHECKING:  # annotations only: no runtime import cycle
     from repro.core.messages import Value
-    from repro.runtime.aio import AsyncioCluster
-    from repro.runtime.socket_host import SocketCluster, SocketRunReport
-
-
-# ---------------------------------------------------------------------------
-# Live delivery-policy builders
-# ---------------------------------------------------------------------------
-# Same numeric recipes as the sim's POLICY_BUILDERS, but parameterized by
-# (params, now_fn) instead of a sim Cluster so a policy *name* -- the only
-# form that can travel over a control pipe -- resolves identically on every
-# backend.
-def _live_uniform(params: ProtocolParams, now_fn) -> DeliveryPolicy:
-    return UniformDelay(0.1 * params.delta, params.delta)
-
-
-def _live_fast(params: ProtocolParams, now_fn) -> DeliveryPolicy:
-    return UniformDelay(0.01 * params.delta, 0.1 * params.delta)
-
-
-def _live_default(params: ProtocolParams, now_fn) -> DeliveryPolicy:
-    # The wall-clock backends' spawn-time default: headroom under delta for
-    # loop/kernel jitter.
-    return UniformDelay(0.05 * params.delta, 0.5 * params.delta)
-
-
-def _live_delay_storm(params: ProtocolParams, now_fn) -> DeliveryPolicy:
-    return UniformDelay(0.9 * params.delta, params.delta)
-
-
-def _live_fixed_max(params: ProtocolParams, now_fn) -> DeliveryPolicy:
-    return FixedDelay(params.delta)
-
-
-def _live_bursty(params: ProtocolParams, now_fn) -> DeliveryPolicy:
-    return BurstyDelay(
-        now_fn=now_fn,
-        period=2.0 * params.d,
-        fast_max=0.2 * params.delta,
-        slow_min=0.8 * params.delta,
-        slow_max=params.delta,
-    )
-
-
-LIVE_POLICY_BUILDERS: dict[
-    str, Callable[[ProtocolParams, Callable[[], float]], DeliveryPolicy]
-] = {
-    "uniform": _live_uniform,
-    "fast": _live_fast,
-    "live_default": _live_default,
-    "delay_storm": _live_delay_storm,
-    "fixed_max": _live_fixed_max,
-    "bursty": _live_bursty,
-}
-
-
-def build_live_policy(
-    name: str, params: ProtocolParams, now_fn: Callable[[], float]
-) -> DeliveryPolicy:
-    """Resolve a policy name against (params, a live clock)."""
-    try:
-        return LIVE_POLICY_BUILDERS[name](params, now_fn)
-    except KeyError:
-        known = ", ".join(sorted(LIVE_POLICY_BUILDERS))
-        raise KeyError(f"unknown live policy {name!r} (known: {known})") from None
+    from repro.runtime.socket_host import SocketRunReport
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +70,23 @@ def build_live_policy(
 _LIVE_UNSUPPORTED = (SwapStrategy, Havoc)
 
 
-def validate_live_script(script: FaultScript, backend: str = "socket") -> None:
-    """Reject actions a live driver cannot honour, *before* the run starts."""
+def validate_live_script(script: FaultScript) -> None:
+    """Reject actions the live driver cannot honour, *before* they fire."""
     for action in script.actions:
         if isinstance(action, _LIVE_UNSUPPORTED):
             raise ValueError(
-                f"{action.kind!r} is not supported by the {backend} fault "
-                f"driver (sim only: it needs in-process node surgery or the "
-                f"sim network's spurious-injection hook)"
+                f"{action.kind!r} is not supported by the live fault driver "
+                f"(sim only: it needs in-process node surgery or the sim "
+                f"network's spurious-injection hook)"
             )
         if isinstance(action, SwapPolicy) and not isinstance(action.policy, str):
             raise ValueError(
                 "a live SwapPolicy must name a registered policy (one of: "
-                + ", ".join(sorted(LIVE_POLICY_BUILDERS))
+                + ", ".join(sorted(POLICY_BUILDERS))
                 + "); factories cannot travel over a control pipe"
             )
-        if isinstance(action, SwapPolicy) and action.policy not in LIVE_POLICY_BUILDERS:
-            known = ", ".join(sorted(LIVE_POLICY_BUILDERS))
+        if isinstance(action, SwapPolicy) and action.policy not in POLICY_BUILDERS:
+            known = ", ".join(sorted(POLICY_BUILDERS))
             raise ValueError(
                 f"unknown live policy {action.policy!r} (known: {known})"
             )
@@ -158,8 +99,8 @@ def link_fault_directive(action: FaultAction) -> Optional[tuple[str, dict]]:
     """The ``(kind, args)`` directive of a link-level action, else ``None``.
 
     The args are plain JSON-able values, so the same directive is applied
-    in-process by :class:`AsyncioFaultDriver` and shipped down the control
-    pipes by :class:`WallClockFaultDriver`.
+    to the asyncio transport in-process and shipped down the socket
+    backend's control pipes.
     """
     if isinstance(action, Partition):
         return "partition", {"island": list(action.island)}
@@ -179,9 +120,9 @@ def apply_transport_fault(
 ) -> None:
     """Apply one link-level fault directive to a live transport.
 
-    Used both by :class:`AsyncioFaultDriver` (directly) and by every socket
-    child when a ``("fault", kind, args)`` control message arrives, so the
-    two wall-clock backends interpret a directive identically.
+    Used both by ``AsyncioCluster.link_fault`` and by every socket child
+    when a ``("fault", kind, args)`` control message arrives, so the two
+    wall-clock backends interpret a directive identically.
     """
     if kind == "partition":
         transport.set_partition(frozenset(args["island"]))
@@ -193,186 +134,129 @@ def apply_transport_fault(
         transport.reconnect(args["nodes"])
     elif kind == "policy":
         transport.set_policy(
-            build_live_policy(args["policy"], params, transport.now)
+            build_named_policy(args["policy"], params, transport.now)
         )
     else:
         raise ValueError(f"unknown transport fault {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# In-process crash/restart (sim-parity semantics, shared helpers)
+# The driver
 # ---------------------------------------------------------------------------
-def crash_in_process(node, state_loss: bool) -> None:
-    """Stun an in-process node: the live analogue of the sim ``Crash``."""
-    node.crash()
-    node.cancel_timers()
-    if state_loss:
-        wipe_protocol_state(node)
-
-
-def restart_in_process(
-    node, injector: Optional[TransientFaultInjector] = None
-) -> None:
-    """Revive an in-process node (no-op unless crashed), sim semantics.
-
-    With an injector, the revived node's state is scrambled -- the paper's
-    arbitrary-state recovery model.  The background cleanup tick is
-    re-armed (its periodic chain died with the crash).
-    """
-    if not node.crashed:
-        return
-    node.resume()
-    if injector is not None and hasattr(node, "instances"):
-        injector.corrupt_node(node)
-    if hasattr(node, "cleanup_interval_d"):
-        node.every_local(
-            node.cleanup_interval_d * node.params.d,
-            node._cleanup_tick,
-            tag=f"cleanup:{node.node_id}",
+def parse_fault_payload(spec: object) -> FaultScript:
+    """Parse a ``POST /faults`` body: a list of action dicts, bare or as
+    ``{"actions": [...]}``; malformed input raises (an HTTP 400)."""
+    if isinstance(spec, dict):
+        spec = spec.get("actions")
+    if not isinstance(spec, list) or not spec:
+        raise ValueError(
+            'expected a non-empty JSON list of fault actions (or {"actions":'
+            " [...]}); see repro.faults.timeline.FaultScript.from_spec"
         )
+    return FaultScript.from_spec(spec)
 
 
-# ---------------------------------------------------------------------------
-# Asyncio driver
-# ---------------------------------------------------------------------------
-class AsyncioFaultDriver:
-    """Interpret a :class:`FaultScript` against an :class:`AsyncioCluster`.
+class LiveFaultDriver:
+    """Interpret :class:`FaultScript` timelines against a live cluster.
 
-    Construct inside the running loop and call :meth:`install` once; every
-    action becomes a ``loop.call_later`` wake-up at ``at_d * d`` protocol
-    units after install (scaled by the transport's ``time_scale``).  Call
-    :meth:`cancel` at teardown so unfired actions don't outlive the run.
+    One dispatch and one time-ordered queue; actions due at the same time
+    fire in script order.  Given a ``loop`` (asyncio), one ``call_later``
+    timer stays armed at the head deadline; without one (the socket
+    parent), the owner calls :meth:`pump` every loop iteration.
+    :meth:`inject` is the only thread-safe entry: it validates a JSON spec
+    on the caller's thread and leaves the script in an inbox, which the
+    next :meth:`pump` loads -- so its ``at_d`` counts from injection.
     """
 
-    def __init__(self, script: FaultScript, cluster: "AsyncioCluster") -> None:
-        validate_live_script(script, backend="asyncio")
-        self.script = script
+    def __init__(self, cluster, loop=None, tracer=None) -> None:
         self.cluster = cluster
-        self._handles: list = []
+        self._loop = loop
+        self._tracer = tracer
+        self._queue: list[tuple[float, int, int, FaultAction]] = []
+        self._seq = itertools.count()
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._timer = None
+        #: Fault actions accepted through :meth:`inject` (any thread).
+        self.injected = 0
+        self._injected_lock = threading.Lock()
         self.fired: list[str] = []
 
-    def install(self) -> None:
-        transport = self.cluster.transport
+    def load(self, script: FaultScript, base: Optional[float] = None) -> None:
+        """Queue every action at ``base + at_d * d`` (``base``: now)."""
+        validate_live_script(script)
+        if base is None:
+            base = self.cluster.now()
         d = self.cluster.params.d
-        ordered = sorted(
-            enumerate(self.script.actions), key=lambda pair: pair[1].at_d
-        )
-        for index, action in ordered:
-            self._handles.append(
-                transport.loop.call_later(
-                    action.at_d * d * transport.time_scale,
-                    self._fire,
-                    action,
-                    index,
-                )
+        for index, action in enumerate(script.actions):
+            heapq.heappush(
+                self._queue,
+                (base + action.at_d * d, next(self._seq), index, action),
             )
+        self._arm()
 
-    def cancel(self) -> None:
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
-
-    # ------------------------------------------------------------------
-    def _fire(self, action: FaultAction, index: int) -> None:
-        cluster = self.cluster
-        transport = cluster.transport
-        tracer = cluster.tracer
-        if tracer.enabled:
-            tracer.record(transport.now(), None, "timeline", action=action.kind)
-        else:
-            tracer.bump("timeline")
-        directive = link_fault_directive(action)
-        if directive is not None:
-            apply_transport_fault(transport, cluster.params, *directive)
-        elif isinstance(action, Crash):
-            for node_id in action.nodes:
-                crash_in_process(cluster.nodes[node_id], action.state_loss)
-        elif isinstance(action, Restart):
-            injector = None
-            if action.scramble:
-                injector = TransientFaultInjector(
-                    cluster.params,
-                    cluster.rng.split(f"live/restart/{index}@{action.at_d!r}"),
-                    value_pool=list(action.value_pool),
-                    generals=list(action.generals),
-                )
-            for node_id in action.nodes:
-                restart_in_process(cluster.nodes[node_id], injector)
-        elif isinstance(action, Coherent):
-            pass  # trace marker only, recorded above
-        self.fired.append(action.kind)
-
-
-# ---------------------------------------------------------------------------
-# Socket (parent-side) driver
-# ---------------------------------------------------------------------------
-class WallClockFaultDriver:
-    """Interpret a :class:`FaultScript` against a :class:`SocketCluster`.
-
-    The parent's agreement loop calls :meth:`pump` every iteration (~50 ms),
-    which fires every action whose shared-epoch deadline has passed --
-    ``at_d`` is measured from the cluster epoch, the same zero the children
-    measure protocol time from, so offsets mean what they mean in sim (to
-    one polling quantum).
-
-    Process faults act on the cluster's supervisor surface
-    (:meth:`SocketCluster.kill_node` / :meth:`SocketCluster.revive_node`);
-    link faults are broadcast as ``("fault", kind, args)`` control messages
-    that every *currently live* child applies to its own sender.  A child
-    respawned later starts with a clean drop matrix -- scripts that mix
-    churn with partitions should order their actions accordingly.
-    """
-
-    def __init__(self, script: FaultScript, cluster: "SocketCluster") -> None:
-        validate_live_script(script, backend="socket")
-        self.script = script
-        self.cluster = cluster
-        self._queue: list[tuple[float, int, FaultAction]] = []
-        self._started = False
-        self.fired: list[str] = []
-
-    def start(self, epoch_wall: float) -> None:
-        """Arm the timeline once the cluster epoch is known."""
-        params = self.cluster.params
-        scale = self.cluster.time_scale
-        epoch_mono = time.monotonic() - (time.time() - epoch_wall)
-        ordered = sorted(
-            enumerate(self.script.actions), key=lambda pair: pair[1].at_d
-        )
-        self._queue = [
-            (epoch_mono + action.at_d * params.d * scale, index, action)
-            for index, action in ordered
-        ]
-        self._started = True
-
-    @property
-    def done(self) -> bool:
-        return self._started and not self._queue
+    def inject(self, spec: object) -> dict:
+        """Validate a JSON spec and hand it to the owning thread."""
+        script = parse_fault_payload(spec)
+        validate_live_script(script)
+        n = self.cluster.params.n
+        named = [i for a in script.actions for i in getattr(a, "nodes", ())]
+        if not all(0 <= node_id < n for node_id in named):
+            raise ValueError(f"fault actions may name nodes 0..{n - 1} only")
+        self._inbox.put(script)
+        with self._injected_lock:
+            self.injected += len(script.actions)
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self.pump)
+        return {"accepted": len(script.actions), "backend": self.cluster.backend}
 
     def pump(self) -> None:
-        """Fire every action whose deadline has passed."""
-        if not self._started:
-            return
-        now = time.monotonic()
+        """Load injected scripts, then fire every action that is due."""
+        while not self._inbox.empty():
+            self.load(self._inbox.get_nowait())
+        now = self.cluster.now()
         while self._queue and self._queue[0][0] <= now:
-            _when, index, action = self._queue.pop(0)
-            self._apply(action, index)
-            self.fired.append(action.kind)
+            _at, _seq, index, action = heapq.heappop(self._queue)
+            self._fire(action, index)
+        self._arm()
 
-    # ------------------------------------------------------------------
-    def _apply(self, action: FaultAction, index: int) -> None:
+    def cancel(self) -> None:
+        """Drop every unfired action (teardown)."""
+        self._queue.clear()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _arm(self) -> None:
+        if self._loop is None:
+            return
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._queue:
+            delay = self._queue[0][0] - self.cluster.now()
+            self._timer = self._loop.call_later(
+                max(0.0, delay) * self.cluster.time_scale, self.pump
+            )
+
+    def _fire(self, action: FaultAction, index: int) -> None:
         cluster = self.cluster
+        tracer = self._tracer
+        if tracer is not None:
+            if tracer.enabled:
+                tracer.record(cluster.now(), None, "timeline", action=action.kind)
+            else:
+                tracer.bump("timeline")
         directive = link_fault_directive(action)
         if directive is not None:
-            cluster.broadcast_fault(*directive)
+            cluster.link_fault(*directive)
         elif isinstance(action, Crash):
             for node_id in action.nodes:
-                cluster.kill_node(node_id, state_loss=action.state_loss)
+                cluster.kill_node(node_id, action.state_loss)
         elif isinstance(action, Restart):
             for node_id in action.nodes:
-                cluster.revive_node(node_id, scramble=action.scramble)
-        elif isinstance(action, Coherent):
-            pass  # marker only
+                cluster.revive_node(node_id, action, index)
+        # Coherent is a marker only.
+        self.fired.append(action.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +409,11 @@ def run_chaos_agreement(
 
 
 __all__ = [
-    "AsyncioFaultDriver",
     "ChaosReport",
-    "LIVE_POLICY_BUILDERS",
-    "WallClockFaultDriver",
+    "LiveFaultDriver",
     "apply_transport_fault",
-    "build_live_policy",
-    "crash_in_process",
     "link_fault_directive",
-    "restart_in_process",
+    "parse_fault_payload",
     "run_chaos_agreement",
     "validate_live_script",
 ]

@@ -37,13 +37,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
-from repro.faults.transient import TransientFaultInjector, wipe_protocol_state
+from repro.faults.transient import (
+    TransientFaultInjector,
+    crash_in_process,
+    restart_in_process,
+)
 from repro.net.delivery import (
     BurstyDelay,
     DeliveryPolicy,
     FixedDelay,
     LinkPartitionPolicy,
     UniformDelay,
+    wall_clock_default,
 )
 
 if TYPE_CHECKING:  # only for annotations: avoids a faults <-> harness cycle
@@ -54,55 +59,50 @@ if TYPE_CHECKING:  # only for annotations: avoids a faults <-> harness cycle
 # ---------------------------------------------------------------------------
 # Named delivery-policy builders (shared by timelines and the suite runner)
 # ---------------------------------------------------------------------------
-def _policy_uniform(cluster: "Cluster") -> DeliveryPolicy:
-    return UniformDelay(0.1 * cluster.params.delta, cluster.params.delta)
-
-
-def _policy_fast(cluster: "Cluster") -> DeliveryPolicy:
-    return UniformDelay(0.01 * cluster.params.delta, 0.1 * cluster.params.delta)
-
-
-def _policy_delay_storm(cluster: "Cluster") -> DeliveryPolicy:
-    # Every copy near the legal bound: the congested-but-correct worst case.
-    return UniformDelay(0.9 * cluster.params.delta, cluster.params.delta)
-
-
-def _policy_fixed_max(cluster: "Cluster") -> DeliveryPolicy:
-    return FixedDelay(cluster.params.delta)
-
-
-def _policy_bursty(cluster: "Cluster") -> DeliveryPolicy:
-    p = cluster.params
-    sim = cluster.sim
+# Each recipe takes ``(params, now_fn)`` rather than a sim Cluster, so a
+# policy *name* -- the only form that can travel over a control pipe --
+# resolves identically on every backend.
+def _policy_bursty(params: "ProtocolParams", now_fn) -> DeliveryPolicy:
     return BurstyDelay(
-        now_fn=lambda: sim.now,
-        period=2.0 * p.d,
-        fast_max=0.2 * p.delta,
-        slow_min=0.8 * p.delta,
-        slow_max=p.delta,
+        now_fn=now_fn,
+        period=2.0 * params.d,
+        fast_max=0.2 * params.delta,
+        slow_min=0.8 * params.delta,
+        slow_max=params.delta,
     )
 
 
-POLICY_BUILDERS: dict[str, Callable[["Cluster"], DeliveryPolicy]] = {
-    "uniform": _policy_uniform,
-    "fast": _policy_fast,
-    "delay_storm": _policy_delay_storm,
-    "fixed_max": _policy_fixed_max,
+POLICY_BUILDERS: dict[str, Callable[..., DeliveryPolicy]] = {
+    "uniform": lambda p, now_fn: UniformDelay(0.1 * p.delta, p.delta),
+    "fast": lambda p, now_fn: UniformDelay(0.01 * p.delta, 0.1 * p.delta),
+    # Every copy near the legal bound: the congested-but-correct worst case.
+    "delay_storm": lambda p, now_fn: UniformDelay(0.9 * p.delta, p.delta),
+    "fixed_max": lambda p, now_fn: FixedDelay(p.delta),
     "bursty": _policy_bursty,
+    # The wall-clock backends' spawn-time default.
+    "live_default": lambda p, now_fn: wall_clock_default(p.delta),
 }
 
 PolicySpec = Union[str, Callable[["Cluster"], DeliveryPolicy]]
+
+
+def build_named_policy(
+    name: str, params: "ProtocolParams", now_fn: Callable[[], float]
+) -> DeliveryPolicy:
+    """Resolve a policy name against (params, a clock) on any backend."""
+    try:
+        builder = POLICY_BUILDERS[name]
+    except KeyError:
+        known = ", ".join(sorted(POLICY_BUILDERS))
+        raise KeyError(f"unknown policy {name!r} (known: {known})") from None
+    return builder(params, now_fn)
 
 
 def build_policy(spec: PolicySpec, cluster: "Cluster") -> DeliveryPolicy:
     """Resolve a policy name (or module-level factory) against a cluster."""
     if callable(spec):
         return spec(cluster)
-    try:
-        return POLICY_BUILDERS[spec](cluster)
-    except KeyError:
-        known = ", ".join(sorted(POLICY_BUILDERS))
-        raise KeyError(f"unknown policy {spec!r} (known: {known})") from None
+    return build_named_policy(spec, cluster.params, lambda: cluster.sim.now)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +206,7 @@ class Crash(FaultAction):
     def apply(self, cluster: "Cluster", index: int = 0) -> None:
         for pos, node_id in enumerate(self.nodes):
             with cluster.node_scope(node_id, pos):
-                node = cluster.nodes[node_id]
-                node.crash()
-                node.cancel_timers()
-                if self.state_loss:
-                    wipe_protocol_state(node)
+                crash_in_process(cluster.nodes[node_id], self.state_loss)
 
 
 @dataclass(frozen=True)
@@ -247,18 +243,7 @@ class Restart(FaultAction):
             )
         for pos, node_id in enumerate(self.nodes):
             with cluster.node_scope(node_id, pos):
-                node = cluster.nodes[node_id]
-                if not node.crashed:
-                    continue
-                node.resume()
-                if injector is not None and hasattr(node, "instances"):
-                    injector.corrupt_node(node)
-                if hasattr(node, "cleanup_interval_d"):
-                    node.every_local(
-                        node.cleanup_interval_d * node.params.d,
-                        node._cleanup_tick,
-                        tag=f"cleanup:{node_id}",
-                    )
+                restart_in_process(cluster.nodes[node_id], injector)
 
 
 @dataclass(frozen=True)
@@ -538,6 +523,7 @@ __all__ = [
     "SwapPolicy",
     "SwapStrategy",
     "TIMELINE_BUILDERS",
+    "build_named_policy",
     "build_policy",
     "build_timeline",
 ]

@@ -42,10 +42,10 @@ from repro.sim.rand import RandomSource
 def wipe_protocol_state(node: ProtocolNode) -> None:
     """Erase every protocol variable: the restart-from-empty-disk model.
 
-    Shared by the sim timeline's ``Crash(state_loss=True)`` and the live
-    fault drivers (a SIGKILLed process loses its heap for real; an
-    in-process asyncio "crash" must lose it explicitly), so both paths
-    agree on what "full state loss" means.
+    Shared by the sim timeline's ``Crash(state_loss=True)`` and the
+    asyncio backend (a SIGKILLed process loses its heap for real; an
+    in-process "crash" must lose it explicitly), so both paths agree on
+    what "full state loss" means.
     """
     if not hasattr(node, "instances"):
         return
@@ -53,6 +53,34 @@ def wipe_protocol_state(node: ProtocolNode) -> None:
     node._last_initiation = None
     node._last_initiation_by_value.clear()
     node._failed_initiation_at = None
+
+
+def crash_in_process(node, state_loss: bool) -> None:
+    """Stun an in-process node; ``state_loss`` also wipes its state."""
+    node.crash()
+    node.cancel_timers()
+    if state_loss:
+        wipe_protocol_state(node)
+
+
+def restart_in_process(
+    node, injector: TransientFaultInjector | None = None
+) -> None:
+    """Revive a crashed in-process node, scrambled if given an injector.
+
+    The background cleanup tick is re-armed (its chain died with the crash).
+    """
+    if not node.crashed:
+        return
+    node.resume()
+    if injector is not None and hasattr(node, "instances"):
+        injector.corrupt_node(node)
+    if hasattr(node, "cleanup_interval_d"):
+        node.every_local(
+            node.cleanup_interval_d * node.params.d,
+            node._cleanup_tick,
+            tag=f"cleanup:{node.node_id}",
+        )
 
 
 class TransientFaultInjector:
@@ -188,4 +216,9 @@ class TransientFaultInjector:
         )
 
 
-__all__ = ["TransientFaultInjector", "wipe_protocol_state"]
+__all__ = [
+    "TransientFaultInjector",
+    "crash_in_process",
+    "restart_in_process",
+    "wipe_protocol_state",
+]

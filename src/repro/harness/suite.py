@@ -25,9 +25,10 @@ runs fan out over the shared process pool exactly like the experiment
 drivers -- bit-identical rows and trace digests at any worker count.
 
 A cell may also carry ``"backend": "asyncio"``: the **same** timeline spec
-is then interpreted live by :class:`~repro.faults.live.AsyncioFaultDriver`
-against an in-process wall-clock cluster (real ``loop.call_later`` timers,
-real elapsed time).  Such cells score with the same row shape but are not
+is then interpreted live by the cluster's
+:class:`~repro.faults.live.LiveFaultDriver` against an in-process
+wall-clock cluster (real ``loop.call_later`` timers, real elapsed time).
+Such cells score with the same row shape but are not
 replayable -- wall-clock jitter moves the counters between runs -- so keep
 them out of digest-pinned suites; the default ``"sim"`` backend stays
 bit-identical.
@@ -52,7 +53,11 @@ from repro.faults.byzantine import (
     MirrorParticipantStrategy,
     TwoFacedParticipantStrategy,
 )
-from repro.faults.timeline import build_policy, build_timeline
+from repro.faults.timeline import (
+    build_named_policy,
+    build_policy,
+    build_timeline,
+)
 from repro.harness import metrics, properties
 from repro.harness.parallel import SeedPool
 from repro.harness.report import rows_to_markdown
@@ -190,8 +195,8 @@ def _run_cell_asyncio(cell: dict, seed: int) -> tuple:
     """One (cell, seed) run on the asyncio wall-clock backend.
 
     Same result shape as the sim path, but elapsed time is real: the cell's
-    timeline is interpreted by a live
-    :class:`~repro.faults.live.AsyncioFaultDriver`, delays come from a
+    timeline is interpreted by the cluster's
+    :class:`~repro.faults.live.LiveFaultDriver`, delays come from a
     *named* live policy, and injected-fault drops land in the
     ``dropped_partition`` column (the transport's ``dropped_fault_count``).
     The digest hashes jittery wall-clock counters -- structural parity
@@ -199,7 +204,6 @@ def _run_cell_asyncio(cell: dict, seed: int) -> tuple:
     """
     import asyncio
 
-    from repro.faults.live import AsyncioFaultDriver, build_live_policy
     from repro.runtime.aio import AsyncioCluster
 
     params = _cell_params(cell)
@@ -215,16 +219,15 @@ def _run_cell_asyncio(cell: dict, seed: int) -> tuple:
             byzantine=cast,
             trace=cell.get("trace", False),
         )
-        driver = AsyncioFaultDriver(script, cluster)
         try:
             cluster.transport.set_policy(
-                build_live_policy(
+                build_named_policy(
                     cell.get("policy", "live_default"),
                     params,
                     cluster.transport.now,
                 )
             )
-            driver.install()
+            cluster.faults.load(script)
             correct = [
                 i for i in cluster.correct_ids if i not in script.churned_nodes()
             ]
@@ -259,7 +262,6 @@ def _run_cell_asyncio(cell: dict, seed: int) -> tuple:
                     min(1.0, deadline - cluster.transport.now())
                 )
         finally:
-            driver.cancel()
             cluster.close()
         latest = cluster.latest_decision_per_node(general)
         returned = {i: latest[i] for i in correct if i in latest}

@@ -93,6 +93,16 @@ class UniformDelay:
         return self.low
 
 
+def wall_clock_default(delta: float) -> UniformDelay:
+    """The wall-clock backends' default delivery policy.
+
+    Leaves headroom under ``delta``: the loop, the kernel and the scheduler
+    add their own latency on top of the drawn delay, and the total must
+    stay below ``d``.
+    """
+    return UniformDelay(0.05 * delta, 0.5 * delta)
+
+
 class AdversarialDelay:
     """Maximizes arrival-time skew between receivers, within the legal bound.
 
@@ -231,4 +241,5 @@ __all__ = [
     "IncoherentDelivery",
     "LinkPartitionPolicy",
     "UniformDelay",
+    "wall_clock_default",
 ]

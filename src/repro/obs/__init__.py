@@ -1,10 +1,12 @@
-"""Live-cluster observability: Prometheus /metrics, /status, /faults."""
+"""Live-cluster observability: Prometheus /metrics, /status, /faults.
 
-from repro.obs.control import (
-    AsyncioControlPlane,
-    SocketControlPlane,
-    parse_fault_payload,
-)
+One :class:`ControlPlane` serves either wall-clock backend through the
+cluster lifecycle surface (``render_metrics``, ``status_snapshot``,
+``inject_fault_script``); :class:`NodeMetrics` is one node's series.
+"""
+
+from repro.faults.live import parse_fault_payload
+from repro.obs.control import ControlPlane
 from repro.obs.http import MAX_BODY_BYTES, ObservabilityServer
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -15,14 +17,13 @@ from repro.obs.metrics import (
 )
 
 __all__ = [
-    "AsyncioControlPlane",
+    "ControlPlane",
     "DEFAULT_BUCKETS",
     "MAX_BODY_BYTES",
     "MetricsRegistry",
     "NodeMetrics",
     "ObservabilityServer",
     "REQUIRED_SERIES",
-    "SocketControlPlane",
     "parse_fault_payload",
     "parse_prometheus_text",
 ]

@@ -1,272 +1,42 @@
-"""Cluster control planes: /metrics, /status, /faults over live clusters.
+"""The cluster control plane: /metrics, /status, /faults over a live cluster.
 
-Two deployments of the same :class:`~repro.obs.http.ObservabilityServer`:
-
-* :class:`AsyncioControlPlane` -- the in-process backend.  All nodes share
-  one loop, so a single server exposes every node's series (labelled
-  ``node="i"``) plus the cluster ``/status`` and ``/faults`` endpoints.
-  Fault specs are parsed on the handler thread but *installed* on the loop
-  thread via ``call_soon_threadsafe`` -- the handler never touches live
-  protocol state.
-* :class:`SocketControlPlane` -- the parent of a
-  :class:`~repro.runtime.socket_host.SocketCluster`.  Each child serves
-  its own ``/metrics`` (see ``_child_run``); the parent serves the
-  cluster-wide ``/status`` (supervision state, per-node metrics addresses,
-  service progress), a parent-level ``/metrics`` (supervisor counters),
-  and ``POST /faults``, which validates the spec and enqueues it for the
-  parent's pump loop to arm -- same thread discipline, different process
-  topology.
-
-Both accept the exact JSON action specs
-:meth:`repro.faults.timeline.FaultScript.from_spec` parses, e.g.::
+:class:`ControlPlane` is one :class:`~repro.obs.http.ObservabilityServer`
+wired to the lifecycle surface both wall-clock backends provide, on a
+cluster or on the service running over it.  ``GET /metrics`` renders
+``target.render_metrics()``: every node's series on asyncio, the
+supervisor's on the socket parent (each child serves its own at its
+``metrics_url``).  ``GET /status`` is ``target.status_snapshot()``; both
+backends report ``backend``, ``n``, ``f``, ``started``,
+``faults_injected`` and, per node, ``alive``, ``restarts`` and
+``metrics_url``.  ``POST /faults`` calls ``target.inject_fault_script``
+with the JSON actions :meth:`~repro.faults.timeline.FaultScript.from_spec`
+parses, e.g.::
 
     [{"at_d": 0.0, "do": "crash", "nodes": [2], "state_loss": true},
      {"at_d": 6.0, "do": "restart", "nodes": [2]}]
 
-``at_d`` offsets are measured from *injection*, so ``at_d: 0`` means "now".
+``at_d`` offsets count from injection, so ``at_d: 0`` means "now".  The
+handlers run off the loop thread: the asyncio cluster runs render and
+status on its loop, with a bounded wait, and the socket parent reads plain
+fields.  The plane never branches on the backend.
 """
 
 from __future__ import annotations
 
-import asyncio
-import types
-from typing import Optional
-
-from repro.faults.timeline import FaultScript
 from repro.obs.http import ObservabilityServer
-from repro.obs.metrics import MetricsRegistry, NodeMetrics
 
 
-def parse_fault_payload(spec: object) -> FaultScript:
-    """Parse a ``POST /faults`` JSON body into a :class:`FaultScript`.
+class ControlPlane(ObservabilityServer):
+    """Serve a cluster's (or service's) lifecycle surface over HTTP."""
 
-    Accepts either a bare list of action dicts or ``{"actions": [...]}``.
-    Raises ``ValueError``/``KeyError``/``TypeError`` on malformed input
-    (mapped to HTTP 400 by the server).
-    """
-    if isinstance(spec, dict):
-        spec = spec.get("actions")
-    if not isinstance(spec, list) or not spec:
-        raise ValueError(
-            'expected a non-empty JSON list of fault actions (or {"actions":'
-            " [...]}); see repro.faults.timeline.FaultScript.from_spec"
-        )
-    return FaultScript.from_spec(spec)
-
-
-class AsyncioControlPlane:
-    """Observability + fault injection for an in-process asyncio cluster.
-
-    Construct inside the running loop, call :meth:`start` to begin
-    sampling and serving, :meth:`close` at teardown.  ``service`` (a
-    :class:`~repro.service.service.ReplicatedLogService`) is optional;
-    with it, per-replica apply counters and the primary's decide-latency
-    histogram are exposed and ``/status`` reports log progress.
-    """
-
-    def __init__(
-        self,
-        cluster,
-        service=None,
-        sample_interval_s: float = 0.1,
-        port: int = 0,
-    ) -> None:
-        self.cluster = cluster
-        self.service = service
-        self.sample_interval_s = sample_interval_s
-        time_scale = cluster.transport.time_scale
-        self.node_metrics: dict[int, NodeMetrics] = {
-            node_id: NodeMetrics(node_id, time_scale)
-            for node_id in cluster.correct_ids
-        }
-        self._status_cache: dict = {
-            "backend": "asyncio",
-            "n": cluster.params.n,
-            "f": cluster.params.f,
-            "ready": False,
-            "nodes": {},
-            "faults_injected": 0,
-        }
-        self._loop = asyncio.get_running_loop()
-        self._sampler: Optional[asyncio.Task] = None
-        self._drivers: list = []
-        self.server = ObservabilityServer(
-            render=self._render,
-            status=self._status,
-            faults=self._inject,
-            port=port,
-        )
-        if hasattr(cluster, "add_decision_observer"):
-            cluster.add_decision_observer(self._on_decision)
-
-    # -- loop-thread side ----------------------------------------------
-    def _on_decision(self, decision) -> None:
-        metrics = self.node_metrics.get(decision.node)
-        if metrics is not None:
-            metrics.observe_decision(decision)
-
-    def _service_shim(self, node_id: int):
-        service = self.service
-        if service is None:
-            return None
-        return types.SimpleNamespace(
-            applier=service.appliers.get(node_id),
-            coordinator=(
-                service.coordinator if node_id == service.primary else None
-            ),
-        )
-
-    def sample(self) -> None:
-        """One sampling pass (loop thread).  Also refreshes /status."""
-        cluster = self.cluster
-        nodes_status: dict[str, dict] = {}
-        for node_id, metrics in self.node_metrics.items():
-            node = cluster.nodes[node_id]
-            metrics.sample(
-                # The transport is shared in-process, so these counters are
-                # cluster-wide on this backend (identical on every node).
-                transport=cluster.transport,
-                host=cluster.hosts[node_id],
-                node=node,
-                service=self._service_shim(node_id),
-            )
-            nodes_status[str(node_id)] = {
-                "alive": not getattr(node, "crashed", False),
-                "live_timers": int(metrics.live_timers.value),
-                "live_slot_instances": int(metrics.live_instances.value),
-                "decisions": int(metrics.decisions.value),
-            }
-        self._status_cache["nodes"] = nodes_status
-        self._status_cache["ready"] = True
-        service = self.service
-        if service is not None:
-            coord = service.coordinator
-            self._status_cache["service"] = {
-                "primary": service.primary,
-                "commands_submitted": coord.commands_submitted,
-                "commands_decided": coord.commands_decided,
-                "slots_decided": coord.slots_decided,
-                "applied_per_replica": {
-                    str(node_id): applier.commands_applied
-                    for node_id, applier in service.appliers.items()
-                },
-            }
-
-    async def _sample_loop(self) -> None:
-        while True:
-            self.sample()
-            await asyncio.sleep(self.sample_interval_s)
-
-    def _install_script(self, script: FaultScript) -> None:
-        from repro.faults.live import AsyncioFaultDriver
-
-        driver = AsyncioFaultDriver(script, self.cluster)
-        driver.install()
-        self._drivers.append(driver)
-
-    # -- handler-thread side -------------------------------------------
-    def _render(self) -> str:
-        return "".join(
-            metrics.render() for metrics in self.node_metrics.values()
-        )
-
-    def _status(self) -> dict:
-        return dict(self._status_cache)
-
-    def _inject(self, spec: object) -> dict:
-        from repro.faults.live import validate_live_script
-
-        script = parse_fault_payload(spec)
-        validate_live_script(script, backend="asyncio")
-        self._loop.call_soon_threadsafe(self._install_script, script)
-        self._status_cache["faults_injected"] += len(script.actions)
-        return {"accepted": len(script.actions), "backend": "asyncio"}
-
-    # -- lifecycle ------------------------------------------------------
-    def start(self) -> "AsyncioControlPlane":
-        if self._sampler is None:
-            self.sample()
-            self._sampler = self._loop.create_task(self._sample_loop())
-            self.server.start()
-        return self
-
-    async def close(self) -> None:
-        if self._sampler is not None:
-            self._sampler.cancel()
-            try:
-                await self._sampler
-            except asyncio.CancelledError:
-                pass
-            self._sampler = None
-        for driver in self._drivers:
-            driver.cancel()
-        self._drivers.clear()
-        self.server.close()
-
-
-class SocketControlPlane:
-    """Parent-side /status + /faults + supervisor /metrics for a
-    :class:`~repro.runtime.socket_host.SocketCluster`.
-
-    The per-node Prometheus endpoints live in the children (their
-    addresses appear in ``/status``); the parent's own ``/metrics``
-    exposes what only the supervisor knows: liveness, respawn counts,
-    retirements, injected-fault counts, and (service runs) apply progress.
-    """
-
-    def __init__(self, cluster, port: int = 0) -> None:
-        self.cluster = cluster
-        self.registry = MetricsRegistry()
-        reg = self.registry
-        self._nodes_alive = reg.gauge(
-            "repro_cluster_nodes_alive", "Children currently alive")
-        self._nodes_retired = reg.gauge(
-            "repro_cluster_nodes_retired", "Children retired by the supervisor")
-        self._restarts = reg.counter(
-            "repro_cluster_restarts_total", "Supervisor respawns, cluster-wide")
-        self._faults = reg.counter(
-            "repro_cluster_faults_injected_total",
-            "Fault actions accepted via POST /faults")
-        self._applied = reg.gauge(
-            "repro_cluster_commands_applied_min",
-            "Min commands applied across correct replicas (service runs)")
-        self.server = ObservabilityServer(
-            render=self._render,
-            status=cluster.status_snapshot,
-            faults=self._inject,
+    def __init__(self, target, port: int = 0) -> None:
+        self.target = target
+        super().__init__(
+            render=target.render_metrics,
+            status=target.status_snapshot,
+            faults=target.inject_fault_script,
             port=port,
         )
 
-    # -- handler-thread side (reads simple parent fields only) ----------
-    def _render(self) -> str:
-        cluster = self.cluster
-        alive = sum(
-            1 for proc in cluster.procs.values() if proc.is_alive()
-        )
-        self._nodes_alive.set(alive)
-        self._nodes_retired.set(len(cluster._retired))
-        self._restarts.set_total(sum(cluster._restarts.values()))
-        self._faults.set_total(cluster.faults_injected)
-        progress = getattr(cluster, "progress", None)
-        if progress:
-            self._applied.set(
-                min((held[1] for held in progress.values()), default=0)
-            )
-        return self.registry.render()
 
-    def _inject(self, spec: object) -> dict:
-        return self.cluster.inject_fault_script(spec)
-
-    def start(self) -> "SocketControlPlane":
-        self.server.start()
-        return self
-
-    def close(self) -> None:
-        self.server.close()
-
-
-__all__ = [
-    "AsyncioControlPlane",
-    "SocketControlPlane",
-    "parse_fault_payload",
-]
+__all__ = ["ControlPlane"]

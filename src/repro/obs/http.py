@@ -13,8 +13,9 @@ The server is a ``ThreadingHTTPServer`` on a daemon thread: socket
 children and the cluster parent both run event/poll loops on their main
 thread, and a scrape must never block protocol progress.  Handler
 callables therefore run OFF the loop thread -- owners must only hand in
-callables that read snapshotted state (or enqueue work for the loop to
-pick up), never ones that mutate live protocol structures.
+callables that read plain fields, run their work on the loop with a
+bounded wait, or enqueue it there, never ones that touch live protocol
+structures directly.
 """
 
 from __future__ import annotations

@@ -234,10 +234,10 @@ class NodeMetrics:
     """One node's standard metric set, sampled from live runtime objects.
 
     ``sample`` runs on the owning event-loop thread and snapshots every
-    counter the transport/host/node already maintain; ``observe_decision``
-    feeds the decision-latency histogram; service runs additionally stream
-    the coordinator's decide latencies via ``sample`` (consumed
-    incrementally, so each latency is observed exactly once).
+    counter the transport/host/node already maintain.  It also feeds the
+    histograms from the node's decision record and, in service runs, the
+    coordinator's decide latencies, both consumed incrementally so each
+    is observed exactly once.
     """
 
     def __init__(self, node_id: int, time_scale: float) -> None:
@@ -304,15 +304,13 @@ class NodeMetrics:
             "Service decide latency: command arrival to decided, seconds",
             labels)
         self._decide_seen = 0
+        self._decisions_seen = 0
 
     def observe_decision(self, decision) -> None:
         """Feed one agreement decision into the latency histogram.
 
         Aborts whose initiation never anchored carry ``tau_g_real=None``;
-        they are counted but have no latency to observe.  This callback
-        sits at the head of the node's decision-tap chain, so it must
-        never raise -- an exception here would unwind the dispatch before
-        the applier/coordinator taps see the outcome.
+        they are counted but have no latency to observe.
         """
         self.decisions.inc()
         if decision.tau_g_real is None:
@@ -338,6 +336,10 @@ class NodeMetrics:
             self.live_instances.set(len(node.instances))
             self.watch_fires.set_total(node.watch_fires())
             self.live_watches.set(node.live_watches())
+            decisions = node.decisions
+            for decision in decisions[self._decisions_seen:]:
+                self.observe_decision(decision)
+            self._decisions_seen = len(decisions)
         if service is not None:
             applier = getattr(service, "applier", None)
             if applier is not None:

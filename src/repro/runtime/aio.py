@@ -31,12 +31,13 @@ stays well below ``d``; the default maps ``d`` to 20 ms.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Optional
+import concurrent.futures
+from typing import Any, Callable, Optional
 
 from repro.core.agreement import Decision, ProtocolNode
 from repro.core.messages import Value
 from repro.core.params import ProtocolParams
-from repro.net.delivery import DeliveryPolicy, UniformDelay
+from repro.net.delivery import DeliveryPolicy, wall_clock_default
 from repro.net.network import Envelope
 from repro.runtime.api import INERT_TIMER, Action, TimerHandle, TimerRegistry
 from repro.runtime.framing import FrameError, decode_frames, derive_key
@@ -46,6 +47,9 @@ from repro.sim.trace import Tracer
 
 #: Default wall-clock seconds per protocol time unit (d = 20 ms).
 DEFAULT_TIME_SCALE = 0.02
+
+#: How long a control-plane request waits for the loop thread.
+CONTROL_WAIT_S = 2.0
 
 
 class AioTimerHandle:
@@ -250,7 +254,16 @@ class AsyncioCluster:
     the given strategy (or strategy factory), exactly as in the simulator's
     scenario builder.  Call :meth:`close` when done so the periodic cleanup
     ticks stop and the loop can drain.
+
+    It has the lifecycle surface of the socket backend's ``SocketCluster``:
+    ``now``, ``kill_node``, ``revive_node`` and ``link_fault`` for the
+    :class:`~repro.faults.live.LiveFaultDriver` at ``self.faults``, and
+    ``status_snapshot``, ``render_metrics`` and ``inject_fault_script``
+    for a :class:`~repro.obs.control.ControlPlane` (any thread may call
+    them; they run on the loop thread).
     """
+
+    backend = "asyncio"
 
     def __init__(
         self,
@@ -262,15 +275,15 @@ class AsyncioCluster:
         trace: bool = False,
     ) -> None:
         from repro.faults.byzantine import ByzantineNode
+        from repro.faults.live import LiveFaultDriver
 
         self.params = params
+        self.time_scale = time_scale
         self.rng = RandomSource(seed)
         self.tracer = Tracer(enabled=trace)
-        # Leave headroom under delta: asyncio adds its own latency on top of
-        # the drawn delay, and the drawn + actual total must stay below d.
         self.transport = AsyncioTransport(
             time_scale=time_scale,
-            policy=policy or UniformDelay(0.05 * params.delta, 0.5 * params.delta),
+            policy=policy or wall_clock_default(params.delta),
             rand=self.rng.split("net"),
             tracer=self.tracer,
             auth_key=derive_key(f"aio-cluster/{seed}"),
@@ -280,7 +293,6 @@ class AsyncioCluster:
         self.correct_ids: list[int] = []
         self.byzantine_ids: list[int] = []
         self._decision_seen = asyncio.Event()
-        self._decision_observers: list[Callable[[Decision], None]] = []
         byzantine = byzantine or {}
         if len(byzantine) > params.f:
             raise ValueError(
@@ -307,6 +319,11 @@ class AsyncioCluster:
                 )
                 self.nodes[node_id] = ByzantineNode(node_id, host, params, strategy)
                 self.byzantine_ids.append(node_id)
+        #: Scripted revivals per node (``Restart`` of a crashed node).
+        self.restarts = {node_id: 0 for node_id in range(params.n)}
+        self._scramblers: dict = {}
+        self._node_metrics: Optional[dict] = None
+        self.faults = LiveFaultDriver(self, self.transport.loop, self.tracer)
 
     # ------------------------------------------------------------------
     # Decision plumbing
@@ -320,25 +337,6 @@ class AsyncioCluster:
 
     def _on_decision(self, decision: Decision) -> None:
         self._decision_seen.set()
-        for observer in self._decision_observers:
-            # This callback is the head of the decision-tap chain (service
-            # taps stack on top and dispatch through it first): a failing
-            # observer must not unwind their dispatch or starve later
-            # observers.
-            try:
-                observer(decision)
-            except Exception:
-                pass
-
-    def add_decision_observer(
-        self, observer: Callable[[Decision], None]
-    ) -> None:
-        """Register a callback invoked (on the loop) for every decision.
-
-        The observability layer uses this to feed latency histograms
-        without the cluster knowing about metrics at all.
-        """
-        self._decision_observers.append(observer)
 
     def latest_decision_per_node(self, general: int) -> dict[int, Decision]:
         """The most recent outcome per correct node for one General."""
@@ -397,8 +395,130 @@ class AsyncioCluster:
         """Let the cluster run for a protocol-time duration."""
         await asyncio.sleep(duration_units * self.transport.time_scale)
 
+    # ------------------------------------------------------------------
+    # Lifecycle surface (fault driver and control plane)
+    # ------------------------------------------------------------------
+    def now(self) -> float:
+        return self.transport.now()
+
+    def kill_node(self, node_id: int, state_loss: bool) -> None:
+        """Stun the in-process node, as the sim ``Crash`` does."""
+        from repro.faults.transient import crash_in_process
+
+        crash_in_process(self.nodes[node_id], state_loss)
+
+    def revive_node(self, node_id: int, restart, index: int) -> None:
+        """Revive a crashed node, scrambled if the ``Restart`` asks for it.
+
+        Every node of one action draws from one stream, split by the
+        action's ``index`` and ``at_d``, as the sim ``Restart`` does.
+        """
+        from repro.faults.transient import (
+            TransientFaultInjector,
+            restart_in_process,
+        )
+
+        node = self.nodes[node_id]
+        if not node.crashed:
+            return
+        injector = None
+        if restart.scramble:
+            key = f"live/restart/{index}@{restart.at_d!r}"
+            if key not in self._scramblers:
+                self._scramblers[key] = TransientFaultInjector(
+                    self.params,
+                    self.rng.split(key),
+                    value_pool=list(restart.value_pool),
+                    generals=list(restart.generals),
+                )
+            injector = self._scramblers[key]
+        restart_in_process(node, injector)
+        self.restarts[node_id] += 1
+
+    def link_fault(self, kind: str, args: dict) -> None:
+        from repro.faults.live import apply_transport_fault
+
+        apply_transport_fault(self.transport, self.params, kind, args)
+
+    def inject_fault_script(self, spec: object) -> dict:
+        """Queue a JSON fault spec (thread-safe; ``at_d`` from injection)."""
+        return self.faults.inject(spec)
+
+    def on_loop(self, fn: Callable[[], Any]) -> Any:
+        """Run ``fn`` on the loop thread and return its result.
+
+        On the loop thread it simply calls ``fn``; from any other thread it
+        waits at most :data:`CONTROL_WAIT_S` for the loop to run it.
+        """
+        loop = self.transport.loop
+        try:
+            if asyncio.get_running_loop() is loop:
+                return fn()
+        except RuntimeError:
+            pass
+        future: concurrent.futures.Future = concurrent.futures.Future()
+
+        def run() -> None:
+            try:
+                future.set_result(fn())
+            except Exception as exc:
+                future.set_exception(exc)
+
+        loop.call_soon_threadsafe(run)
+        return future.result(timeout=CONTROL_WAIT_S)
+
+    def status_snapshot(self) -> dict:
+        """Cluster status for ``GET /status``, read on the loop thread."""
+        return self.on_loop(self._status)
+
+    def _status(self) -> dict:
+        nodes = {
+            str(node_id): {
+                "alive": not node.crashed,
+                "incarnation": self.restarts[node_id],
+                "restarts": self.restarts[node_id],
+                "byzantine": node_id in self.byzantine_ids,
+                "metrics_url": None,  # render_metrics serves every node
+            }
+            for node_id, node in self.nodes.items()
+        }
+        return {
+            "backend": self.backend,
+            "n": self.params.n,
+            "f": self.params.f,
+            "started": True,
+            "faults_injected": self.faults.injected,
+            "nodes": nodes,
+        }
+
+    def render_metrics(self, services: Optional[dict] = None) -> str:
+        """Every correct node's series (labelled ``node="i"``), read on the
+        loop thread; ``services`` maps node ids to their service parts."""
+        return self.on_loop(lambda: self._render(services or {}))
+
+    def _render(self, services: dict) -> str:
+        from repro.obs.metrics import NodeMetrics
+
+        if self._node_metrics is None:
+            self._node_metrics = {
+                node_id: NodeMetrics(node_id, self.time_scale)
+                for node_id in self.correct_ids
+            }
+        for node_id, metrics in self._node_metrics.items():
+            metrics.incarnation.set(self.restarts[node_id])
+            metrics.sample(
+                # The transport is shared in-process, so these counters are
+                # cluster-wide on this backend (identical on every node).
+                transport=self.transport,
+                host=self.hosts[node_id],
+                node=self.nodes[node_id],
+                service=services.get(node_id),
+            )
+        return "".join(m.render() for m in self._node_metrics.values())
+
     def close(self) -> None:
         """Close the fabric, then cancel every node's pending timers."""
+        self.faults.cancel()
         self.transport.close()
         for host in self.hosts.values():
             host.close()
@@ -437,6 +557,7 @@ async def run_agreement_async(
 
 
 __all__ = [
+    "CONTROL_WAIT_S",
     "DEFAULT_TIME_SCALE",
     "AioTimerHandle",
     "AsyncioCluster",

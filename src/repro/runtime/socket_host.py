@@ -44,7 +44,6 @@ import asyncio
 import multiprocessing
 import multiprocessing.connection
 import os
-import queue
 import signal
 import socket
 import time
@@ -54,7 +53,8 @@ from typing import Any, Callable, Optional
 from repro.core.agreement import Decision, ProtocolNode
 from repro.core.messages import Value
 from repro.core.params import ProtocolParams
-from repro.net.delivery import DeliveryPolicy, UniformDelay
+from repro.faults.timeline import Restart
+from repro.net.delivery import DeliveryPolicy, wall_clock_default
 from repro.net.network import Envelope
 from repro.runtime.aio import AsyncioHost
 from repro.runtime.framing import FrameError, decode_frames, derive_key
@@ -211,12 +211,6 @@ class SocketHost(AsyncioHost):
 # ---------------------------------------------------------------------------
 # Child-process side
 # ---------------------------------------------------------------------------
-def _default_policy(params: ProtocolParams) -> DeliveryPolicy:
-    # Leave headroom under delta: the kernel and scheduler add their own
-    # latency on top of the drawn delay, and the total must stay below d.
-    return UniformDelay(0.05 * params.delta, 0.5 * params.delta)
-
-
 async def _child_run(
     cfg: dict, conn, sock: socket.socket, peers: dict, epoch_wall: float, key: bytes
 ) -> None:
@@ -233,7 +227,7 @@ async def _child_run(
         epoch_wall=epoch_wall,
         directory=dict(peers),
         sock=sock,
-        policy=cfg["policy"] if cfg["policy"] is not None else _default_policy(params),
+        policy=cfg["policy"] or wall_clock_default(params.delta),
         rand=root.split(f"net/{node_id}"),
         tracer=tracer,
     )
@@ -262,14 +256,6 @@ async def _child_run(
             pass
 
     def on_decision(decision: Decision) -> None:
-        if metrics is not None:
-            # This callback is the head of the decision-tap chain: the
-            # service taps stack on top and dispatch through it first, so
-            # an observability failure must not unwind their dispatch.
-            try:
-                metrics.observe_decision(decision)
-            except Exception:
-                pass
         if service_cfg is not None:
             # Service mode runs thousands of slot decisions; per-decision
             # streaming would flood the pipe.  Progress flows through the
@@ -297,17 +283,18 @@ async def _child_run(
 
         service = ChildLogService(node, service_cfg, conn)
 
-    if cfg.get("scramble") and strategy is None:
-        # A supervisor-respawned incarnation restarting from "arbitrary
-        # state": the same scramble the sim Restart applies, seeded per
-        # incarnation so two respawns never replay one stream.
+    scramble = cfg["scramble"]
+    if scramble is not None and strategy is None:
+        # A respawned incarnation restarting from "arbitrary state": the
+        # same scramble the sim Restart applies, seeded per incarnation so
+        # two respawns never replay one stream.
         from repro.faults.transient import TransientFaultInjector
 
         injector = TransientFaultInjector(
             params,
-            root.split(f"scramble/{node_id}/{cfg.get('incarnation', 0)}"),
-            value_pool=list(cfg.get("value_pool") or ("A", "B", "C")),
-            generals=[cfg["general"]],
+            root.split(f"scramble/{node_id}/{cfg['incarnation']}"),
+            value_pool=list(scramble.value_pool),
+            generals=list(scramble.generals),
         )
         injector.corrupt_node(node)
 
@@ -504,10 +491,17 @@ class SocketCluster:
 
     ``fault_script`` accepts anything :func:`~repro.faults.timeline.
     build_timeline` resolves (a :class:`~repro.faults.timeline.FaultScript`,
-    a registered timeline name, or inline JSON-able dicts) and drives it
-    through a :class:`~repro.faults.live.WallClockFaultDriver` on the
-    shared epoch.
+    a registered timeline name, or inline JSON-able dicts); its ``at_d``
+    offsets count from the shared epoch.  The lifecycle surface is
+    :class:`~repro.runtime.aio.AsyncioCluster`'s: ``now``, ``kill_node``,
+    ``revive_node`` and ``link_fault`` for the
+    :class:`~repro.faults.live.LiveFaultDriver` at ``self.faults``, which
+    the run loops pump; ``status_snapshot``, ``render_metrics`` and
+    ``inject_fault_script`` for a control plane's handler threads (plain
+    field reads, and an inbox the run loop drains).
     """
+
+    backend = "socket"
 
     #: Service-mode config shipped to children (set by SocketLogService
     #: before the base __init__ spawns them; None = plain agreement run).
@@ -554,9 +548,18 @@ class SocketCluster:
         self._supervise = supervise
         self._restart_budget = restart_budget
         self._restart_backoff_s = restart_backoff_s
-        self._scramble_on_restart = scramble_on_restart
+        #: The ``Restart`` a supervisor respawn stands for, if it scrambles.
+        self._respawn_scramble = (
+            Restart(
+                at_d=0.0,
+                scramble=True,
+                value_pool=tuple(value_pool),
+                generals=(general,),
+            )
+            if scramble_on_restart
+            else None
+        )
         self._repropose_every_d = repropose_every_d
-        self._value_pool = tuple(value_pool)
         self._ctx = multiprocessing.get_context("spawn")
         self.procs: dict[int, multiprocessing.Process] = {}
         self.conns: dict[int, Any] = {}
@@ -567,7 +570,6 @@ class SocketCluster:
         self._retired: set[int] = set()
         self._stopped_procs: set[int] = set()  # SIGSTOP'd (soft crash)
         self._down: dict[int, float] = {}  # node -> respawn-not-before (mono)
-        self._down_scramble: dict[int, bool] = {}
         self._awaiting_port: set[int] = set()
         self._death_handled: set[tuple[int, int]] = set()
         self._decided_incarnation: dict[int, int] = {}
@@ -576,24 +578,17 @@ class SocketCluster:
         self._stop_sent = False
         self._peers: dict[int, tuple[str, int]] = {}
         self._epoch_wall: Optional[float] = None
+        self._epoch_mono: Optional[float] = None
         self.metrics = metrics
         #: node_id -> port of the child's /metrics endpoint (metrics mode).
         self._metrics_ports: dict[int, int] = {}
-        #: Fault actions accepted via :meth:`inject_fault_script`.
-        self.faults_injected = 0
-        # Injected scripts cross from HTTP handler threads to the pump loop
-        # through this queue: Connection.send is not thread-safe, so only
-        # the loop ever talks to the children.
-        self._injected_scripts: queue.SimpleQueue = queue.SimpleQueue()
-        self._live_drivers: list = []
-        self._driver = None
+        from repro.faults.live import LiveFaultDriver
+
+        self.faults = LiveFaultDriver(self)
         if fault_script is not None:
-            from repro.faults.live import WallClockFaultDriver
             from repro.faults.timeline import build_timeline
 
-            self._driver = WallClockFaultDriver(
-                build_timeline(fault_script, params), self
-            )
+            self.faults.load(build_timeline(fault_script, params), base=0.0)
         for node_id in range(params.n):
             self._spawn(node_id)
         self._closed = False
@@ -603,7 +598,9 @@ class SocketCluster:
     # ------------------------------------------------------------------
     # Spawning (initial and supervisor respawns)
     # ------------------------------------------------------------------
-    def _make_cfg(self, node_id: int, incarnation: int, scramble: bool) -> dict:
+    def _make_cfg(
+        self, node_id: int, incarnation: int, scramble: Optional[Restart]
+    ) -> dict:
         return {
             "node_id": node_id,
             "n": self.params.n,
@@ -621,13 +618,12 @@ class SocketCluster:
             "incarnation": incarnation,
             "scramble": scramble,
             "repropose_every_d": self._repropose_every_d,
-            "value_pool": self._value_pool,
             "metrics": self.metrics,
             "service": self._service_cfg,
         }
 
     def _spawn(
-        self, node_id: int, incarnation: int = 0, scramble: bool = False
+        self, node_id: int, incarnation: int = 0, scramble: Optional[Restart] = None
     ) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
@@ -715,6 +711,7 @@ class SocketCluster:
         self._peers = peers
         epoch_wall = time.time() + self._startup_grace_s
         self._epoch_wall = epoch_wall
+        self._epoch_mono = time.monotonic() + self._startup_grace_s
         for node_id, conn in list(self.conns.items()):
             if node_id not in peers:
                 continue
@@ -722,8 +719,6 @@ class SocketCluster:
                 conn.send(("start", peers, epoch_wall, self._auth_key))
             except (BrokenPipeError, OSError):
                 pass  # death is classified by the supervisor pump
-        if self._driver is not None:
-            self._driver.start(epoch_wall)
         self._started = True
 
     # ------------------------------------------------------------------
@@ -787,9 +782,10 @@ class SocketCluster:
             if now < not_before:
                 continue
             del self._down[node_id]
-            scramble = self._down_scramble.pop(node_id, False)
             self._spawn(
-                node_id, self._incarnations[node_id] + 1, scramble=scramble
+                node_id,
+                self._incarnations[node_id] + 1,
+                scramble=self._respawn_scramble,
             )
             self._awaiting_port.add(node_id)
 
@@ -808,7 +804,6 @@ class SocketCluster:
             delay = self._restart_backoff_s * (2.0 ** self._restarts[node_id])
             self._restarts[node_id] += 1
             self._down[node_id] = time.monotonic() + delay
-            self._down_scramble[node_id] = self._scramble_on_restart
             # The dead incarnation's protocol state -- decisions included --
             # is gone; the revenant must re-decide for the run to converge.
             if self._report is not None:
@@ -839,10 +834,17 @@ class SocketCluster:
                 pass
 
     # ------------------------------------------------------------------
-    # Live fault surface (used by WallClockFaultDriver)
+    # Lifecycle surface (fault driver and control plane)
     # ------------------------------------------------------------------
-    def broadcast_fault(self, kind: str, args: dict) -> None:
-        """Send a link-fault directive to every currently live child."""
+    def now(self) -> float:
+        """Protocol time on the shared epoch (known once children start)."""
+        return (time.monotonic() - self._epoch_mono) / self.time_scale
+
+    def link_fault(self, kind: str, args: dict) -> None:
+        """Send a link-fault directive to every currently live child.
+
+        A child respawned later starts with a clean drop matrix.
+        """
         for conn in list(self.conns.values()):
             try:
                 conn.send(("fault", kind, dict(args)))
@@ -850,43 +852,34 @@ class SocketCluster:
                 pass
 
     def inject_fault_script(self, spec: object) -> dict:
-        """Validate a JSON fault spec and queue it for the pump loop.
+        """Queue a JSON fault spec (thread-safe; ``at_d`` from injection)."""
+        return self.faults.inject(spec)
 
-        Safe to call from HTTP handler threads (``POST /faults``):
-        validation happens here so bad input fails fast (a 400), but the
-        driver is built and armed on the pump loop, which alone talks to
-        the control pipes.  ``at_d`` offsets of an injected script are
-        relative to *injection time*, so ``at_d: 0`` means "now".
-        """
-        from repro.faults.live import validate_live_script
-        from repro.obs.control import parse_fault_payload
+    def render_metrics(self) -> str:
+        """The supervisor's own series; each child serves its own."""
+        from repro.obs.metrics import MetricsRegistry
 
-        script = parse_fault_payload(spec)
-        validate_live_script(script, backend="socket")
-        self._injected_scripts.put(script)
-        self.faults_injected += len(script.actions)
-        return {"accepted": len(script.actions), "backend": "socket"}
-
-    def _pump_faults(self) -> None:
-        """Arm newly injected scripts and pump every fault driver."""
-        while True:
-            try:
-                script = self._injected_scripts.get_nowait()
-            except queue.Empty:
-                break
-            from repro.faults.live import WallClockFaultDriver
-
-            driver = WallClockFaultDriver(script, self)
-            driver.start(time.time())
-            self._live_drivers.append(driver)
-        if self._driver is not None:
-            self._driver.pump()
-        if self._live_drivers:
-            for driver in self._live_drivers:
-                driver.pump()
-            self._live_drivers = [
-                driver for driver in self._live_drivers if not driver.done
-            ]
+        reg = MetricsRegistry()
+        reg.gauge("repro_cluster_nodes_alive", "Children currently alive").set(
+            sum(1 for proc in self.procs.values() if proc.is_alive())
+        )
+        reg.gauge(
+            "repro_cluster_nodes_retired", "Children retired by the supervisor"
+        ).set(len(self._retired))
+        reg.counter(
+            "repro_cluster_restarts_total", "Supervisor respawns, cluster-wide"
+        ).set_total(sum(self._restarts.values()))
+        reg.counter(
+            "repro_cluster_faults_injected_total",
+            "Fault actions accepted via POST /faults",
+        ).set_total(self.faults.injected)
+        # One C-level copy: the run loop adds and drops progress entries.
+        progress = list(getattr(self, "progress", {}).values())
+        reg.gauge(
+            "repro_cluster_commands_applied_min",
+            "Min commands applied across correct replicas (service runs)",
+        ).set(min((held[1] for held in progress), default=0))
+        return reg.render()
 
     # ------------------------------------------------------------------
     # Control-plane status (read by HTTP handler threads: simple fields
@@ -920,7 +913,7 @@ class SocketCluster:
             "supervise": self._supervise,
             "started": self._started,
             "stopping": self._stop_sent,
-            "faults_injected": self.faults_injected,
+            "faults_injected": self.faults.injected,
             "nodes": nodes,
         }
 
@@ -944,12 +937,14 @@ class SocketCluster:
                 return
             self._stopped_procs.add(node_id)
 
-    def revive_node(self, node_id: int, scramble: bool = False) -> None:
+    def revive_node(self, node_id: int, restart: Restart, index: int) -> None:
         """Scripted ``Restart``: SIGCONT a stunned child, respawn a dead one.
 
         A scripted restart is explicit, so it fires immediately (no
         backoff) and overrides retirement; a node that is alive and running
-        is left alone, mirroring the sim Restart's crashed-only no-op.
+        is left alone, mirroring the sim Restart's crashed-only no-op.  A
+        scrambled respawn draws from the action's value pool and Generals
+        (the child seeds the stream; ``index`` is not needed here).
         """
         proc = self.procs.get(node_id)
         if proc is None:
@@ -971,12 +966,15 @@ class SocketCluster:
             self._drop_conn(node_id)
         self._retired.discard(node_id)
         self._down.pop(node_id, None)
-        self._down_scramble.pop(node_id, None)
         if self._report is not None:
             self._report.decisions.pop(node_id, None)
         self._decided_incarnation.pop(node_id, None)
         self._restarts[node_id] += 1
-        self._spawn(node_id, self._incarnations[node_id] + 1, scramble=scramble)
+        self._spawn(
+            node_id,
+            self._incarnations[node_id] + 1,
+            scramble=restart if restart.scramble else None,
+        )
         self._awaiting_port.add(node_id)
 
     # ------------------------------------------------------------------
@@ -1006,7 +1004,7 @@ class SocketCluster:
             + 5.0
         )
         while time.monotonic() < wall_deadline:
-            self._pump_faults()
+            self.faults.pump()
             self._pump_supervisor()
             if not self._stop_sent and self._all_decided(report):
                 self._send_stop()

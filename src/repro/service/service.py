@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import types
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -244,6 +245,41 @@ class ReplicatedLogService:
         for applier in self.appliers.values():
             if applier.next_index < target:
                 applier.request_outcomes()
+
+    # ------------------------------------------------------------------
+    # Control-plane surface: the cluster's, plus the log's progress
+    # ------------------------------------------------------------------
+    def status_snapshot(self) -> dict:
+        return self.cluster.on_loop(self._status)
+
+    def _status(self) -> dict:
+        coord = self.coordinator
+        progress = {
+            str(node_id): {
+                "next_slot": applier.next_index,
+                "applied": applier.commands_applied,
+            }
+            for node_id, applier in self.appliers.items()
+        }
+        return {**self.cluster.status_snapshot(), "service": {
+            "primary": self.primary,
+            "commands_issued": coord.commands_submitted,
+            "commands_decided": coord.commands_decided,
+            "slots_decided": coord.slots_decided,
+            "progress": progress,
+        }}
+
+    def render_metrics(self) -> str:
+        return self.cluster.render_metrics({
+            node_id: types.SimpleNamespace(
+                applier=applier,
+                coordinator=self.coordinator if node_id == self.primary else None,
+            )
+            for node_id, applier in self.appliers.items()
+        })
+
+    def inject_fault_script(self, spec: object) -> dict:
+        return self.cluster.inject_fault_script(spec)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -254,7 +254,7 @@ class SocketLogService(SocketCluster):
         outbox: list[tuple[str, float]] = []
         self.workload_total = total
         while True:
-            self._pump_faults()
+            self.faults.pump()
             self._pump_supervisor()
             now_wall = time.time()
             while issued < total and start + offset <= now_wall:

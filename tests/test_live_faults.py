@@ -1,4 +1,4 @@
-"""Live fault injection: drivers, drop matrix, scramble parity, chaos e2e.
+"""Live fault injection: driver, drop matrix, scramble parity, chaos e2e.
 
 Covers the wall-clock side of the fault-script story:
 
@@ -7,9 +7,9 @@ Covers the wall-clock side of the fault-script story:
 * The sender-side drop matrix on :class:`~repro.runtime.aio.
   AsyncioTransport` -- isolate/reconnect, partition/heal (stacked cuts
   included) -- attributes suppressed copies to ``dropped_fault_count``.
-* The sim timeline's ``Restart(scramble=True)`` and the live helpers
-  (:func:`crash_in_process` / :func:`restart_in_process`) are the *same*
-  implementation: applied to identical clusters with identically-derived
+* The sim timeline's ``Restart(scramble=True)`` and the in-process
+  helpers (:func:`crash_in_process` / :func:`restart_in_process`) are the
+  *same* implementation: applied to identical clusters with identically-derived
   randomness they produce bit-identical post-restart protocol state.
 * The chaos runner end to end: SIGKILL a node mid-agreement with full
   state loss, the supervisor respawns it with scrambled state, and every
@@ -26,15 +26,9 @@ import pytest
 
 from repro.core.params import ProtocolParams
 from repro.faults.byzantine import CrashStrategy
-from repro.faults.live import (
-    LIVE_POLICY_BUILDERS,
-    build_live_policy,
-    crash_in_process,
-    restart_in_process,
-    run_chaos_agreement,
-    validate_live_script,
-)
+from repro.faults.live import run_chaos_agreement, validate_live_script
 from repro.faults.timeline import (
+    POLICY_BUILDERS,
     Crash,
     FaultScript,
     Havoc,
@@ -43,8 +37,14 @@ from repro.faults.timeline import (
     Restart,
     SwapPolicy,
     SwapStrategy,
+    build_named_policy,
 )
-from repro.faults.transient import TransientFaultInjector, wipe_protocol_state
+from repro.faults.transient import (
+    TransientFaultInjector,
+    crash_in_process,
+    restart_in_process,
+    wipe_protocol_state,
+)
 from repro.harness.scenario import Cluster, ScenarioConfig
 from repro.net.delivery import FixedDelay
 from repro.runtime.aio import AsyncioTransport
@@ -67,8 +67,7 @@ class TestValidateLiveScript:
                 SwapPolicy(at_d=5.0, policy="fast"),
             )
         )
-        validate_live_script(script, backend="socket")
-        validate_live_script(script, backend="asyncio")
+        validate_live_script(script)
 
     def test_rejects_swap_strategy(self) -> None:
         script = FaultScript(
@@ -94,8 +93,8 @@ class TestValidateLiveScript:
             validate_live_script(script)
 
     def test_every_registered_policy_builds(self) -> None:
-        for name in LIVE_POLICY_BUILDERS:
-            policy = build_live_policy(name, PARAMS, lambda: 0.0)
+        for name in POLICY_BUILDERS:
+            policy = build_named_policy(name, PARAMS, lambda: 0.0)
             decision = policy.decide(0, 1, "payload", RandomSource(7, "probe"))
             assert decision.delay >= 0.0
 
@@ -299,6 +298,58 @@ class TestScrambleParity:
         before = node.live_timer_count()
         restart_in_process(node)  # not crashed: must not double the cleanup tick
         assert node.live_timer_count() == before
+
+
+class _DeadChild:
+    """Stands in for a SIGKILLed child process: nothing to spawn or reap."""
+
+    pid = None
+    exitcode = -signal.SIGKILL
+
+    def is_alive(self) -> bool:
+        return False
+
+    def join(self, timeout=None) -> None:
+        pass
+
+
+class TestSocketScrambledRestart:
+    def test_revenant_is_spawned_with_the_actions_pool_and_generals(
+        self, monkeypatch
+    ) -> None:
+        from repro.runtime.socket_host import SocketCluster
+
+        spawned: list[dict] = []
+
+        def record_spawn(cluster, node_id, incarnation=0, scramble=None):
+            spawned.append(cluster._make_cfg(node_id, incarnation, scramble))
+            cluster.procs[node_id] = _DeadChild()
+            cluster._incarnations[node_id] = incarnation
+
+        monkeypatch.setattr(SocketCluster, "_spawn", record_spawn)
+        cluster = SocketCluster(
+            PARAMS, general=1, scramble_on_restart=True, value_pool=("v",)
+        )
+        try:
+            cluster.revive_node(
+                2,
+                Restart(
+                    at_d=1.0, nodes=(2,), scramble=True,
+                    value_pool=("A", "B"), generals=(0, 3),
+                ),
+                0,
+            )
+            cluster.revive_node(2, Restart(at_d=2.0, nodes=(2,)), 1)
+        finally:
+            cluster.close()
+        scrambled, plain = spawned[-2:]
+        assert (scrambled["node_id"], scrambled["incarnation"]) == (2, 1)
+        assert scrambled["scramble"].value_pool == ("A", "B")
+        assert scrambled["scramble"].generals == (0, 3)
+        assert plain["incarnation"] == 2 and plain["scramble"] is None
+        # A supervisor respawn scrambles from the cluster's own pool.
+        respawn = cluster._respawn_scramble
+        assert (respawn.value_pool, respawn.generals) == (("v",), (1,))
 
 
 # ---------------------------------------------------------------------------

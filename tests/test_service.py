@@ -787,7 +787,7 @@ class TestServiceAsyncio:
         assert decoder.memo_hits > 5 * decoder.compiled
 
     def test_crash_restart_churn_heals_to_identical_logs(self, params4):
-        from repro.faults.live import crash_in_process, restart_in_process
+        from repro.faults.transient import crash_in_process, restart_in_process
         from repro.runtime.aio import AsyncioCluster
         from repro.service import ReplicatedLogService
 
@@ -1222,6 +1222,10 @@ class TestSocketService:
     """The service across OS processes: a replica killed mid-run heals."""
 
     def test_sigkilled_replica_heals_from_its_peers(self, params4):
+        import json
+        import urllib.request
+
+        from repro.obs import ControlPlane
         from repro.service.socket_service import SocketLogService
 
         time_scale, rate, total = 0.1, 100.0, 300
@@ -1235,9 +1239,17 @@ class TestSocketService:
             timeout_units=(2 * total / rate + 60.0) / time_scale,
             supervise=True,
         )
+        plane = ControlPlane(service).start()
+
+        def call(path: str, payload=None) -> dict:
+            data = None if payload is None else json.dumps(payload).encode()
+            request = urllib.request.Request(f"{plane.url}{path}", data=data)
+            with urllib.request.urlopen(request, timeout=5.0) as reply:
+                return json.loads(reply.read())
+
         try:
             # SIGKILL of replica 2 a third into the schedule (in d, from now).
-            service.inject_fault_script([{
+            accepted = call("/faults", [{
                 "at_d": (0.35 + total / rate / 3) / (time_scale * params4.d),
                 "do": "crash",
                 "nodes": [2],
@@ -1246,8 +1258,15 @@ class TestSocketService:
             report = service.run_workload(
                 rate=rate, total=total, seed=61, settle_timeout_s=30.0
             )
+            status = call("/status")
         finally:
+            plane.close()
             service.close()
+        assert accepted == {"accepted": 1, "backend": "socket"}
+        # The supervisor's respawn, as the control plane reports it.
+        victim = status["nodes"]["2"]
+        assert victim["restarts"] >= 1 and victim["incarnation"] >= 1
+        assert status["faults_injected"] == 1
         assert report.exit_reasons.get(2) == "signal:9"
         assert report.identical_logs, report.digests
         assert len(report.digests) == params4.n
