@@ -125,20 +125,30 @@ print(f"ok: {len(serial)} rows bit-identical at shards=2, process transport "
 '
 }
 
-# The repo benchmark (BENCHMARK.json, bench/) patches transport and service
-# methods *by name*.  A renamed or vanished target does not fail the run by
-# itself -- it is one stderr line ("trace: ... not found; ... skipped") --
-# so fail on that line as well as on a non-zero exit (span coverage not
-# green, output check failed).
+# The repo benchmark (BENCHMARK.json, bench/) patches kernel, network, core,
+# transport and service methods *by name*.  A renamed or vanished target
+# does not fail the run by itself -- it is one stderr line ("trace: ... not
+# found; ... skipped") -- so fail on that line as well as on a non-zero
+# exit (span coverage not green, output check failed).  One traced run per
+# family: svc_asyncio_fastnet for the wall-clock seams, a short
+# sim_adversary for the simulator's (its cleanup, prune and abort paths
+# are the ones sim_agree skips).
 gate_bench_seam() {
     python -m pytest bench/ -q
+    traced_run --workload svc_asyncio_fastnet
+    traced_run --workload sim_adversary --seconds 3
+}
+
+# traced_run ARGS...: one traced bench/run.py run; fail on a non-zero exit
+# or a "not found;" line.
+traced_run() {
     local trace_err
     trace_err="$(mktemp)"
-    if ! python3 bench/run.py --workload svc_asyncio_fastnet --trace 1 2>"$trace_err" \
+    if ! python3 bench/run.py "$@" --trace 1 2>"$trace_err" \
             || grep -q "not found;" "$trace_err"; then
         cat "$trace_err" >&2
         rm -f "$trace_err"
-        echo "traced benchmark run FAILED (non-zero exit, or a patch target was 'not found;')" >&2
+        echo "traced benchmark run $* FAILED (non-zero exit, or a patch target was 'not found;')" >&2
         exit 1
     fi
     rm -f "$trace_err"

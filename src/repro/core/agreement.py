@@ -27,12 +27,9 @@ from typing import Callable, Optional
 
 from repro.core.initiator_accept import InitiatorAccept
 from repro.core.messages import (
+    MB_MESSAGE_TYPES,
     ApproveMsg,
     InitiatorMsg,
-    MBEchoMsg,
-    MBEchoPrimeMsg,
-    MBInitMsg,
-    MBInitPrimeMsg,
     ReadyMsg,
     SupportMsg,
     Value,
@@ -41,6 +38,14 @@ from repro.core.msgd_broadcast import MsgdBroadcast
 from repro.core.params import BOTTOM, ProtocolParams
 from repro.node.base import Node
 from repro.runtime.api import Delivery, RandomStream
+
+
+#: Which primitive takes each message class: the intake's class-keyed
+#: dispatch (msgd-broadcast traffic, 4 kinds x n relays, dominates).
+_ROUTES: dict[type, str] = {cls: "mb" for cls in MB_MESSAGE_TYPES}
+_ROUTES.update(
+    {SupportMsg: "ia", ApproveMsg: "ia", ReadyMsg: "ia", InitiatorMsg: "initiator"}
+)
 
 
 @dataclass(frozen=True)
@@ -178,13 +183,12 @@ class AgreementInstance:
     # ------------------------------------------------------------------
     def handle(self, msg: object, sender: int) -> None:
         """Route one delivered protocol message to the right primitive."""
-        # msgd-broadcast traffic dominates (4 kinds x n relays), so it is
-        # dispatched first.
-        if isinstance(msg, (MBInitMsg, MBEchoMsg, MBInitPrimeMsg, MBEchoPrimeMsg)):
+        route = _ROUTES.get(type(msg))
+        if route == "mb":
             self.mb.on_message(msg, sender)
-        elif isinstance(msg, (SupportMsg, ApproveMsg, ReadyMsg)):
+        elif route == "ia":
             self.ia.on_message(msg, sender)
-        elif isinstance(msg, InitiatorMsg):
+        elif route == "initiator":
             # Block Q1: invoke Initiator-Accept (only the General's own
             # Initiator message counts -- authenticated sender check).
             if sender == self.general_node_id and not self.stopped:

@@ -274,18 +274,13 @@ class InitiatorAccept:
     def on_message(self, msg: object, sender: int) -> None:
         """Log an arriving primitive message and re-evaluate the blocks."""
         now = self._now()
-        if isinstance(msg, InitiatorMsg):
+        kind = _KINDS.get(type(msg))
+        if kind is None:
+            raise TypeError(f"not an Initiator-Accept message: {msg!r}")
+        if kind == "initiator":
             # Block Q1 of the caller routes Initiator messages to invoke();
             # they are not logged here.
             return
-        if isinstance(msg, SupportMsg):
-            kind = self.SUPPORT
-        elif isinstance(msg, ApproveMsg):
-            kind = self.APPROVE
-        elif isinstance(msg, ReadyMsg):
-            kind = self.READY
-        else:
-            raise TypeError(f"not an Initiator-Accept message: {msg!r}")
         value = msg.value  # type: ignore[attr-defined]
         if self._ignoring(value, now):
             return
@@ -409,8 +404,7 @@ class InitiatorAccept:
         now = self._now()
         p = self.params
 
-        self.log.prune_older_than(now - p.delta_rmv)
-        self.log.prune_future(now)
+        self.log.decay(now - p.delta_rmv, now)
 
         # last(G): reset if in the future or older than Delta_0 - 6d.
         if self.last_g is not None:
@@ -503,6 +497,15 @@ class InitiatorAccept:
         if rng.chance(0.5):
             self.last_g = now + rng.uniform(-span, span)
         self.host.trace("ia_corrupted", general=self.general)
+
+
+#: The log-key kind of each message class: the intake's class-keyed dispatch.
+_KINDS: dict[type, str] = {
+    InitiatorMsg: "initiator",
+    SupportMsg: InitiatorAccept.SUPPORT,
+    ApproveMsg: InitiatorAccept.APPROVE,
+    ReadyMsg: InitiatorAccept.READY,
+}
 
 
 __all__ = ["InitiatorAccept"]

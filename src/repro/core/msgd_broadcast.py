@@ -213,22 +213,15 @@ class MsgdBroadcast:
     def on_message(self, msg: object, sender: int) -> None:
         """Log an arriving message; evaluate blocks if the anchor is known."""
         now = self.host.now()
-        if isinstance(msg, MBInitMsg):
-            # Only the origin itself can init its own broadcast; the network
-            # authenticates senders, so an init claiming another origin is
-            # Byzantine noise and is discarded (Line W2: "received ... from p").
-            if sender != msg.origin:
-                return
-            kind = self.INIT
-        elif isinstance(msg, MBEchoMsg):
-            kind = self.ECHO
-        elif isinstance(msg, MBInitPrimeMsg):
-            kind = self.INIT_PRIME
-        elif isinstance(msg, MBEchoPrimeMsg):
-            kind = self.ECHO_PRIME
-        else:
+        kind = _KINDS.get(type(msg))
+        if kind is None:
             raise TypeError(f"not a msgd-broadcast message: {msg!r}")
-        triplet: Triplet = (msg.origin, msg.value, msg.k)
+        # Only the origin itself can init its own broadcast; the network
+        # authenticates senders, so an init claiming another origin is
+        # Byzantine noise and is discarded (Line W2: "received ... from p").
+        if kind == self.INIT and sender != msg.origin:  # type: ignore[attr-defined]
+            return
+        triplet: Triplet = (msg.origin, msg.value, msg.k)  # type: ignore[attr-defined]
         self._known_triplets.add(triplet)
         # The add feeds the triplet's counters; a quorum crossing or the
         # origin's init maturing sets state.signal synchronously.
@@ -458,8 +451,7 @@ class MsgdBroadcast:
         """
         now = self.host.now()
         horizon = self._horizon
-        self.log.prune_older_than(now - horizon)
-        self.log.prune_future(now)
+        self.log.decay(now - horizon, now)
         # Stale derived state ages out on the same horizon.
         if self.broadcasters:
             self.broadcasters = {
@@ -529,6 +521,15 @@ class MsgdBroadcast:
         # counters' feet: rebuild evaluation state from scratch.
         self._drop_states()
         self.host.trace("mb_corrupted", general=self.general)
+
+
+#: The log-key kind of each message class: the intake's class-keyed dispatch.
+_KINDS: dict[type, str] = {
+    MBInitMsg: MsgdBroadcast.INIT,
+    MBEchoMsg: MsgdBroadcast.ECHO,
+    MBInitPrimeMsg: MsgdBroadcast.INIT_PRIME,
+    MBEchoPrimeMsg: MsgdBroadcast.ECHO_PRIME,
+}
 
 
 __all__ = ["MsgdBroadcast"]

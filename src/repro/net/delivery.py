@@ -16,7 +16,7 @@ from typing import Optional, Protocol
 from repro.sim.rand import RandomSource
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeliveryDecision:
     """Outcome for a single (message, receiver) pair.
 
@@ -24,6 +24,9 @@ class DeliveryDecision:
     ``partition`` marks a drop as partition-suppressed (a severed link)
     rather than an ordinary lossy-policy drop -- the network keeps separate
     counters so scenario reports can attribute loss to its cause.
+
+    Not frozen: one is built per copy, and freezing costs an
+    ``object.__setattr__`` per field; the fabric never mutates it.
     """
 
     delay: float = 0.0
@@ -32,7 +35,7 @@ class DeliveryDecision:
 
     @staticmethod
     def dropped(partition: bool = False) -> "DeliveryDecision":
-        return DeliveryDecision(delay=0.0, drop=True, partition=partition)
+        return DeliveryDecision(0.0, True, partition)
 
 
 class DeliveryPolicy(Protocol):
@@ -69,7 +72,7 @@ class FixedDelay:
     def decide(
         self, sender: int, receiver: int, payload: object, rng: RandomSource
     ) -> DeliveryDecision:
-        return DeliveryDecision(delay=self.delay)
+        return DeliveryDecision(self.delay)
 
     def min_delay(self) -> float:
         return self.delay
@@ -87,7 +90,7 @@ class UniformDelay:
     def decide(
         self, sender: int, receiver: int, payload: object, rng: RandomSource
     ) -> DeliveryDecision:
-        return DeliveryDecision(delay=rng.uniform(self.low, self.high))
+        return DeliveryDecision(rng.uniform(self.low, self.high))
 
     def min_delay(self) -> float:
         return self.low
@@ -125,8 +128,8 @@ class AdversarialDelay:
         self, sender: int, receiver: int, payload: object, rng: RandomSource
     ) -> DeliveryDecision:
         if receiver in self.fast_set:
-            return DeliveryDecision(delay=self.delta_min)
-        return DeliveryDecision(delay=self.delta_max)
+            return DeliveryDecision(self.delta_min)
+        return DeliveryDecision(self.delta_max)
 
     def min_delay(self) -> float:
         return self.delta_min
@@ -153,7 +156,7 @@ class IncoherentDelivery:
     ) -> DeliveryDecision:
         if rng.chance(self.drop_probability):
             return DeliveryDecision.dropped()
-        return DeliveryDecision(delay=rng.uniform(0.0, self.max_delay))
+        return DeliveryDecision(rng.uniform(0.0, self.max_delay))
 
     def min_delay(self) -> float:
         # Delivered copies may arrive instantly -- the transient-period
@@ -193,8 +196,8 @@ class BurstyDelay:
     ) -> DeliveryDecision:
         phase = int(self.now_fn() / self.period) % 2
         if phase == 0:
-            return DeliveryDecision(delay=rng.uniform(0.0, self.fast_max))
-        return DeliveryDecision(delay=rng.uniform(self.slow_min, self.slow_max))
+            return DeliveryDecision(rng.uniform(0.0, self.fast_max))
+        return DeliveryDecision(rng.uniform(self.slow_min, self.slow_max))
 
     def min_delay(self) -> float:
         # The fast regime's floor is zero regardless of the slow regime.

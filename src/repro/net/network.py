@@ -36,9 +36,13 @@ from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Envelope:
-    """A delivered message as seen by the receiver."""
+    """A delivered message as seen by the receiver.
+
+    Not frozen: one is built per copy for a single receiver, and freezing
+    costs an ``object.__setattr__`` per field (the shared payload is frozen).
+    """
 
     sender: int
     receiver: int
@@ -132,7 +136,23 @@ class Network:
                 )
             else:
                 tracer.bump("send")
-        self._dispatch(sender, receiver, payload, authenticated=True)
+        if receiver not in self._receivers:
+            raise ValueError(f"unknown receiver {receiver}")
+        if sender in self._partitioned or receiver in self._partitioned:
+            self.dropped_partition += 1
+            return
+        decision = self._policy.decide(sender, receiver, payload, self._sender_rng(sender))
+        if decision.drop:
+            if decision.partition:
+                self.dropped_partition += 1
+            else:
+                self.dropped_policy += 1
+            if tracer is not None:
+                tracer.record(
+                    self._sim.now, sender, "drop", receiver=receiver, payload=payload
+                )
+            return
+        self._deliver_later(sender, receiver, payload, self._sim.now, decision.delay)
 
     def broadcast(self, sender: int, payload: object) -> None:
         """Send one copy to every registered node (including the sender).
@@ -140,11 +160,14 @@ class Network:
         The model has no broadcast medium: this is n point-to-point sends and
         a Byzantine sender may instead call :meth:`send` selectively.
         Semantically identical to n :meth:`send` calls, but done as one sweep
-        over the cached id list with the per-copy policy decision and
-        delivery scheduling inlined (no per-copy closure allocation).
+        over the cached id list: the policy, the sender's stream and the
+        scheduling hook are bound once, counters are summed once, and only
+        the policy decision and :meth:`_deliver_later` run per copy.
         """
-        if self._node_ids is None:
-            self._node_ids = sorted(self._receivers)
+        node_ids = self._node_ids
+        if node_ids is None:
+            node_ids = self._node_ids = sorted(self._receivers)
+        self.sent_count += len(node_ids)
         tracer = self._tracer
         counts_only = None
         if tracer is not None and not tracer.enabled:
@@ -152,24 +175,26 @@ class Network:
             # builds, and keep only the count-only handle for drops.
             counts_only = tracer
             tracer = None
-            counts_only.bump_many("send", len(self._node_ids))
-        policy = self._policy
+            counts_only.bump_many("send", len(node_ids))
+        decide = self._policy.decide
         rng = self._sender_rng(sender)
+        deliver_later = self._deliver_later
+        partitioned = self._partitioned
         now = self._sim.now
-        sender_cut = sender in self._partitioned
-        for receiver in self._node_ids:
-            self.sent_count += 1
+        sender_cut = sender in partitioned
+        cut = dropped = 0
+        for receiver in node_ids:
             if tracer is not None:
                 tracer.record(now, sender, "send", receiver=receiver, payload=payload)
-            if sender_cut or receiver in self._partitioned:
-                self.dropped_partition += 1
+            if sender_cut or receiver in partitioned:
+                cut += 1
                 continue
-            decision = policy.decide(sender, receiver, payload, rng)
+            decision = decide(sender, receiver, payload, rng)
             if decision.drop:
                 if decision.partition:
-                    self.dropped_partition += 1
+                    cut += 1
                 else:
-                    self.dropped_policy += 1
+                    dropped += 1
                 if tracer is not None:
                     tracer.record(
                         now, sender, "drop", receiver=receiver, payload=payload
@@ -177,7 +202,9 @@ class Network:
                 elif counts_only is not None:
                     counts_only.bump("drop")
                 continue
-            self._deliver_later(sender, receiver, payload, now, decision.delay)
+            deliver_later(sender, receiver, payload, now, decision.delay)
+        self.dropped_partition += cut
+        self.dropped_policy += dropped
 
     def inject_spurious(
         self,
@@ -203,27 +230,6 @@ class Network:
             rng = self._sender_rngs[sender] = self._rng.split(f"sender/{sender}")
         return rng
 
-    def _dispatch(
-        self, sender: int, receiver: int, payload: object, authenticated: bool
-    ) -> None:
-        if receiver not in self._receivers:
-            raise ValueError(f"unknown receiver {receiver}")
-        if sender in self._partitioned or receiver in self._partitioned:
-            self.dropped_partition += 1
-            return
-        decision = self._policy.decide(sender, receiver, payload, self._sender_rng(sender))
-        if decision.drop:
-            if decision.partition:
-                self.dropped_partition += 1
-            else:
-                self.dropped_policy += 1
-            if self._tracer is not None:
-                self._tracer.record(
-                    self._sim.now, sender, "drop", receiver=receiver, payload=payload
-                )
-            return
-        self._deliver_later(sender, receiver, payload, self._sim.now, decision.delay)
-
     def _deliver_later(
         self,
         sender: int,
@@ -245,14 +251,7 @@ class Network:
             self.dropped_partition += 1
             return
         self.delivered_count += 1
-        now = self._sim.now
-        envelope = Envelope(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            sent_at=sent_at,
-            delivered_at=now,
-        )
+        now = self._sim._now
         tracer = self._tracer
         if tracer is not None:
             if tracer.enabled:
@@ -261,7 +260,7 @@ class Network:
                 )
             else:
                 tracer.bump("deliver")
-        self._receivers[receiver](envelope)
+        self._receivers[receiver](Envelope(sender, receiver, payload, sent_at, now))
 
 
 __all__ = ["Envelope", "Network", "Receiver"]

@@ -127,12 +127,18 @@ class Node:
         """Run ``action`` periodically, every local interval, forever."""
         if interval_local <= 0:
             raise ValueError(f"interval must be positive, got {interval_local!r}")
+        tag = tag or f"timer:{self.node_id}"
+        schedule_after = self.host.schedule_after
 
+        # One closure re-arms itself for the whole chain; a tick due while
+        # crashed ends it (a restart arms a new one).
         def tick() -> None:
+            if self._crashed:
+                return
             action()
-            self.after_local(interval_local, tick, tag=tag)
+            schedule_after(interval_local, tick, tag)
 
-        self.after_local(interval_local, tick, tag=tag)
+        schedule_after(interval_local, tick, tag)
 
     def cancel_timers(self) -> None:
         """Cancel all pending timers (used by crash / corruption)."""

@@ -87,11 +87,18 @@ class SimHost:
     def schedule_after(
         self, delay_local: float, action: Action, tag: str = ""
     ) -> TimerHandle:
-        """Schedule on the kernel, translating local delay through the clock."""
+        """Schedule on the kernel, translating local delay through the clock.
+
+        One step, same float arithmetic as ``real_delay_for_local`` then
+        ``schedule_in``: the deadline is ``now + delay_local / rate``.
+        """
         if self._closed:
             return INERT_TIMER
-        real_delay = self.clock.real_delay_for_local(delay_local)
-        handle = self.sim.schedule_in(real_delay, action, tag=tag)
+        if delay_local < 0:
+            raise ValueError(f"negative local interval {delay_local!r}")
+        handle = self.sim.schedule_at(
+            self.sim.now + delay_local / self.clock.rate, action, tag
+        )
         self._registry.track(handle)
         return handle
 

@@ -293,13 +293,6 @@ class WireTransport:
         tracer = self._tracer
         for sender, payload, sent_at in frames:
             self.delivered_count += 1
-            envelope = Envelope(
-                sender=sender,
-                receiver=receiver,
-                payload=payload,
-                sent_at=sent_at,
-                delivered_at=now,
-            )
             if tracer is not None:
                 if tracer.enabled:
                     tracer.record(
@@ -307,7 +300,7 @@ class WireTransport:
                     )
                 else:
                     tracer.bump("deliver")
-            receive(envelope)
+            receive(Envelope(sender, receiver, payload, sent_at, now))
 
     # ------------------------------------------------------------------
     # Teardown

@@ -234,28 +234,30 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         executed = 0
+        # -1 never equals a count, so no max_events means no budget.
+        budget = -1 if max_events is None else max(0, max_events)
         queue = self._queue
+        heappop = heapq.heappop
         try:
-            while queue:
-                if self._stop_requested:
+            # Pop first, then look: one heap operation per event.  An entry
+            # beyond ``until`` goes back (once per call); a cancelled one is
+            # dropped.  Either way the (time, seq) order is unchanged.
+            while queue and executed != budget and not self._stop_requested:
+                entry = heappop(queue)
+                time = entry[0]
+                if until is not None and time > until:
+                    heapq.heappush(queue, entry)
                     break
-                if max_events is not None and executed >= max_events:
-                    break
-                head = queue[0]
-                handle = head[3]
-                if handle is not None and handle.cancelled:
-                    heapq.heappop(queue)
-                    continue
-                if until is not None and head[0] > until:
-                    break
-                heapq.heappop(queue)
+                handle = entry[3]
                 if handle is not None:
+                    if handle.cancelled:
+                        continue
                     handle._sim = None
                 self._live_events -= 1
-                self._now = head[0]
+                self._now = time
                 self._events_executed += 1
                 executed += 1
-                head[2]()
+                entry[2]()
         finally:
             self._running = False
         return executed

@@ -95,6 +95,53 @@ class TestNodeTimers:
         with pytest.raises(ValueError):
             a.every_local(0.0, lambda: None)
 
+    def test_every_local_chain_dies_when_crashed_at_tick(self):
+        sim, a, _b = build_pair()
+        fired = []
+        a.every_local(1.0, lambda: fired.append(sim.now))
+        sim.run_until(1.5)
+        a.crash()
+        sim.run_until(2.5)  # the t=2 tick comes due while crashed
+        assert fired == [1.0]
+        assert a.live_timer_count() == 0, "a crashed tick must not re-arm"
+
+    def test_resume_alone_does_not_revive_a_dead_chain(self):
+        sim, a, _b = build_pair()
+        fired = []
+        a.every_local(1.0, lambda: fired.append(sim.now))
+        sim.run_until(1.5)
+        a.crash()
+        sim.run_until(2.5)
+        a.resume()
+        sim.run_until(6.5)
+        assert fired == [1.0]
+        assert a.live_timer_count() == 0
+
+    def test_crash_then_restart_in_process_leaves_one_chain(self):
+        from repro.core.params import ProtocolParams
+        from repro.faults.transient import crash_in_process, restart_in_process
+        from repro.harness.scenario import Cluster, ScenarioConfig
+
+        params = ProtocolParams(n=4, f=1, delta=1.0, rho=0.0)
+        cluster = Cluster(ScenarioConfig(params=params, seed=3))
+        node = cluster.nodes[1]
+        ticks = []
+        cleanup_tick = node._cleanup_tick
+        # The restart re-arms the chain with whatever ``_cleanup_tick`` is
+        # then: count its firings through an instance-level stand-in.
+        node._cleanup_tick = lambda: (ticks.append(cluster.sim.now), cleanup_tick())
+        cluster.run_for(2.5 * params.d)
+        crash_in_process(node, state_loss=False)
+        assert node.live_timer_count() == 0
+        restart_in_process(node)
+        assert node.live_timer_count() == 1
+        start = cluster.sim.now
+        cluster.run_for(5.5 * params.d)
+        assert node.live_timer_count() == 1, "a second chain survived the restart"
+        assert len(ticks) == 5, "one tick per period, no double chain"
+        gaps = [b - a for a, b in zip([start] + ticks, ticks)]
+        assert gaps == pytest.approx([params.d] * 5)
+
     def test_cancel_timers(self):
         sim, a, _b = build_pair()
         fired = []
@@ -191,6 +238,15 @@ class TestMessageLog:
         dropped = log.prune_future(10.0)
         assert dropped == 1
         assert log.senders("k") == {2}
+
+    def test_decay_prunes_both_ends(self):
+        log = MessageLog()
+        log.add("k", 1, 5.0)
+        log.add("k", 2, 15.0)
+        log.corrupt_insert("k", 3, 999.0)
+        assert log.decay(10.0, 20.0) == 2
+        assert log.senders("k") == {2}
+        assert MessageLog().decay(10.0, 20.0) == 0
 
     def test_out_of_order_insert_keeps_sorted(self):
         log = MessageLog()

@@ -70,12 +70,28 @@ class SimHarness:
     async def drive(self, duration_units: float) -> None:
         self.sim.run_until(self.sim.now + duration_units)
 
+    async def settle(self, arrived) -> None:
+        """Nothing moves between drives on the kernel: no wait."""
+
     def close(self) -> None:
         for host in self.hosts:
             host.close()
 
 
-class AioHarness:
+class _WallClockSettle:
+    async def settle(self, arrived, timeout_s: float = 1.0) -> None:
+        """Wait until ``arrived()`` holds, for at most ``timeout_s``.
+
+        A loaded machine can stretch transit far past any fixed sleep, so
+        counting contracts wait for their copies first and then still run
+        their usual drive, which catches a late duplicate.
+        """
+        deadline = time.monotonic() + timeout_s
+        while not arrived() and time.monotonic() < deadline:
+            await asyncio.sleep(self.TIME_SCALE)
+
+
+class AioHarness(_WallClockSettle):
     """Asyncio backend: time advances by actually sleeping (scaled)."""
 
     name = "asyncio"
@@ -113,7 +129,7 @@ class AioHarness:
         self.transport.close()
 
 
-class SocketHarness:
+class SocketHarness(_WallClockSettle):
     """Socket backend: real UDP datagrams between in-process hosts.
 
     The conformance half runs every host on one loop (the multiprocessing
@@ -325,6 +341,7 @@ async def contract_broadcast_one_copy_per_node_exactly(h) -> None:
     hosts[0].broadcast("a0")
     hosts[1].broadcast("b0")
     hosts[0].broadcast("a1")
+    await h.settle(lambda: all(len(inbox) >= 3 for inbox in inboxes))
     await h.drive(2.0)
     expected = [(0, "a0"), (0, "a1"), (1, "b0")]
     for node_id, inbox in enumerate(inboxes):
@@ -400,6 +417,7 @@ async def contract_coalescing_preserves_per_sender_fifo(h) -> None:
     burst = [f"m{i}" for i in range(12)]
     for payload in burst:
         host_a.send(1, payload)
+    await h.settle(lambda: len(inbox) >= len(burst))
     await h.drive(2.0)
     assert [e.payload for e in inbox] == burst, "coalescing reordered a burst"
     assert all(e.sender == 0 for e in inbox)
