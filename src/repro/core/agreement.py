@@ -40,12 +40,10 @@ from repro.node.base import Node
 from repro.runtime.api import Delivery, RandomStream
 
 
-#: Which primitive takes each message class: the intake's class-keyed
-#: dispatch (msgd-broadcast traffic, 4 kinds x n relays, dominates).
-_ROUTES: dict[type, str] = {cls: "mb" for cls in MB_MESSAGE_TYPES}
-_ROUTES.update(
-    {SupportMsg: "ia", ApproveMsg: "ia", ReadyMsg: "ia", InitiatorMsg: "initiator"}
-)
+#: The intake routes on the message's exact class; msgd-broadcast traffic
+#: (4 kinds x n relays) dominates, so it is tested first.
+_MB_CLASSES = frozenset(MB_MESSAGE_TYPES)
+_IA_CLASSES = frozenset((SupportMsg, ApproveMsg, ReadyMsg))
 
 
 @dataclass(frozen=True)
@@ -183,12 +181,12 @@ class AgreementInstance:
     # ------------------------------------------------------------------
     def handle(self, msg: object, sender: int) -> None:
         """Route one delivered protocol message to the right primitive."""
-        route = _ROUTES.get(type(msg))
-        if route == "mb":
+        cls = type(msg)
+        if cls in _MB_CLASSES:
             self.mb.on_message(msg, sender)
-        elif route == "ia":
+        elif cls in _IA_CLASSES:
             self.ia.on_message(msg, sender)
-        elif route == "initiator":
+        elif cls is InitiatorMsg:
             # Block Q1: invoke Initiator-Accept (only the General's own
             # Initiator message counts -- authenticated sender check).
             if sender == self.general_node_id and not self.stopped:

@@ -47,7 +47,6 @@ from typing import Callable, Optional
 
 from repro.core.messages import (
     ApproveMsg,
-    InitiatorMsg,
     ReadyMsg,
     SupportMsg,
     Value,
@@ -277,10 +276,6 @@ class InitiatorAccept:
         kind = _KINDS.get(type(msg))
         if kind is None:
             raise TypeError(f"not an Initiator-Accept message: {msg!r}")
-        if kind == "initiator":
-            # Block Q1 of the caller routes Initiator messages to invoke();
-            # they are not logged here.
-            return
         value = msg.value  # type: ignore[attr-defined]
         if self._ignoring(value, now):
             return
@@ -501,7 +496,6 @@ class InitiatorAccept:
 
 #: The log-key kind of each message class: the intake's class-keyed dispatch.
 _KINDS: dict[type, str] = {
-    InitiatorMsg: "initiator",
     SupportMsg: InitiatorAccept.SUPPORT,
     ApproveMsg: InitiatorAccept.APPROVE,
     ReadyMsg: InitiatorAccept.READY,

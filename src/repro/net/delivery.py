@@ -23,10 +23,8 @@ class DeliveryDecision:
     ``delay`` is the real-time transit delay; ``drop`` wins over delay.
     ``partition`` marks a drop as partition-suppressed (a severed link)
     rather than an ordinary lossy-policy drop -- the network keeps separate
-    counters so scenario reports can attribute loss to its cause.
-
-    Not frozen: one is built per copy, and freezing costs an
-    ``object.__setattr__`` per field; the fabric never mutates it.
+    counters so scenario reports can attribute loss to its cause.  One is
+    built per copy, so it is not frozen; the fabric never mutates it.
     """
 
     delay: float = 0.0

@@ -38,11 +38,7 @@ from repro.sim.trace import Tracer
 
 @dataclass(slots=True)
 class Envelope:
-    """A delivered message as seen by the receiver.
-
-    Not frozen: one is built per copy for a single receiver, and freezing
-    costs an ``object.__setattr__`` per field (the shared payload is frozen).
-    """
+    """A delivered message as seen by the receiver (one per copy, so not frozen)."""
 
     sender: int
     receiver: int

@@ -230,8 +230,7 @@ class FreshWindowWatch:
         if self._stale:
             return  # rebuilt from the log on next query
         if advances_time and arrival > self._hwm:
-            if self._pending:
-                self._drain(arrival)
+            self._drain(arrival)
             self._hwm = arrival
         if arrival < self.start:
             return
@@ -509,13 +508,7 @@ class MessageLog:
         return dropped
 
     def decay(self, cutoff_local: float, now_local: float) -> int:
-        """The cleanup rules' pass: :meth:`prune_older_than`, :meth:`prune_future`.
-
-        Most ticks find the log empty (an instance resets 3d after it
-        returns); that case costs one check instead of two calls.
-        """
-        if not self._keys:
-            return 0
+        """The cleanup rules' pass: :meth:`prune_older_than`, :meth:`prune_future`."""
         return self.prune_older_than(cutoff_local) + self.prune_future(now_local)
 
     def remove_keys(self, keys: Iterable[Key]) -> None:

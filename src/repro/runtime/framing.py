@@ -226,22 +226,15 @@ def _pack_count_header(buf: bytearray, count: int, fix: int, tag16: int, tag32: 
         buf += struct.pack(">BI", tag32, count)
 
 
-#: Packers keyed on the exact class of the scalars message fields hold:
-#: one dict hit per field value instead of the ``isinstance`` chain below,
-#: which still takes subclasses.
-_SCALAR_PACKERS: dict[type, Callable[[bytearray, Any], None]] = {
-    str: mpack.pack_str_into,
-    int: mpack.pack_into,
-    float: mpack.pack_into,
-    bool: mpack.pack_into,
-    type(None): mpack.pack_into,
-}
+#: The exact classes of the scalars message fields hold: one set hit per
+#: field value instead of the ``isinstance`` chain below, which still takes
+#: subclasses.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 def _pack_payload_into(buf: bytearray, obj: Any) -> None:
-    pack = _SCALAR_PACKERS.get(type(obj))
-    if pack is not None:
-        pack(buf, obj)
+    if type(obj) in _SCALAR_TYPES:
+        mpack.pack_into(buf, obj)
         return
     if obj is BOTTOM:
         buf += _BOT_BODY

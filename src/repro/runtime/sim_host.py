@@ -87,17 +87,11 @@ class SimHost:
     def schedule_after(
         self, delay_local: float, action: Action, tag: str = ""
     ) -> TimerHandle:
-        """Schedule on the kernel, translating local delay through the clock.
-
-        One step, same float arithmetic as ``real_delay_for_local`` then
-        ``schedule_in``: the deadline is ``now + delay_local / rate``.
-        """
+        """Schedule on the kernel, translating local delay through the clock."""
         if self._closed:
             return INERT_TIMER
-        if delay_local < 0:
-            raise ValueError(f"negative local interval {delay_local!r}")
         handle = self.sim.schedule_at(
-            self.sim.now + delay_local / self.clock.rate, action, tag
+            self.sim.now + self.clock.real_delay_for_local(delay_local), action, tag
         )
         self._registry.track(handle)
         return handle

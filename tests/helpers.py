@@ -50,8 +50,9 @@ class FakeHost:
 
     def schedule_after(self, delay_local: float, action, tag: str = ""):
         """Local-time timers, so the push evaluators' deadline chains run."""
-        real_delay = self.clock.real_delay_for_local(delay_local)
-        handle = self.sim.schedule_in(real_delay, action, tag=tag)
+        handle = self.sim.schedule_at(
+            self.sim.now + self.clock.real_delay_for_local(delay_local), action, tag
+        )
         self._registry.track(handle)
         return handle
 
