@@ -130,12 +130,14 @@ print(f"ok: {len(serial)} rows bit-identical at shards=2, process transport "
 # does not fail the run by itself -- it is one stderr line ("trace: ... not
 # found; ... skipped") -- so fail on that line as well as on a non-zero
 # exit (span coverage not green, output check failed).  One traced run per
-# family: svc_asyncio_fastnet for the wall-clock seams, a short
-# sim_adversary for the simulator's (its cleanup, prune and abort paths
-# are the ones sim_agree skips).
+# family: svc_asyncio_fastnet for the in-process wall-clock seams, a short
+# svc_socket_kill for the socket carrier's (scraped datagram counters, the
+# respawn and the catch-up), and a short sim_adversary for the simulator's
+# (its cleanup, prune and abort paths are the ones sim_agree skips).
 gate_bench_seam() {
     python -m pytest bench/ -q
     traced_run --workload svc_asyncio_fastnet
+    traced_run --workload svc_socket_kill --seconds 6
     traced_run --workload sim_adversary --seconds 3
 }
 

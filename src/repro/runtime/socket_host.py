@@ -16,7 +16,9 @@ Pieces
   malformed or unauthenticated datagrams are counted and dropped, never
   delivered.  Policy draws, the drop matrix and coalescing are the shared
   transport's, *injected at the sender*: a drop means the copy is never
-  transmitted, and a delay holds it back on the sender's loop.
+  transmitted, and a delay holds it back on the sender's loop, from which
+  it may leave up to ``RELEASE_SLACK`` early, never before its policy's
+  floor, to share a datagram with the copies due just before it.
 * :class:`SocketHost` -- wall-clock timers scaled by ``time_scale``
   (seconds per protocol unit), sharing one epoch across all nodes so
   ``now()`` readings are mutually consistent.  A closed host refuses new

@@ -4,15 +4,24 @@ Both wall-clock backends move the same thing the same way: a payload is
 encoded once into an authenticated frame body (:mod:`repro.runtime.framing`),
 each copy gets a seeded per-copy delay/drop draw from the sim's
 :class:`~repro.net.delivery.DeliveryPolicy` objects *at the sender*, a
-held-back copy waits out its delay on the sender's loop, and copies whose
-release moments land in the same loop tick are coalesced into one BATCH
-datagram per (receiver, sender) run.  All of that lives here, once.
+held-back copy waits out its delay on the sender's loop, and copies released
+together are coalesced into one BATCH datagram per (receiver, sender) run.
+All of that lives here, once.
 
 Held-back copies wait in one heap per transport, ordered by
 ``(release_at, seq)``, behind a single loop timer armed for the head -- not
 one loop timer per copy -- so copies due at the same instant are released
 in send order, and :meth:`WireTransport.close` empties the heap and cancels
 that one timer.
+
+When that timer fires, the copies behind the head may leave early with it,
+so copies due close together share a datagram (Nagle-style coalescing,
+bounded like timer slack).  Release walks the heap in order and stops at
+the first copy whose drawn instant is more than :data:`RELEASE_SLACK` away
+or whose *floor* -- its send instant plus ``min_delay()`` of the policy that
+drew it, fixed at send time -- has not passed.  So a copy is never late,
+never more than the slack early, never below its policy's floor, and still
+leaves in drawn ``(release_at, seq)`` order.
 
 A *carrier* subclass supplies only what genuinely differs:
 
@@ -38,6 +47,10 @@ from repro.net.network import Envelope
 from repro.runtime.framing import FrameBatcher, FrameDecoder, FrameEncoder
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
+
+#: How early a held copy may leave to share the datagram of a copy released
+#: before it, in protocol time units: d/50 at delta = 1.
+RELEASE_SLACK = 0.02
 
 
 class WireTransport:
@@ -75,9 +88,10 @@ class WireTransport:
         self._batcher = FrameBatcher(self._encoder, self._transmit)
         self._flush_scheduled = False
         #: Copies waiting out their policy delay, as a heap of
-        #: ``(release_at, seq, receiver, sender, body)`` on the loop's clock;
-        #: one loop timer, armed for the head, releases them.
-        self._held: list[tuple[float, int, int, int, bytes]] = []
+        #: ``(release_at, seq, floor, receiver, sender, body)`` on the loop's
+        #: clock; one loop timer, armed for the head, releases them.
+        self._held: list[tuple[float, int, float, int, int, bytes]] = []
+        self._slack = RELEASE_SLACK * time_scale
         self._held_seq = 0
         self._release_timer: Optional[asyncio.TimerHandle] = None
         self._policy = policy
@@ -214,9 +228,10 @@ class WireTransport:
             self.dropped_count += 1
             self.dropped_fault_count += 1
             return
+        policy = self._policy
         delay_units = 0.0
-        if self._policy is not None:
-            decision = self._policy.decide(sender, receiver, payload, self._rand)
+        if policy is not None:
+            decision = policy.decide(sender, receiver, payload, self._rand)
             if decision.drop:
                 self.dropped_count += 1
                 if decision.partition:
@@ -224,10 +239,12 @@ class WireTransport:
                 return
             delay_units = decision.delay
         if delay_units > 0.0:
-            release_at = self.loop.time() + delay_units * self.time_scale
+            sent = self.loop.time()
+            release_at = sent + delay_units * self.time_scale
+            floor = sent + policy.min_delay() * self.time_scale
             self._held_seq += 1
             held = self._held
-            heappush(held, (release_at, self._held_seq, receiver, sender, body))
+            heappush(held, (release_at, self._held_seq, floor, receiver, sender, body))
             if held[0][1] == self._held_seq:  # a new head: re-aim the timer
                 self._arm_release(release_at)
         else:
@@ -240,16 +257,18 @@ class WireTransport:
         self._release_timer = self.loop.call_at(release_at, self._release_held)
 
     def _release_held(self) -> None:
-        """Enqueue every held copy that is due, in ``(release_at, seq)`` order.
+        """Enqueue the head, then each copy due within the slack whose floor
+        has passed, in ``(release_at, seq)`` order.
 
         The timer is always armed for the head, and the loop may run it up
         to one clock tick early, so the head counts as due regardless.
         """
         self._release_timer = None
         held = self._held
-        due = max(held[0][0], self.loop.time())
-        while held and held[0][0] <= due:
-            _at, _seq, receiver, sender, body = heappop(held)
+        now = max(held[0][0], self.loop.time())
+        horizon = now + self._slack
+        while held and held[0][0] <= horizon and held[0][2] <= now:
+            _at, _seq, _floor, receiver, sender, body = heappop(held)
             self._enqueue(receiver, sender, body)
         if held:
             self._arm_release(held[0][0])
@@ -257,9 +276,10 @@ class WireTransport:
     def _enqueue(self, receiver: int, sender: int, body: bytes) -> None:
         """A copy's release moment arrived: queue it for the tick's flush.
 
-        Coalescing happens here, not at send time -- only copies whose
-        policy-drawn release moments land in the same loop tick share a
-        datagram, so drawn delays still govern arrival order.
+        Coalescing happens here, not at send time: copies released in the
+        same tick share a datagram, and :meth:`_release_held` releases a
+        held copy at most :data:`RELEASE_SLACK` early and never before its
+        floor, so drawn delays still govern arrival order.
         """
         if self._closed:
             return
@@ -315,4 +335,4 @@ class WireTransport:
             self._release_timer = None
 
 
-__all__ = ["WireTransport"]
+__all__ = ["RELEASE_SLACK", "WireTransport"]

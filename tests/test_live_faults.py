@@ -11,6 +11,9 @@ Covers the wall-clock side of the fault-script story:
   helpers (:func:`crash_in_process` / :func:`restart_in_process`) are the
   *same* implementation: applied to identical clusters with identically-derived
   randomness they produce bit-identical post-restart protocol state.
+* A scripted partition, heal, isolate, reconnect and policy swap reach an
+  asyncio cluster through ``inject_fault_script`` under service load, and
+  the replicated log comes out identical, every command applied once.
 * The chaos runner end to end: SIGKILL a node mid-agreement with full
   state loss, the supervisor respawns it with scrambled state, and every
   node -- the revenant included -- converges on the agreed value with a
@@ -196,6 +199,63 @@ class TestDropMatrix:
                 assert (1, "wave") in _payloads(inbox)
 
         asyncio.run(body())
+
+
+# ---------------------------------------------------------------------------
+# The live link-fault chain end to end, under service load
+# ---------------------------------------------------------------------------
+class TestLinkFaultChain:
+    TIME_SCALE = 0.05  # d = 50 ms
+    COMMANDS = 1500
+    RATE = 300.0
+
+    def test_scripted_link_faults_leave_identical_logs(self) -> None:
+        # inject_fault_script -> LiveFaultDriver -> AsyncioCluster.link_fault
+        # -> apply_transport_fault, for every link-level action: cut one
+        # replica off and heal, isolate another and reconnect, then swap the
+        # policy (and with it the release floor) mid-run.
+        from repro.runtime.aio import AsyncioCluster
+        from repro.service import ReplicatedLogService
+
+        script = [
+            {"at_d": 10.0, "do": "partition", "island": [3]},
+            {"at_d": 25.0, "do": "heal"},
+            {"at_d": 40.0, "do": "isolate", "nodes": [2]},
+            {"at_d": 55.0, "do": "reconnect", "nodes": [2]},
+            {"at_d": 70.0, "do": "policy", "policy": "fast"},
+        ]
+
+        async def body():
+            cluster = AsyncioCluster(PARAMS, seed=12, time_scale=self.TIME_SCALE)
+            service = ReplicatedLogService(cluster, primary=0)
+            try:
+                reply = cluster.inject_fault_script(script)
+                report = await service.run_workload(
+                    rate=self.RATE, total=self.COMMANDS, seed=3,
+                    drain_timeout_s=60.0,
+                )
+                applied = {
+                    node_id: [cmd for _slot, batch in a.applied for cmd in batch]
+                    for node_id, a in service.appliers.items()
+                }
+                return (
+                    reply, report, list(cluster.faults.fired),
+                    cluster.transport.dropped_fault_count,
+                    type(cluster.transport.policy).__name__, applied,
+                )
+            finally:
+                cluster.close()
+
+        reply, report, fired, fault_drops, policy, applied = asyncio.run(body())
+        assert reply == {"accepted": 5, "backend": "asyncio"}
+        assert fired == ["partition", "heal", "isolate", "reconnect", "swappolicy"]
+        assert fault_drops > 0
+        assert policy == "UniformDelay"
+        assert report.identical_logs
+        assert report.commands_applied == self.COMMANDS
+        expected = sorted(f"cmd{i}" for i in range(self.COMMANDS))
+        for commands in applied.values():
+            assert sorted(commands) == expected  # each command exactly once
 
 
 # ---------------------------------------------------------------------------

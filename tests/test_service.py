@@ -326,6 +326,9 @@ class TestLaunchPacing:
                     return DeliveryDecision.dropped()
                 return inner.decide(sender, receiver, payload, rng)
 
+            def min_delay(self):
+                return inner.min_delay()
+
         cluster = Cluster(ScenarioConfig(params=params4, seed=seed, policy=_Deafen()))
         service = ReplicatedLogService(cluster, primary=0, window=2, max_batch=4)
         service.coordinator.submit_nowait("c0")
@@ -854,6 +857,11 @@ class _WithholdBodies:
             return DeliveryDecision(delay=0.0)
         return self.inner.decide(sender, receiver, payload, rng)
 
+    def min_delay(self):
+        # Instant copies skip the delay, so only without them does the
+        # inner policy's floor bound every delivered copy.
+        return 0.0 if self.instant else self.inner.min_delay()
+
 
 class _LyingPeer:
     """A Byzantine replica: silent in the protocol, answers every
@@ -1190,10 +1198,15 @@ class TestEnvelopeSize:
                 )
                 for name in kinds
             }
-        # Same bytes whether the slot carries 1 command or 128 ...
-        assert sizes[1] == sizes[128]
-        # ... and small: <= 128 B on the wire.
-        assert max(sizes[128].values()) <= 128
+        # Same bytes whether the slot carries 1 command or 128, for every
+        # kind both runs sent (the six above always are; whether a node
+        # also sends an init' depends on how early its echoes arrive) ...
+        common = sizes[1].keys() & sizes[128].keys()
+        assert {k: sizes[1][k] for k in common} == {
+            k: sizes[128][k] for k in common
+        }
+        # ... and small: <= 128 B on the wire, in either run.
+        assert max(max(run.values()) for run in sizes.values()) <= 128
 
 class TestSocketChildService:
     def test_child_reports_body_counters_and_sizes_its_store(self, params4):

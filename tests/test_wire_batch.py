@@ -4,8 +4,9 @@ The framing tests pin the *format*; this file pins the machinery the lean
 wire path rides on: the vendored msgpack subset (:mod:`repro.runtime.mpack`)
 at its encoding edges, the UDP carrier against a real loopback socket pair,
 the transports' datagram accounting under coalescing and under a refusing
-socket, the one release heap held-back copies wait in, what both carriers
-do with a frame under a retired codec byte, and
+socket, the one release heap held-back copies wait in and the slack within
+which they may leave early, what both carriers do with a frame under a
+retired codec byte, and
 what one raising emit or one retained buffer view may cost a tick (nothing
 beyond itself).
 """
@@ -18,6 +19,7 @@ import time
 
 import pytest
 
+from repro.net.delivery import FixedDelay, UniformDelay
 from repro.runtime import mpack
 from repro.runtime.framing import (
     FrameBatcher,
@@ -254,6 +256,55 @@ class TestTransportCoalescing:
 # ---------------------------------------------------------------------------
 # Held-back copies: one heap per transport, one loop timer
 # ---------------------------------------------------------------------------
+class _RecordingUniform(UniformDelay):
+    """A :class:`UniformDelay` that keeps every delay it draws, in order."""
+
+    def __init__(self, low: float, high: float) -> None:
+        super().__init__(low, high)
+        self.drawn: list[float] = []
+
+    def decide(self, sender, receiver, payload, rng):
+        decision = super().decide(sender, receiver, payload, rng)
+        self.drawn.append(decision.delay)
+        return decision
+
+
+def _carriers(kind: str, policy, time_scale: float, receive=None) -> list:
+    """Transports on the running loop, every node attached to ``receive``.
+
+    ``asyncio``: one shared fabric, nodes 0-2.  ``socket``: a UDP pair,
+    node 0 and node 1, sharing one address book.
+    """
+    from repro.runtime.aio import AsyncioTransport
+    from repro.runtime.socket_host import SocketTransport
+    from repro.sim.rand import RandomSource
+
+    if receive is None:
+        def receive(envelope):
+            pass
+
+    if kind == "asyncio":
+        transport = AsyncioTransport(
+            time_scale=time_scale, policy=policy,
+            rand=RandomSource(7, "net"), auth_key=KEY,
+        )
+        for node_id in range(3):
+            transport.register(node_id, receive)
+        return [transport]
+    directory: dict = {}
+    epoch = time.time()
+    transports = [
+        SocketTransport(
+            node_id, KEY, time_scale, epoch, directory, policy=policy,
+            rand=RandomSource(7, f"net/{node_id}"),
+        )
+        for node_id in (0, 1)
+    ]
+    for node_id, transport in enumerate(transports):
+        transport.register(node_id, receive)
+    return transports
+
+
 class TestReleaseHeap:
     @staticmethod
     def _transport(policy):
@@ -358,6 +409,235 @@ class TestReleaseHeap:
         state, inbox, datagrams = asyncio.run(scenario())
         assert state == (0, True)
         assert inbox == [] and datagrams == 0
+
+    # -- the release slack ---------------------------------------------
+    # A held copy may leave with an earlier one, at most RELEASE_SLACK
+    # early and never before its floor (send instant + the drawing policy's
+    # min_delay()).  On a stepped clock the rule is checked exactly: the
+    # test fires the one release timer by hand, on time, and records each
+    # copy's release instant.
+
+    @staticmethod
+    def _stepped(transport, script):
+        """Run ``script(send, step)`` on a stepped loop clock.
+
+        ``send(sender, receiver, payload)`` sends one copy at the current
+        instant; ``step(dt)`` advances the clock, firing the release timer
+        at each instant it is armed for on the way.  Returns one row per
+        copy -- ``(sent, sender, receiver, policy, release_at, seq, released)``
+        -- and the number of timer fires.
+        """
+        loop = transport.loop
+        clock = [loop.time()]
+        copies: dict[bytes, list] = {}
+        released: list[bytes] = []
+        fires = [0]
+
+        def enqueue(receiver, sender, body):
+            copies[body].append(clock[0])
+            released.append(body)
+
+        def send(sender, receiver, payload):
+            transport.send(sender, receiver, payload)
+            (entry,) = (e for e in transport._held if e[1] == transport._held_seq)
+            copies[entry[5]] = [
+                clock[0], sender, receiver, transport.policy, *entry[:2]
+            ]
+
+        def step(dt):
+            until = clock[0] + dt
+            timer = transport._release_timer
+            while timer is not None and timer.when() <= until:
+                timer.cancel()  # fired here, by hand, instead
+                clock[0] = timer.when()
+                fires[0] += 1
+                transport._release_held()
+                timer = transport._release_timer
+            clock[0] = until
+
+        transport._enqueue = enqueue
+        loop.time = lambda: clock[0]
+        try:
+            script(send, step)
+            step(10.0)  # drain
+        finally:
+            del loop.time
+            del transport._enqueue
+        assert not transport._held and len(released) == len(copies)
+        return [tuple(copies[body]) for body in released], fires[0]
+
+    @pytest.mark.parametrize("carrier", ["asyncio", "socket"])
+    def test_stepped_release_stays_between_floor_and_drawn_instant(
+        self, carrier
+    ) -> None:
+        from repro.runtime.wire import RELEASE_SLACK
+
+        scale = 0.05
+        slack = RELEASE_SLACK * scale
+        policy = _RecordingUniform(0.2, 1.0)
+
+        def script(send, step):
+            for i in range(240):
+                send(i % 2, (i // 2) % 2, f"c{i}")
+                step(0.0002)
+
+        async def scenario():
+            transports = _carriers(carrier, policy, scale)
+            try:
+                return self._stepped(transports[0], script)
+            finally:
+                for transport in transports:
+                    transport.close()
+
+        rows, fires = asyncio.run(scenario())
+        assert len(rows) == len(policy.drawn) == 240
+        early = 0
+        eps = 1e-12
+        for sent, _s, _r, used, release_at, _seq, released in rows:
+            assert used is policy
+            assert released >= sent + policy.low * scale - eps  # the floor
+            assert released >= release_at - slack - eps  # <= S early
+            assert released <= release_at + eps  # never late
+            early += released < release_at - eps
+        # Each (sender, receiver) pair leaves in drawn (release_at, seq) order.
+        for pair in {(row[1], row[2]) for row in rows}:
+            link = [row for row in rows if (row[1], row[2]) == pair]
+            assert link == sorted(link, key=lambda row: (row[4], row[5]))
+        # Drawn delays are each copy's own: the recorded draws, in send order.
+        by_seq = sorted(rows, key=lambda row: row[5])
+        for row, delay in zip(by_seq, policy.drawn):
+            assert row[4] == pytest.approx(row[0] + delay * scale, abs=1e-12)
+        assert early > 0 and fires < len(rows)  # the slack was used
+
+    @pytest.mark.parametrize("carrier", ["asyncio", "socket"])
+    def test_stepped_fixed_delay_burst_is_never_early(self, carrier) -> None:
+        scale = 0.05
+
+        def script(send, step):
+            for i in range(60):
+                send(0, 1, f"f{i}")
+                step(0.00001)  # far closer together than the slack
+
+        async def scenario():
+            transports = _carriers(carrier, FixedDelay(0.5), scale)
+            try:
+                return self._stepped(transports[0], script)
+            finally:
+                for transport in transports:
+                    transport.close()
+
+        rows, _fires = asyncio.run(scenario())
+        assert len(rows) == 60
+        for sent, _s, _r, _policy, release_at, _seq, released in rows:
+            assert released == release_at == sent + 0.5 * scale
+
+    @pytest.mark.parametrize("carrier", ["asyncio", "socket"])
+    def test_stepped_floor_is_the_drawing_policys_across_a_swap(
+        self, carrier
+    ) -> None:
+        # Copies held across a set_policy (and a partition wrapped round the
+        # new policy) keep the floor of the policy that drew them: a
+        # lower-floored successor releasing close by cannot pull them out.
+        from repro.runtime.wire import RELEASE_SLACK
+
+        scale = 0.05
+        slack = RELEASE_SLACK * scale
+        before, after = FixedDelay(0.51), FixedDelay(0.5)
+
+        def script(send, step):
+            for i in range(8):
+                send(0, 1, f"a{i}")
+                step(0.0001)
+            step(0.00005)
+            transports[0].set_policy(after)
+            transports[0].set_partition(frozenset({2}))
+            for i in range(8):
+                send(1, 0, f"b{i}")
+                step(0.0001)
+
+        async def scenario():
+            transports[:] = _carriers(carrier, before, scale)
+            try:
+                return self._stepped(transports[0], script)
+            finally:
+                for transport in transports:
+                    transport.close()
+
+        transports: list = []
+        rows, _fires = asyncio.run(scenario())
+        olds = [row for row in rows if row[3] is before]
+        news = [row for row in rows if row[3] is not before]
+        assert len(olds) == len(news) == 8
+        assert all(row[3].inner is after for row in news)
+        for row in rows:  # a FixedDelay floor is its drawn instant
+            assert row[6] == row[4]
+        # The case is exercised: an old copy was within the slack of a new
+        # copy's release, past the floor the new policy would have given it.
+        assert any(
+            t < old[4] <= t + slack and t >= old[0] + after.delay * scale
+            for t in {new[6] for new in news}
+            for old in olds
+        )
+
+    @pytest.mark.parametrize("carrier", ["asyncio", "socket"])
+    def test_spread_burst_arrives_in_bounds_in_fewer_datagrams(
+        self, carrier
+    ) -> None:
+        # The same contract on the real loop clock, end to end.  Arrival can
+        # only trail release, so the lower bounds hold exactly (up to the
+        # clock's resolution); the upper one allows the loop's lateness.
+        from repro.runtime.wire import RELEASE_SLACK
+
+        scale = 0.05
+        slack = RELEASE_SLACK * scale
+        resolution = time.get_clock_info("monotonic").resolution
+        late_s = 0.25
+        policy = _RecordingUniform(0.1, 0.5)
+        links = [(0, 1), (1, 0)] if carrier == "socket" else [(0, 1), (1, 2)]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            arrivals: dict = {}
+
+            def receive(envelope):
+                arrivals[envelope.payload] = loop.time()
+
+            transports = _carriers(carrier, policy, scale, receive)
+            copies = {}
+            try:
+                for i in range(120):
+                    sender, receiver = links[i % 2]
+                    transport = transports[sender if carrier == "socket" else 0]
+                    sent = loop.time()
+                    transport.send(sender, receiver, f"s{i}")
+                    (release_at, seq), = (
+                        entry[:2] for entry in transport._held
+                        if entry[1] == transport._held_seq
+                    )
+                    copies[f"s{i}"] = (
+                        sent, sender, receiver, policy.drawn[-1], release_at, seq
+                    )
+                await asyncio.sleep(0.5 * scale + late_s)
+                datagrams = sum(t.datagrams_sent for t in transports)
+                return copies, arrivals, datagrams
+            finally:
+                for transport in transports:
+                    transport.close()
+
+        copies, arrivals, datagrams = asyncio.run(scenario())
+        assert len(arrivals) == len(copies) == 120
+        for payload, (sent, _s, _r, drawn, release_at, _seq) in copies.items():
+            transit = arrivals[payload] - sent
+            assert transit >= policy.low * scale - resolution
+            assert arrivals[payload] >= release_at - slack - resolution
+            assert transit <= drawn * scale + late_s
+        # Each link arrives in its drawn (release_at, seq) order.
+        for link in links:
+            sent_on = [p for p, c in copies.items() if c[1:3] == link]
+            by_arrival = sorted(sent_on, key=arrivals.__getitem__)
+            by_draw = sorted(sent_on, key=lambda p: copies[p][4:])
+            assert by_arrival == by_draw
+        assert datagrams < len(copies)
 
 
 # ---------------------------------------------------------------------------
