@@ -16,12 +16,12 @@ that one timer.
 
 When that timer fires, the copies behind the head may leave early with it,
 so copies due close together share a datagram (Nagle-style coalescing,
-bounded like timer slack).  Release walks the heap in order and stops at
-the first copy whose drawn instant is more than :data:`RELEASE_SLACK` away
-or whose *floor* -- its send instant plus ``min_delay()`` of the policy that
-drew it, fixed at send time -- has not passed.  So a copy is never late,
-never more than the slack early, never below its policy's floor, and still
-leaves in drawn ``(release_at, seq)`` order.
+bounded like timer slack).  Each held copy stores, at send time, its
+*earliest* instant: the later of its *floor* -- send instant plus the drawing
+policy's ``min_delay()`` -- and its drawn instant less :data:`RELEASE_SLACK`.
+Release walks the heap in order while the next copy's earliest instant has
+passed.  So a copy is never late, never more than the slack early, never
+below its policy's floor, and leaves in drawn ``(release_at, seq)`` order.
 
 A *carrier* subclass supplies only what genuinely differs:
 
@@ -88,8 +88,8 @@ class WireTransport:
         self._batcher = FrameBatcher(self._encoder, self._transmit)
         self._flush_scheduled = False
         #: Copies waiting out their policy delay, as a heap of
-        #: ``(release_at, seq, floor, receiver, sender, body)`` on the loop's
-        #: clock; one loop timer, armed for the head, releases them.
+        #: ``(release_at, seq, earliest, receiver, sender, body)`` on the
+        #: loop's clock; one loop timer, armed for the head, releases them.
         self._held: list[tuple[float, int, float, int, int, bytes]] = []
         self._slack = RELEASE_SLACK * time_scale
         self._held_seq = 0
@@ -242,9 +242,10 @@ class WireTransport:
             sent = self.loop.time()
             release_at = sent + delay_units * self.time_scale
             floor = sent + policy.min_delay() * self.time_scale
+            earliest = max(floor, release_at - self._slack)
             self._held_seq += 1
             held = self._held
-            heappush(held, (release_at, self._held_seq, floor, receiver, sender, body))
+            heappush(held, (release_at, self._held_seq, earliest, receiver, sender, body))
             if held[0][1] == self._held_seq:  # a new head: re-aim the timer
                 self._arm_release(release_at)
         else:
@@ -257,18 +258,17 @@ class WireTransport:
         self._release_timer = self.loop.call_at(release_at, self._release_held)
 
     def _release_held(self) -> None:
-        """Enqueue the head, then each copy due within the slack whose floor
-        has passed, in ``(release_at, seq)`` order.
+        """Enqueue held copies in ``(release_at, seq)`` order while the next
+        one's earliest instant has passed.
 
         The timer is always armed for the head, and the loop may run it up
         to one clock tick early, so the head counts as due regardless.
         """
         self._release_timer = None
         held = self._held
-        now = max(held[0][0], self.loop.time())
-        horizon = now + self._slack
-        while held and held[0][0] <= horizon and held[0][2] <= now:
-            _at, _seq, _floor, receiver, sender, body = heappop(held)
+        now = max(held[0][2], self.loop.time())
+        while held and held[0][2] <= now:
+            _at, _seq, _earliest, receiver, sender, body = heappop(held)
             self._enqueue(receiver, sender, body)
         if held:
             self._arm_release(held[0][0])

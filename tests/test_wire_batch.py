@@ -269,7 +269,7 @@ class _RecordingUniform(UniformDelay):
         return decision
 
 
-def _carriers(kind: str, policy, time_scale: float, receive=None) -> list:
+def _carriers(kind: str, policy, time_scale: float, receive) -> list:
     """Transports on the running loop, every node attached to ``receive``.
 
     ``asyncio``: one shared fabric, nodes 0-2.  ``socket``: a UDP pair,
@@ -278,10 +278,6 @@ def _carriers(kind: str, policy, time_scale: float, receive=None) -> list:
     from repro.runtime.aio import AsyncioTransport
     from repro.runtime.socket_host import SocketTransport
     from repro.sim.rand import RandomSource
-
-    if receive is None:
-        def receive(envelope):
-            pass
 
     if kind == "asyncio":
         transport = AsyncioTransport(
@@ -307,12 +303,12 @@ def _carriers(kind: str, policy, time_scale: float, receive=None) -> list:
 
 class TestReleaseHeap:
     @staticmethod
-    def _transport(policy):
+    def _transport(policy, time_scale=0.001):
         from repro.runtime.aio import AsyncioTransport
         from repro.sim.rand import RandomSource
 
         transport = AsyncioTransport(
-            time_scale=0.001, policy=policy, rand=RandomSource(7, "net")
+            time_scale=time_scale, policy=policy, rand=RandomSource(7, "net")
         )
         inbox: list = []
         for node_id in range(3):
@@ -415,11 +411,11 @@ class TestReleaseHeap:
     # early and never before its floor (send instant + the drawing policy's
     # min_delay()).  On a stepped clock the rule is checked exactly: the
     # test fires the one release timer by hand, on time, and records each
-    # copy's release instant.
+    # copy's release instant.  Both carriers inherit this code unchanged, so
+    # the stepped tests run on the asyncio one only.
 
-    @staticmethod
-    def _stepped(transport, script):
-        """Run ``script(send, step)`` on a stepped loop clock.
+    def _stepped(self, policy, time_scale, script):
+        """Run ``script(transport, send, step)`` on a stepped loop clock.
 
         ``send(sender, receiver, payload)`` sends one copy at the current
         instant; ``step(dt)`` advances the clock, firing the release timer
@@ -427,69 +423,63 @@ class TestReleaseHeap:
         copy -- ``(sent, sender, receiver, policy, release_at, seq, released)``
         -- and the number of timer fires.
         """
-        loop = transport.loop
-        clock = [loop.time()]
-        copies: dict[bytes, list] = {}
-        released: list[bytes] = []
-        fires = [0]
+        async def scenario():
+            transport, _inbox = self._transport(policy, time_scale)
+            loop = transport.loop
+            clock = [loop.time()]
+            copies: dict[bytes, list] = {}
+            released: list[bytes] = []
+            fires = [0]
 
-        def enqueue(receiver, sender, body):
-            copies[body].append(clock[0])
-            released.append(body)
+            def enqueue(receiver, sender, body):
+                copies[body].append(clock[0])
+                released.append(body)
 
-        def send(sender, receiver, payload):
-            transport.send(sender, receiver, payload)
-            (entry,) = (e for e in transport._held if e[1] == transport._held_seq)
-            copies[entry[5]] = [
-                clock[0], sender, receiver, transport.policy, *entry[:2]
-            ]
+            def send(sender, receiver, payload):
+                transport.send(sender, receiver, payload)
+                (entry,) = (e for e in transport._held if e[1] == transport._held_seq)
+                copies[entry[5]] = [
+                    clock[0], sender, receiver, transport.policy, *entry[:2]
+                ]
 
-        def step(dt):
-            until = clock[0] + dt
-            timer = transport._release_timer
-            while timer is not None and timer.when() <= until:
-                timer.cancel()  # fired here, by hand, instead
-                clock[0] = timer.when()
-                fires[0] += 1
-                transport._release_held()
+            def step(dt):
+                until = clock[0] + dt
                 timer = transport._release_timer
-            clock[0] = until
+                while timer is not None and timer.when() <= until:
+                    timer.cancel()  # fired here, by hand, instead
+                    clock[0] = timer.when()
+                    fires[0] += 1
+                    transport._release_held()
+                    timer = transport._release_timer
+                clock[0] = until
 
-        transport._enqueue = enqueue
-        loop.time = lambda: clock[0]
-        try:
-            script(send, step)
-            step(10.0)  # drain
-        finally:
-            del loop.time
-            del transport._enqueue
-        assert not transport._held and len(released) == len(copies)
-        return [tuple(copies[body]) for body in released], fires[0]
+            transport._enqueue = enqueue
+            loop.time = lambda: clock[0]
+            try:
+                script(transport, send, step)
+                step(10.0)  # drain
+                assert not transport._held and len(released) == len(copies)
+            finally:
+                del loop.time
+                del transport._enqueue
+                transport.close()
+            return [tuple(copies[body]) for body in released], fires[0]
 
-    @pytest.mark.parametrize("carrier", ["asyncio", "socket"])
-    def test_stepped_release_stays_between_floor_and_drawn_instant(
-        self, carrier
-    ) -> None:
+        return asyncio.run(scenario())
+
+    def test_stepped_release_stays_between_floor_and_drawn_instant(self) -> None:
         from repro.runtime.wire import RELEASE_SLACK
 
         scale = 0.05
         slack = RELEASE_SLACK * scale
         policy = _RecordingUniform(0.2, 1.0)
 
-        def script(send, step):
+        def script(_transport, send, step):
             for i in range(240):
                 send(i % 2, (i // 2) % 2, f"c{i}")
                 step(0.0002)
 
-        async def scenario():
-            transports = _carriers(carrier, policy, scale)
-            try:
-                return self._stepped(transports[0], script)
-            finally:
-                for transport in transports:
-                    transport.close()
-
-        rows, fires = asyncio.run(scenario())
+        rows, fires = self._stepped(policy, scale, script)
         assert len(rows) == len(policy.drawn) == 240
         early = 0
         eps = 1e-12
@@ -509,32 +499,20 @@ class TestReleaseHeap:
             assert row[4] == pytest.approx(row[0] + delay * scale, abs=1e-12)
         assert early > 0 and fires < len(rows)  # the slack was used
 
-    @pytest.mark.parametrize("carrier", ["asyncio", "socket"])
-    def test_stepped_fixed_delay_burst_is_never_early(self, carrier) -> None:
+    def test_stepped_fixed_delay_burst_is_never_early(self) -> None:
         scale = 0.05
 
-        def script(send, step):
+        def script(_transport, send, step):
             for i in range(60):
                 send(0, 1, f"f{i}")
                 step(0.00001)  # far closer together than the slack
 
-        async def scenario():
-            transports = _carriers(carrier, FixedDelay(0.5), scale)
-            try:
-                return self._stepped(transports[0], script)
-            finally:
-                for transport in transports:
-                    transport.close()
-
-        rows, _fires = asyncio.run(scenario())
+        rows, _fires = self._stepped(FixedDelay(0.5), scale, script)
         assert len(rows) == 60
         for sent, _s, _r, _policy, release_at, _seq, released in rows:
             assert released == release_at == sent + 0.5 * scale
 
-    @pytest.mark.parametrize("carrier", ["asyncio", "socket"])
-    def test_stepped_floor_is_the_drawing_policys_across_a_swap(
-        self, carrier
-    ) -> None:
+    def test_stepped_floor_is_the_drawing_policys_across_a_swap(self) -> None:
         # Copies held across a set_policy (and a partition wrapped round the
         # new policy) keep the floor of the policy that drew them: a
         # lower-floored successor releasing close by cannot pull them out.
@@ -544,27 +522,18 @@ class TestReleaseHeap:
         slack = RELEASE_SLACK * scale
         before, after = FixedDelay(0.51), FixedDelay(0.5)
 
-        def script(send, step):
+        def script(transport, send, step):
             for i in range(8):
                 send(0, 1, f"a{i}")
                 step(0.0001)
             step(0.00005)
-            transports[0].set_policy(after)
-            transports[0].set_partition(frozenset({2}))
+            transport.set_policy(after)
+            transport.set_partition(frozenset({2}))
             for i in range(8):
                 send(1, 0, f"b{i}")
                 step(0.0001)
 
-        async def scenario():
-            transports[:] = _carriers(carrier, before, scale)
-            try:
-                return self._stepped(transports[0], script)
-            finally:
-                for transport in transports:
-                    transport.close()
-
-        transports: list = []
-        rows, _fires = asyncio.run(scenario())
+        rows, _fires = self._stepped(before, scale, script)
         olds = [row for row in rows if row[3] is before]
         news = [row for row in rows if row[3] is not before]
         assert len(olds) == len(news) == 8
