@@ -207,7 +207,6 @@ class AgreementInstance:
         self.tau_g = tau_g
         self.accepted_value = value
         self.mb.set_anchor(tau_g)
-        self._schedule_deadlines()
         if self.stopped:
             # The anchor-set backlog replay can complete an S-chain and
             # return synchronously; at most one of R..U runs per anchor.
@@ -222,9 +221,13 @@ class AgreementInstance:
         # argument only needs this window to fit inside Phi = 8d (Lemma 8,
         # r = 0 case), which it does.
         if now - tau_g <= 5.0 * self.params.d:
+            # No round-deadline timers (nor after the replay's return above):
+            # a stopped instance ignores them until the reset 3d later
+            # cancels them, so they could never act.
             self._decide(value, relay_round=1)
         else:
             # Too stale for R; S may still decide from relayed broadcasts.
+            self._schedule_deadlines()
             self._check_s()
 
     def _on_mb_accept(self, origin: int, value: Value, k: int, now: float) -> None:

@@ -40,7 +40,7 @@ def eager_fresh_senders(log: MessageLog, key, start: float, now: float) -> set:
     """The eager oracle for one anchored window: a full rescan, no caches.
 
     Recomputes "senders with an arrival in the closed window [start, now]"
-    straight from the log's raw per-sender records -- the semantics every
+    by a linear scan of the log's raw time axis -- the semantics every
     fresh-window count in this module's evaluators (and the incremental
     :meth:`~repro.node.msglog.MessageLog.watch` counters that replace them)
     must reproduce.  ``tests/test_eval_equiv.py`` fuzzes the watch API
@@ -51,8 +51,8 @@ def eager_fresh_senders(log: MessageLog, key, start: float, now: float) -> set:
         return set()
     return {
         sender
-        for sender, arrivals in klog.per_sender.items()
-        if any(start <= arrival <= now for arrival in arrivals)
+        for arrival, sender in zip(klog.times, klog.time_senders)
+        if start <= arrival <= now
     }
 
 

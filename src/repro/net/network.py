@@ -27,8 +27,7 @@ matter which shard executes which node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.net.delivery import DeliveryPolicy
 from repro.sim.engine import Simulator
@@ -38,7 +37,7 @@ from repro.sim.trace import Tracer
 
 @dataclass(slots=True)
 class Envelope:
-    """A delivered message as seen by the receiver (one per copy, so not frozen)."""
+    """One message copy: built at send time, queued as its delivery event's argument."""
 
     sender: int
     receiver: int
@@ -66,6 +65,8 @@ class Network:
         self._sender_rngs: dict[int, RandomSource] = {}
         self._tracer = tracer
         self._receivers: dict[int, Receiver] = {}
+        # Bound once (shadowing the method): every queued copy shares it.
+        self._deliver_now = self._deliver_now
         self._node_ids: Optional[list[int]] = None  # cached sorted ids
         self._partitioned: set[int] = set()
         self.sent_count = 0
@@ -123,47 +124,31 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, sender: int, receiver: int, payload: object) -> None:
         """Send one message; the policy decides delay/drop per copy."""
-        self.sent_count += 1
-        tracer = self._tracer
-        if tracer is not None:
-            if tracer.enabled:
-                tracer.record(
-                    self._sim.now, sender, "send", receiver=receiver, payload=payload
-                )
-            else:
-                tracer.bump("send")
         if receiver not in self._receivers:
             raise ValueError(f"unknown receiver {receiver}")
-        if sender in self._partitioned or receiver in self._partitioned:
-            self.dropped_partition += 1
-            return
-        decision = self._policy.decide(sender, receiver, payload, self._sender_rng(sender))
-        if decision.drop:
-            if decision.partition:
-                self.dropped_partition += 1
-            else:
-                self.dropped_policy += 1
-            if tracer is not None:
-                tracer.record(
-                    self._sim.now, sender, "drop", receiver=receiver, payload=payload
-                )
-            return
-        self._deliver_later(sender, receiver, payload, self._sim.now, decision.delay)
+        self._send_copies(sender, (receiver,), payload)
 
     def broadcast(self, sender: int, payload: object) -> None:
         """Send one copy to every registered node (including the sender).
 
         The model has no broadcast medium: this is n point-to-point sends and
         a Byzantine sender may instead call :meth:`send` selectively.
-        Semantically identical to n :meth:`send` calls, but done as one sweep
-        over the cached id list: the policy, the sender's stream and the
-        scheduling hook are bound once, counters are summed once, and only
-        the policy decision and :meth:`_deliver_later` run per copy.
         """
         node_ids = self._node_ids
         if node_ids is None:
             node_ids = self._node_ids = sorted(self._receivers)
-        self.sent_count += len(node_ids)
+        self._send_copies(sender, node_ids, payload)
+
+    def _send_copies(
+        self, sender: int, receivers: Sequence[int], payload: object
+    ) -> None:
+        """One sweep over ``receivers``, each copy exactly as a lone send.
+
+        The policy, the sender's stream and the scheduling hook are bound
+        once, counters are summed once, and only the policy decision and
+        :meth:`_deliver_later` run per copy.
+        """
+        self.sent_count += len(receivers)
         tracer = self._tracer
         counts_only = None
         if tracer is not None and not tracer.enabled:
@@ -171,7 +156,7 @@ class Network:
             # builds, and keep only the count-only handle for drops.
             counts_only = tracer
             tracer = None
-            counts_only.bump_many("send", len(node_ids))
+            counts_only.bump_many("send", len(receivers))
         decide = self._policy.decide
         rng = self._sender_rng(sender)
         deliver_later = self._deliver_later
@@ -179,7 +164,7 @@ class Network:
         now = self._sim.now
         sender_cut = sender in partitioned
         cut = dropped = 0
-        for receiver in node_ids:
+        for receiver in receivers:
             if tracer is not None:
                 tracer.record(now, sender, "send", receiver=receiver, payload=payload)
             if sender_cut or receiver in partitioned:
@@ -234,29 +219,32 @@ class Network:
         sent_at: float,
         delay: float,
     ) -> None:
-        # Deliveries are never cancelled: fire-and-forget scheduling skips
-        # the per-copy EventHandle allocation and tag formatting.
+        # Deliveries are never cancelled: the copy is queued as its own
+        # envelope, stamped with the heap key it will fire at.
+        at = sent_at + delay
         self._sim.schedule_fire(
-            delay, partial(self._deliver_now, sender, receiver, payload, sent_at)
+            at, self._deliver_now, Envelope(sender, receiver, payload, sent_at, at)
         )
 
-    def _deliver_now(
-        self, sender: int, receiver: int, payload: object, sent_at: float
-    ) -> None:
+    def _deliver_now(self, envelope: Envelope) -> None:
+        receiver = envelope.receiver
         if receiver in self._partitioned:
             self.dropped_partition += 1
             return
         self.delivered_count += 1
-        now = self._sim._now
         tracer = self._tracer
         if tracer is not None:
             if tracer.enabled:
                 tracer.record(
-                    now, receiver, "deliver", sender=sender, payload=payload
+                    envelope.delivered_at,
+                    receiver,
+                    "deliver",
+                    sender=envelope.sender,
+                    payload=envelope.payload,
                 )
             else:
                 tracer.bump("deliver")
-        self._receivers[receiver](Envelope(sender, receiver, payload, sent_at, now))
+        self._receivers[receiver](envelope)
 
 
 __all__ = ["Envelope", "Network", "Receiver"]

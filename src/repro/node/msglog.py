@@ -17,10 +17,13 @@ Window predicates are evaluated on *every* message arrival, so this module
 is the single hottest query path in the simulator.  The log therefore keeps
 incremental per-key state instead of rescanning records:
 
-* a flat time-sorted pair of arrays ``(times, time_senders)`` per key, so a
-  window query is two bisects plus a slice over only the in-window hits;
-* per-sender sorted arrival lists (the authoritative record store), so
-  per-sender queries and prunes stay local;
+* a flat time-sorted pair of arrays ``(times, time_senders)`` per key --
+  the one record store -- so a window query is two bisects plus a slice
+  over only the in-window hits;
+* one float per sender, its latest arrival, so per-sender queries and the
+  age prune never touch the record store (a future prune, which only
+  corruption makes necessary, recomputes a cut sender's latest by a
+  backward scan of the kept axis);
 * a lazily cached ascending array of per-sender latest arrivals, so
   ``kth_latest_distinct`` is a cache lookup instead of a sort per call.
 
@@ -73,11 +76,11 @@ Key = Hashable
 class _KeyLog:
     """Incremental state for one message key."""
 
-    __slots__ = ("per_sender", "times", "time_senders", "latest_sorted")
+    __slots__ = ("latest", "times", "time_senders", "latest_sorted")
 
     def __init__(self) -> None:
-        # sender -> sorted arrival local-times (never empty once present)
-        self.per_sender: dict[int, list[float]] = {}
+        # sender -> latest arrival local-time (present iff it has a record)
+        self.latest: dict[int, float] = {}
         # flat arrival axis: times is sorted, time_senders[i] sent times[i]
         self.times: list[float] = []
         self.time_senders: list[int] = []
@@ -86,21 +89,19 @@ class _KeyLog:
 
     # -- recording ------------------------------------------------------
     def add(self, sender: int, arrival: float) -> None:
-        arrivals = self.per_sender.get(sender)
+        latest = self.latest
+        old_latest = latest.get(sender)
         cache = self.latest_sorted
-        if arrivals is None:
-            self.per_sender[sender] = [arrival]
+        if old_latest is None:
+            latest[sender] = arrival
             if cache is not None:
                 insort(cache, arrival)
-        elif arrival >= arrivals[-1]:
-            old_latest = arrivals[-1]
-            arrivals.append(arrival)
-            if cache is not None and arrival != old_latest:
+        elif arrival > old_latest:
+            latest[sender] = arrival
+            if cache is not None:
                 del cache[bisect_left(cache, old_latest)]
                 insort(cache, arrival)
-        else:
-            # out-of-order (corruption): sender's latest is unchanged
-            insort(arrivals, arrival)
+        # else out-of-order (corruption): the sender's latest is unchanged
         times = self.times
         if times and arrival < times[-1]:
             idx = bisect_right(times, arrival)
@@ -118,13 +119,13 @@ class _KeyLog:
         if lo >= hi:
             return set()
         if hi - lo == len(times):
-            return set(self.per_sender)
+            return set(self.latest)
         return set(self.time_senders[lo:hi])
 
     def latest_ascending(self) -> list[float]:
         cache = self.latest_sorted
         if cache is None:
-            cache = sorted(a[-1] for a in self.per_sender.values())
+            cache = sorted(self.latest.values())
             self.latest_sorted = cache
         return cache
 
@@ -136,17 +137,11 @@ class _KeyLog:
             return 0
         del times[:idx]
         del self.time_senders[:idx]
-        dead: list[int] = []
-        for sender, arrivals in self.per_sender.items():
-            j = bisect_left(arrivals, cutoff)
-            if j:
-                if j == len(arrivals):
-                    dead.append(sender)
-                else:
-                    del arrivals[:j]
+        latest = self.latest
+        dead = [sender for sender, t in latest.items() if t < cutoff]
         if dead:
             for sender in dead:
-                del self.per_sender[sender]
+                del latest[sender]
             self.latest_sorted = None  # lost whole senders
         return idx
 
@@ -158,16 +153,19 @@ class _KeyLog:
             return 0
         del times[keep:]
         del self.time_senders[keep:]
-        dead: list[int] = []
-        for sender, arrivals in self.per_sender.items():
-            j = bisect_right(arrivals, now)
-            if j != len(arrivals):
-                if j == 0:
-                    dead.append(sender)
-                else:
-                    del arrivals[j:]
-        for sender in dead:
-            del self.per_sender[sender]
+        latest = self.latest
+        cut = {sender for sender, t in latest.items() if t > now}
+        # A cut sender's new latest is its last record left on the axis
+        # (updated in place, so the senders keep their order).
+        senders = self.time_senders
+        i = keep
+        while cut and i:
+            i -= 1
+            if senders[i] in cut:
+                cut.discard(senders[i])
+                latest[senders[i]] = times[i]
+        for sender in cut:
+            del latest[sender]
         self.latest_sorted = None  # future stamps are always some latest
         return total - keep
 
@@ -400,12 +398,12 @@ class MessageLog:
     def senders(self, key: Key) -> set[int]:
         """All senders with at least one record for the key."""
         klog = self._keys.get(key)
-        return set(klog.per_sender) if klog is not None else set()
+        return set(klog.latest) if klog is not None else set()
 
     def count_distinct(self, key: Key) -> int:
         """Number of distinct senders recorded for the key (any time)."""
         klog = self._keys.get(key)
-        return len(klog.per_sender) if klog is not None else 0
+        return len(klog.latest) if klog is not None else 0
 
     def distinct_senders_in(self, key: Key, start: float, end: float) -> set[int]:
         """Senders with at least one arrival in the closed window [start, end]."""
@@ -431,7 +429,7 @@ class MessageLog:
             return 0
         if end >= times[-1]:
             if start <= times[0]:
-                return len(klog.per_sender)
+                return len(klog.latest)
             latest = klog.latest_ascending()
             return len(latest) - bisect_left(latest, start)
         return len(klog.window_senders(start, end))
@@ -441,7 +439,7 @@ class MessageLog:
         klog = self._keys.get(key)
         if klog is None:
             return {}
-        return {sender: arrivals[-1] for sender, arrivals in klog.per_sender.items()}
+        return dict(klog.latest)
 
     def kth_latest_distinct(self, key: Key, k: int) -> Optional[float]:
         """Start of the shortest window ending *now* with k distinct senders.
@@ -453,7 +451,7 @@ class MessageLog:
         Block L.
         """
         klog = self._keys.get(key)
-        if klog is None or len(klog.per_sender) < k or k <= 0:
+        if klog is None or len(klog.latest) < k or k <= 0:
             return None
         return klog.latest_ascending()[-k]
 
@@ -467,7 +465,7 @@ class MessageLog:
     def has_from(self, key: Key, sender: int) -> bool:
         """True iff the key has a record from the given sender."""
         klog = self._keys.get(key)
-        return klog is not None and sender in klog.per_sender
+        return klog is not None and sender in klog.latest
 
     # ------------------------------------------------------------------
     # Cleanup (the protocols' decay rules)
@@ -480,7 +478,7 @@ class MessageLog:
         empty_keys = []
         for key, klog in self._keys.items():
             dropped += klog.prune_older_than(cutoff_local)
-            if not klog.per_sender:
+            if not klog.latest:
                 empty_keys.append(key)
         for key in empty_keys:
             del self._keys[key]

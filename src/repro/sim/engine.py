@@ -15,14 +15,17 @@ run is a pure function of (scenario, seed).
 Fast path
 ---------
 Every message delivery and timer is one queue entry, so the kernel stays
-deliberately lean: heap entries are plain ``(time, seq, action, handle)``
+deliberately lean: heap entries are plain ``(time, seq, action, arg)``
 tuples (no dataclass construction or rich comparison per event -- the seq
-tiebreak means ``action``/``handle`` are never compared), the number of
+tiebreak means ``action``/``arg`` are never compared), and the number of
 live (non-cancelled) events is tracked incrementally so
 :meth:`Simulator.pending_events` is O(1) even in cancellation-heavy runs
-such as resend-throttled scenarios, and fire-and-forget events (message
-deliveries) can skip the :class:`EventHandle` allocation entirely via
-:meth:`Simulator.schedule_fire`.
+such as resend-throttled scenarios.  A timer's ``arg`` is its
+:class:`EventHandle` and it runs as ``action()``; a fire-and-forget entry
+(a message delivery, see :meth:`Simulator.schedule_fire`) carries its
+argument -- the copy's :class:`~repro.net.network.Envelope` -- and runs as
+``action(arg)``, so a copy in flight is one tuple and one envelope, with no
+handle and no closure.
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ class Simulator:
         queue = self._queue
         while queue:
             head = queue[0]
-            handle = head[3]
-            if handle is not None and handle.cancelled:
+            arg = head[3]
+            if arg.__class__ is EventHandle and arg.cancelled:
                 heapq.heappop(queue)
                 continue
             return head[0]
@@ -173,18 +176,23 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         return self.schedule_at(self._now + delay, action, tag)
 
-    def schedule_fire(self, delay: float, action: Callable[[], None]) -> None:
-        """Fire-and-forget scheduling: no :class:`EventHandle`, no tag.
+    def schedule_fire(
+        self, time: float, action: Callable[[Any], None], arg: Any
+    ) -> None:
+        """Fire-and-forget scheduling: ``action(arg)`` runs at ``time``.
 
-        The handle allocation is measurable at message-delivery rates (one
-        event per copy, never cancelled), so the network fabric uses this
-        lean path.  Counts toward :attr:`pending_events` like any event.
+        No :class:`EventHandle`, no tag and no closure: at message-delivery
+        rates (one event per copy, never cancelled) each of those is
+        measurable, so the network fabric queues the copy's envelope itself
+        as ``arg``.  Counts toward :attr:`pending_events` like any event.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event at t={time:.6f} before now={self._now:.6f}"
+            )
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, action, None))
+        heapq.heappush(self._queue, (time, seq, action, arg))
         self._live_events += 1
 
     # ------------------------------------------------------------------
@@ -192,19 +200,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next event.  Returns False if queue is empty."""
-        queue = self._queue
-        while queue:
-            time, _seq, action, handle = heapq.heappop(queue)
-            if handle is not None:
-                if handle.cancelled:
-                    continue
-                handle._sim = None
-            self._live_events -= 1
-            self._now = time
-            self._events_executed += 1
-            action()
-            return True
-        return False
+        return self._run_loop(until=None, max_events=1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` is reached).
@@ -248,16 +244,20 @@ class Simulator:
                 if until is not None and time > until:
                     heapq.heappush(queue, entry)
                     break
-                handle = entry[3]
-                if handle is not None:
-                    if handle.cancelled:
+                arg = entry[3]
+                timer = arg.__class__ is EventHandle
+                if timer:
+                    if arg.cancelled:
                         continue
-                    handle._sim = None
+                    arg._sim = None
                 self._live_events -= 1
                 self._now = time
                 self._events_executed += 1
                 executed += 1
-                entry[2]()
+                if timer:
+                    entry[2]()
+                else:
+                    entry[2](arg)
         finally:
             self._running = False
         return executed

@@ -61,11 +61,10 @@ import itertools
 import multiprocessing
 import weakref
 from dataclasses import replace
-from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.net.delivery import UniformDelay
-from repro.net.network import Network
+from repro.net.network import Envelope, Network
 from repro.sim.engine import EventHandle, SimulationError, Simulator
 from repro.sim.rand import RandomSource
 from repro.sim.trace import TraceEvent, Tracer
@@ -87,10 +86,11 @@ class ShardError(RuntimeError):
 class KeyedSimulator(Simulator):
     """A :class:`Simulator` whose tie-break keys are placement-independent.
 
-    Heap entries are ``(time, rank, action, handle, owner)``; ``rank`` is the
+    Heap entries are ``(time, rank, action, arg, owner)``; ``rank`` is the
     epoch tuple described in the module docstring (a *total* tie-break, so
-    actions/handles are never compared), ``owner`` the owning node id or
-    ``None`` for cluster-global events.  Scheduling always allocates a rank
+    actions/args are never compared), ``arg`` a timer's handle or a
+    delivery's envelope as on the serial kernel, ``owner`` the owning node
+    id or ``None`` for cluster-global events.  Scheduling always allocates a rank
     (counters must advance identically on every shard) but only pushes the
     event when the owner lives on this shard; remote-owned scheduling returns
     an inert, already-dead handle.
@@ -130,9 +130,6 @@ class KeyedSimulator(Simulator):
         self._setup_seq = seq + 1
         return (0, seq)
 
-    def _is_local(self, owner: Optional[int]) -> bool:
-        return owner is None or owner % self.shard_count == self.shard_index
-
     # ------------------------------------------------------------------
     # Scheduling overrides
     # ------------------------------------------------------------------
@@ -154,42 +151,41 @@ class KeyedSimulator(Simulator):
         # dead handle so local cancel() calls are harmless no-ops.
         return EventHandle(time, tag, _sim=None)
 
-    def schedule_in(
-        self, delay: float, action: Callable[[], None], tag: str = ""
-    ) -> EventHandle:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, action, tag)
-
-    def schedule_fire(self, delay: float, action: Callable[[], None]) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        rank = self._alloc_rank()
-        owner = self._owner
-        if owner is None or owner % self.shard_count == self.shard_index:
-            heapq.heappush(
-                self._queue, (self._now + delay, rank, action, None, owner)
+    def schedule_fire(
+        self,
+        time: float,
+        action: Callable[[Any], None],
+        arg: Any,
+        owner: Optional[int] = None,
+    ) -> None:
+        """As on the serial kernel, owned by ``owner`` (a delivery's
+        receiver) or else by the scheduling context's owner."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event at t={time:.6f} before now={self._now:.6f}"
             )
+        rank = self._alloc_rank()
+        if owner is None:
+            owner = self._owner
+        if owner is None or owner % self.shard_count == self.shard_index:
+            heapq.heappush(self._queue, (time, rank, action, arg, owner))
             self._live_events += 1
 
-    def schedule_delivery_local(
-        self, delay: float, action: Callable[[], None], owner: int
-    ) -> None:
-        """Fire-and-forget delivery to a node homed on this shard."""
-        rank = self._alloc_rank()
-        heapq.heappush(self._queue, (self._now + delay, rank, action, None, owner))
-        self._live_events += 1
-
-    def export_delivery(self, delay: float, item: tuple) -> None:
+    def export_delivery(self, time: float, item: tuple) -> None:
         """Allocate a rank for a remote delivery and stage it in the outbox."""
         rank = self._alloc_rank()
-        self.outbox.append((self._now + delay, rank) + item)
+        self.outbox.append((time, rank) + item)
 
     def push_external(
-        self, time: float, rank: tuple, action: Callable[[], None], owner: int
+        self,
+        time: float,
+        rank: tuple,
+        action: Callable[[Any], None],
+        arg: Any,
+        owner: int,
     ) -> None:
         """Inject a cross-shard arrival under its sender-allocated rank."""
-        heapq.heappush(self._queue, (time, rank, action, None, owner))
+        heapq.heappush(self._queue, (time, rank, action, arg, owner))
         self._live_events += 1
 
     # ------------------------------------------------------------------
@@ -235,9 +231,6 @@ class KeyedSimulator(Simulator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:  # pragma: no cover - guard
-        raise ShardError("step() is not supported on a sharded simulator")
-
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> int:
         return self._run_round(until, max_events, inclusive=True)
 
@@ -257,8 +250,9 @@ class KeyedSimulator(Simulator):
                 if max_events is not None and executed >= max_events:
                     break
                 head = queue[0]
-                handle = head[3]
-                if handle is not None and handle.cancelled:
+                arg = head[3]
+                timer = arg.__class__ is EventHandle
+                if timer and arg.cancelled:
                     heapq.heappop(queue)
                     continue
                 time = head[0]
@@ -267,8 +261,8 @@ class KeyedSimulator(Simulator):
                 ):
                     break
                 heapq.heappop(queue)
-                if handle is not None:
-                    handle._sim = None
+                if timer:
+                    arg._sim = None
                 self._live_events -= 1
                 self._now = time
                 self._events_executed += 1
@@ -280,7 +274,10 @@ class KeyedSimulator(Simulator):
                 self._child_idx = 0
                 self._owner = head[4]
                 self._trace_sub = 0
-                head[2]()
+                if timer:
+                    head[2]()
+                else:
+                    head[2](arg)
         finally:
             self._running = False
         return executed
@@ -370,14 +367,16 @@ class ShardNetwork(Network):
         delay: float,
     ) -> None:
         sim: KeyedSimulator = self._sim  # type: ignore[assignment]
+        at = sent_at + delay
         if receiver % sim.shard_count == sim.shard_index:
-            sim.schedule_delivery_local(
-                delay,
-                partial(self._deliver_now, sender, receiver, payload, sent_at),
+            sim.schedule_fire(
+                at,
+                self._deliver_now,
+                Envelope(sender, receiver, payload, sent_at, at),
                 receiver,
             )
         else:
-            sim.export_delivery(delay, (sender, receiver, payload, sent_at))
+            sim.export_delivery(at, (sender, receiver, payload, sent_at))
 
 
 class ShardTracer(Tracer):
@@ -484,7 +483,10 @@ class _ShardState:
         deliver = self.cluster.net._deliver_now
         for time, rank, sender, receiver, payload, sent_at in inbox:
             sim.push_external(
-                time, rank, partial(deliver, sender, receiver, payload, sent_at),
+                time,
+                rank,
+                deliver,
+                Envelope(sender, receiver, payload, sent_at, time),
                 receiver,
             )
 

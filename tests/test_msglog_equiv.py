@@ -228,3 +228,80 @@ def test_kth_latest_cache_survives_interleaved_prunes() -> None:
         if rng.random() < 0.05:
             cutoff = now - rng.uniform(1.0, 10.0)
             assert fast.prune_older_than(cutoff) == ref.prune_older_than(cutoff)
+
+
+def _assert_latest_equivalent(
+    fast: MessageLog, ref: ReferenceMessageLog, key, rng: random.Random, now: float
+) -> None:
+    assert fast.latest_arrival_per_sender(key) == ref.latest_arrival_per_sender(key)
+    for k in KTHS:
+        assert fast.kth_latest_distinct(key, k) == ref.kth_latest_distinct(key, k)
+    starts = [rng.uniform(-5.0, now + 30.0) for _ in range(6)]
+    windows = [(a, a + rng.uniform(0.0, 20.0)) for a in starts]
+    # Windows ending past every record take the latest-arrival fast path.
+    windows += [(now - 3.0, now + 1e9), (-1e9, now + 1e9)]
+    for a, b in windows:
+        assert fast.count_distinct_in(key, a, b) == ref.count_distinct_in(key, a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_future_stamps_then_prune_future(seed: int) -> None:
+    """A cut sender's latest falls back to its last record left on the axis."""
+    rng = random.Random(seed)
+    fast = MessageLog()
+    ref = ReferenceMessageLog()
+    key = KEYS[0]
+    now = 0.0
+    for _round in range(60):
+        for _ in range(rng.randint(0, 6)):
+            now += rng.choice([0.0, 0.1, 0.5])
+            sender = rng.choice(SENDERS)
+            fast.add(key, sender, now)
+            ref.add(key, sender, now)
+        for _ in range(rng.randint(1, 5)):
+            # Future stamps, some from senders with no in-range record at all.
+            sender = rng.choice(SENDERS + [20, 21])
+            stamp = now + rng.choice([0.0, rng.uniform(0.0, 30.0)])
+            fast.corrupt_insert(key, sender, stamp)
+            ref.corrupt_insert(key, sender, stamp)
+        fast.kth_latest_distinct(key, 1)  # warm the latest-arrival cache
+        _assert_latest_equivalent(fast, ref, key, rng, now)
+        horizon = now + rng.choice([0.0, rng.uniform(0.0, 15.0)])
+        assert fast.prune_future(horizon) == ref.prune_future(horizon)
+        _assert_latest_equivalent(fast, ref, key, rng, now)
+        if rng.random() < 0.2:
+            cutoff = now - rng.uniform(0.0, 10.0)
+            assert fast.prune_older_than(cutoff) == ref.prune_older_than(cutoff)
+            _assert_latest_equivalent(fast, ref, key, rng, now)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_out_of_order_inserts_then_prune_older_than(seed: int) -> None:
+    """Out-of-order records never move a sender's latest; age prunes drop
+    exactly the senders whose latest arrival is older than the cutoff."""
+    rng = random.Random(seed)
+    fast = MessageLog()
+    ref = ReferenceMessageLog()
+    key = KEYS[0]
+    now = 10.0
+    for _round in range(60):
+        for _ in range(rng.randint(0, 5)):
+            now += rng.choice([0.0, 0.2, 1.0])
+            sender = rng.choice(SENDERS)
+            fast.add(key, sender, now)
+            ref.add(key, sender, now)
+        for _ in range(rng.randint(1, 6)):
+            # Past stamps, including exact ties with recorded arrivals.
+            sender = rng.choice(SENDERS + [20])
+            times = fast._keys[key].times if key in fast.keys else []
+            if times and rng.random() < 0.3:
+                stamp = rng.choice(times)
+            else:
+                stamp = now - rng.uniform(0.0, 12.0)
+            fast.corrupt_insert(key, sender, stamp)
+            ref.corrupt_insert(key, sender, stamp)
+        fast.kth_latest_distinct(key, 1)  # warm the latest-arrival cache
+        _assert_latest_equivalent(fast, ref, key, rng, now)
+        cutoff = now - rng.choice([0.0, rng.uniform(0.0, 12.0)])
+        assert fast.prune_older_than(cutoff) == ref.prune_older_than(cutoff)
+        _assert_latest_equivalent(fast, ref, key, rng, now)

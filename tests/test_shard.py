@@ -9,6 +9,9 @@ Plus the guard rails: unsupported features fail with a clear
 
 from __future__ import annotations
 
+import functools
+from types import SimpleNamespace
+
 import pytest
 
 from repro.faults.timeline import FaultScript, Havoc, Restart, build_timeline
@@ -24,7 +27,15 @@ from repro.net.delivery import (
     UniformDelay,
 )
 from repro.core.params import ProtocolParams
-from repro.sim.shard import ShardError, ShardedCluster
+from repro.net.network import Envelope
+from repro.sim.rand import RandomSource
+from repro.sim.shard import (
+    KeyedSimulator,
+    ShardError,
+    ShardedCluster,
+    ShardNetwork,
+    _ShardState,
+)
 from repro.sim.trace import trace_digest
 
 
@@ -302,3 +313,61 @@ class TestUnsupported:
             cluster.net.set_policy(IncoherentDelivery(0.1, 2.0))
             cluster.propose(general=0, value="v")
             cluster.run_for(5.0)  # single shard needs no lookahead
+
+
+# ---------------------------------------------------------------------------
+# The keyed kernel's delivery entries
+# ---------------------------------------------------------------------------
+class TestKeyedDeliveryEntries:
+    """A copy is one ``(time, rank, action, envelope, receiver)`` entry on its
+    receiver's home shard, and a plain tuple in the outbox for any other."""
+
+    def build(self, shard_index, receive):
+        sim = KeyedSimulator(shard_index, 2)
+        net = ShardNetwork(sim, UniformDelay(0.1, 1.0), RandomSource(3))
+        for node in range(4):
+            net.register(node, receive)
+        return sim, net
+
+    def broadcast(self, sim, net):
+        with sim.owner_scope(0):
+            net.broadcast(0, "m")
+
+    def test_local_copies_queue_envelopes_and_remote_ones_plain_tuples(self):
+        sim, net = self.build(0, lambda env: None)
+        self.broadcast(sim, net)
+        assert len(sim._queue) == 2
+        for time, _rank, action, envelope, owner in sim._queue:
+            assert not isinstance(action, functools.partial)
+            assert type(envelope) is Envelope
+            assert envelope.delivered_at == time
+            assert owner == envelope.receiver and owner % 2 == 0
+        assert [item[3] for item in sim.outbox] == [1, 3]
+        for item in sim.outbox:
+            assert len(item) == 6 and item[2:] == (0, item[3], "m", 0.0)
+
+    def test_injected_arrivals_and_timers_run_in_time_rank_order(self):
+        sender_sim, sender_net = self.build(0, lambda env: None)
+        self.broadcast(sender_sim, sender_net)
+        order = []
+        sim, net = self.build(
+            1, lambda env: order.append(("copy", env.receiver, env.delivered_at))
+        )
+        state = SimpleNamespace(sim=sim, cluster=SimpleNamespace(net=net))
+        _ShardState._inject(state, sender_sim.outbox)
+        times = sorted(item[0] for item in sender_sim.outbox)
+        for time, _rank, _action, envelope, _owner in sim._queue:
+            assert type(envelope) is Envelope and envelope.delivered_at == time
+        sim.begin_control(owner=1)  # ranks after every setup-time copy
+        timer_times = [0.0, times[0], times[1] + 1.0]
+        for t in timer_times:
+            sim.schedule_at(t, lambda t=t: order.append(("timer", None, t)))
+        assert sim.pending_events == 5
+        sim.run_until((times[0] + times[1]) / 2)
+        # The equal-time timer ranks after the copy, as on the serial kernel.
+        assert [kind for kind, _r, _t in order] == ["timer", "copy", "timer"]
+        assert sim.pending_events == 2
+        sim.run()
+        assert [t for _k, _r, t in order] == sorted(times + timer_times)
+        assert sorted(r for kind, r, _t in order if kind == "copy") == [1, 3]
+        assert sim.pending_events == 0

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.net.delivery import UniformDelay
+from repro.net.network import Envelope, Network
+from repro.sim.engine import EventHandle, SimulationError, Simulator
+from repro.sim.rand import RandomSource
 
 
 class TestScheduling:
@@ -284,3 +289,63 @@ class TestLiveEventAccounting:
         sim.run()
         assert ticks == [1.0, 2.0, 3.0]
         assert sim.pending_events == 0
+
+
+class TestDeliveryEntries:
+    """A queued message copy is one ``(time, seq, action, envelope)`` entry."""
+
+    def build(self, receive):
+        sim = Simulator()
+        net = Network(sim, UniformDelay(0.1, 1.0), RandomSource(3))
+        for node in range(4):
+            net.register(node, receive)
+        return sim, net
+
+    def test_broadcast_queues_envelopes_keyed_by_their_delivery_time(self):
+        sim, net = self.build(lambda env: None)
+        sim.schedule_at(0.5, lambda: None)
+        net.broadcast(0, "m")
+        for entry in sim._queue:
+            assert not any(isinstance(part, functools.partial) for part in entry)
+        deliveries = [e for e in sim._queue if type(e[3]) is not EventHandle]
+        assert len(deliveries) == 4
+        for time, _seq, _action, envelope in deliveries:
+            assert type(envelope) is Envelope
+            assert envelope.delivered_at == time
+            assert envelope.sender == 0 and envelope.payload == "m"
+            assert envelope.sent_at == 0.0
+        assert sorted(e[3].receiver for e in deliveries) == [0, 1, 2, 3]
+        assert len({id(e[2]) for e in deliveries}) == 1  # one shared action
+
+    def test_deliveries_and_timers_run_in_time_seq_order(self):
+        order = []
+        sim, net = self.build(lambda env: order.append(("copy", env.delivered_at)))
+        net.broadcast(0, "m")
+        times = sorted(e[0] for e in sim._queue)
+        for t in (0.0, times[1], (times[1] + times[2]) / 2, times[-1], 2.0):
+            sim.schedule_at(t, lambda t=t: order.append(("timer", t)))
+        keys = sorted(e[:2] for e in sim._queue)
+        assert sim.pending_events == 9
+        assert sim.run() == 9
+        assert [t for _kind, t in order] == [time for time, _seq in keys]
+        # At equal times the copy, queued first, runs first.
+        assert order.index(("copy", times[1])) < order.index(("timer", times[1]))
+        assert sim.pending_events == 0
+
+    def test_delivery_survives_the_put_back_in_run_until(self):
+        got = []
+        sim, net = self.build(got.append)
+        net.broadcast(0, "m")
+        times = sorted(e[0] for e in sim._queue)
+        sim.run_until((times[1] + times[2]) / 2)
+        assert [env.delivered_at for env in got] == times[:2]
+        assert sim.pending_events == 2
+        assert all(type(e[3]) is Envelope for e in sim._queue)
+        sim.run()
+        assert [env.delivered_at for env in got] == times
+        assert sim.now == times[-1] and sim.pending_events == 0
+
+    def test_fire_in_the_past_raises(self):
+        sim = Simulator(start_time=5.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_fire(4.0, print, None)
