@@ -6,14 +6,14 @@
 #   ./scripts/gates.sh tier1 ratios     # the named gates only
 #
 # Gates: tier1 hygiene asyncio_smoke socket_smoke chaos_smoke service_smoke
-#        live_cluster suite_shards bench_seam ratios
+#        live_cluster suite_shards bench_seam ratios surface
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 ALL=(tier1 hygiene asyncio_smoke socket_smoke chaos_smoke service_smoke
-     live_cluster suite_shards bench_seam ratios)
+     live_cluster suite_shards bench_seam ratios surface)
 
 # The test files the hygiene gate runs under dev mode; tier1 skips them so
 # no test runs twice.
@@ -161,6 +161,14 @@ traced_run() {
 # under the ratio last recorded for it.
 gate_ratios() {
     python scripts/ratio_gates.py
+}
+
+# The call surface: all of tier-1 once more under a sys.setprofile collector
+# that every spawned or forked child loads too; fails on any src/ function
+# never called that scripts/surface_allow.txt does not list with a reason,
+# and on any allowlist entry naming a function that is gone.
+gate_surface() {
+    python scripts/surface.py
 }
 
 if [ "$#" -eq 0 ]; then

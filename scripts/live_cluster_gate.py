@@ -13,7 +13,10 @@ operator would, over HTTP only:
     mid-workload.  Socket: a SIGKILL, and ``--supervise`` respawns it.
     Asyncio: the same crash plus a scripted ``restart`` at ``at_d: 6``;
 5.  poll ``/status`` until the victim is alive again with
-    ``restarts >= 1``, and read its incarnation from its series;
+    ``restarts >= 1``, and read its incarnation from its series; on
+    socket, also scrape the supervisor's own ``/metrics`` on the control
+    plane and require ``repro_cluster_nodes_alive`` = n and
+    ``repro_cluster_restarts_total`` >= 1;
 6.  wait for the serve process itself: it must exit 0, which requires
     every replica -- the revenant included, healed from f+1 peer
     answers -- to have applied the identical full command sequence.
@@ -188,6 +191,21 @@ def main() -> int:
             incarnation = None  # respawn race; /status already proved it
         print(f"victim respawned: restarts={recovered['restarts']} "
               f"incarnation={incarnation}")
+        if backend == "socket":
+            # The supervisor's own series, on the control plane's /metrics.
+            series = parse_prometheus_text(http_text(f"{control}/metrics"))
+            alive = series.get("repro_cluster_nodes_alive", {}).get("")
+            restarts = series.get("repro_cluster_restarts_total", {}).get("")
+            n = len(status["nodes"])
+            if alive != n or restarts is None or restarts < 1:
+                return fail(
+                    "supervisor",
+                    f"nodes_alive={alive} (want {n}), "
+                    f"restarts_total={restarts} (want >= 1)",
+                    proc,
+                )
+            print(f"supervisor metrics: nodes_alive={alive:g}, "
+                  f"restarts_total={restarts:g}")
 
         # Step 6: the run itself must converge -- identical logs at every
         # replica, revenant included (exit 0 requires full repair).

@@ -139,18 +139,18 @@ class Tps87Node(Node):
         self.broadcast(TpsMsg(self.general, kind, origin, value, k))
 
     def _at_phase_boundary(self, phase: int) -> None:
-        if self.decision is not None:
-            return
         p = self.params
 
         # Broadcast-primitive relays (kinds gated by the original's phase
-        # windows: echo by 2k, init'/accept by 2k+1, echo' by 2k+2).
+        # windows: echo by 2k, init'/accept by 2k+1, echo' by 2k+2).  A node
+        # that has decided keeps relaying: the nodes still undecided need
+        # its echoes to accept anything.
         for k in range(1, p.f + 2):
             if phase >= 2 * k - 1:
                 self._phase_relay(k, phase)
 
-        # Agreement layer at odd boundaries 2r+1.
-        if phase % 2 == 1:
+        # Agreement layer at odd boundaries 2r+1, until this node decides.
+        if phase % 2 == 1 and self.decision is None:
             r = (phase - 1) // 2
             self._agreement_step(r, phase)
 

@@ -38,13 +38,10 @@ Subcommands::
     python -m repro.cli serve --backend asyncio --commands 10000 --rate 1000
         Run the replicated command-log service: pipelined slot-indexed
         agreement under a sustained open-loop workload, on the asyncio or
-        socket backend.  Prints the server-side report (throughput,
-        agreement instances/s, live-state peaks) and exits non-zero unless
-        every correct replica applied the identical command sequence.
-
-    python -m repro.cli workload --backend asyncio --commands 10000
-        The same run, reported from the client's side: offered vs achieved
-        rate and the per-command decide-latency distribution.
+        socket backend.  Prints the offered vs achieved rate, agreement
+        instances/s, the per-command decide-latency percentiles and the
+        live-state peaks, and exits non-zero unless every correct replica
+        applied the identical command sequence.
 
     python -m repro.cli suite --preset smoke [--config suite.json]
         Expand a scenario-matrix suite config (grids over n, casts,
@@ -279,16 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the replicated command-log service under an open-loop "
-        "workload and print the server-side report",
+        "workload and print its report",
     )
     add_service_args(serve)
-
-    workload = sub.add_parser(
-        "workload",
-        help="run the replicated-log service and print the client-side view "
-        "(offered vs achieved rate, decide-latency distribution)",
-    )
-    add_service_args(workload)
 
     stab = sub.add_parser("stabilize", help="havoc -> wait Delta_stb -> agree")
     add_model_args(stab)
@@ -757,16 +747,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     report = _run_service(args)
     lat = summarize_latencies(report.latencies)
+    achieved = (
+        report.commands_issued / report.elapsed_s if report.elapsed_s > 0 else 0.0
+    )
     print(f"backend={args.backend} n={args.n} window={args.window} "
-          f"batch={args.batch} rate={args.rate:g}/s "
-          f"({'fixed' if args.fixed else 'poisson'})")
-    print(f"elapsed:       {report.elapsed_s:.1f}s")
-    print(f"throughput:    {report.commands_per_s:.0f} commands/s, "
-          f"{report.instances_per_s:.1f} agreement instances/s")
+          f"batch={args.batch}")
+    print(f"offered:       {args.rate:g} commands/s "
+          f"({'fixed' if args.fixed else 'poisson'}), {args.commands} total")
+    print(f"achieved:      {achieved:.0f} submitted/s, "
+          f"{report.commands_per_s:.0f} decided/s, "
+          f"{report.instances_per_s:.1f} agreement instances/s "
+          f"over {report.elapsed_s:.1f}s")
     print(f"slots:         {report.slots_decided} decided, "
           f"{report.slots_aborted} aborted (aborts requeue; peak in-flight "
           f"{report.peak_in_flight})")
-    print(f"decide latency: p50 {lat['p50_ms']:.0f}ms  p99 {lat['p99_ms']:.0f}ms  "
+    print(f"decide latency (arrival -> decided): p50 {lat['p50_ms']:.0f}ms  "
+          f"p99 {lat['p99_ms']:.0f}ms  mean {lat['mean_ms']:.0f}ms  "
           f"max {lat['max_ms']:.0f}ms")
     print(f"live state:    peak {report.peak_live_instances} slot instances, "
           f"{report.peak_live_timers} timers", end="")
@@ -780,24 +776,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if report.repaired_entries:
         print(f"repair:        {report.repaired_entries} entries adopted via "
               "f+1 vouching")
-    return _service_verdict(args, report)
-
-
-def cmd_workload(args: argparse.Namespace) -> int:
-    from repro.harness.stats import summarize_latencies
-
-    report = _run_service(args)
-    lat = summarize_latencies(report.latencies)
-    achieved = (
-        report.commands_issued / report.elapsed_s if report.elapsed_s > 0 else 0.0
-    )
-    print(f"offered:  {args.rate:g} commands/s "
-          f"({'fixed' if args.fixed else 'poisson'}), {args.commands} total")
-    print(f"achieved: {achieved:.0f} submitted/s, "
-          f"{report.commands_per_s:.0f} decided/s over {report.elapsed_s:.1f}s")
-    print(f"latency (arrival -> decided): p50 {lat['p50_ms']:.0f}ms  "
-          f"p99 {lat['p99_ms']:.0f}ms  mean {lat['mean_ms']:.0f}ms  "
-          f"max {lat['max_ms']:.0f}ms")
     return _service_verdict(args, report)
 
 
@@ -899,8 +877,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_chaos(args)
     if args.command == "serve":
         return cmd_serve(args)
-    if args.command == "workload":
-        return cmd_workload(args)
     if args.command == "stabilize":
         return cmd_stabilize(args)
     if args.command == "suite":

@@ -106,17 +106,6 @@ class ReferenceMsgdBroadcast:
         self.anchor = None
 
     # ------------------------------------------------------------------
-    # Invocation (Block V)
-    # ------------------------------------------------------------------
-    def invoke(self, value: Value, k: int) -> None:
-        """msgd-broadcast (q, value, k): send init to all (Line V)."""
-        msg = MBInitMsg(self.general, self.host.node_id, value, k)
-        self.host.broadcast(msg)
-        self.host.trace(
-            "mb_invoke", general=self.general, value=value, k=k
-        )
-
-    # ------------------------------------------------------------------
     # Message intake
     # ------------------------------------------------------------------
     def on_message(self, msg: object, sender: int) -> None:

@@ -40,11 +40,9 @@ pull model:
 * Once every one-shot action of a triplet has fired (echo / init' / echo'
   sent, accepted, origin a broadcaster), the state is marked *done* and
   arrivals skip evaluation outright.
-* The ``now <= anchor + c*Phi`` deadline guards are deactivated exactly
-  once by a chained deadline timer scheduled on the host (via the sans-I/O
-  ``schedule_after`` hook), instead of being re-derived on every arrival;
-  between a deadline and its timer firing, the retained comparison keeps
-  the boundary semantics bit-identical to the reference.
+* The ``now <= anchor + c*Phi`` deadline guards are upper bounds checked
+  when a message arrives, against deadlines fixed when the state is built:
+  no host timer marks a deadline's passing, so a context never holds one.
 * Anything the counters cannot track incrementally -- cleanup pruning,
   decay of ``broadcasters``/``accepted``, transient corruption, anchor
   changes -- conservatively marks states stale (or drops them), and the
@@ -66,7 +64,7 @@ from repro.core.messages import (
     Value,
 )
 from repro.node.msglog import FreshWindowWatch, MessageLog
-from repro.runtime.api import ALWAYS_ENABLED, ProtocolHost, RandomStream, TimerHandle
+from repro.runtime.api import ALWAYS_ENABLED, ProtocolHost, RandomStream
 
 
 # Callback signature: (origin p, value m, round k, accept local-time).
@@ -89,23 +87,15 @@ class _TripletState:
         "w_deadline",
         "x_deadline",
         "y_deadline",
-        "w_active",
-        "x_active",
-        "y_active",
         "signal",
         "stale",
         "done",
-        "timer",
     )
 
     def __init__(self) -> None:
         self.signal = False
         self.stale = True  # first evaluation runs the full cascade
         self.done = False
-        self.w_active = True
-        self.x_active = True
-        self.y_active = True
-        self.timer: Optional[TimerHandle] = None  # pending deadline-chain hop
 
     def wake(self, _watch: FreshWindowWatch) -> None:
         """Threshold-crossing / sentinel-maturation callback."""
@@ -122,19 +112,11 @@ class _TripletState:
         )
 
     def release(self) -> None:
-        """Cancel the watches *and* the pending deadline-chain timer.
-
-        Dropping a state without releasing its timer handle would leak the
-        handle in the host's registry until the deadline passed; hygiene is
-        asserted by ``ProtocolHost.live_timer_count()`` in the tests.
-        """
+        """Cancel the watches."""
         self.init_w.cancel()
         self.echo_w.cancel()
         self.initp_w.cancel()
         self.echop_w.cancel()
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
 
 
 class MsgdBroadcast:
@@ -168,11 +150,7 @@ class MsgdBroadcast:
 
         # Decay horizon for messages and derived state (see cleanup).
         self._horizon = (2 * self.params.f + 3) * self.params.phi
-        self._deadline_eps = self.params.d * 1e-9
-        # Optional host extras: timer-less hosts fall back to lazy,
-        # comparison-based deadline deactivation; tracer-less hosts get
-        # unguarded tracing.  Behaviour is identical either way.
-        self._schedule_after = getattr(host, "schedule_after", None)
+        # Tracer-less hosts get unguarded tracing.
         self._tracer = getattr(host, "tracer", ALWAYS_ENABLED)
 
     # ------------------------------------------------------------------
@@ -275,7 +253,6 @@ class MsgdBroadcast:
             (self.ECHO_PRIME,) + triplet, anchor, thresholds, on_event=wake
         )
         self._states[triplet] = state
-        self._arm_deadline_timer(triplet, state)
         return state
 
     def _run_blocks(self, triplet: Triplet, state: _TripletState) -> None:
@@ -291,48 +268,39 @@ class MsgdBroadcast:
         # General predate the current anchor and are scoped out.
 
         # Block W: tau_q <= tau_G + 2k Phi -- echo the origin's init.
-        if state.w_active:
-            if now > state.w_deadline:
-                state.w_active = False
-            elif state.init_w.has(origin, now):
-                self._send_once(
-                    self.ECHO, triplet, MBEchoMsg(self.general, origin, value, k)
-                )
+        if now <= state.w_deadline and state.init_w.has(origin, now):
+            self._send_once(
+                self.ECHO, triplet, MBEchoMsg(self.general, origin, value, k)
+            )
 
         # Block X: tau_q <= tau_G + (2k + 1) Phi.
-        if state.x_active:
-            if now > state.x_deadline:
-                state.x_active = False
-            else:
-                echoes = state.echo_w.count(now)
-                if echoes >= weak:
-                    self._send_once(
-                        self.INIT_PRIME,
-                        triplet,
-                        MBInitPrimeMsg(self.general, origin, value, k),
-                    )
-                if echoes >= strong:
-                    self._accept(triplet, now)
+        if now <= state.x_deadline:
+            echoes = state.echo_w.count(now)
+            if echoes >= weak:
+                self._send_once(
+                    self.INIT_PRIME,
+                    triplet,
+                    MBInitPrimeMsg(self.general, origin, value, k),
+                )
+            if echoes >= strong:
+                self._accept(triplet, now)
 
         # Block Y: tau_q <= tau_G + (2k + 2) Phi.
-        if state.y_active:
-            if now > state.y_deadline:
-                state.y_active = False
-            else:
-                init_primes = state.initp_w.count(now)
-                if init_primes >= weak and origin not in self.broadcasters:
-                    self.broadcasters[origin] = now
-                    self.host.trace(
-                        "mb_broadcaster", general=self.general, origin=origin, k=k
-                    )
-                    if self.on_broadcaster is not None:
-                        self.on_broadcaster(origin)
-                if init_primes >= strong:
-                    self._send_once(
-                        self.ECHO_PRIME,
-                        triplet,
-                        MBEchoPrimeMsg(self.general, origin, value, k),
-                    )
+        if now <= state.y_deadline:
+            init_primes = state.initp_w.count(now)
+            if init_primes >= weak and origin not in self.broadcasters:
+                self.broadcasters[origin] = now
+                self.host.trace(
+                    "mb_broadcaster", general=self.general, origin=origin, k=k
+                )
+                if self.on_broadcaster is not None:
+                    self.on_broadcaster(origin)
+            if init_primes >= strong:
+                self._send_once(
+                    self.ECHO_PRIME,
+                    triplet,
+                    MBEchoPrimeMsg(self.general, origin, value, k),
+                )
 
         # Block Z: at any time.
         echo_primes = state.echop_w.count(now)
@@ -352,64 +320,6 @@ class MsgdBroadcast:
             and (self.ECHO, triplet) in sent
             and (self.INIT_PRIME, triplet) in sent
             and (self.ECHO_PRIME, triplet) in sent
-        )
-
-    # ------------------------------------------------------------------
-    # Deadline timers (blocks deactivate exactly once)
-    # ------------------------------------------------------------------
-    def _arm_deadline_timer(self, triplet: Triplet, state: _TripletState) -> None:
-        """Chain one local timer through the W/X/Y deadlines of a state.
-
-        Each firing flips the expired blocks' active flags and reschedules
-        for the next pending deadline, so steady-state arrivals skip even
-        the deadline comparison.  Timers fire ``eps`` after the deadline
-        (the guards are inclusive); the retained ``now <= deadline`` check
-        in :meth:`_run_blocks` covers the gap exactly.
-
-        The pending hop's handle is kept on the state (``state.timer``) and
-        canceled by :meth:`_TripletState.release` the moment the state is
-        dropped -- anchor change, reset, cleanup retirement -- so dead
-        chains never linger in the host's timer registry.  A chain that
-        runs to its natural end (all blocks expired) clears the handle
-        itself.
-        """
-        schedule_after = self._schedule_after
-        if schedule_after is None:
-            return  # hosts without timers fall back to lazy deactivation
-
-        # Belt and braces: release() cancels the pending hop when a state
-        # is dropped, and a stale firing that slips through anyway finds a
-        # different object in ``_states`` and stops.
-        def fire() -> None:
-            state.timer = None  # this hop's handle was just consumed
-            if self._states.get(triplet) is not state:
-                return
-            now = self.host.now()
-            if state.w_active and now > state.w_deadline:
-                state.w_active = False
-            if state.x_active and now > state.x_deadline:
-                state.x_active = False
-            if state.y_active and now > state.y_deadline:
-                state.y_active = False
-            next_deadline = None
-            if state.w_active:
-                next_deadline = state.w_deadline
-            elif state.x_active:
-                next_deadline = state.x_deadline
-            elif state.y_active:
-                next_deadline = state.y_deadline
-            if next_deadline is not None:
-                state.timer = schedule_after(
-                    max(0.0, next_deadline - now) + self._deadline_eps,
-                    fire,
-                    tag="mb_deadline",
-                )
-
-        now = self.host.now()
-        state.timer = schedule_after(
-            max(0.0, state.w_deadline - now) + self._deadline_eps,
-            fire,
-            tag="mb_deadline",
         )
 
     def _send_once(self, kind: str, triplet: Triplet, payload: object) -> None:

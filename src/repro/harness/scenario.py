@@ -218,10 +218,6 @@ class Cluster:
         """All correct protocol nodes, in id order."""
         return [self.nodes[i] for i in self.correct_ids]  # type: ignore[list-item]
 
-    def node(self, node_id: int) -> Node:
-        """Any node by id."""
-        return self.nodes[node_id]
-
     def protocol_node(self, node_id: int) -> ProtocolNode:
         """A correct node by id (raises if the id is Byzantine)."""
         node = self.nodes[node_id]
@@ -280,15 +276,9 @@ class Cluster:
         return latest
 
 
-def build(config: ScenarioConfig) -> Cluster:
-    """Construct a cluster from a config (alias for the constructor)."""
-    return Cluster(config)
-
-
 __all__ = [
     "Cluster",
     "ScenarioConfig",
     "StrategyOrFactory",
-    "build",
     "set_default_shards",
 ]

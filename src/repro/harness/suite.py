@@ -24,14 +24,8 @@ specs for timelines), so a cell is a plain picklable dict and the per-seed
 runs fan out over the shared process pool exactly like the experiment
 drivers -- bit-identical rows and trace digests at any worker count.
 
-A cell may also carry ``"backend": "asyncio"``: the **same** timeline spec
-is then interpreted live by the cluster's
-:class:`~repro.faults.live.LiveFaultDriver` against an in-process
-wall-clock cluster (real ``loop.call_later`` timers, real elapsed time).
-Such cells score with the same row shape but are not
-replayable -- wall-clock jitter moves the counters between runs -- so keep
-them out of digest-pinned suites; the default ``"sim"`` backend stays
-bit-identical.
+Every cell runs on the simulator, so rows and trace digests replay bit
+for bit.
 
 :func:`run_suite` returns one consolidated row per cell;
 :func:`suite_report` renders the rows as the Markdown artifact the CLI
@@ -53,11 +47,7 @@ from repro.faults.byzantine import (
     MirrorParticipantStrategy,
     TwoFacedParticipantStrategy,
 )
-from repro.faults.timeline import (
-    build_named_policy,
-    build_policy,
-    build_timeline,
-)
+from repro.faults.timeline import build_policy, build_timeline
 from repro.harness import metrics, properties
 from repro.harness.parallel import SeedPool
 from repro.harness.report import rows_to_markdown
@@ -126,11 +116,6 @@ def _build_cast(cell: dict, params: ProtocolParams) -> dict:
 
 def _run_cell(cell: dict, seed: int) -> tuple:
     """One (cell, seed) run; a pure function of its arguments."""
-    backend = cell.get("backend", "sim")
-    if backend == "asyncio":
-        return _run_cell_asyncio(cell, seed)
-    if backend != "sim":
-        raise KeyError(f"unknown backend {backend!r} (known: sim, asyncio)")
     params = _cell_params(cell)
     cast = _build_cast(cell, params)
     cluster = Cluster(
@@ -191,101 +176,6 @@ def _run_cell(cell: dict, seed: int) -> tuple:
             cluster.close()
 
 
-def _run_cell_asyncio(cell: dict, seed: int) -> tuple:
-    """One (cell, seed) run on the asyncio wall-clock backend.
-
-    Same result shape as the sim path, but elapsed time is real: the cell's
-    timeline is interpreted by the cluster's
-    :class:`~repro.faults.live.LiveFaultDriver`, delays come from a
-    *named* live policy, and injected-fault drops land in the
-    ``dropped_partition`` column (the transport's ``dropped_fault_count``).
-    The digest hashes jittery wall-clock counters -- structural parity
-    only, not a replay pin.
-    """
-    import asyncio
-
-    from repro.runtime.aio import AsyncioCluster
-
-    params = _cell_params(cell)
-    cast = _build_cast(cell, params)
-    script = build_timeline(cell.get("timeline", "none"), params)
-    general = cell.get("general", 0)
-
-    async def body() -> tuple:
-        cluster = AsyncioCluster(
-            params,
-            seed=seed,
-            time_scale=cell.get("time_scale", 0.02),
-            byzantine=cast,
-            trace=cell.get("trace", False),
-        )
-        try:
-            cluster.transport.set_policy(
-                build_named_policy(
-                    cell.get("policy", "live_default"),
-                    params,
-                    cluster.transport.now,
-                )
-            )
-            cluster.faults.load(script)
-            correct = [
-                i for i in cluster.correct_ids if i not in script.churned_nodes()
-            ]
-            t0 = cluster.transport.now()
-            value = cell.get("value", "v")
-            proposed = cluster.propose(general, value)
-            # Live runs have no simulator stragglers to keep the event pump
-            # alive through a long cut, so a cell may ask the General to
-            # periodically retry its proposal (pacing-guarded: refused until
-            # the Sending Validity Criteria allow a re-initiation).
-            repropose = cell.get("repropose_every_d")
-            if repropose and general in cluster.correct_ids:
-                node = cluster.nodes[general]
-                node.every_local(
-                    repropose * params.d,
-                    lambda: node.propose(value),
-                    tag=f"repropose:{general}",
-                )
-            run_for_d = cell.get("run_for_d")
-            horizon = (
-                run_for_d * params.d
-                if run_for_d is not None
-                else params.delta_agr + 10 * params.d
-            )
-            deadline = t0 + horizon
-            while cluster.transport.now() < deadline:
-                if all(
-                    cluster.nodes[i].decisions_for(general) for i in correct
-                ):
-                    break
-                await cluster.sleep_units(
-                    min(1.0, deadline - cluster.transport.now())
-                )
-        finally:
-            cluster.close()
-        latest = cluster.latest_decision_per_node(general)
-        returned = {i: latest[i] for i in correct if i in latest}
-        agree = len(returned) == len(correct) and (
-            len({repr(dec.value) for dec in returned.values()}) <= 1
-        )
-        decided = [dec for dec in returned.values() if dec.decided]
-        transport = cluster.transport
-        dropped_fault = transport.dropped_fault_count
-        return (
-            proposed,
-            agree,
-            len(decided),
-            tuple(metrics.decision_latencies(decided, t0)),
-            transport.sent_count,
-            transport.delivered_count,
-            dropped_fault,
-            transport.dropped_count - dropped_fault,
-            trace_digest(cluster.tracer),
-        )
-
-    return asyncio.run(body())
-
-
 # ---------------------------------------------------------------------------
 # Grid expansion and aggregation
 # ---------------------------------------------------------------------------
@@ -321,12 +211,9 @@ def _cell_row(cell: dict, results: list, seed_list: Sequence[int]) -> dict:
     return {
         "n": params.n,
         "f": params.f,
-        "backend": cell.get("backend", "sim"),
+        "backend": "sim",
         "cast": cell.get("cast", "none"),
-        "policy": cell.get(
-            "policy",
-            "live_default" if cell.get("backend") == "asyncio" else "uniform",
-        ),
+        "policy": cell.get("policy", "uniform"),
         "timeline": _timeline_label(cell.get("timeline", "none")),
         "runs": runs,
         "proposed": sum(1 for r in results if r[0]),
@@ -357,7 +244,7 @@ def run_suite(
     """Run a whole suite config; one consolidated row per scenario cell.
 
     ``seeds``/``workers`` override the config's own values (CLI flags).
-    ``shards`` runs every sim-backend cell on the sharded kernel
+    ``shards`` runs every cell on the sharded kernel
     (:mod:`repro.sim.shard`); rows and digests are bit-identical to serial.
     Rows come back in grid order and are bit-identical for any worker
     count: each (cell, seed) run is a pure function shipped to the shared
@@ -368,8 +255,6 @@ def run_suite(
     if shards is not None:
         cells = [
             dict(cell, shards=shards, shard_transport=shard_transport)
-            if cell.get("backend", "sim") == "sim"
-            else cell
             for cell in cells
         ]
     rows = []
@@ -428,31 +313,6 @@ SUITE_PRESETS: dict[str, dict] = {
                 "churn",
                 "partition_storm",
             ],
-        },
-    },
-    # Wall-clock smoke: the same timeline specs interpreted *live* by the
-    # asyncio backend's fault driver (real timers, real elapsed time).  Not
-    # digest-pinned -- wall-clock jitter moves the counters between runs.
-    # The horizon covers a full IG3 back-off: a cut that outlasts the
-    # in-flight traffic silences the live event pump and fails the first
-    # initiation, so the agreement completes on the General's paced
-    # re-proposal wave once Delta_reset (168d at f=1) has elapsed.
-    "live_smoke": {
-        "name": "live_smoke",
-        "seeds": [0],
-        "base": {
-            "delta": 1.0,
-            "rho": 0.0,
-            "value": "v",
-            "backend": "asyncio",
-            "policy": "live_default",
-            "time_scale": 0.02,
-            "repropose_every_d": 2.0,
-            "run_for_d": 185.0,
-        },
-        "grid": {
-            "n": [4],
-            "timeline": ["none", "partition_heal"],
         },
     },
     # Casts x policies: adversarial participants under network regimes.

@@ -113,14 +113,6 @@ class Node:
     # ProtocolHost spelling; identical semantics (crash-guarded).
     schedule_after = after_local
 
-    def schedule_at(
-        self, when_local: float, action: Callable[[], None], tag: str = ""
-    ) -> TimerHandle:
-        """Run ``action`` at an absolute local time (clamped to now)."""
-        return self.after_local(
-            max(0.0, when_local - self.host.now()), action, tag
-        )
-
     def every_local(
         self, interval_local: float, action: Callable[[], None], tag: str = ""
     ) -> None:

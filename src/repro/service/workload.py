@@ -80,12 +80,5 @@ class OpenLoopWorkload:
             self.issued += 1
         self.elapsed_s = clock() - start
 
-    @property
-    def offered_rate(self) -> float:
-        """Commands actually issued per wall second."""
-        if self.elapsed_s <= 0.0:
-            return 0.0
-        return self.issued / self.elapsed_s
-
 
 __all__ = ["OpenLoopWorkload", "SubmitFn"]

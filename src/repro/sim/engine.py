@@ -68,10 +68,6 @@ class EventHandle:
         """True while the event is still queued (not executed, not cancelled)."""
         return self._sim is not None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.3f}, tag={self.tag!r}, {state})"
-
 
 class Simulator:
     """A deterministic discrete-event simulator.

@@ -502,30 +502,13 @@ class _ShardState:
                 return cluster.propose(general, value)
             return None
         if op == "set_policy":
-            _, spec, record = c
             sim.begin_control()
-            policy = self._resolve_policy(spec)
-            if record:
-                cluster.set_policy(policy)
-            else:
-                cluster.net.set_policy(policy)
+            cluster.net.set_policy(self._resolve_policy(c[1]))
             return None
         if op == "install_script":
             _, script, start_real = c
             sim.begin_control()
             script.install(cluster, start_real)
-            return None
-        if op == "mark_coherent":
-            sim.begin_control()
-            cluster.mark_coherent()
-            return None
-        if op == "net_partition":
-            sim.begin_control()
-            cluster.net.partition(c[1])
-            return None
-        if op == "net_heal":
-            sim.begin_control()
-            cluster.net.heal(c[1])
             return None
         raise ShardError(f"unknown control operation {op!r}")
 
@@ -560,8 +543,6 @@ class _ShardState:
         if what == "trace":
             tracer = self.tracer
             return (tracer.counts(), list(tracer._keys), list(tracer._events))
-        if what == "events_executed":
-            return sim.events_executed
         raise ShardError(f"unknown shard query {what!r}")
 
 
@@ -731,7 +712,7 @@ class _FacadeNet:
     def set_policy(self, policy: Any) -> None:
         owner = self._owner
         owner._register_policy(policy)
-        owner._control(("set_policy", ("obj", policy), False))
+        owner._control(("set_policy", ("obj", policy)))
 
     def set_policy_spec(self, spec: Any) -> None:
         """Install a *named* policy, resolved shard-side against each shard's
@@ -741,13 +722,7 @@ class _FacadeNet:
 
         owner = self._owner
         owner._register_policy(build_policy(spec, owner))
-        owner._control(("set_policy", ("name", spec), False))
-
-    def partition(self, node_id: int) -> None:
-        self._owner._control(("net_partition", node_id))
-
-    def heal(self, node_id: int) -> None:
-        self._owner._control(("net_heal", node_id))
+        owner._control(("set_policy", ("name", spec)))
 
 
 class ShardedCluster:
@@ -755,8 +730,8 @@ class ShardedCluster:
 
     Exposes the :class:`~repro.harness.scenario.Cluster` surface the
     experiment drivers and the suite runner rely on -- ``params``,
-    ``config``, ``sim.now``, ``propose``, ``run_for``, ``set_policy``,
-    ``mark_coherent``, ``decisions``/``latest_decision_per_node``,
+    ``config``, ``sim.now``, ``propose``, ``run_for``, ``net.set_policy``,
+    ``decisions``/``latest_decision_per_node``,
     ``correct_ids``/``byzantine_ids``, network counters, and a merged
     ``tracer`` -- while the actual nodes live inside shard workers.  Direct
     node access (``nodes``, ``protocol_node``...) raises :class:`ShardError`
@@ -928,13 +903,6 @@ class ShardedCluster:
         self._broadcast(("finish_run", until))
         self._now = until
 
-    def set_policy(self, policy: Any) -> None:
-        self._register_policy(policy)
-        self._control(("set_policy", ("obj", policy), True))
-
-    def mark_coherent(self) -> None:
-        self._control(("mark_coherent",))
-
     def install_script(self, script: Any, start_real: Optional[float] = None) -> None:
         """Install a fault timeline (the :meth:`FaultScript.install` target)."""
         self._validate_script(script)
@@ -1006,11 +974,6 @@ class ShardedCluster:
             merged._counts = counts
             self._trace_cache = merged
         return self._trace_cache
-
-    def events_executed(self) -> int:
-        """Total events executed across shards (replicated setup/timeline
-        events are counted once per shard that ran them)."""
-        return sum(self._broadcast(("query", "events_executed")))
 
     # ------------------------------------------------------------------
     # Unsupported surface (clear errors beat silent wrong answers)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.eig import DEFAULT_VALUE, EigCluster
-from repro.baselines.tps87 import Tps87Cluster
+from repro.baselines.tps87 import Tps87Cluster, TpsInitiate
 from repro.core.params import BOTTOM, ProtocolParams
 from repro.net.delivery import UniformDelay
 
@@ -48,6 +48,21 @@ class TestTps87:
         cluster = Tps87Cluster(params7, seed=4)
         decisions = cluster.run_to_completion()
         assert all(d.value is BOTTOM for d in decisions)
+
+    def test_nodes_missed_at_round_0_decide_through_the_relay(self, params7):
+        """A General that withholds its value from two nodes: they adopt
+        nothing at round 0, accept the adopters' k = 1 inits through the
+        echo relay, and decide the same value on the round-1 chain."""
+        cluster = Tps87Cluster(params7, seed=6)
+        general = cluster.nodes[0]
+        for receiver in range(5):
+            general.send(receiver, TpsInitiate(0, "V"))
+        decisions = {d.node: d for d in cluster.run_to_completion()}
+        assert sorted(decisions) == list(range(params7.n))
+        assert {d.value for d in decisions.values()} == {"V"}
+        for node in (5, 6):
+            assert decisions[node].returned_real == pytest.approx(3 * params7.phi)
+            assert any(k == 1 for (_, _, k) in cluster.nodes[node].accepted)
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_scales_across_n(self, n):

@@ -73,6 +73,21 @@ class TestRunSocket:
         assert main(["run-socket", "--n", "4", "--f", "1", "--general", "9"]) == 2
 
 
+class TestServe:
+    def test_prints_the_client_and_server_view(self, capsys):
+        """One short asyncio service run: offered vs achieved rate, the
+        latency percentiles and the identical-logs verdict."""
+        assert main(
+            ["serve", "--n", "4", "--f", "1", "--commands", "300",
+             "--rate", "1000", "--time-scale", "0.1"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "offered:       1000 commands/s (poisson), 300 total" in out
+        assert "agreement instances/s" in out
+        assert "decide latency (arrival -> decided): p50" in out
+        assert "OK: identical logs at every correct replica: True; applied 300/300" in out
+
+
 class TestStabilize:
     def test_recovers(self, capsys):
         assert main(["stabilize", "--n", "7", "--seed", "5", "--garbage", "150"]) == 0
@@ -186,7 +201,7 @@ class TestParser:
             (["constants", "run", "run-async", "run-socket", "stabilize"], 7, 1e-4),
             # Wall-clock fault and service runs: hosts share one epoch.
             (["chaos"], 4, 0.0),
-            (["serve", "workload"], 4, 0.0),
+            (["serve"], 4, 0.0),
         ],
         ids=["model", "chaos", "service"],
     )

@@ -275,6 +275,90 @@ class TestLinkFaultChain:
             assert sorted(c for _slot, batch in log for c in batch) == expected
 
 
+class TestSocketLinkFault:
+    """The socket leg: SocketCluster.link_fault -> every child's sender.
+
+    One bare agreement, not the service (ROADMAP item 14's divergence):
+    node 3 is isolated before the General proposes and reconnected about
+    one d into the agreement, while its later waves are still on the wire.
+    """
+
+    TIME_SCALE = 0.2  # d = 200 ms: the parent pumps faults every <= d/4
+
+    @staticmethod
+    def _scrape(cluster) -> dict[int, tuple[float, float]]:
+        """(sent, dropped) per live child, read off its own /metrics."""
+        import urllib.request
+
+        from repro.obs.metrics import parse_prometheus_text
+
+        out = {}
+        for node_id, port in dict(cluster._metrics_ports).items():
+            url = f"http://127.0.0.1:{port}/metrics"
+            with urllib.request.urlopen(url, timeout=2.0) as reply:
+                series = parse_prometheus_text(reply.read().decode())
+            sent = sum(series["repro_messages_sent_total"].values())
+            dropped = sum(series["repro_messages_dropped_total"].values())
+            out[node_id] = (sent, dropped)
+        return out
+
+    def test_isolate_then_reconnect_reaches_every_child(self) -> None:
+        import threading
+        import time
+
+        from repro.runtime.socket_host import SocketCluster
+
+        cluster = SocketCluster(
+            PARAMS, seed=3, time_scale=self.TIME_SCALE, value="v",
+            metrics=True, timeout_units=6.0,
+        )
+        # at_d counts from the first pump, startup_grace_s before the epoch.
+        lead = cluster._startup_grace_s / self.TIME_SCALE
+        reply = cluster.inject_fault_script([
+            {"at_d": 0.0, "do": "isolate", "nodes": [3]},
+            {"at_d": lead + 1.0, "do": "reconnect", "nodes": [3]},
+        ])
+        samples: dict[str, dict] = {}
+        errors: list[BaseException] = []
+
+        def wait_for(ready) -> None:
+            deadline = time.monotonic() + 30.0
+            while not ready():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("the run never reached this point")
+                time.sleep(0.01)
+
+        def watch() -> None:
+            try:
+                wait_for(lambda: cluster._epoch_mono is not None
+                         and cluster.now() >= 0.9)
+                samples["isolated"] = self._scrape(cluster)
+                wait_for(lambda: "reconnect" in cluster.faults.fired)
+                time.sleep(0.5 * self.TIME_SCALE)  # every child applied it
+                samples["reconnected"] = self._scrape(cluster)
+            except Exception as exc:  # surfaced on the test thread
+                errors.append(exc)
+
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
+        report = cluster.run_agreement()
+        watcher.join(timeout=35.0)
+        assert not watcher.is_alive()
+        assert not errors, errors
+        assert reply == {"accepted": 2, "backend": "socket"}
+        assert cluster.faults.fired == ["isolate", "reconnect"]
+        # While node 3 is cut off, every live sender drops its copies to 3.
+        isolated = samples["isolated"]
+        assert all(isolated[node][1] > 0 for node in (0, 1, 2)), isolated
+        # After reconnect, traffic goes on and nothing more is dropped.
+        reconnected = samples["reconnected"]
+        assert report.sent_count > sum(sent for sent, _ in reconnected.values())
+        assert report.dropped_count == sum(
+            dropped for _, dropped in reconnected.values()
+        )
+        assert report.clean_exit
+
+
 # ---------------------------------------------------------------------------
 # One scramble implementation: sim timeline vs live helpers, differentially
 # ---------------------------------------------------------------------------

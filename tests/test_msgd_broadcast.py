@@ -240,79 +240,33 @@ class TestCleanupReset:
 
 
 class TestDeadlineTimerHygiene:
-    """Deadline-chain handles must never linger in the host's registry.
+    """Deadlines are upper bounds checked on arrival: no host timers.
 
-    Each evaluated triplet arms a chained W/X/Y deadline timer on the host;
-    dropping a state (reset, anchor change, cleanup retirement) must cancel
-    the pending hop, and a chain that runs to its natural end must clear
-    its own handle -- ``live_timer_count()`` is the introspection hook.
+    ``live_timer_count()`` is the introspection hook; an agreement's
+    return-to-zero checks live in the agreement-level tests.
     """
 
-    def test_evaluation_arms_one_chain_per_triplet(self, setup):
-        host, mb, _, _ = setup
-        mb.set_anchor(host.local_now())
-        echo(mb, [1, 2], k=1)
-        echo(mb, [1, 2], k=2)
-        assert host.live_timer_count() == 2
-
-    def test_reset_releases_all_deadline_timers(self, setup):
-        host, mb, _, _ = setup
-        mb.set_anchor(host.local_now())
-        echo(mb, [1, 2, 3, 4, 5])
-        init_prime(mb, [1, 2], k=2)
-        assert host.live_timer_count() > 0
-        mb.reset()
-        assert host.live_timer_count() == 0
-
-    def test_anchor_change_releases_stale_chains(self, setup):
-        host, mb, _, _ = setup
-        mb.set_anchor(host.local_now())
-        echo(mb, [1, 2])
-        assert host.live_timer_count() == 1
-        # Re-anchoring drops and rebuilds the state: old chain canceled,
-        # exactly one live chain for the surviving triplet.
-        mb.set_anchor(host.local_now())
-        assert host.live_timer_count() == 1
-        mb.clear_anchor()
-        assert host.live_timer_count() == 0
-
-    def test_expired_chain_clears_its_own_handle(self, setup, params):
-        host, mb, _, _ = setup
-        mb.set_anchor(host.local_now())
-        echo(mb, [1, 2])
-        # Run real time past the last (Y) deadline: the chain fires through
-        # W -> X -> Y and terminates without leaving a pending hop.
-        host.advance((2 * 1 + 2) * params.phi + 1.0)
-        assert host.live_timer_count() == 0
-
-    def test_cleanup_retirement_releases_forgotten_triplets(self, setup, params):
-        host, mb, _, _ = setup
-        horizon = (2 * params.f + 3) * params.phi
-        # A far-future anchor keeps the deadline chain pending while the
-        # logged messages age out underneath it.
-        mb.set_anchor(host.local_now() + horizon)
-        echo(mb, [1, 2])
-        assert host.live_timer_count() == 1
-        host.advance(horizon + 1.0)
-        mb.cleanup()  # decay retires the triplet -> chain must be canceled
-        assert mb._states == {}
-        assert host.live_timer_count() == 0
-
-    def test_full_agreement_instance_cycle_returns_to_zero(self, setup, params):
-        """One complete accept wave, then the 3d reset: registry drains."""
+    def test_context_arms_no_host_timer(self, setup, params):
         host, mb, accepts, _ = setup
         mb.set_anchor(host.local_now())
+        echo(mb, [1, 2], k=2)  # evaluation of a second triplet
+        assert host.live_timer_count() == 0
+        # One complete accept wave.
         mb.on_message(MBInitMsg(G, P, "m", 1), P)
         echo(mb, [1, 2, 3, 4, 5])
         init_prime(mb, [1, 2, 3, 4, 5])
         echo_prime(mb, [1, 2, 3, 4, 5])
         assert len(accepts) == 1
-        assert host.live_timer_count() > 0
+        assert host.live_timer_count() == 0
         mb.reset()  # what the agreement layer does 3d after returning
         assert host.live_timer_count() == 0
-        # A second instance after the reset behaves identically.
+        # Re-anchor with a backlog to replay, then age it all out.
+        echo(mb, [1, 2])
         mb.set_anchor(host.local_now())
-        echo(mb, [1, 2, 3, 4, 5])
-        assert len(accepts) == 2
-        mb.reset()
+        mb.set_anchor(host.local_now())
+        assert mb._states
+        assert host.live_timer_count() == 0
+        host.advance((2 * params.f + 3) * params.phi + 1.0)
+        mb.cleanup()
+        assert mb._states == {}
         assert host.live_timer_count() == 0

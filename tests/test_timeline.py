@@ -23,9 +23,11 @@ from repro.faults.timeline import (
     Restart,
     SwapPolicy,
     SwapStrategy,
+    TIMELINE_BUILDERS,
     build_policy,
     build_timeline,
 )
+from repro.faults.live import validate_live_script
 from repro.harness import properties
 from repro.harness.parallel import SeedPool, shutdown_shared_pools
 from repro.harness.scenario import Cluster, ScenarioConfig
@@ -244,6 +246,19 @@ class TestFromSpec:
     def test_unknown_timeline_name_raises(self):
         with pytest.raises(KeyError, match="unknown timeline"):
             build_timeline("nope", _params())
+
+    @pytest.mark.parametrize("name", sorted(TIMELINE_BUILDERS))
+    def test_every_named_timeline_builds_validates_and_runs(self, name):
+        params = _params()
+        script = build_timeline(name, params)
+        validate_live_script(script)  # each is legal on the live driver too
+        assert all(0.0 <= action.at_d < 24.0 for action in script.actions)
+        assert script.churned_nodes() <= set(range(params.n))
+        row = _run_cell({"n": 4, "timeline": name, "run_for_d": 24.0}, 0)
+        proposed, agreement, dropped_partition = row[0], row[1], row[6]
+        assert proposed and agreement
+        cuts = any(isinstance(action, Partition) for action in script.actions)
+        assert (dropped_partition > 0) == cuts
 
     def test_build_timeline_passthrough_and_inline(self):
         params = _params()
