@@ -37,7 +37,13 @@ from repro.sim.trace import Tracer
 
 @dataclass(slots=True)
 class Envelope:
-    """One message copy: built at send time, queued as its delivery event's argument."""
+    """One message copy as its receiver sees it, built when it is delivered.
+
+    On the serial kernel a copy in flight is only a slot in its wave's run
+    (:meth:`~repro.sim.engine.Simulator.schedule_run`); its envelope is made
+    at delivery, with ``delivered_at`` the instant drawn at send.  The keyed
+    kernel (:mod:`repro.sim.shard`) still queues one envelope per copy.
+    """
 
     sender: int
     receiver: int
@@ -65,7 +71,9 @@ class Network:
         self._sender_rngs: dict[int, RandomSource] = {}
         self._tracer = tracer
         self._receivers: dict[int, Receiver] = {}
-        # Bound once (shadowing the method): every queued copy shares it.
+        # Bound once (shadowing the methods): every queued run shares the
+        # first, and on the keyed kernel every queued copy the second.
+        self._deliver_copy = self._deliver_copy
         self._deliver_now = self._deliver_now
         self._node_ids: Optional[list[int]] = None  # cached sorted ids
         self._partitioned: set[int] = set()
@@ -144,9 +152,10 @@ class Network:
     ) -> None:
         """One sweep over ``receivers``, each copy exactly as a lone send.
 
-        The policy, the sender's stream and the scheduling hook are bound
-        once, counters are summed once, and only the policy decision and
-        :meth:`_deliver_later` run per copy.
+        The policy, the sender's stream and the partition set are bound
+        once, counters are summed once, and only the policy decision runs
+        per copy.  The surviving copies' delivery instants go to
+        :meth:`_queue_copies` in one call.
         """
         self.sent_count += len(receivers)
         tracer = self._tracer
@@ -159,11 +168,12 @@ class Network:
             counts_only.bump_many("send", len(receivers))
         decide = self._policy.decide
         rng = self._sender_rng(sender)
-        deliver_later = self._deliver_later
         partitioned = self._partitioned
         now = self._sim.now
         sender_cut = sender in partitioned
         cut = dropped = 0
+        kept: list[int] = []
+        times: list[float] = []
         for receiver in receivers:
             if tracer is not None:
                 tracer.record(now, sender, "send", receiver=receiver, payload=payload)
@@ -183,9 +193,19 @@ class Network:
                 elif counts_only is not None:
                     counts_only.bump("drop")
                 continue
-            deliver_later(sender, receiver, payload, now, decision.delay)
+            kept.append(receiver)
+            times.append(now + decision.delay)
         self.dropped_partition += cut
         self.dropped_policy += dropped
+        if times:
+            # A wave that lost no copy shares the receivers sequence.
+            self._queue_copies(
+                sender,
+                receivers if len(kept) == len(receivers) else kept,
+                payload,
+                now,
+                times,
+            )
 
     def inject_spurious(
         self,
@@ -200,7 +220,8 @@ class Network:
         authenticated.  Legal only while the network is faulty -- callers
         (the transient injector) enforce that scenario-side.
         """
-        self._deliver_later(claimed_sender, receiver, payload, self._sim.now, delay)
+        now = self._sim.now
+        self._queue_copies(claimed_sender, (receiver,), payload, now, [now + delay])
 
     # ------------------------------------------------------------------
     # Internals
@@ -211,19 +232,26 @@ class Network:
             rng = self._sender_rngs[sender] = self._rng.split(f"sender/{sender}")
         return rng
 
-    def _deliver_later(
+    def _queue_copies(
         self,
         sender: int,
-        receiver: int,
+        receivers: Sequence[int],
         payload: object,
         sent_at: float,
-        delay: float,
+        times: list[float],
     ) -> None:
-        # Deliveries are never cancelled: the copy is queued as its own
-        # envelope, stamped with the heap key it will fire at.
-        at = sent_at + delay
-        self._sim.schedule_fire(
-            at, self._deliver_now, Envelope(sender, receiver, payload, sent_at, at)
+        """Queue copy ``k`` to ``receivers[k]``, due at ``times[k]``.
+
+        One run on the kernel: the copies hold no envelope until delivery.
+        """
+        self._sim.schedule_run(
+            times, self._deliver_copy, (sender, receivers, payload, sent_at)
+        )
+
+    def _deliver_copy(self, wave: tuple, k: int) -> None:
+        sender, receivers, payload, sent_at = wave
+        self._deliver_now(
+            Envelope(sender, receivers[k], payload, sent_at, self._sim._now)
         )
 
     def _deliver_now(self, envelope: Envelope) -> None:

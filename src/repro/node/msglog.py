@@ -42,7 +42,8 @@ the protocol blocks whose guards are anchored-window quorum counts
 * :meth:`MessageLog.watch` registers a :class:`FreshWindowWatch` on one
   (key, window-start) pair.  The watch maintains the distinct-sender count
   for the half-open-ended window ``[start, now]`` incrementally: a normal
-  in-order arrival is a set insertion, not a window scan.
+  in-order arrival sets one bit of an int (the matured senders) and bumps
+  a count, not a window scan, and a watch holds no per-sender object.
 * A watch may carry quorum ``thresholds`` and a ``sentinel`` sender; the
   registered callback fires exactly when the count *crosses* a threshold or
   the sentinel's first in-window record matures -- this is what lets the
@@ -196,6 +197,7 @@ class FreshWindowWatch:
         "sentinel",
         "on_event",
         "_matured",
+        "_count",
         "_pending",
         "_hwm",
         "_stale",
@@ -217,7 +219,9 @@ class FreshWindowWatch:
         self.thresholds = thresholds
         self.sentinel = sentinel
         self.on_event = on_event
-        self._matured: set[int] = set()
+        # Matured senders: bit ``s`` set for sender ``s``, and how many.
+        self._matured = 0
+        self._count = 0
         self._pending: list[tuple[float, int]] = []
         self._hwm = float("-inf")
         self._stale = True  # built lazily on first query
@@ -238,12 +242,14 @@ class FreshWindowWatch:
             heappush(self._pending, (arrival, sender))
 
     def _mature(self, sender: int) -> None:
+        bit = 1 << sender
         matured = self._matured
-        if sender in matured:
+        if matured & bit:
             return
-        matured.add(sender)
+        self._matured = matured | bit
+        self._count += 1
         if self.on_event is not None and (
-            sender == self.sentinel or len(matured) in self.thresholds
+            sender == self.sentinel or self._count in self.thresholds
         ):
             self.log.watch_fires += 1
             self.on_event(self)
@@ -254,7 +260,12 @@ class FreshWindowWatch:
             self._mature(heappop(pending)[1])
 
     def _rebuild(self, now: float) -> None:
-        self._matured = self.log.distinct_senders_in(self.key, self.start, now)
+        senders = self.log.distinct_senders_in(self.key, self.start, now)
+        matured = 0
+        for sender in senders:
+            matured |= 1 << sender
+        self._matured = matured
+        self._count = len(senders)
         pending: list[tuple[float, int]] = []
         klog = self.log._keys.get(self.key)
         if klog is not None and klog.times and klog.times[-1] > now:
@@ -282,12 +293,12 @@ class FreshWindowWatch:
     def count(self, now: float) -> int:
         """Distinct senders with an arrival in ``[start, now]``."""
         self._sync(now)
-        return len(self._matured)
+        return self._count
 
     def has(self, sender: int, now: float) -> bool:
         """True iff ``sender`` has an arrival in ``[start, now]``."""
         self._sync(now)
-        return sender in self._matured
+        return bool(self._matured >> sender & 1)
 
     @property
     def has_pending(self) -> bool:

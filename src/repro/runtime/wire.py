@@ -304,10 +304,17 @@ class WireTransport:
             self._tracer.bump("frame_rejected")
 
     def _deliver_frames(self, receiver: int, frames) -> None:
-        """Hand one datagram's decoded frames to ``receiver``'s handler."""
+        """Hand one datagram's decoded frames to ``receiver``'s handler.
+
+        A datagram has one sender; one outside the cluster (not a key of
+        ``routes``) is refused whole, however well it authenticates.
+        """
         receive = self._receivers.get(receiver)
         if receive is None:
             self.rejected_count += 1  # authentic, but nobody is attached yet
+            return
+        if frames[0].sender not in self._routes:
+            self._reject()
             return
         now = self.now()
         tracer = self._tracer

@@ -14,18 +14,23 @@ run is a pure function of (scenario, seed).
 
 Fast path
 ---------
-Every message delivery and timer is one queue entry, so the kernel stays
-deliberately lean: heap entries are plain ``(time, seq, action, arg)``
-tuples (no dataclass construction or rich comparison per event -- the seq
-tiebreak means ``action``/``arg`` are never compared), and the number of
-live (non-cancelled) events is tracked incrementally so
+Every message copy and every timer is one event, but not one queue entry.
+Heap entries are plain ``(time, seq, action, arg)`` tuples (no dataclass
+construction or rich comparison per event -- the seq tiebreak means
+``action``/``arg`` are never compared), and the number of live
+(non-cancelled) events is tracked incrementally so
 :meth:`Simulator.pending_events` is O(1) even in cancellation-heavy runs
 such as resend-throttled scenarios.  A timer's ``arg`` is its
-:class:`EventHandle` and it runs as ``action()``; a fire-and-forget entry
-(a message delivery, see :meth:`Simulator.schedule_fire`) carries its
-argument -- the copy's :class:`~repro.net.network.Envelope` -- and runs as
-``action(arg)``, so a copy in flight is one tuple and one envelope, with no
-handle and no closure.
+:class:`EventHandle` and it runs as ``action()``.  Message copies travel in
+*runs* (:meth:`Simulator.schedule_run`): the copies of one send -- a
+broadcast wave, or a lone send as a run of one -- reserve consecutive
+``seq`` numbers and share **one** heap entry, keyed by the copy due first
+and re-keyed to the next copy each time one runs (a multiway merge of
+sorted runs).  A copy in flight is then one delivery-time float and one
+position in its run's order, with no tuple, envelope or handle of its own,
+and the heap holds one entry per wave instead of one per copy.  The pop
+order is still the ``(time, seq)`` total order, so a run is bit-identical
+to queueing each copy as its own entry.
 """
 
 from __future__ import annotations
@@ -67,6 +72,27 @@ class EventHandle:
     def alive(self) -> bool:
         """True while the event is still queued (not executed, not cancelled)."""
         return self._sim is not None
+
+
+class _Run:
+    """The copies of one :meth:`Simulator.schedule_run` call still queued.
+
+    Copy ``k`` is due at ``times[k]`` with sequence number ``base + k``;
+    ``order`` lists the ``k`` in ``(time, seq)`` order and ``pos`` is the
+    next one due.  ``arg`` is handed to the run's action with each ``k``.
+    """
+
+    __slots__ = ("times", "order", "pos", "base", "arg")
+
+    def __init__(self, times: list[float], order: Any, base: int, arg: Any) -> None:
+        self.times = times
+        self.order = order
+        self.pos = 0
+        self.base = base
+        self.arg = arg
+
+
+_FIRST = (0,)  # the order of every run of one
 
 
 class Simulator:
@@ -172,24 +198,34 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         return self.schedule_at(self._now + delay, action, tag)
 
-    def schedule_fire(
-        self, time: float, action: Callable[[Any], None], arg: Any
+    def schedule_run(
+        self, times: list[float], action: Callable[[Any, int], None], arg: Any
     ) -> None:
-        """Fire-and-forget scheduling: ``action(arg)`` runs at ``time``.
+        """Fire-and-forget batch: ``action(arg, k)`` runs at ``times[k]``.
 
-        No :class:`EventHandle`, no tag and no closure: at message-delivery
-        rates (one event per copy, never cancelled) each of those is
-        measurable, so the network fabric queues the copy's envelope itself
-        as ``arg``.  Counts toward :attr:`pending_events` like any event.
+        Every ``k`` reserves its own consecutive ``seq``, so the copies run
+        exactly where one ``schedule_at`` per copy, made in ``k`` order,
+        would have run them -- but the whole batch is one heap entry, keyed
+        by its earliest ``(time, seq)`` and re-keyed to the next one each
+        time one runs.  No :class:`EventHandle` and no tag: a batch is never
+        cancelled.  Each ``k`` counts toward :attr:`pending_events`.
         """
-        if time < self._now:
+        count = len(times)
+        if count == 1:
+            order: Any = _FIRST
+        else:
+            order = sorted(range(count), key=times.__getitem__)
+        k = order[0]
+        if times[k] < self._now:
             raise SimulationError(
-                f"cannot schedule event at t={time:.6f} before now={self._now:.6f}"
+                f"cannot schedule event at t={times[k]:.6f} before now={self._now:.6f}"
             )
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, action, arg))
-        self._live_events += 1
+        base = self._next_seq
+        self._next_seq = base + count
+        self._live_events += count
+        heapq.heappush(
+            self._queue, (times[k], base + k, action, _Run(times, order, base, arg))
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -230,22 +266,35 @@ class Simulator:
         budget = -1 if max_events is None else max(0, max_events)
         queue = self._queue
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         try:
-            # Pop first, then look: one heap operation per event.  An entry
-            # beyond ``until`` goes back (once per call); a cancelled one is
-            # dropped.  Either way the (time, seq) order is unchanged.
+            # Look first, then take: a run with copies left is re-keyed in
+            # place (one heap operation per event either way).  A cancelled
+            # timer is dropped; an entry beyond ``until`` stays queued.
             while queue and executed != budget and not self._stop_requested:
-                entry = heappop(queue)
+                entry = queue[0]
                 time = entry[0]
                 if until is not None and time > until:
-                    heapq.heappush(queue, entry)
                     break
                 arg = entry[3]
                 timer = arg.__class__ is EventHandle
                 if timer:
+                    heappop(queue)
                     if arg.cancelled:
                         continue
                     arg._sim = None
+                else:
+                    # A run: take its head copy, re-key it to the next one.
+                    order = arg.order
+                    pos = arg.pos
+                    k = order[pos]
+                    pos += 1
+                    if pos < len(order):
+                        arg.pos = pos
+                        nxt = order[pos]
+                        heapreplace(queue, (arg.times[nxt], arg.base + nxt, entry[2], arg))
+                    else:
+                        heappop(queue)
                 self._live_events -= 1
                 self._now = time
                 self._events_executed += 1
@@ -253,7 +302,7 @@ class Simulator:
                 if timer:
                     entry[2]()
                 else:
-                    entry[2](arg)
+                    entry[2](arg.arg, k)
         finally:
             self._running = False
         return executed

@@ -88,8 +88,8 @@ class KeyedSimulator(Simulator):
 
     Heap entries are ``(time, rank, action, arg, owner)``; ``rank`` is the
     epoch tuple described in the module docstring (a *total* tie-break, so
-    actions/args are never compared), ``arg`` a timer's handle or a
-    delivery's envelope as on the serial kernel, ``owner`` the owning node
+    actions/args are never compared), ``arg`` a timer's handle or, unlike
+    the serial kernel's runs, one delivery's envelope, ``owner`` the owning node
     id or ``None`` for cluster-global events.  Scheduling always allocates a rank
     (counters must advance identically on every shard) but only pushes the
     event when the owner lives on this shard; remote-owned scheduling returns
@@ -151,6 +151,13 @@ class KeyedSimulator(Simulator):
         # dead handle so local cancel() calls are harmless no-ops.
         return EventHandle(time, tag, _sim=None)
 
+    def schedule_run(
+        self, times: list[float], action: Callable[[Any, int], None], arg: Any
+    ) -> None:
+        """Refused: this kernel's :meth:`_run_round` executes no runs, so
+        :class:`ShardNetwork` queues each copy with :meth:`schedule_fire`."""
+        raise SimulationError("the keyed kernel queues each copy as its own entry")
+
     def schedule_fire(
         self,
         time: float,
@@ -158,8 +165,8 @@ class KeyedSimulator(Simulator):
         arg: Any,
         owner: Optional[int] = None,
     ) -> None:
-        """As on the serial kernel, owned by ``owner`` (a delivery's
-        receiver) or else by the scheduling context's owner."""
+        """Queue ``action(arg)`` at ``time``, owned by ``owner`` (a
+        delivery's receiver) or else by the scheduling context's owner."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f} before now={self._now:.6f}"
@@ -352,31 +359,34 @@ class _NodeScope:
 class ShardNetwork(Network):
     """Network fabric for one shard.
 
-    Deliveries to locally-homed receivers go straight onto this shard's
-    heap (owned by the receiver, so the receiver's protocol reactions stay
-    on its home shard); deliveries to remote receivers consume a rank and
-    are staged in the simulator's outbox for the coordinator to route.
+    Each copy keeps its own entry here, not a run: its rank and its home
+    shard are its own.  Deliveries to locally-homed receivers go straight
+    onto this shard's heap (owned by the receiver, so the receiver's
+    protocol reactions stay on its home shard); deliveries to remote
+    receivers consume a rank and are staged in the simulator's outbox for
+    the coordinator to route.
     """
 
-    def _deliver_later(
+    def _queue_copies(
         self,
         sender: int,
-        receiver: int,
+        receivers: Sequence[int],
         payload: object,
         sent_at: float,
-        delay: float,
+        times: list[float],
     ) -> None:
         sim: KeyedSimulator = self._sim  # type: ignore[assignment]
-        at = sent_at + delay
-        if receiver % sim.shard_count == sim.shard_index:
-            sim.schedule_fire(
-                at,
-                self._deliver_now,
-                Envelope(sender, receiver, payload, sent_at, at),
-                receiver,
-            )
-        else:
-            sim.export_delivery(at, (sender, receiver, payload, sent_at))
+        deliver = self._deliver_now
+        for receiver, at in zip(receivers, times):
+            if receiver % sim.shard_count == sim.shard_index:
+                sim.schedule_fire(
+                    at,
+                    deliver,
+                    Envelope(sender, receiver, payload, sent_at, at),
+                    receiver,
+                )
+            else:
+                sim.export_delivery(at, (sender, receiver, payload, sent_at))
 
 
 class ShardTracer(Tracer):

@@ -322,9 +322,9 @@ def test_watch_vs_eager_oracle_differential(seed: int) -> None:
         # maturation, and never for a cancelled watch (the dispatch
         # conditions the push evaluators lean on).
         assert not watch.cancelled, "event fired for a cancelled watch"
-        count = len(watch._matured)
+        count = watch._count
         assert count in watch.thresholds or (
-            watch.sentinel is not None and watch.sentinel in watch._matured
+            watch.sentinel is not None and watch._matured >> watch.sentinel & 1
         ), f"event fired at count {count} with no threshold/sentinel cause"
         fired.append((watch.key, watch.start, count))
 

@@ -28,6 +28,7 @@ from repro.net.delivery import (
 )
 from repro.core.params import ProtocolParams
 from repro.net.network import Envelope
+from repro.sim.engine import SimulationError
 from repro.sim.rand import RandomSource
 from repro.sim.shard import (
     KeyedSimulator,
@@ -345,6 +346,13 @@ class TestKeyedDeliveryEntries:
         assert [item[3] for item in sim.outbox] == [1, 3]
         for item in sim.outbox:
             assert len(item) == 6 and item[2:] == (0, item[3], "m", 0.0)
+
+    def test_the_keyed_kernel_refuses_runs(self):
+        # Its _run_round executes one copy per entry, never a run.
+        sim = KeyedSimulator(0, 2)
+        with pytest.raises(SimulationError):
+            sim.schedule_run([1.0, 2.0], print, None)
+        assert sim.pending_events == 0 and not sim._queue
 
     def test_injected_arrivals_and_timers_run_in_time_rank_order(self):
         sender_sim, sender_net = self.build(0, lambda env: None)

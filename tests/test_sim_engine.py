@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.delivery import UniformDelay
+from repro.net.delivery import DeliveryDecision, UniformDelay
 from repro.net.network import Envelope, Network
 from repro.sim.engine import EventHandle, SimulationError, Simulator
 from repro.sim.rand import RandomSource
@@ -291,61 +292,230 @@ class TestLiveEventAccounting:
         assert sim.pending_events == 0
 
 
-class TestDeliveryEntries:
-    """A queued message copy is one ``(time, seq, action, envelope)`` entry."""
+class _ScriptedDelay:
+    """Delay by receiver from a fixed table: the drawn instants are known."""
 
-    def build(self, receive):
+    def __init__(self, delays):
+        self.delays = delays
+
+    def decide(self, sender, receiver, payload, rng):
+        return DeliveryDecision(self.delays[receiver])
+
+    def min_delay(self):
+        return min(self.delays.values())
+
+
+class TestDeliveryEntries:
+    """A send is one heap entry: a run of its copies in ``(time, seq)`` order."""
+
+    # Receivers 1 and 2 tie at 0.3: within a run, seq (send order) decides.
+    DELAYS = {0: 0.7, 1: 0.3, 2: 0.3, 3: 0.9}
+
+    def build(self, receive, policy=None):
         sim = Simulator()
-        net = Network(sim, UniformDelay(0.1, 1.0), RandomSource(3))
+        net = Network(sim, policy or _ScriptedDelay(self.DELAYS), RandomSource(3))
         for node in range(4):
             net.register(node, receive)
         return sim, net
 
-    def test_broadcast_queues_envelopes_keyed_by_their_delivery_time(self):
-        sim, net = self.build(lambda env: None)
+    def test_broadcast_queues_one_run_entry(self):
+        sim, net = self.build(lambda env: None, UniformDelay(0.1, 1.0))
         sim.schedule_at(0.5, lambda: None)
         net.broadcast(0, "m")
+        assert len(sim._queue) == 2 and sim.pending_events == 5
+        net.send(1, 2, "x")  # a lone send is a run of one
+        assert len(sim._queue) == 3 and sim.pending_events == 6
         for entry in sim._queue:
             assert not any(isinstance(part, functools.partial) for part in entry)
-        deliveries = [e for e in sim._queue if type(e[3]) is not EventHandle]
-        assert len(deliveries) == 4
-        for time, _seq, _action, envelope in deliveries:
-            assert type(envelope) is Envelope
-            assert envelope.delivered_at == time
-            assert envelope.sender == 0 and envelope.payload == "m"
-            assert envelope.sent_at == 0.0
-        assert sorted(e[3].receiver for e in deliveries) == [0, 1, 2, 3]
-        assert len({id(e[2]) for e in deliveries}) == 1  # one shared action
+            assert not any(type(part) is Envelope for part in entry)
+        runs = [e for e in sim._queue if type(e[3]) is not EventHandle]
+        assert len(runs) == 2
+        assert len({id(e[2]) for e in runs}) == 1  # one shared action
+        assert sim.run() == 6 and sim.pending_events == 0 and not sim._queue
 
     def test_deliveries_and_timers_run_in_time_seq_order(self):
         order = []
-        sim, net = self.build(lambda env: order.append(("copy", env.delivered_at)))
+        sim, net = self.build(lambda env: order.append(("copy", env.receiver)))
+        sim.schedule_at(0.3, lambda: order.append(("timer", "before")))
         net.broadcast(0, "m")
-        times = sorted(e[0] for e in sim._queue)
-        for t in (0.0, times[1], (times[1] + times[2]) / 2, times[-1], 2.0):
+        for t in (0.0, 0.3, 0.5, 0.7, 2.0):
             sim.schedule_at(t, lambda t=t: order.append(("timer", t)))
-        keys = sorted(e[:2] for e in sim._queue)
-        assert sim.pending_events == 9
-        assert sim.run() == 9
-        assert [t for _kind, t in order] == [time for time, _seq in keys]
-        # At equal times the copy, queued first, runs first.
-        assert order.index(("copy", times[1])) < order.index(("timer", times[1]))
-        assert sim.pending_events == 0
+        assert len(sim._queue) == 7 and sim.pending_events == 10
+        times = []
+        while sim.step():
+            times.append(sim.now)
+        assert times == sorted(times) and len(times) == 10
+        # Equal instants run in scheduling order: the timer queued before
+        # the wave, then copies 1 and 2 in send order, then the later timer.
+        assert order == [
+            ("timer", 0.0),
+            ("timer", "before"),
+            ("copy", 1),
+            ("copy", 2),
+            ("timer", 0.3),
+            ("timer", 0.5),
+            ("copy", 0),
+            ("timer", 0.7),
+            ("copy", 3),
+            ("timer", 2.0),
+        ]
+        assert sim.pending_events == 0 and sim.events_executed == 10
 
     def test_delivery_survives_the_put_back_in_run_until(self):
         got = []
         sim, net = self.build(got.append)
-        net.broadcast(0, "m")
-        times = sorted(e[0] for e in sim._queue)
-        sim.run_until((times[1] + times[2]) / 2)
-        assert [env.delivered_at for env in got] == times[:2]
-        assert sim.pending_events == 2
-        assert all(type(e[3]) is Envelope for e in sim._queue)
+        sim.run_until(0.25)
+        net.broadcast(2, "m")
+        sim.run_until(0.25 + 0.3)  # inclusive: both tied copies run
+        assert [env.receiver for env in got] == [1, 2]
+        assert sim.pending_events == 2 and len(sim._queue) == 1
+        assert sim.now == 0.55
+        sim.run_until(0.9)  # the head copy (0.95) is looked at and kept
+        assert len(got) == 2 and sim.pending_events == 2 and sim.now == 0.9
         sim.run()
-        assert [env.delivered_at for env in got] == times
-        assert sim.now == times[-1] and sim.pending_events == 0
+        assert [env.receiver for env in got] == [1, 2, 0, 3]
+        for env in got:
+            assert type(env) is Envelope
+            assert env.sender == 2 and env.payload == "m" and env.sent_at == 0.25
+            # The envelope carries the very instant drawn at send.
+            assert env.delivered_at == 0.25 + self.DELAYS[env.receiver]
+        assert sim.now == got[-1].delivered_at and sim.pending_events == 0
 
     def test_fire_in_the_past_raises(self):
         sim = Simulator(start_time=5.0)
         with pytest.raises(SimulationError):
-            sim.schedule_fire(4.0, print, None)
+            sim.schedule_run([6.0, 4.0], print, None)
+        assert sim.pending_events == 0 and not sim._queue
+
+
+class _PerCopyNetwork(Network):
+    """The oracle: each copy its own queue entry, its envelope built at send."""
+
+    def _queue_copies(self, sender, receivers, payload, sent_at, times):
+        for receiver, at in zip(receivers, times):
+            envelope = Envelope(sender, receiver, payload, sent_at, at)
+            self._sim.schedule_at(at, functools.partial(self._deliver_now, envelope))
+
+
+class _CoarseLossy:
+    """Drops one copy in five; delays on a coarse grid, so instants tie."""
+
+    def decide(self, sender, receiver, payload, rng):
+        if rng.uniform(0.0, 1.0) < 0.2:
+            return DeliveryDecision.dropped()
+        return DeliveryDecision(rng.choice([0.25, 0.5, 0.5, 1.0, 1.5]))
+
+    def min_delay(self):
+        return 0.25
+
+
+class _World:
+    """One kernel and fabric, logging every delivery and timer it runs."""
+
+    def __init__(self, net_cls, seed):
+        self.sim = Simulator()
+        self.net = net_cls(self.sim, _CoarseLossy(), RandomSource(seed))
+        self.log = []
+        for node in range(5):
+            self.net.register(node, self.receive)
+
+    def receive(self, env):
+        self.log.append((env.delivered_at, env.sender, env.receiver, env.payload))
+        tag, hops = env.payload
+        if hops and env.receiver % 2:  # odd receivers relay, fanning out
+            self.net.broadcast(env.receiver, (tag, hops - 1))
+
+    def timer(self, tag):
+        self.log.append((self.sim.now, None, None, tag))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_runs_match_the_per_copy_oracle(seed):
+    """Runs on the serial kernel are bit-identical to per-copy entries.
+
+    Both fabrics make the same draws; only how copies are queued differs.
+    After every step the delivered ``(delivered_at, sender, receiver,
+    payload)`` sequence, ``pending_events`` and ``events_executed`` agree.
+    """
+    rng = random.Random(seed)
+    worlds = [_World(Network, seed), _World(_PerCopyNetwork, seed)]
+    for step in range(200):
+        roll = rng.random()
+        sender, receiver = rng.randrange(5), rng.randrange(5)
+        if roll < 0.25:
+            payload = (f"b{step}", rng.choice([0, 0, 1]))
+            for w in worlds:
+                w.net.broadcast(sender, payload)
+        elif roll < 0.4:
+            for w in worlds:
+                w.net.send(sender, receiver, (f"s{step}", 0))
+        elif roll < 0.47:
+            for w in worlds:
+                w.net.partition(sender)
+        elif roll < 0.55:
+            for w in worlds:
+                w.net.heal(sender)
+        elif roll < 0.7:
+            # On the delay grid, so timers tie with copies and each other.
+            delay = rng.choice([0.0, 0.25, 0.5, 1.0])
+            for w in worlds:
+                w.sim.schedule_at(
+                    w.sim.now + delay, functools.partial(w.timer, f"t{step}")
+                )
+        elif roll < 0.85:
+            # Often exactly on an instant, so the inclusive bound and the
+            # put-back of the first entry beyond it both run.
+            span = rng.choice([0.0, 0.25, 0.3, 0.5, 1.0])
+            for w in worlds:
+                w.sim.run_until(w.sim.now + span)
+        elif roll < 0.95:
+            budget = rng.randrange(4)
+            for w in worlds:
+                w.sim.run(max_events=budget)
+        else:
+            for w in worlds:
+                w.sim.step()
+        run, oracle = worlds
+        assert run.log == oracle.log, f"step {step}"
+        assert run.sim.pending_events == oracle.sim.pending_events
+        assert run.sim.events_executed == oracle.sim.events_executed
+        assert run.sim.now == oracle.sim.now
+    for w in worlds:
+        w.sim.run()
+    run, oracle = worlds
+    assert run.log == oracle.log and len(run.log) > 50
+    assert run.sim.events_executed == oracle.sim.events_executed
+    assert (run.net.delivered_count, run.net.dropped_count) == (
+        oracle.net.delivered_count,
+        oracle.net.dropped_count,
+    )
+
+
+class TestMemoryGuard:
+    """The in-flight copies and the watches stay lean at n = 25."""
+
+    # tracemalloc peak of the run below, measured when waves became runs
+    # and watches bitmasks: 8.69 MB on CPython 3.11.7 (x86_64).  Before,
+    # with one heap entry and one envelope per copy and a set per watch,
+    # it was 13.2 MB.
+    MEASURED_PEAK_MB = 8.69
+
+    def test_one_n25_agreement_peak(self):
+        import gc
+        import tracemalloc
+
+        from repro.core.params import ProtocolParams
+        from repro.harness.scenario import Cluster, ScenarioConfig
+
+        params = ProtocolParams(n=25, f=8, delta=1.0, rho=0.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cluster = Cluster(ScenarioConfig(params=params, seed=0, trace=False))
+            assert cluster.propose(general=0, value="v")
+            cluster.run_for(params.delta_agr + 10 * params.d)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cluster.latest_decision_per_node(0)) == 25
+        assert peak <= 1.25 * self.MEASURED_PEAK_MB * 1e6, f"{peak / 1e6:.2f} MB"

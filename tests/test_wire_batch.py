@@ -26,6 +26,7 @@ from repro.runtime.framing import (
     FrameEncoder,
     decode_frames,
     derive_key,
+    encode_frame,
 )
 
 # The authentic (right key, valid tag) JSON frames test_framing pins, as a
@@ -620,6 +621,7 @@ class TestRetiredCodecByteIsRejectedOnBothCarriers:
         async def scenario():
             transport = AsyncioTransport(time_scale=0.001, auth_key=RETIRED_KEY)
             inbox: list = []
+            transport.register(0, lambda e: None)  # the sender is a member
             transport.register(1, inbox.append)
             try:
                 transport._transmit(1, bytes.fromhex(RETIRED_JSON_FRAMES[name]), 1)
@@ -655,6 +657,64 @@ class TestRetiredCodecByteIsRejectedOnBothCarriers:
         inbox, transport = asyncio.run(scenario())
         assert inbox == []
         assert (transport.rejected_count, transport.delivered_count) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# A sender outside the cluster is rejected, however well its frame seals
+# ---------------------------------------------------------------------------
+OUTSIDERS = [4, 2**32 - 1]  # n = 4: the first id past the cluster, the last id
+
+
+@pytest.mark.parametrize("outsider", OUTSIDERS)
+class TestSenderOutsideTheClusterIsRejectedOnBothCarriers:
+    def test_asyncio_carrier(self, outsider) -> None:
+        from repro.runtime.aio import AsyncioTransport
+
+        async def scenario():
+            transport = AsyncioTransport(time_scale=0.001, auth_key=KEY)
+            inbox: list = []
+            for node in (0, 2, 3):
+                transport.register(node, lambda e: None)
+            transport.register(1, inbox.append)
+            try:
+                forged = encode_frame(outsider, "forged", KEY, 1.0)
+                transport._transmit(1, forged, 1)
+                transport._transmit(1, encode_frame(3, "member", KEY, 1.0), 1)
+                await asyncio.sleep(0.01)
+            finally:
+                transport.close()
+            return [(e.sender, e.payload) for e in inbox], transport
+
+        delivered, transport = asyncio.run(scenario())
+        assert delivered == [(3, "member")]
+        assert (transport.rejected_count, transport.delivered_count) == (1, 1)
+
+    def test_socket_carrier(self, outsider) -> None:
+        from repro.runtime.socket_host import SocketTransport
+
+        async def scenario():
+            peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            peer.bind(("127.0.0.1", 0))
+            directory = {node: peer.getsockname() for node in (0, 2, 3)}
+            transport = SocketTransport(1, KEY, 0.001, time.time(), directory)
+            inbox: list = []
+            transport.register(1, inbox.append)
+            try:
+                forged = encode_frame(outsider, "forged", KEY, 1.0)
+                peer.sendto(forged, transport.address)
+                peer.sendto(encode_frame(3, "member", KEY, 1.0), transport.address)
+                for _ in range(100):
+                    if transport.rejected_count and transport.delivered_count:
+                        break
+                    await asyncio.sleep(0.005)
+            finally:
+                peer.close()
+                transport.close()
+            return [(e.sender, e.payload) for e in inbox], transport
+
+        delivered, transport = asyncio.run(scenario())
+        assert delivered == [(3, "member")]
+        assert (transport.rejected_count, transport.delivered_count) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
