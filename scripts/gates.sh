@@ -6,14 +6,14 @@
 #   ./scripts/gates.sh tier1 ratios     # the named gates only
 #
 # Gates: tier1 hygiene asyncio_smoke socket_smoke chaos_smoke service_smoke
-#        live_cluster suite_shards bench_seam ratios surface
+#        live_cluster bench_seam ratios surface
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 ALL=(tier1 hygiene asyncio_smoke socket_smoke chaos_smoke service_smoke
-     live_cluster suite_shards bench_seam ratios surface)
+     live_cluster bench_seam ratios surface)
 
 # The test files the hygiene gate runs under dev mode; tier1 skips them so
 # no test runs twice.
@@ -98,31 +98,6 @@ gate_live_cluster() {
     bounded 180 "live cluster gate" sh -c \
         'python scripts/live_cluster_gate.py --backend socket &&
          python scripts/live_cluster_gate.py --backend asyncio'
-}
-
-# The scenario-matrix smoke (2 timelines x 2 seeds) through the suite
-# runner, serially and on two shard worker processes: the sharded rows,
-# trace digests included, must equal the serial ones bit for bit.  The
-# program goes in with -c, not on stdin: forkserver children re-import
-# __main__ by its path, and a heredoc's path is "<stdin>".
-gate_suite_shards() {
-    python -c '
-import sys
-
-from repro.harness.suite import SUITE_PRESETS, run_suite
-
-serial = run_suite(SUITE_PRESETS["smoke"], workers=2)
-sharded = run_suite(SUITE_PRESETS["smoke"], shards=2, shard_transport="process")
-if sharded != serial:
-    for before, after in zip(serial, sharded):
-        if before != after:
-            print("  serial :", before, file=sys.stderr)
-            print("  sharded:", after, file=sys.stderr)
-    sys.exit("sharded suite rows diverged from serial")
-digests = ", ".join(sorted({row["digest"] for row in serial if "digest" in row}))
-print(f"ok: {len(serial)} rows bit-identical at shards=2, process transport "
-      f"(digests: {digests or None})")
-'
 }
 
 # The repo benchmark (BENCHMARK.json, bench/) patches kernel, network, core,

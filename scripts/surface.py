@@ -10,9 +10,9 @@ subprocesses, and every spawned or forkserver child (a forked child inherits
 it).  The hook installs a ``sys.setprofile`` function on every thread that
 records each code object from the source tree the first time it is called,
 and writes that one line straight to the process's record file.  Nothing is
-dumped at exit, so a child that leaves through ``os._exit`` (shard workers,
-pool workers, socket children) or is killed (the chaos and respawn tests)
-has already reported what it ran.
+dumped at exit, so a child that leaves through ``os._exit`` (pool workers,
+socket children) or is killed (the chaos and respawn tests) has already
+reported what it ran.
 
 The source tree is then compiled and every ``def`` in it listed.  The gate
 fails on a never-called function that is not in the allowlist, and on an

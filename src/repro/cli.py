@@ -108,19 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="process-pool size for per-seed fan-out (default: serial)",
         )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="run each scenario on the sharded sim kernel with this many "
-            "shard groups (bit-identical results; default: serial kernel)",
-        )
-        p.add_argument(
-            "--shard-transport",
-            choices=("process", "inline"),
-            default=None,
-            help="shard execution transport (default: process)",
-        )
 
     constants = sub.add_parser("constants", help="print derived timing constants")
     add_model_args(constants)
@@ -380,10 +367,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.seeds is not None:
         seed_fn = partial(_run_one_seed, params, args.attack, args.general, args.value)
-        if args.shards is not None:
-            from repro.harness.registry import _ShardedSeedFn
-
-            seed_fn = _ShardedSeedFn(seed_fn, args.shards, args.shard_transport)
         with SeedPool.shared(args.workers) as pool:
             results = pool.map(seed_fn, args.seeds)
         all_ok = True
@@ -404,8 +387,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             params=params,
             seed=args.seed,
             byzantine=byzantine,
-            shards=args.shards,
-            shard_transport=args.shard_transport or "process",
         )
     )
     if args.attack == "none":
@@ -835,13 +816,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         print("suite: need --preset or --config", file=sys.stderr)
         return 2
 
-    rows = run_suite(
-        config,
-        workers=args.workers,
-        seeds=args.seeds,
-        shards=args.shards,
-        shard_transport=args.shard_transport,
-    )
+    rows = run_suite(config, workers=args.workers, seeds=args.seeds)
     if args.csv:
         print(rows_to_csv(rows), end="")
     else:

@@ -204,9 +204,8 @@ class Crash(FaultAction):
     state_loss: bool = False
 
     def apply(self, cluster: "Cluster", index: int = 0) -> None:
-        for pos, node_id in enumerate(self.nodes):
-            with cluster.node_scope(node_id, pos):
-                crash_in_process(cluster.nodes[node_id], self.state_loss)
+        for node_id in self.nodes:
+            crash_in_process(cluster.nodes[node_id], self.state_loss)
 
 
 @dataclass(frozen=True)
@@ -241,9 +240,8 @@ class Restart(FaultAction):
                 value_pool=list(self.value_pool),
                 generals=list(self.generals),
             )
-        for pos, node_id in enumerate(self.nodes):
-            with cluster.node_scope(node_id, pos):
-                restart_in_process(cluster.nodes[node_id], injector)
+        for node_id in self.nodes:
+            restart_in_process(cluster.nodes[node_id], injector)
 
 
 @dataclass(frozen=True)
@@ -261,14 +259,13 @@ class SwapStrategy(FaultAction):
             )
 
     def apply(self, cluster: "Cluster", index: int = 0) -> None:
-        with cluster.node_scope(self.node, 0):
-            target = cluster.nodes[self.node]
-            if not hasattr(target, "strategy"):
-                raise TypeError(
-                    f"node {self.node} is not Byzantine; cannot swap strategy"
-                )
-            target.strategy = self.strategy
-            self.strategy.install(target)  # type: ignore[union-attr]
+        target = cluster.nodes[self.node]
+        if not hasattr(target, "strategy"):
+            raise TypeError(
+                f"node {self.node} is not Byzantine; cannot swap strategy"
+            )
+        target.strategy = self.strategy
+        self.strategy.install(target)  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True)
@@ -353,16 +350,8 @@ class FaultScript:
         return cls(tuple(actions))
 
     def install(self, cluster: "Cluster", start_real: "float | None" = None) -> None:
-        """Schedule all actions on the cluster's simulator.
-
-        A sharded driving facade has no local simulator; it exposes
-        ``install_script``, which validates the script and replays this
-        method inside every shard worker.
-        """
-        installer = getattr(cluster, "install_script", None)
-        if installer is not None:
-            installer(self, start_real)
-            return
+        """Schedule all actions on the cluster's simulator, ``at_d`` units
+        of ``d`` after ``start_real`` (default: now)."""
         base = cluster.sim.now if start_real is None else start_real
         d = cluster.params.d
         ordered = sorted(enumerate(self.actions), key=lambda pair: pair[1].at_d)

@@ -80,31 +80,6 @@ class ExperimentSpec:
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 
-class _ShardedSeedFn:
-    """Picklable wrapper running a seed function under a sharding default.
-
-    Seed functions build their own :class:`~repro.harness.scenario.Cluster`
-    objects, so sharding is threaded through the process-wide default
-    (:func:`~repro.harness.scenario.set_default_shards`) rather than through
-    every driver signature; the wrapper scopes the default to the one call
-    so pool workers stay reusable for serial work.
-    """
-
-    def __init__(self, fn: SeedFn, shards: int, transport: Optional[str]) -> None:
-        self.fn = fn
-        self.shards = shards
-        self.transport = transport
-
-    def __call__(self, seed: int) -> Any:
-        from repro.harness.scenario import set_default_shards
-
-        previous = set_default_shards(self.shards, self.transport)
-        try:
-            return self.fn(seed)
-        finally:
-            set_default_shards(*previous)
-
-
 def _ensure_builtin_experiments() -> None:
     """Populate the registry with the built-in E1..E10 specs.
 
@@ -169,8 +144,6 @@ def run_experiment(
     *,
     seeds: Optional[Iterable[int]] = None,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_transport: Optional[str] = None,
     **sweep_kwargs: Any,
 ) -> list[dict]:
     """Run one experiment through the shared engine; returns its rows.
@@ -178,8 +151,6 @@ def run_experiment(
     ``seeds`` defaults to the spec's registered default seed list; any other
     sweep kwarg omitted here also falls back to the spec default, so
     ``run_experiment("e9")`` reproduces the public driver's default table.
-    ``shards`` runs every per-seed scenario on the sharded kernel
-    (:mod:`repro.sim.shard`) -- bit-identical rows, multiple cores per run.
     """
     spec = (
         name_or_spec
@@ -194,10 +165,7 @@ def run_experiment(
     rows: list[dict] = []
     with SeedPool.shared(workers) as pool:
         for group in spec.groups(**merged):
-            seed_fn = group.seed_fn
-            if shards is not None:
-                seed_fn = _ShardedSeedFn(seed_fn, shards, shard_transport)
-            results = pool.map(seed_fn, seed_list)
+            results = pool.map(group.seed_fn, seed_list)
             rows.extend(group.rows(results, seed_list))
     return rows
 

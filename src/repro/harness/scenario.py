@@ -59,14 +59,6 @@ class ScenarioConfig:
         Ablation knobs (in units of ``d``): period of the background cleanup
         tick and the identical-message re-send throttle.  Defaults match the
         paper's assumptions; the ablation benches sweep them.
-    shards / shard_transport:
-        Partition the run's nodes into this many shard groups, each an
-        independent event loop (see :mod:`repro.sim.shard`), exchanging
-        cross-shard deliveries through a conservative-synchronization
-        boundary.  ``None`` (default) runs the serial kernel; results are
-        bit-identical either way.  ``shard_transport`` selects ``"process"``
-        (one OS process per shard) or ``"inline"`` (in-process, for tests
-        and single-core machines).
     """
 
     params: ProtocolParams
@@ -79,74 +71,29 @@ class ScenarioConfig:
     allow_extra_byzantine: bool = False
     cleanup_interval_d: float = 1.0
     resend_gap_d: float = 1.0
-    shards: Optional[int] = None
-    shard_transport: str = "process"
-
-
-# Process-wide sharding default, applied to configs that leave ``shards``
-# unset.  Lets the experiment registry re-run unmodified seed functions
-# (which build their own Clusters) under the sharded kernel.
-_DEFAULT_SHARDS: list = [None, None]
-
-
-def set_default_shards(
-    shards: Optional[int], transport: Optional[str] = None
-) -> tuple[Optional[int], Optional[str]]:
-    """Set the process-wide sharding default for subsequently built clusters.
-
-    Returns the previous ``(shards, transport)`` pair so callers can restore
-    it (``try/finally``); explicit ``ScenarioConfig.shards`` values always
-    win over the default.
-    """
-    previous = (_DEFAULT_SHARDS[0], _DEFAULT_SHARDS[1])
-    _DEFAULT_SHARDS[0] = shards
-    _DEFAULT_SHARDS[1] = transport
-    return previous
 
 
 class Cluster:
     """A built scenario: simulator + network + nodes, ready to run.
 
-    When the config (or the :func:`set_default_shards` process default)
-    requests sharding, constructing a ``Cluster`` transparently returns a
-    :class:`repro.sim.shard.ShardedCluster` driving facade instead -- same
-    results, bit for bit, with the event loops living in shard workers.
+    ``_sim`` substitutes the simulator, e.g. one started at a late instant.
     """
-
-    sharded = False
-
-    def __new__(cls, config: "ScenarioConfig | None" = None, **kwargs: object):
-        # Dispatch only for plain, hook-free construction: subclasses and the
-        # shard workers themselves (which pass _sim/_tracer/_net_cls) always
-        # get a real serial-kernel cluster.
-        if cls is Cluster and config is not None and not kwargs:
-            shards = config.shards
-            transport: Optional[str] = None
-            if shards is None:
-                shards, transport = _DEFAULT_SHARDS
-            if shards is not None:
-                from repro.sim.shard import ShardedCluster
-
-                return ShardedCluster(config, shards=shards, transport=transport)
-        return super().__new__(cls)
 
     def __init__(
         self,
         config: ScenarioConfig,
         *,
         _sim: Optional[Simulator] = None,
-        _tracer: Optional[Tracer] = None,
-        _net_cls: type = Network,
     ) -> None:
         self.config = config
         self.params = config.params
         self.rng = RandomSource(config.seed)
         self.sim = _sim if _sim is not None else Simulator()
-        self.tracer = _tracer if _tracer is not None else Tracer(enabled=config.trace)
+        self.tracer = Tracer(enabled=config.trace)
         policy = config.policy or UniformDelay(
             0.1 * self.params.delta, self.params.delta
         )
-        self.net = _net_cls(self.sim, policy, self.rng.split("net"), self.tracer)
+        self.net = Network(self.sim, policy, self.rng.split("net"), self.tracer)
 
         self.nodes: dict[int, Node] = {}
         self.correct_ids: list[int] = []
@@ -180,36 +127,32 @@ class Cluster:
                 f"{len(self.config.byzantine)} Byzantine nodes exceeds f={self.params.f}"
             )
         for node_id in range(self.params.n):
-            # The owner scope attributes construction-time events (background
-            # cleanup ticks, strategy timers) and trace records to the node;
-            # a no-op on the serial kernel.
-            with self.sim.owner_scope(node_id):
-                ctx = NodeContext(
-                    sim=self.sim,
-                    net=self.net,
-                    tracer=self.tracer,
-                    clock_config=self._clock_config(node_id),
-                    rand=self.rng.split(f"host/{node_id}"),
+            ctx = NodeContext(
+                sim=self.sim,
+                net=self.net,
+                tracer=self.tracer,
+                clock_config=self._clock_config(node_id),
+                rand=self.rng.split(f"host/{node_id}"),
+            )
+            spec = self.config.byzantine.get(node_id)
+            if spec is None:
+                self.nodes[node_id] = ProtocolNode(
+                    node_id,
+                    ctx,
+                    self.params,
+                    cleanup_interval_d=self.config.cleanup_interval_d,
+                    resend_gap_d=self.config.resend_gap_d,
                 )
-                spec = self.config.byzantine.get(node_id)
-                if spec is None:
-                    self.nodes[node_id] = ProtocolNode(
-                        node_id,
-                        ctx,
-                        self.params,
-                        cleanup_interval_d=self.config.cleanup_interval_d,
-                        resend_gap_d=self.config.resend_gap_d,
-                    )
-                    self.correct_ids.append(node_id)
+                self.correct_ids.append(node_id)
+            else:
+                if hasattr(spec, "install"):
+                    strategy = spec
                 else:
-                    if hasattr(spec, "install"):
-                        strategy = spec
-                    else:
-                        strategy = spec(self.rng.split(f"byz/{node_id}"))  # type: ignore[operator]
-                    self.nodes[node_id] = ByzantineNode(
-                        node_id, ctx, self.params, strategy  # type: ignore[arg-type]
-                    )
-                    self.byzantine_ids.append(node_id)
+                    strategy = spec(self.rng.split(f"byz/{node_id}"))  # type: ignore[operator]
+                self.nodes[node_id] = ByzantineNode(
+                    node_id, ctx, self.params, strategy  # type: ignore[arg-type]
+                )
+                self.byzantine_ids.append(node_id)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -224,11 +167,6 @@ class Cluster:
         if not isinstance(node, ProtocolNode):
             raise TypeError(f"node {node_id} is not a correct protocol node")
         return node
-
-    def node_scope(self, node_id: Optional[int], pos: int):
-        """Per-node scope for multi-node fault actions (see
-        :meth:`repro.sim.engine.Simulator.node_scope`)."""
-        return self.sim.node_scope(node_id, pos)
 
     # ------------------------------------------------------------------
     # Driving the run
@@ -280,5 +218,4 @@ __all__ = [
     "Cluster",
     "ScenarioConfig",
     "StrategyOrFactory",
-    "set_default_shards",
 ]

@@ -124,56 +124,44 @@ def _run_cell(cell: dict, seed: int) -> tuple:
             seed=seed,
             byzantine=cast,
             trace=cell.get("trace", False),
-            shards=cell.get("shards"),
-            shard_transport=cell.get("shard_transport") or "process",
         )
     )
-    try:
-        # Policies may need the live cluster (e.g. bursty reads sim.now), so
-        # the named policy is built and swapped in before any event has run.
-        # A sharded facade has no single live cluster: the *name* ships to
-        # every shard worker and resolves against each shard's own state.
-        policy_spec = cell.get("policy", "uniform")
-        if cluster.sharded:
-            cluster.net.set_policy_spec(policy_spec)
-        else:
-            cluster.net.set_policy(build_policy(policy_spec, cluster))
-        script = build_timeline(cell.get("timeline", "none"), params)
-        script.install(cluster)
+    # Policies may need the live cluster (e.g. bursty reads sim.now), so
+    # the named policy is built and swapped in before any event has run.
+    cluster.net.set_policy(build_policy(cell.get("policy", "uniform"), cluster))
+    script = build_timeline(cell.get("timeline", "none"), params)
+    script.install(cluster)
 
-        general = cell.get("general", 0)
-        t0 = cluster.sim.now
-        proposed = cluster.propose(general=general, value=cell.get("value", "v"))
-        run_for_d = cell.get("run_for_d")
-        horizon = (
-            run_for_d * params.d
-            if run_for_d is not None
-            else params.delta_agr + 10 * params.d
-        )
-        cluster.run_for(horizon)
+    general = cell.get("general", 0)
+    t0 = cluster.sim.now
+    proposed = cluster.propose(general=general, value=cell.get("value", "v"))
+    run_for_d = cell.get("run_for_d")
+    horizon = (
+        run_for_d * params.d
+        if run_for_d is not None
+        else params.delta_agr + 10 * params.d
+    )
+    cluster.run_for(horizon)
 
-        # Churned nodes stop being correct mid-run; agreement quantifies over
-        # the nodes that stayed correct throughout.
-        agree = properties.agreement(
-            cluster, general, exclude=script.churned_nodes()
-        ).holds
-        latest = cluster.latest_decision_per_node(general)
-        decided = [dec for dec in latest.values() if dec.decided]
-        stats = metrics.message_stats(cluster)
-        return (
-            proposed,
-            agree,
-            len(decided),
-            tuple(metrics.decision_latencies(decided, t0)),
-            stats["sent"],
-            stats["delivered"],
-            stats["dropped_partition"],
-            stats["dropped_policy"],
-            trace_digest(cluster.tracer),
-        )
-    finally:
-        if cluster.sharded:
-            cluster.close()
+    # Churned nodes stop being correct mid-run; agreement quantifies over
+    # the nodes that stayed correct throughout.
+    agree = properties.agreement(
+        cluster, general, exclude=script.churned_nodes()
+    ).holds
+    latest = cluster.latest_decision_per_node(general)
+    decided = [dec for dec in latest.values() if dec.decided]
+    stats = metrics.message_stats(cluster)
+    return (
+        proposed,
+        agree,
+        len(decided),
+        tuple(metrics.decision_latencies(decided, t0)),
+        stats["sent"],
+        stats["delivered"],
+        stats["dropped_partition"],
+        stats["dropped_policy"],
+        trace_digest(cluster.tracer),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +226,16 @@ def run_suite(
     config: dict,
     workers: Optional[int] = None,
     seeds: Optional[Sequence[int]] = None,
-    shards: Optional[int] = None,
-    shard_transport: Optional[str] = None,
 ) -> list[dict]:
     """Run a whole suite config; one consolidated row per scenario cell.
 
     ``seeds``/``workers`` override the config's own values (CLI flags).
-    ``shards`` runs every cell on the sharded kernel
-    (:mod:`repro.sim.shard`); rows and digests are bit-identical to serial.
     Rows come back in grid order and are bit-identical for any worker
     count: each (cell, seed) run is a pure function shipped to the shared
     process pool, and aggregation happens in seed order in the parent.
     """
     seed_list = list(seeds if seeds is not None else config.get("seeds", range(3)))
     cells = expand_grid(config)
-    if shards is not None:
-        cells = [
-            dict(cell, shards=shards, shard_transport=shard_transport)
-            for cell in cells
-        ]
     rows = []
     with SeedPool.shared(workers) as pool:
         for cell in cells:

@@ -48,13 +48,12 @@ class DeliveryPolicy(Protocol):
     def min_delay(self) -> float:
         """A lower bound on the transit delay of any *delivered* copy.
 
-        The sharded kernel (:mod:`repro.sim.shard`) uses this as its
-        conservative-synchronization lookahead: a shard may safely execute
-        everything below ``min(peer horizons) + min_delay()`` because no
-        cross-shard message can arrive earlier.  The bound must hold for
-        every copy the policy ever delivers (dropped copies are exempt --
-        they never arrive); ``0.0`` is always sound but makes a policy
-        unusable with more than one shard.
+        :class:`~repro.runtime.wire.WireTransport` uses this as each held
+        copy's release floor: a copy coalesced into an earlier datagram
+        never leaves before ``send instant + min_delay()``.  The bound must
+        hold for every copy the policy ever delivers (dropped copies are
+        exempt -- they never arrive); ``0.0`` is always sound but lets the
+        wire release a copy as early as its coalescing slack allows.
         """
         ...
 
@@ -158,7 +157,7 @@ class IncoherentDelivery:
 
     def min_delay(self) -> float:
         # Delivered copies may arrive instantly -- the transient-period
-        # network offers no lookahead at all.
+        # network offers no floor at all.
         return 0.0
 
 

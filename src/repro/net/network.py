@@ -19,9 +19,9 @@ Per-copy delivery randomness comes from *per-sender* streams (lazy
 ``rng.split(f"sender/{i}")`` children of the network's stream), not one
 shared stream in global execution order.  A node's sends always happen while
 that node's own events execute, so each sender's draw sequence depends only
-on its own local history -- the property the sharded kernel
-(:mod:`repro.sim.shard`) relies on to keep delay draws bit-identical no
-matter which shard executes which node.
+on its own local history, not on how other nodes' events interleave with
+it.  That fixes each sender's draw order, and the golden rows and trace
+digests pin it.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from repro.sim.trace import Tracer
 class Envelope:
     """One message copy as its receiver sees it, built when it is delivered.
 
-    On the serial kernel a copy in flight is only a slot in its wave's run
+    A copy in flight is only a slot in its wave's run
     (:meth:`~repro.sim.engine.Simulator.schedule_run`); its envelope is made
-    at delivery, with ``delivered_at`` the instant drawn at send.  The keyed
-    kernel (:mod:`repro.sim.shard`) still queues one envelope per copy.
+    at delivery, with ``delivered_at`` the instant drawn at send.
     """
 
     sender: int
@@ -71,10 +70,8 @@ class Network:
         self._sender_rngs: dict[int, RandomSource] = {}
         self._tracer = tracer
         self._receivers: dict[int, Receiver] = {}
-        # Bound once (shadowing the methods): every queued run shares the
-        # first, and on the keyed kernel every queued copy the second.
+        # Bound once (shadowing the method): every queued run shares it.
         self._deliver_copy = self._deliver_copy
-        self._deliver_now = self._deliver_now
         self._node_ids: Optional[list[int]] = None  # cached sorted ids
         self._partitioned: set[int] = set()
         self.sent_count = 0

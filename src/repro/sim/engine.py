@@ -35,13 +35,9 @@ to queueing each copy as its own entry.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 from typing import Any, Callable, Optional
 
-# Reusable no-op context: the serial kernel's owner/node scoping hooks (see
-# KeyedSimulator in repro.sim.shard) must cost nothing on the serial path.
-_NULL_SCOPE = contextlib.nullcontext()
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulator (e.g. scheduling in the past)."""
@@ -131,46 +127,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of non-cancelled events still queued.  O(1)."""
         return self._live_events
-
-    def next_event_time(self) -> Optional[float]:
-        """Fire time of the earliest live event, or ``None`` if drained.
-
-        The sharded coordinator's horizon protocol polls this between
-        synchronization rounds; cancelled heads are lazily discarded (they
-        are dead weight either way).
-        """
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            arg = head[3]
-            if arg.__class__ is EventHandle and arg.cancelled:
-                heapq.heappop(queue)
-                continue
-            return head[0]
-        return None
-
-    # ------------------------------------------------------------------
-    # Ownership scoping (no-ops on the serial kernel)
-    # ------------------------------------------------------------------
-    def owner_scope(self, owner: Optional[int]) -> Any:
-        """Attribute events scheduled inside the scope to ``owner``.
-
-        The serial kernel has no notion of ownership, so this is a shared
-        no-op context; :class:`repro.sim.shard.KeyedSimulator` overrides it
-        to tag scheduled events with their owning node during cluster
-        construction.
-        """
-        return _NULL_SCOPE
-
-    def node_scope(self, owner: Optional[int], pos: int) -> Any:
-        """Per-node sub-context for replicated multi-node actions.
-
-        Fault-timeline actions that iterate a node set enter one scope per
-        node (``pos`` is the node's position in the action's list) so the
-        sharded kernel can give each node's effects an execution-layout-
-        independent rank namespace.  No-op on the serial kernel.
-        """
-        return _NULL_SCOPE
 
     # ------------------------------------------------------------------
     # Scheduling

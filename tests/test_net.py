@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from repro.net.delivery import (
     AdversarialDelay,
+    BurstyDelay,
     DeliveryDecision,
     FixedDelay,
     IncoherentDelivery,
+    LinkPartitionPolicy,
     UniformDelay,
 )
 from repro.net.network import Envelope, Network
@@ -67,6 +69,42 @@ class TestPolicies:
 
     def test_dropped_constructor(self):
         assert DeliveryDecision.dropped().drop
+
+
+class TestMinDelay:
+    def test_fixed_delay(self):
+        assert FixedDelay(0.25).min_delay() == 0.25
+
+    def test_uniform_delay_is_lower_bound(self):
+        assert UniformDelay(0.1, 1.0).min_delay() == 0.1
+
+    def test_adversarial_delay_is_fast_bound(self):
+        policy = AdversarialDelay(0.2, 1.0, fast_set=frozenset({1, 2}))
+        assert policy.min_delay() == 0.2
+
+    def test_incoherent_has_zero_floor(self):
+        assert IncoherentDelivery(0.5, 3.0).min_delay() == 0.0
+
+    def test_bursty_fast_regime_floor_is_zero(self):
+        policy = BurstyDelay(
+            now_fn=lambda: 0.0, period=1.0, fast_max=0.2, slow_min=0.8, slow_max=1.0
+        )
+        assert policy.min_delay() == 0.0
+
+    def test_partition_wrapper_inherits_inner_bound(self):
+        inner = UniformDelay(0.3, 0.9)
+        wrapped = LinkPartitionPolicy(inner, frozenset({0, 1}))
+        assert wrapped.min_delay() == 0.3
+        # Healing does not change the bound: cross-cut copies were dropped,
+        # never delayed, so the delivered-copy floor was inner's all along.
+        wrapped.heal()
+        assert wrapped.min_delay() == 0.3
+
+    def test_nested_wrappers(self):
+        policy = LinkPartitionPolicy(
+            LinkPartitionPolicy(FixedDelay(0.5), frozenset({0})), frozenset({1})
+        )
+        assert policy.min_delay() == 0.5
 
 
 class TestNetwork:
