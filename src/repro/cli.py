@@ -746,12 +746,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"p99 {lat['p99_ms']:.0f}ms  mean {lat['mean_ms']:.0f}ms  "
           f"max {lat['max_ms']:.0f}ms")
     print(f"live state:    peak {report.peak_live_instances} slot instances, "
-          f"{report.peak_live_timers} timers", end="")
-    if report.live_bound is not None:
-        print(f" (bound {report.live_bound}, violations "
-              f"{report.bound_violations} across {report.samples} samples)")
-    else:
-        print()
+          f"{report.peak_live_timers} timers (bound {report.live_bound}, "
+          f"violations {report.bound_violations} across {report.samples} "
+          "samples)")
     print(f"batch bodies:  {report.body_fetches} fetch rounds, "
           f"{report.bodies_rejected} rejected on hash mismatch")
     if report.repaired_entries:

@@ -145,8 +145,24 @@ class PulseNode(ProtocolNode):
             self._last_pulse_local = None  # future stamp: clearly wrong
 
 
+class _PulseCluster(Cluster):
+    """A :class:`Cluster` whose correct nodes are :class:`PulseNode`."""
+
+    def __init__(self, config: ScenarioConfig, pulse_config: PulseConfig) -> None:
+        self.pulse_config = pulse_config
+        super().__init__(config)
+
+    def _correct_node(self, node_id: int, ctx: NodeContext) -> PulseNode:
+        return PulseNode(node_id, ctx, self.params, self.pulse_config)
+
+
 class PulseSyncCluster:
-    """A cluster of :class:`PulseNode` (optionally with Byzantine members)."""
+    """A cluster of :class:`PulseNode` (optionally with Byzantine members).
+
+    Pulse trains are recorded on the nodes themselves (``pulses``), so
+    skew/period measurements stay available with tracing disabled -- long
+    soak runs ride the tracer's zero-cost path.
+    """
 
     def __init__(
         self,
@@ -156,58 +172,14 @@ class PulseSyncCluster:
         byzantine: Optional[dict] = None,
         trace: bool = True,
     ) -> None:
-        from repro.faults.byzantine import ByzantineNode
-
         self.params = params
         self.pulse_config = pulse_config or PulseConfig.default_for(params)
-        base = Cluster.__new__(Cluster)
-        config = ScenarioConfig(
-            params=params, seed=seed, byzantine=byzantine or {}, trace=trace
+        self.cluster = _PulseCluster(
+            ScenarioConfig(
+                params=params, seed=seed, byzantine=byzantine or {}, trace=trace
+            ),
+            self.pulse_config,
         )
-        # Reuse Cluster's wiring but build PulseNodes for the correct ids.
-        base.config = config
-        base.params = params
-        from repro.net.delivery import UniformDelay
-        from repro.net.network import Network
-        from repro.sim.engine import Simulator
-        from repro.sim.rand import RandomSource
-        from repro.sim.trace import Tracer
-
-        base.rng = RandomSource(config.seed)
-        base.sim = Simulator()
-        # Pulse trains are recorded on the nodes themselves (``pulses``), so
-        # skew/period measurements stay available with tracing disabled --
-        # long soak runs ride the tracer's zero-cost path.
-        base.tracer = Tracer(enabled=trace)
-        base.net = Network(
-            base.sim,
-            config.policy or UniformDelay(0.1 * params.delta, params.delta),
-            base.rng.split("net"),
-            base.tracer,
-        )
-        base.nodes = {}
-        base.correct_ids = []
-        base.byzantine_ids = []
-        for node_id in range(params.n):
-            ctx = NodeContext(
-                sim=base.sim,
-                net=base.net,
-                tracer=base.tracer,
-                clock_config=base._clock_config(node_id),
-            )
-            spec = (byzantine or {}).get(node_id)
-            if spec is None:
-                base.nodes[node_id] = PulseNode(
-                    node_id, ctx, params, self.pulse_config
-                )
-                base.correct_ids.append(node_id)
-            else:
-                strategy = spec if hasattr(spec, "install") else spec(
-                    base.rng.split(f"byz/{node_id}")
-                )
-                base.nodes[node_id] = ByzantineNode(node_id, ctx, params, strategy)
-                base.byzantine_ids.append(node_id)
-        self.cluster = base
 
     # ------------------------------------------------------------------
     # Driving and reading

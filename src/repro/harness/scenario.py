@@ -136,13 +136,7 @@ class Cluster:
             )
             spec = self.config.byzantine.get(node_id)
             if spec is None:
-                self.nodes[node_id] = ProtocolNode(
-                    node_id,
-                    ctx,
-                    self.params,
-                    cleanup_interval_d=self.config.cleanup_interval_d,
-                    resend_gap_d=self.config.resend_gap_d,
-                )
+                self.nodes[node_id] = self._correct_node(node_id, ctx)
                 self.correct_ids.append(node_id)
             else:
                 if hasattr(spec, "install"):
@@ -153,6 +147,16 @@ class Cluster:
                     node_id, ctx, self.params, strategy  # type: ignore[arg-type]
                 )
                 self.byzantine_ids.append(node_id)
+
+    def _correct_node(self, node_id: int, ctx: NodeContext) -> ProtocolNode:
+        """The node a correct id runs; a subclass may build another kind."""
+        return ProtocolNode(
+            node_id,
+            ctx,
+            self.params,
+            cleanup_interval_d=self.config.cleanup_interval_d,
+            resend_gap_d=self.config.resend_gap_d,
+        )
 
     # ------------------------------------------------------------------
     # Accessors

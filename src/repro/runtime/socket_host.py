@@ -261,7 +261,7 @@ async def _child_run(
         if service_cfg is not None:
             # Service mode runs thousands of slot decisions; per-decision
             # streaming would flood the pipe.  Progress flows through the
-            # child service's rate-limited "applied" reports instead.
+            # rate-limited "applied" reports below instead.
             return
         decisions.append(decision)
         try:
@@ -279,11 +279,16 @@ async def _child_run(
             strategy = strategy(root.split(f"byz/{node_id}"))
         node = ByzantineNode(node_id, host, params, strategy)
 
-    service = None
+    service = coordinator = sampler = None
     if service_cfg is not None and strategy is None:
-        from repro.service.socket_service import ChildLogService
+        from repro.service.service import NodeService, sample_forever
 
-        service = ChildLogService(node, service_cfg, conn)
+        # Wall-clock stamps: the parent's workload stamps arrivals with it.
+        service = NodeService(node, clock=time.time, **service_cfg)
+        coordinator = service.coordinator
+        sampler = asyncio.get_running_loop().create_task(
+            sample_forever((service,))
+        )
 
     scramble = cfg["scramble"]
     if scramble is not None and strategy is None:
@@ -321,6 +326,8 @@ async def _child_run(
         host.schedule_after(max(0.0, -host.now()), kickoff)
 
     deadline_units = cfg["timeout_units"]
+    progress_due = 0.0
+    reported = None
     stop = False
     while not stop:
         if host.now() >= deadline_units:
@@ -348,13 +355,25 @@ async def _child_run(
                         # parent's script was validated, so this is belt
                         # and braces.
                         pass
-                elif service is not None:
-                    service.handle(msg)
+                elif msg[0] == "cmds" and coordinator is not None:
+                    # Client commands for the primary: (command, arrival).
+                    for command, arrival in msg[1]:
+                        coordinator.submit_nowait(command, arrival)
         except (EOFError, OSError):
             stop = True
         if not stop:
-            if service is not None:
-                service.tick(host)
+            if service is not None and time.monotonic() >= progress_due:
+                # ("applied", node, next_slot, commands_applied) when it
+                # changed, at most every 0.1 s: the parent's catch-up check.
+                progress_due = time.monotonic() + 0.1
+                applier = service.applier
+                progress = (applier.next_index, applier.commands_applied)
+                if progress != reported:
+                    reported = progress
+                    try:
+                        conn.send(("applied", node_id, *progress))
+                    except (BrokenPipeError, OSError):
+                        pass
             if metrics is not None:
                 metrics.sample(
                     transport=transport,
@@ -371,6 +390,9 @@ async def _child_run(
     # *after* close() and must be zero: it proves close() drains the
     # registry and nothing can re-arm past it.
     timers_at_close = host.live_timer_count()
+    if service is not None:
+        sampler.cancel()
+        service.stop()
     host.close()
     transport.close()
     if metrics_server is not None:
@@ -505,10 +527,6 @@ class SocketCluster:
 
     backend = "socket"
 
-    #: Service-mode config shipped to children (set by SocketLogService
-    #: before the base __init__ spawns them; None = plain agreement run).
-    _service_cfg: Optional[dict] = None
-
     def __init__(
         self,
         params: ProtocolParams,
@@ -529,6 +547,8 @@ class SocketCluster:
         repropose_every_d: Optional[float] = None,
         value_pool: tuple = ("A", "B", "C"),
         metrics: bool = False,
+        *,
+        _service_cfg: Optional[dict] = None,
     ) -> None:
         byzantine = byzantine or {}
         if len(byzantine) > params.f:
@@ -562,6 +582,9 @@ class SocketCluster:
             else None
         )
         self._repropose_every_d = repropose_every_d
+        #: NodeService arguments shipped to each correct child (None: a
+        #: plain agreement run).
+        self._service_cfg = _service_cfg
         self._ctx = multiprocessing.get_context("spawn")
         self.procs: dict[int, multiprocessing.Process] = {}
         self.conns: dict[int, Any] = {}
@@ -875,12 +898,6 @@ class SocketCluster:
             "repro_cluster_faults_injected_total",
             "Fault actions accepted via POST /faults",
         ).set_total(self.faults.injected)
-        # One C-level copy: the run loop adds and drops progress entries.
-        progress = list(getattr(self, "progress", {}).values())
-        reg.gauge(
-            "repro_cluster_commands_applied_min",
-            "Min commands applied across correct replicas (service runs)",
-        ).set(min((held[1] for held in progress), default=0))
         return reg.render()
 
     # ------------------------------------------------------------------
@@ -998,7 +1015,6 @@ class SocketCluster:
             byzantine_ids=list(self.byzantine_ids),
         )
         self._report = report
-        results = self._results
         wall_deadline = (
             time.monotonic()
             + self._startup_grace_s
@@ -1010,50 +1026,52 @@ class SocketCluster:
             self._pump_supervisor()
             if not self._stop_sent and self._all_decided(report):
                 self._send_stop()
-                self._stop_sent = True
-            waitable = {
-                node_id: conn
-                for node_id, conn in self.conns.items()
-                if node_id not in results
-            }
-            if not waitable:
-                if not self._down and not self._awaiting_port:
-                    break
-                time.sleep(0.02)
-                continue
-            ready = multiprocessing.connection.wait(
-                list(waitable.values()), timeout=0.05
-            )
-            for conn in ready:
-                node_id = next(i for i, c in waitable.items() if c is conn)
-                msg = self._safe_recv(node_id, conn)
-                if msg is None:
-                    continue
-                self._dispatch(report, results, node_id, conn, msg)
+            if not self._receive(self._unreported(), timeout=0.05):
+                break
+        self._await_results(timeout_s=5.0)
+        self._collect(report, self._results)
+        return report
+
+    def _unreported(self) -> dict[int, Any]:
+        """Pipes of the connected children that have sent no result yet."""
+        return {
+            node_id: conn
+            for node_id, conn in self.conns.items()
+            if node_id not in self._results
+        }
+
+    def _receive(self, waitable: dict[int, Any], timeout: float) -> bool:
+        """Dispatch what the given pipes deliver within ``timeout``.
+
+        With no pipe to wait on, idle briefly while a respawn is pending;
+        False once there is nothing left to wait for.
+        """
+        if not waitable:
+            if not self._down and not self._awaiting_port:
+                return False
+            time.sleep(0.02)
+            return True
+        ready = multiprocessing.connection.wait(
+            list(waitable.values()), timeout=timeout
+        )
+        for conn in ready:
+            node_id = next(i for i, c in waitable.items() if c is conn)
+            msg = self._safe_recv(node_id, conn)
+            if msg is not None:
+                self._dispatch(msg)
+        return True
+
+    def _await_results(self, timeout_s: float) -> None:
+        """Send stop (once), then take pipe traffic until every connected
+        child has sent its result or ``timeout_s`` has passed."""
         if not self._stop_sent:
             self._send_stop()
-            self._stop_sent = True
-        # Late results from children that were still tearing down.
-        late_deadline = time.monotonic() + 5.0
-        while time.monotonic() < late_deadline:
-            waitable = {
-                node_id: conn
-                for node_id, conn in self.conns.items()
-                if node_id not in results
-            }
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            waitable = self._unreported()
             if not waitable:
                 break
-            ready = multiprocessing.connection.wait(
-                list(waitable.values()), timeout=0.1
-            )
-            for conn in ready:
-                node_id = next(i for i, c in waitable.items() if c is conn)
-                msg = self._safe_recv(node_id, conn)
-                if msg is None:
-                    continue
-                self._dispatch(report, results, node_id, conn, msg)
-        self._collect(report, results)
-        return report
+            self._receive(waitable, timeout=0.1)
 
     def _all_decided(self, report: SocketRunReport) -> bool:
         decided_any = False
@@ -1069,16 +1087,10 @@ class SocketCluster:
             decided_any = True
         return decided_any
 
-    def _dispatch(
-        self,
-        report: SocketRunReport,
-        results: dict[int, dict],
-        node_id: int,
-        conn,
-        msg: tuple,
-    ) -> None:
+    def _dispatch(self, msg: tuple) -> None:
         tag = msg[0]
-        if tag == "decision":
+        report = self._report
+        if tag == "decision" and report is not None:
             _tag, sender_id, decision = msg
             if decision.general == self.general and sender_id in self.correct_ids:
                 held = report.decisions.get(sender_id)
@@ -1089,7 +1101,7 @@ class SocketCluster:
                 )
         elif tag == "result":
             _tag, sender_id, payload = msg
-            results[sender_id] = payload
+            self._results[sender_id] = payload
         elif tag == "port":
             _tag, reported_id, port = msg
             self._complete_rejoin(reported_id, port)
@@ -1098,6 +1110,7 @@ class SocketCluster:
             self._metrics_ports[reported_id] = port
 
     def _send_stop(self) -> None:
+        self._stop_sent = True
         for conn in self.conns.values():
             try:
                 conn.send(("stop",))

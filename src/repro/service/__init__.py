@@ -20,29 +20,31 @@ Pieces
   abort slots recorded as skips, and scheduled retirement of each applied
   slot's :class:`~repro.core.agreement.AgreementInstance` so live protocol
   state stays bounded by the window, not the log length.
-* :class:`~repro.service.workload.OpenLoopWorkload` -- target-rate arrival
-  generator (Poisson or fixed-interval) whose latency stamps are taken at
-  the *theoretical* arrival instants, so queueing delay is measured, not
-  hidden.
-* :class:`~repro.service.service.ReplicatedLogService` -- asyncio-backend
-  service: appliers on every correct node, the coordinator on the primary,
-  and a background state sampler proving the drain *during* the run.  A
-  replica that missed decisions heals itself inside its applier, from
-  ``f + 1`` matching peer answers, on every backend.
-* :class:`~repro.service.socket_service.SocketLogService` -- the same
-  service across OS processes on the UDP socket backend.
+* :class:`~repro.service.service.NodeService` -- one node's applier, the
+  coordinator on the primary, and a sampler checking live state against
+  an O(window) bound during the run, hosted alike on both backends.
+* :func:`~repro.service.workload.arrival_offsets` -- the Poisson or
+  fixed-interval schedule both backends play; latency stamps are these
+  *theoretical* arrivals, so queueing delay is measured, not hidden.
+* :class:`~repro.service.service.ReplicatedLogService` -- a ``NodeService``
+  per correct node of one asyncio cluster;
+  :class:`~repro.service.socket_service.SocketLogService` -- one in each
+  node's own OS process on the UDP socket backend.
 """
 
 from repro.service.applier import ReplicaApplier, batch_digest
 from repro.service.coordinator import LogCoordinator
-from repro.service.service import ReplicatedLogService, ServiceReport
-from repro.service.workload import OpenLoopWorkload
+from repro.service.service import NodeService, ReplicatedLogService
+from repro.service.service import ServiceReport
+from repro.service.workload import OpenLoopWorkload, arrival_offsets
 
 __all__ = [
     "LogCoordinator",
+    "NodeService",
     "OpenLoopWorkload",
     "ReplicaApplier",
     "ReplicatedLogService",
     "ServiceReport",
+    "arrival_offsets",
     "batch_digest",
 ]

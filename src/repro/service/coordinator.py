@@ -389,14 +389,9 @@ class LogCoordinator(DecisionTap):
         self._token.cancel()
         self._stall_check.cancel()
 
-    @property
-    def drained(self) -> bool:
-        """True when every submitted command's slot has decided."""
-        return self._drained.is_set()
-
-    async def drain(self, timeout_s: Optional[float] = None) -> None:
+    async def drain(self) -> None:
         """Wait until every submitted command's slot has decided."""
-        await asyncio.wait_for(self._drained.wait(), timeout_s)
+        await self._drained.wait()
 
 
 __all__ = ["LogCoordinator", "WindowBounds", "window_bounds"]

@@ -1,15 +1,17 @@
-"""The replicated-log service on the asyncio backend.
+"""The replicated-log service: one :class:`NodeService` per correct node.
 
-Wires the coordinator and appliers onto an
-:class:`~repro.runtime.aio.AsyncioCluster`, plus the two things a *service*
-needs beyond the protocol:
+Both wall-clock backends host one per correct node the same way --
+:class:`ReplicatedLogService` on an :class:`~repro.runtime.aio.AsyncioCluster`,
+each socket child its own (:mod:`repro.service.socket_service`) -- and
+:meth:`ServiceReport.from_results` folds the nodes' ``result()`` dicts into
+one report.  Beyond the protocol, a service has:
 
-* **A state sampler.**  A background task samples every correct node's live
-  slot-instance count and live timer count throughout the run.  Retirement
-  is thereby *measured*, not assumed: the per-sample maximum must stay
-  within an O(window) bound (``live_bound``) even as thousands of slots
-  stream through -- live protocol state drains back toward the in-flight
-  window continuously, not just at teardown.
+* **A state sampler.**  :func:`sample_forever` reads every node's live
+  slot-instance count and live timer count each ``SAMPLE_INTERVAL_S``
+  throughout the run.  Retirement is thereby *measured*, not assumed: each
+  reading must stay within an O(window) bound (``live_bound``) even as
+  thousands of slots stream through -- live protocol state drains back
+  toward the in-flight window continuously, not just at teardown.
 * **Body dissemination.**  The slot value the protocol agrees on is a
   digest; the batch travels once per replica as a ``body`` payload and is
   fetched from any peer, on hash match, if it went missing (see
@@ -30,14 +32,17 @@ from __future__ import annotations
 
 import asyncio
 import time
-import types
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Collection, Iterable, Optional
 
+from repro.core.agreement import ProtocolNode
 from repro.runtime.aio import AsyncioCluster
 from repro.service.applier import ReplicaApplier
 from repro.service.coordinator import LogCoordinator, window_bounds
 from repro.service.workload import OpenLoopWorkload
+
+#: Seconds between two readings of the state sampler, on every backend.
+SAMPLE_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -57,14 +62,16 @@ class ServiceReport:
     #: Max live slot instances at any sampled node, over the whole run.
     peak_live_instances: int
     peak_live_timers: int
-    #: The O(window) drain bound the in-process sampler checks against
-    #: (None where nothing samples: socket children report peaks only).
-    live_bound: Optional[int] = None
-    #: Samples (after warmup) whose live-instance count exceeded the bound.
+    #: The O(window) drain bound every sampled reading is checked against.
+    live_bound: int
+    #: Node readings whose live-instance count exceeded the bound, summed
+    #: over the nodes (a sample over the bound at two nodes counts twice).
     bound_violations: int = 0
+    #: Node readings taken, summed over the nodes.
     samples: int = 0
     #: Per-command decide latency, seconds from stamped arrival.
     latencies: list[float] = field(default_factory=list)
+    #: Every expected node reported, all with the same applied-log digest.
     identical_logs: bool = False
     digests: dict[int, str] = field(default_factory=dict)
     applied_per_replica: dict[int, int] = field(default_factory=dict)
@@ -77,6 +84,56 @@ class ServiceReport:
     bodies_rejected: int = 0
     #: Fate of each node's process (socket backend; empty in-process).
     exit_reasons: dict[int, str] = field(default_factory=dict)
+
+    @classmethod
+    def from_results(
+        cls,
+        results: dict[int, dict],
+        elapsed_s: float,
+        issued: int,
+        expected_ids: Iterable[int],
+        exit_reasons: dict[int, str],
+    ) -> "ServiceReport":
+        """Fold the nodes' :meth:`NodeService.result` dicts into one report.
+
+        ``results`` maps node ids to those dicts (a node that reported
+        nothing is absent); the primary's carries the coordinator's counts.
+        """
+        nodes = list(results.values())
+        primary = next((r for r in nodes if "latencies" in r), {})
+        digests = {node_id: r["digest"] for node_id, r in results.items()}
+        applied = {i: r["commands_applied"] for i, r in results.items()}
+
+        def peak(key: str) -> int:
+            return max((r[key] for r in nodes), default=0)
+
+        def total(key: str) -> int:
+            return sum(r[key] for r in nodes)
+
+        return cls(
+            elapsed_s=elapsed_s,
+            commands_issued=issued,
+            commands_decided=primary.get("commands_decided", 0),
+            commands_applied=min(applied.values(), default=0),
+            slots_launched=primary.get("slots_launched", 0),
+            slots_decided=primary.get("slots_decided", 0),
+            slots_aborted=primary.get("slots_aborted", 0),
+            peak_in_flight=primary.get("peak_in_flight", 0),
+            peak_live_instances=peak("peak_live_instances"),
+            peak_live_timers=peak("peak_live_timers"),
+            live_bound=peak("live_bound"),
+            bound_violations=total("bound_violations"),
+            samples=total("samples"),
+            latencies=primary.get("latencies", []),
+            identical_logs=set(digests) >= set(expected_ids)
+            and len(set(digests.values())) == 1,
+            digests=digests,
+            applied_per_replica=applied,
+            repaired_entries=total("repaired_entries"),
+            body_fetches=total("body_fetches"),
+            bodies_rejected=total("bodies_rejected"),
+            exit_reasons=dict(exit_reasons),
+        )
 
     @property
     def commands_per_s(self) -> float:
@@ -91,6 +148,102 @@ class ServiceReport:
         return (self.slots_decided + self.slots_aborted) / self.elapsed_s
 
 
+class NodeService:
+    """One correct node's share of the log: an applier, the coordinator on
+    the primary, and the node's bounded-state sampler.
+
+    ``clock`` stamps command arrivals and latencies in the coordinator: a
+    socket child passes ``time.time`` so stamps from the parent's workload
+    compare across processes.
+    """
+
+    def __init__(
+        self,
+        node: ProtocolNode,
+        primary: int,
+        window: int = 8,
+        max_batch: int = 64,
+        retire_after_d: float = 6.0,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.node = node
+        bounds = window_bounds(window)
+        self.applier = ReplicaApplier(node, primary, retire_after_d)
+        self.applier.body_span = bounds.body_span
+        self.coordinator: Optional[LogCoordinator] = None
+        if node.node_id == primary:
+            self.coordinator = LogCoordinator(
+                node,
+                window=window,
+                max_batch=max_batch,
+                clock=clock,
+                applier=self.applier,
+            )
+        #: Enforced, not emergent: before any slot retires the coordinator
+        #: launches at most ``unretired_cap`` (3 windows) slots, and its
+        #: retirement gate holds live slot instances under ~4 windows
+        #: however many slots the run streams through.
+        self.live_bound = bounds.live_bound
+        self.samples = 0
+        self.peak_live_instances = 0
+        self.peak_live_timers = 0
+        self.bound_violations = 0
+
+    def sample(self) -> None:
+        """Take one (live slot instances, live timers) reading."""
+        live = self.applier.live_slot_instances
+        timers = self.node.live_timer_count()
+        self.samples += 1
+        if live > self.peak_live_instances:
+            self.peak_live_instances = live
+        if timers > self.peak_live_timers:
+            self.peak_live_timers = timers
+        if live > self.live_bound:
+            self.bound_violations += 1
+
+    def stop(self) -> None:
+        """Take a final reading and detach the decision taps."""
+        self.sample()
+        if self.coordinator is not None:
+            self.coordinator.detach()
+        self.applier.detach()
+
+    def result(self) -> dict:
+        """This node's counters, as plain values (they cross a pipe)."""
+        applier = self.applier
+        out = {
+            "digest": applier.digest(),
+            "commands_applied": applier.commands_applied,
+            "live_bound": self.live_bound,
+            "samples": self.samples,
+            "peak_live_instances": self.peak_live_instances,
+            "peak_live_timers": self.peak_live_timers,
+            "bound_violations": self.bound_violations,
+            "body_fetches": applier.body_fetches,
+            "bodies_rejected": applier.bodies_rejected,
+            "repaired_entries": applier.slots_adopted,
+        }
+        coordinator = self.coordinator
+        if coordinator is not None:
+            out.update(
+                commands_decided=coordinator.commands_decided,
+                slots_launched=coordinator.slots_launched,
+                slots_decided=coordinator.slots_decided,
+                slots_aborted=coordinator.slots_aborted,
+                peak_in_flight=coordinator.peak_in_flight,
+                latencies=list(coordinator.latencies),
+            )
+        return out
+
+
+async def sample_forever(services: Collection[NodeService]) -> None:
+    """Sample each service every ``SAMPLE_INTERVAL_S`` until cancelled."""
+    while True:
+        for service in services:
+            service.sample()
+        await asyncio.sleep(SAMPLE_INTERVAL_S)
+
+
 class ReplicatedLogService:
     """A long-lived replicated command log on an asyncio cluster."""
 
@@ -101,45 +254,32 @@ class ReplicatedLogService:
         window: int = 8,
         max_batch: int = 64,
         retire_after_d: float = 6.0,
-        sample_interval_s: float = 0.05,
     ) -> None:
         if primary not in cluster.correct_ids:
             raise ValueError(f"primary {primary} must be a correct node")
         self.cluster = cluster
         self.primary = primary
-        self.window = window
-        self.max_batch = max_batch
         self.retire_after_d = retire_after_d
-        self.sample_interval_s = sample_interval_s
-        self.appliers: dict[int, ReplicaApplier] = {
-            node_id: ReplicaApplier(
-                cluster.protocol_node(node_id), primary, retire_after_d
+        self.services: dict[int, NodeService] = {
+            node_id: NodeService(
+                cluster.protocol_node(node_id),
+                primary,
+                window=window,
+                max_batch=max_batch,
+                retire_after_d=retire_after_d,
             )
             for node_id in cluster.correct_ids
         }
-        primary_applier = self.appliers[primary]
-        self.coordinator = LogCoordinator(
-            cluster.protocol_node(primary),
-            window=window,
-            max_batch=max_batch,
-            applier=primary_applier,
-        )
-        bounds = window_bounds(window)
-        for applier in self.appliers.values():
-            applier.body_span = bounds.body_span
-        #: Enforced, not emergent: the coordinator's retirement gate holds
-        #: every correct node's live slot instances under ~4 windows
-        #: regardless of how many slots the run streams through.
-        self.live_bound = bounds.live_bound
-        #: Per-sample (elapsed_s, max live slot instances, max live timers).
-        self.state_samples: list[tuple[float, int, int]] = []
-        self.peak_live_instances = 0
-        self.peak_live_timers = 0
-        self.bound_violations = 0
-        #: Bound checks only apply once the pipeline has filled.
-        self._warmed_up = False
         self._sampler: Optional[asyncio.Task] = None
         self._started_at: Optional[float] = None
+
+    @property
+    def appliers(self) -> dict[int, ReplicaApplier]:
+        return {node_id: s.applier for node_id, s in self.services.items()}
+
+    @property
+    def coordinator(self) -> LogCoordinator:
+        return self.services[self.primary].coordinator
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -149,52 +289,17 @@ class ReplicatedLogService:
         if self._sampler is None:
             self._started_at = time.monotonic()
             self._sampler = asyncio.get_running_loop().create_task(
-                self._sample_loop()
+                sample_forever(self.services.values())
             )
 
     async def stop(self) -> None:
         """Stop sampling and detach the decision taps."""
         if self._sampler is not None:
             self._sampler.cancel()
-            try:
-                await self._sampler
-            except asyncio.CancelledError:
-                pass
+            await asyncio.gather(self._sampler, return_exceptions=True)
             self._sampler = None
-        self.sample_state()  # one final reading
-        self.coordinator.detach()
-        for applier in self.appliers.values():
-            applier.detach()
-
-    async def _sample_loop(self) -> None:
-        while True:
-            self.sample_state()
-            await asyncio.sleep(self.sample_interval_s)
-
-    def sample_state(self) -> tuple[int, int]:
-        """Record one (live instances, live timers) reading; returns it."""
-        live = max(
-            applier.live_slot_instances for applier in self.appliers.values()
-        )
-        timers = max(
-            self.cluster.hosts[node_id].live_timer_count()
-            for node_id in self.appliers
-        )
-        started = self._started_at if self._started_at is not None else 0.0
-        self.state_samples.append((time.monotonic() - started, live, timers))
-        if live > self.peak_live_instances:
-            self.peak_live_instances = live
-        if timers > self.peak_live_timers:
-            self.peak_live_timers = timers
-        if not self._warmed_up:
-            # Warmed up once the pipeline has been filled at least once.
-            self._warmed_up = self.coordinator.slots_launched >= self.window
-        # The transition sample is itself subject to the bound: a pipeline
-        # that overshoots in the very sample that completes warmup must
-        # count as a violation, not slip through the warmup gate.
-        if self._warmed_up and live > self.live_bound:
-            self.bound_violations += 1
-        return live, timers
+        for service in self.services.values():
+            service.stop()
 
     # ------------------------------------------------------------------
     # Completion and catch-up
@@ -203,46 +308,27 @@ class ReplicatedLogService:
         """Wait for the pipeline to empty and every replica to catch up.
 
         Returns True when every correct replica has finalized every slot
-        the coordinator launched.
+        the coordinator launched, False once ``timeout_s`` has passed.
+        ``None`` waits without a deadline; 0 polls once (a drained service
+        never suspends, so the deadline cannot cut it short).
         """
-        # ``is not None``: a zero timeout means "poll once and report",
-        # not "wait forever" (0 is falsy, so a truthiness check would
-        # silently turn poll-once into an unbounded wait).
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s is not None else None
-        )
-
-        def remaining() -> Optional[float]:
-            if deadline is None:
-                return None
-            return max(0.0, deadline - time.monotonic())
-
-        wait = remaining()
-        if wait == 0.0:
-            # Poll-once: a zero deadline must not enter wait_for, whose
-            # zero-timeout path cancels before a set event's waiter can
-            # even report success.
-            if not self.coordinator.drained:
-                return False
-        else:
-            try:
-                await self.coordinator.drain(wait)
-            except asyncio.TimeoutError:
-                return False
-        target = self.coordinator.general.next_index
-        while any(
-            applier.next_index < target for applier in self.appliers.values()
-        ):
-            wait = remaining()
-            if wait == 0.0:
-                return False
-            await asyncio.sleep(0.01)
+        coordinator = self.coordinator
+        appliers = list(self.appliers.values())
+        try:
+            async with asyncio.timeout(timeout_s):
+                await coordinator.drain()
+                target = coordinator.general.next_index
+                while any(applier.next_index < target for applier in appliers):
+                    await asyncio.sleep(0.01)
+        except TimeoutError:
+            return False
         return True
 
     def repair(self) -> None:
         """Make every replica behind the furthest one ask its peers now."""
-        target = max(applier.next_index for applier in self.appliers.values())
-        for applier in self.appliers.values():
+        appliers = self.appliers.values()
+        target = max(applier.next_index for applier in appliers)
+        for applier in appliers:
             if applier.next_index < target:
                 applier.request_outcomes()
 
@@ -270,13 +356,7 @@ class ReplicatedLogService:
         }}
 
     def render_metrics(self) -> str:
-        return self.cluster.render_metrics({
-            node_id: types.SimpleNamespace(
-                applier=applier,
-                coordinator=self.coordinator if node_id == self.primary else None,
-            )
-            for node_id, applier in self.appliers.items()
-        })
+        return self.cluster.render_metrics(self.services)
 
     def inject_fault_script(self, spec: object) -> dict:
         return self.cluster.inject_fault_script(spec)
@@ -285,44 +365,17 @@ class ReplicatedLogService:
     # Reporting
     # ------------------------------------------------------------------
     def report(self, elapsed_s: Optional[float] = None) -> ServiceReport:
-        coord = self.coordinator
-        appliers = self.appliers
         if elapsed_s is None:
             started = self._started_at
             elapsed_s = (
                 time.monotonic() - started if started is not None else 0.0
             )
-        logs = [applier.applied for applier in appliers.values()]
-        identical = all(log == logs[0] for log in logs[1:])
-        return ServiceReport(
-            elapsed_s=elapsed_s,
-            commands_issued=coord.commands_submitted,
-            commands_decided=coord.commands_decided,
-            commands_applied=min(
-                applier.commands_applied for applier in appliers.values()
-            ),
-            slots_launched=coord.slots_launched,
-            slots_decided=coord.slots_decided,
-            slots_aborted=coord.slots_aborted,
-            peak_in_flight=coord.peak_in_flight,
-            peak_live_instances=self.peak_live_instances,
-            peak_live_timers=self.peak_live_timers,
-            live_bound=self.live_bound,
-            bound_violations=self.bound_violations,
-            samples=len(self.state_samples),
-            latencies=list(coord.latencies),
-            identical_logs=identical,
-            digests={
-                node_id: applier.digest()
-                for node_id, applier in appliers.items()
-            },
-            applied_per_replica={
-                node_id: applier.commands_applied
-                for node_id, applier in appliers.items()
-            },
-            repaired_entries=sum(a.slots_adopted for a in appliers.values()),
-            body_fetches=sum(a.body_fetches for a in appliers.values()),
-            bodies_rejected=sum(a.bodies_rejected for a in appliers.values()),
+        return ServiceReport.from_results(
+            {node_id: s.result() for node_id, s in self.services.items()},
+            elapsed_s,
+            self.coordinator.commands_submitted,
+            self.services,
+            {},
         )
 
     # ------------------------------------------------------------------
@@ -350,4 +403,10 @@ class ReplicatedLogService:
         return self.report(elapsed_s=elapsed)
 
 
-__all__ = ["ReplicatedLogService", "ServiceReport"]
+__all__ = [
+    "NodeService",
+    "ReplicatedLogService",
+    "SAMPLE_INTERVAL_S",
+    "ServiceReport",
+    "sample_forever",
+]

@@ -9,18 +9,35 @@ waiting shows up as measured queueing delay -- the honest methodology for
 "millions of users" claims, where closed-loop generators famously flatter
 the tail.
 
-The generator drives any async ``submit(command, arrival)`` callable
-(:meth:`~repro.service.coordinator.LogCoordinator.submit` locally, or a
-pipe-writer for the socket backend's parent-side driver).
+Both backends take the schedule from :func:`arrival_offsets`: the
+generator awaits any async ``submit(command, arrival)`` callable
+(:meth:`~repro.service.coordinator.LogCoordinator.submit` in-process), and
+the socket backend's parent ships the same arrivals down the primary's
+control pipe.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Awaitable, Callable, Optional
+from itertools import accumulate, islice
+from typing import Awaitable, Callable, Iterator
 
 SubmitFn = Callable[[object, float], Awaitable[None]]
+
+
+def arrival_offsets(
+    rate: float, total: int, seed: int = 0, poisson: bool = True
+) -> Iterator[float]:
+    """Each command's arrival, seconds from the start, drawn as consumed: 0,
+    then the running sum of ``Random(seed).expovariate(rate)`` (or
+    ``1 / rate``) gaps."""
+    rng = random.Random(seed)
+    gaps = (
+        rng.expovariate(rate) if poisson else 1.0 / rate
+        for _ in range(total - 1)
+    )
+    return islice(accumulate(gaps, initial=0.0), total)
 
 
 class OpenLoopWorkload:
@@ -33,7 +50,6 @@ class OpenLoopWorkload:
         total: int,
         seed: int = 0,
         poisson: bool = True,
-        prefix: str = "cmd",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if rate <= 0:
@@ -41,14 +57,10 @@ class OpenLoopWorkload:
         if total < 1:
             raise ValueError(f"total must be >= 1, got {total}")
         self.submit = submit
-        self.rate = rate
         self.total = total
-        self.seed = seed
-        self.poisson = poisson
-        self.prefix = prefix
+        self._offsets = arrival_offsets(rate, total, seed, poisson)
         self.clock = clock
         self.issued = 0
-        self.elapsed_s = 0.0
         #: Worst lateness of an actual submit behind its scheduled arrival
         #: (seconds) -- how far back-pressure pushed the generator.
         self.max_lag_s = 0.0
@@ -57,17 +69,10 @@ class OpenLoopWorkload:
         """Issue every command; returns once the last submit is accepted."""
         import asyncio
 
-        rng = random.Random(self.seed)
         clock = self.clock
         submit = self.submit
-        rate = self.rate
-        poisson = self.poisson
-        prefix = self.prefix
         start = clock()
-        offset = 0.0  # scheduled arrival, seconds from start
-        for i in range(self.total):
-            if i:
-                offset += rng.expovariate(rate) if poisson else 1.0 / rate
+        for i, offset in enumerate(self._offsets):
             arrival = start + offset
             ahead = arrival - clock()
             if ahead > 0.0:
@@ -76,9 +81,8 @@ class OpenLoopWorkload:
                 lag = -ahead
                 if lag > self.max_lag_s:
                     self.max_lag_s = lag
-            await submit(f"{prefix}{i}", arrival)
+            await submit(f"cmd{i}", arrival)
             self.issued += 1
-        self.elapsed_s = clock() - start
 
 
-__all__ = ["OpenLoopWorkload", "SubmitFn"]
+__all__ = ["OpenLoopWorkload", "SubmitFn", "arrival_offsets"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import random
 from functools import partial
 from types import SimpleNamespace
 
@@ -27,8 +28,8 @@ from repro.net.delivery import DeliveryDecision, UniformDelay
 from repro.net.network import Envelope
 from repro.runtime.framing import FrameEncoder, OversizedFrameError, derive_key
 from repro.service.applier import ReplicaApplier, batch_digest
-from repro.service.coordinator import LogCoordinator
-from repro.service.workload import OpenLoopWorkload
+from repro.service.coordinator import LogCoordinator, window_bounds
+from repro.service.workload import OpenLoopWorkload, arrival_offsets
 from repro.sim.engine import Simulator
 
 
@@ -668,6 +669,40 @@ class TestOpenLoopWorkload:
         # regardless of how fast the submits actually ran.
         assert all(abs(gap - 1e-3) < 1e-9 for gap in gaps)
 
+    def test_arrival_offsets_pin_the_draw_order(self):
+        rng = random.Random(7)
+        poisson = [0.0]
+        for _ in range(19):
+            poisson.append(poisson[-1] + rng.expovariate(250.0))
+        fixed = [0.0]
+        for _ in range(19):
+            fixed.append(fixed[-1] + 1.0 / 250.0)
+        assert list(arrival_offsets(250.0, 20, seed=7)) == poisson
+        assert list(arrival_offsets(250.0, 20, seed=7, poisson=False)) == fixed
+        assert list(arrival_offsets(250.0, 1, seed=7)) == [0.0]
+
+    def test_generator_stamps_exactly_the_scheduled_arrivals(self):
+        # A fake clock that never advances on its own: every arrival is
+        # ahead, so the generator sleeps to it (the sleep moves the clock).
+        now = [100.0]
+        stamps: list[tuple[object, float]] = []
+
+        async def capture(command, arrival):
+            stamps.append((command, arrival))
+
+        async def fake_sleep(delay):
+            now[0] += delay
+
+        wl = OpenLoopWorkload(
+            capture, rate=250.0, total=20, seed=7, clock=lambda: now[0]
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(asyncio, "sleep", fake_sleep)
+            asyncio.run(wl.run())
+        offsets = arrival_offsets(250.0, 20, seed=7)
+        assert stamps == [(f"cmd{i}", 100.0 + o) for i, o in enumerate(offsets)]
+        assert wl.max_lag_s == 0.0
+
 
 class TestServiceAsyncio:
     def _run(self, coro):
@@ -1208,16 +1243,17 @@ class TestEnvelopeSize:
         # ... and small: <= 128 B on the wire.
         assert max(sizes[128].values()) <= 128
 
-class TestSocketChildService:
-    def test_child_reports_body_counters_and_sizes_its_store(self, params4):
-        from repro.service.socket_service import ChildLogService
+class TestNodeService:
+    def test_node_reports_body_counters_and_sizes_its_store(self, params4):
+        from repro.service.service import NodeService
 
         cluster = Cluster(ScenarioConfig(params=params4, seed=45))
         cfg = {"primary": 0, "window": 3, "max_batch": 8}
-        primary = ChildLogService(cluster.protocol_node(0), cfg, conn=None)
-        replica = ChildLogService(cluster.protocol_node(1), cfg, conn=None)
-        # Every child sizes its body store like the in-process service:
-        # the coordinator's unretired_cap + window.
+        primary = NodeService(cluster.protocol_node(0), **cfg)
+        replica = NodeService(cluster.protocol_node(1), **cfg)
+        assert replica.coordinator is None
+        # Every node sizes its body store from the window: the
+        # coordinator's unretired_cap + window.
         coord = primary.coordinator
         assert primary.applier.body_span == coord.unretired_cap + coord.window
         assert replica.applier.body_span == primary.applier.body_span
@@ -1239,6 +1275,7 @@ class TestSocketService:
         import urllib.request
 
         from repro.obs import ControlPlane
+        from repro.obs.metrics import parse_prometheus_text
         from repro.service.socket_service import SocketLogService
 
         time_scale, rate, total = 0.1, 100.0, 300
@@ -1272,6 +1309,9 @@ class TestSocketService:
                 rate=rate, total=total, seed=61, settle_timeout_s=30.0
             )
             status = call("/status")
+            metrics_url = f"{plane.url}/metrics"
+            with urllib.request.urlopen(metrics_url, timeout=5.0) as reply:
+                supervisor_metrics = reply.read().decode()
         finally:
             plane.close()
             service.close()
@@ -1287,10 +1327,17 @@ class TestSocketService:
         # The revenant restarted empty and caught up from f+1 peer answers.
         assert report.repaired_entries > 0
         assert all(proc.exitcode == 0 for proc in service.procs.values())
+        # Every child sampled itself against the in-process bound.
+        assert report.live_bound == window_bounds(4).live_bound
+        assert report.samples > 0
+        # The supervisor's /metrics, with the log's slowest replica.
+        series = parse_prometheus_text(supervisor_metrics)
+        assert series["repro_cluster_commands_applied_min"][""] == total
+        assert series["repro_cluster_restarts_total"][""] >= 1
 
 
 class TestDrainAndSampling:
-    """drain() deadline semantics and the warmup-transition bound check.
+    """drain() deadline semantics and the sampler's bound check.
 
     Both run the service against the deterministic simulator (never
     stepped), so pipeline state is exactly what the test put there.
@@ -1320,33 +1367,29 @@ class TestDrainAndSampling:
         service.coordinator.submit_nowait("c0")
         assert asyncio.run(poll()) is False
 
-    def test_warmup_transition_sample_is_bound_checked(
+    def test_every_reading_is_bound_checked_from_the_first(
         self, params4, monkeypatch
     ):
         cluster, service = self._service(params4, 37, window=2)
-        # sample_state reads timer counts through cluster.hosts; the sim
-        # Cluster exposes them via the protocol nodes.
-        cluster.hosts = {
-            node_id: cluster.protocol_node(node_id)
-            for node_id in cluster.correct_ids
-        }
-        over = service.live_bound + 3
+        bound = window_bounds(2).live_bound
+        live = [bound]
         monkeypatch.setattr(
-            ReplicaApplier,
-            "live_slot_instances",
-            property(lambda self: over),
+            ReplicaApplier, "live_slot_instances", property(lambda self: live[0])
         )
-        # Before the pipeline has filled, over-bound readings are warmup.
-        service.sample_state()
-        assert not service._warmed_up
-        assert service.bound_violations == 0
-        # The very sample that completes warmup is itself checked: an
-        # overshoot in that sample must count, not slip through the gate.
-        service.coordinator.slots_launched = service.window
-        service.sample_state()
-        assert service._warmed_up
-        assert service.bound_violations == 1
-        assert service.peak_live_instances == over
+        # No warm-up grace: before any slot has launched, a reading at the
+        # bound passes and one over it counts, at every node that took it.
+        for node_service in service.services.values():
+            node_service.sample()
+        live[0] = bound + 3
+        for node_service in service.services.values():
+            node_service.sample()
+        assert service.coordinator.slots_launched == 0
+        report = service.report(elapsed_s=1.0)
+        nodes = len(cluster.correct_ids)
+        assert report.live_bound == bound
+        assert report.samples == 2 * nodes
+        assert report.bound_violations == nodes
+        assert report.peak_live_instances == bound + 3
 
     def test_drain_none_timeout_waits_without_deadline(self, params4):
         _, service = self._service(params4, 38)
