@@ -79,12 +79,16 @@ gate_chaos_smoke() {
 }
 
 # The replicated command log end to end: ~2k commands of open-loop load on
-# the asyncio backend; exits non-zero unless every correct replica applied
-# the identical sequence with nothing lost.
+# each wall-clock backend (socket: the parent ships arrivals down the
+# primary's control pipe); exits non-zero unless every correct replica
+# applied the identical sequence with nothing lost.  Each leg takes a few
+# seconds, so the one bound covers both.
 gate_service_smoke() {
-    bounded 120 "service smoke" \
-        python -m repro.cli serve --backend asyncio \
-        --n 4 --f 1 --commands 2000 --rate 1000 --time-scale 0.1
+    bounded 120 "service smoke" sh -c \
+        'python -m repro.cli serve --backend asyncio \
+             --n 4 --f 1 --commands 2000 --rate 1000 --time-scale 0.1 &&
+         python -m repro.cli serve --backend socket \
+             --n 4 --f 1 --commands 2000 --rate 1000 --time-scale 0.1'
 }
 
 # The control plane end to end, over HTTP only, on both backends: scrape

@@ -46,6 +46,7 @@ import asyncio
 import multiprocessing
 import multiprocessing.connection
 import os
+import select
 import signal
 import socket
 import time
@@ -242,6 +243,9 @@ async def _child_run(
     )
     decisions: list[Decision] = []
     service_cfg = cfg.get("service")
+    loop = asyncio.get_running_loop()
+    stopped = asyncio.Event()  # set by stop, pipe EOF or the deadline
+    release = None
 
     metrics = None
     metrics_server = None
@@ -279,16 +283,15 @@ async def _child_run(
             strategy = strategy(root.split(f"byz/{node_id}"))
         node = ByzantineNode(node_id, host, params, strategy)
 
-    service = coordinator = sampler = None
+    service = None
     if service_cfg is not None and strategy is None:
-        from repro.service.service import NodeService, sample_forever
+        from repro.service.service import NodeService
+        from repro.service.workload import StampRelease
 
         # Wall-clock stamps: the parent's workload stamps arrivals with it.
         service = NodeService(node, clock=time.time, **service_cfg)
-        coordinator = service.coordinator
-        sampler = asyncio.get_running_loop().create_task(
-            sample_forever((service,))
-        )
+        if service.coordinator is not None:
+            release = StampRelease(loop, service.coordinator.submit_nowait)
 
     scramble = cfg["scramble"]
     if scramble is not None and strategy is None:
@@ -325,18 +328,12 @@ async def _child_run(
 
         host.schedule_after(max(0.0, -host.now()), kickoff)
 
-    deadline_units = cfg["timeout_units"]
-    progress_due = 0.0
-    reported = None
-    stop = False
-    while not stop:
-        if host.now() >= deadline_units:
-            break
+    def on_control() -> None:  # each message as it arrives; stop/EOF end it
         try:
-            while conn.poll():
+            while not stopped.is_set() and conn.poll():
                 msg = conn.recv()
                 if msg[0] == "stop":
-                    stop = True
+                    stopped.set()
                 elif msg[0] == "rebind":
                     # Rejoin handshake: a peer was respawned on a fresh UDP
                     # port; route its copies there from now on.
@@ -355,33 +352,48 @@ async def _child_run(
                         # parent's script was validated, so this is belt
                         # and braces.
                         pass
-                elif msg[0] == "cmds" and coordinator is not None:
-                    # Client commands for the primary: (command, arrival).
-                    for command, arrival in msg[1]:
-                        coordinator.submit_nowait(command, arrival)
+                elif msg[0] == "cmds" and release is not None:
+                    release.ship(msg[1])
         except (EOFError, OSError):
-            stop = True
-        if not stop:
-            if service is not None and time.monotonic() >= progress_due:
-                # ("applied", node, next_slot, commands_applied) when it
-                # changed, at most every 0.1 s: the parent's catch-up check.
-                progress_due = time.monotonic() + 0.1
-                applier = service.applier
-                progress = (applier.next_index, applier.commands_applied)
-                if progress != reported:
-                    reported = progress
-                    try:
-                        conn.send(("applied", node_id, *progress))
-                    except (BrokenPipeError, OSError):
-                        pass
+            stopped.set()
+
+    async def report_forever() -> None:
+        # The service's live-state sample, the /metrics snapshot, and at
+        # most every 0.1 s the apply progress the parent's catch-up reads.
+        from repro.service.service import SAMPLE_INTERVAL_S
+        progress_due, reported = 0.0, None
+        while True:
+            if service is not None:
+                service.sample()
+                if time.monotonic() >= progress_due:
+                    progress_due = time.monotonic() + 0.1
+                    applier = service.applier
+                    progress = (applier.next_index, applier.commands_applied)
+                    if progress != reported:
+                        reported = progress
+                        try:
+                            conn.send(("applied", node_id, *progress))
+                        except (BrokenPipeError, OSError):
+                            pass
             if metrics is not None:
-                metrics.sample(
-                    transport=transport,
-                    host=host,
-                    node=node if isinstance(node, ProtocolNode) else None,
-                    service=service,
-                )
-            await asyncio.sleep(0.02)
+                protocol = node if isinstance(node, ProtocolNode) else None
+                metrics.sample(transport, host, protocol, service)
+            await asyncio.sleep(SAMPLE_INTERVAL_S)
+
+    loop.add_reader(conn.fileno(), on_control)
+    reporter = None
+    if service is not None or metrics is not None:
+        reporter = loop.create_task(report_forever())
+    # The child exits at this protocol time whatever the parent does.
+    delay = max(0.0, cfg["timeout_units"] - host.now()) * cfg["time_scale"]
+    deadline = loop.call_later(delay, stopped.set)
+    await stopped.wait()
+    loop.remove_reader(conn.fileno())
+    deadline.cancel()
+    if reporter is not None:
+        reporter.cancel()
+    if release is not None:
+        release.held.clear()  # a due timer finds nothing to submit
 
     # Snapshot *before* close(): what teardown had to reap.  A running node
     # legitimately holds its perpetual cleanup tick plus timers for
@@ -391,7 +403,6 @@ async def _child_run(
     # registry and nothing can re-arm past it.
     timers_at_close = host.live_timer_count()
     if service is not None:
-        sampler.cancel()
         service.stop()
     host.close()
     transport.close()
@@ -588,6 +599,8 @@ class SocketCluster:
         self._ctx = multiprocessing.get_context("spawn")
         self.procs: dict[int, multiprocessing.Process] = {}
         self.conns: dict[int, Any] = {}
+        #: node_id -> control messages its pipe has not taken yet (_ship).
+        self._held: dict[int, list] = {}
         # Supervisor bookkeeping (all keyed by node id).
         self._incarnations: dict[int, int] = {}
         self._restarts: dict[int, int] = {i: 0 for i in range(params.n)}
@@ -737,13 +750,8 @@ class SocketCluster:
         epoch_wall = time.time() + self._startup_grace_s
         self._epoch_wall = epoch_wall
         self._epoch_mono = time.monotonic() + self._startup_grace_s
-        for node_id, conn in list(self.conns.items()):
-            if node_id not in peers:
-                continue
-            try:
-                conn.send(("start", peers, epoch_wall, self._auth_key))
-            except (BrokenPipeError, OSError):
-                pass  # death is classified by the supervisor pump
+        for node_id in peers.keys() & self.conns.keys():
+            self._ship(node_id, ("start", peers, epoch_wall, self._auth_key))
         self._started = True
 
     # ------------------------------------------------------------------
@@ -760,12 +768,30 @@ class SocketCluster:
         return f"error:{code}"
 
     def _drop_conn(self, node_id: int) -> None:
+        self._held.pop(node_id, None)
         conn = self.conns.pop(node_id, None)
         if conn is not None:
             try:
                 conn.close()
             except OSError:
                 pass
+
+    def _ship(self, node_id: int, *msgs: tuple) -> bool:
+        """Queue ``msgs`` for a child, then send what it holds, in order,
+        while its pipe is writable: a stunned child's full pipe must not
+        block supervision (its SIGCONT included), and a child awaiting
+        ``start`` takes nothing.  True iff connected with nothing held."""
+        held = self._held.setdefault(node_id, [])
+        held.extend(msgs)
+        conn = self.conns.get(node_id)
+        if conn is None or node_id in self._awaiting_port:
+            return False
+        while held and select.select((), (conn,), (), 0)[1]:
+            try:
+                conn.send(held.pop(0))
+            except (BrokenPipeError, OSError):
+                return False  # death is classified by the supervisor pump
+        return not held
 
     def _safe_recv(self, node_id: int, conn) -> Optional[tuple]:
         """Receive one control message; degrade pipe damage to None.
@@ -777,9 +803,7 @@ class SocketCluster:
         """
         try:
             return conn.recv()
-        except (EOFError, OSError):
-            pass
-        except Exception:
+        except Exception:  # EOFError, OSError, or a truncated pickle
             pass
         self._drop_conn(node_id)
         return None
@@ -842,21 +866,14 @@ class SocketCluster:
         addr = ("127.0.0.1", port)
         self._peers[node_id] = addr
         self._awaiting_port.discard(node_id)
-        conn = self.conns.get(node_id)
-        if conn is not None:
-            try:
-                conn.send(
-                    ("start", dict(self._peers), self._epoch_wall, self._auth_key)
-                )
-            except (BrokenPipeError, OSError):
-                return
-        for other_id, other_conn in list(self.conns.items()):
-            if other_id == node_id:
-                continue
-            try:
-                other_conn.send(("rebind", node_id, addr))
-            except (BrokenPipeError, OSError):
-                pass
+        if node_id in self.conns:  # start goes ahead of what waited for it
+            self._held.setdefault(node_id, []).insert(
+                0, ("start", dict(self._peers), self._epoch_wall, self._auth_key)
+            )
+            self._ship(node_id)
+        for other_id in list(self.conns):
+            if other_id != node_id:
+                self._ship(other_id, ("rebind", node_id, addr))
 
     # ------------------------------------------------------------------
     # Lifecycle surface (fault driver and control plane)
@@ -870,11 +887,8 @@ class SocketCluster:
 
         A child respawned later starts with a clean drop matrix.
         """
-        for conn in list(self.conns.values()):
-            try:
-                conn.send(("fault", kind, dict(args)))
-            except (BrokenPipeError, OSError):
-                pass
+        for node_id in list(self.conns):
+            self._ship(node_id, ("fault", kind, dict(args)))
 
     def inject_fault_script(self, spec: object) -> dict:
         """Queue a JSON fault spec (thread-safe; ``at_d`` from injection)."""
@@ -1044,8 +1058,10 @@ class SocketCluster:
         """Dispatch what the given pipes deliver within ``timeout``.
 
         With no pipe to wait on, idle briefly while a respawn is pending;
-        False once there is nothing left to wait for.
+        False once there is nothing left to wait for.  Flushes first.
         """
+        for node_id in list(self._held):
+            self._ship(node_id)
         if not waitable:
             if not self._down and not self._awaiting_port:
                 return False
@@ -1111,11 +1127,8 @@ class SocketCluster:
 
     def _send_stop(self) -> None:
         self._stop_sent = True
-        for conn in self.conns.values():
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
+        for node_id in list(self.conns):
+            self._ship(node_id, ("stop",))
 
     def _collect(self, report: SocketRunReport, results: dict[int, dict]) -> None:
         """Merge per-node results; a missing or damaged result degrades to a
@@ -1192,6 +1205,8 @@ class SocketCluster:
                     pass
         self._stopped_procs.clear()
         self._send_stop()
+        for node_id in list(self.conns):  # EOF stops a child the stop missed
+            self._drop_conn(node_id)
         for proc in self.procs.values():
             proc.join(timeout=5.0)
         for proc in self.procs.values():
@@ -1202,11 +1217,6 @@ class SocketCluster:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=2.0)
-        for conn in self.conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def __del__(self) -> None:  # last-resort orphan guard
         try:

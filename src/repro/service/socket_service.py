@@ -10,7 +10,9 @@ per-child apply progress come back.
 Wire-level protocol over the existing control/results pipes:
 
 * parent -> child: ``("cmds", [(command, arrival_wall), ...])`` -- a batch
-  of client commands for the primary's coordinator (ignored by replicas).
+  of client commands for the primary (ignored by replicas): each arrival
+  due before ``now + LEAD``, in stamp order, for the primary's
+  :class:`~repro.service.workload.StampRelease` to submit at its stamp.
 * child -> parent: ``("applied", node_id, next_slot, commands_applied)`` --
   rate-limited apply progress, so the parent knows when every replica has
   caught up without streaming per-slot decisions.
@@ -30,12 +32,17 @@ parent is never trusted with what a replica applies.  Latency stamps are
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Optional
 
 from repro.core.params import ProtocolParams
 from repro.runtime.socket_host import SocketCluster
 from repro.service.service import ServiceReport
 from repro.service.workload import arrival_offsets
+
+#: The parent's wake period (its pipe wait, seconds), and how far ahead of
+#: its instant an arrival ships: the next wake comes before it is due.
+LEAD = 0.02
 
 
 class SocketLogService(SocketCluster):
@@ -44,9 +51,9 @@ class SocketLogService(SocketCluster):
     Construction spawns the children with service mode enabled (a
     :class:`~repro.service.service.NodeService` in each correct child);
     :meth:`run_workload` then plays the open-loop generator from the
-    parent, shipping due arrivals down the primary's control pipe in
-    batches and waiting for every correct child's ``applied`` progress to
-    reach the offered total.
+    parent, shipping arrivals down the primary's control pipe in batches,
+    ``LEAD`` ahead of their instants, and waiting for every correct
+    child's ``applied`` progress to reach the offered total.
     """
 
     #: Max commands per ("cmds", ...) pipe message.
@@ -154,7 +161,8 @@ class SocketLogService(SocketCluster):
         # Begin the arrival schedule at the shared epoch, when every child
         # is armed -- stamps stay comparable across the process tree.
         start = max(time.time(), self._epoch_wall or 0.0)
-        issued = 0
+        issued = 0  # arrivals whose instant has passed
+        ahead: deque[float] = deque()  # stamps pulled and yet to come
         settle_deadline: Optional[float] = None
         outbox: list[tuple[str, float]] = []
         self.workload_total = total
@@ -162,34 +170,29 @@ class SocketLogService(SocketCluster):
             self.faults.pump()
             self._pump_supervisor()
             now_wall = time.time()
-            while due is not None and start + due <= now_wall:
-                outbox.append((f"cmd{issued}", start + due))
-                issued += 1
+            while due is not None and start + due < now_wall + LEAD:
+                outbox.append((f"cmd{issued + len(ahead)}", start + due))
+                ahead.append(start + due)
                 due = next(offsets, None)
-                if len(outbox) >= self.PIPE_BATCH:
-                    break
+            while ahead and ahead[0] <= now_wall:
+                ahead.popleft()
+                issued += 1
             self.workload_issued = issued
-            if outbox:
-                conn = self.conns.get(self.primary)
-                if conn is None:
-                    if not self._supervise or self.primary in self._retired:
-                        break  # primary gone for good: no progress possible
-                    # Primary down but respawning: hold the outbox and keep
-                    # supervising; commands ship once it rejoins.
-                else:
-                    try:
-                        conn.send(("cmds", outbox))
-                        outbox = []
-                    except (BrokenPipeError, OSError):
-                        # Death is classified by the supervisor pump; the
-                        # outbox is retried against the next incarnation.
-                        pass
+            if outbox and self.primary not in self.conns and (
+                not self._supervise or self.primary in self._retired
+            ):
+                break  # primary gone for good: no progress possible
+            # Ship while the primary's pipe is clear; down, respawning or
+            # stunned, it leaves the outbox here until it takes it again.
+            while outbox and self._ship(self.primary):
+                self._ship(self.primary, ("cmds", outbox[: self.PIPE_BATCH]))
+                del outbox[: self.PIPE_BATCH]
             if issued >= total:
                 if settle_deadline is None:
                     settle_deadline = time.monotonic() + settle_timeout_s
                 if self._caught_up(total) or time.monotonic() > settle_deadline:
                     break
-            if not self._receive(dict(self.conns), timeout=0.02):
+            if not self._receive(dict(self.conns), timeout=LEAD):
                 break
         elapsed = time.time() - start
         self._await_results(timeout_s=10.0)

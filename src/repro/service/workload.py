@@ -13,13 +13,15 @@ Both backends take the schedule from :func:`arrival_offsets`: the
 generator awaits any async ``submit(command, arrival)`` callable
 (:meth:`~repro.service.coordinator.LogCoordinator.submit` in-process), and
 the socket backend's parent ships the same arrivals down the primary's
-control pipe.
+control pipe one wake ahead, for a :class:`StampRelease` to submit at
+their stamps.  No command reaches a coordinator before its instant.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from itertools import accumulate, islice
 from typing import Awaitable, Callable, Iterator
 
@@ -85,4 +87,29 @@ class OpenLoopWorkload:
             self.issued += 1
 
 
-__all__ = ["OpenLoopWorkload", "SubmitFn", "arrival_offsets"]
+class StampRelease:
+    """Holds commands shipped ahead of their arrival stamps, in the (stamp)
+    order shipped, and hands each to ``submit(command, stamp)`` once
+    ``clock()`` reaches its stamp: one loop timer waits for the head, and a
+    stamp already past goes in at once.  Clearing ``held`` drops the rest."""
+
+    def __init__(self, loop, submit, clock=time.time) -> None:
+        self.loop, self.submit, self.clock = loop, submit, clock
+        self.held: deque[tuple[object, float]] = deque()
+        self.timer = None
+
+    def ship(self, arrivals) -> None:
+        self.held.extend(arrivals)
+        if self.timer is None:
+            self.release()
+
+    def release(self) -> None:
+        self.timer = None
+        held, now = self.held, self.clock()
+        while held and held[0][1] <= now:
+            self.submit(*held.popleft())
+        if held:
+            self.timer = self.loop.call_later(held[0][1] - now, self.release)
+
+
+__all__ = ["OpenLoopWorkload", "StampRelease", "SubmitFn", "arrival_offsets"]

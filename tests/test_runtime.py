@@ -618,3 +618,39 @@ class TestSocketAgreementSmoke:
         assert len(decided) <= 1, f"correct nodes split: {decided}"
         assert decided == {"'w'"}
         assert report.clean_exit
+
+
+class TestSocketChildTeardown:
+    """A child reads its control pipe as messages arrive: ``stop`` and a
+    pipe EOF (the parent gone) each end it at once, cleanly."""
+
+    def test_stop_and_pipe_eof_each_end_a_child_within_a_second(self) -> None:
+        from repro.runtime.socket_host import SocketCluster
+
+        # No value to agree on and a far deadline: only the pipe ends them.
+        cluster = SocketCluster(PARAMS, seed=5, time_scale=0.05, timeout_units=1e4)
+        try:
+            cluster._start_children()
+            time.sleep(max(0.0, cluster._epoch_wall - time.time()) + 0.2)
+            assert all(proc.is_alive() for proc in cluster.procs.values())
+            # stop: the result comes back when asked, then a clean exit.
+            conn, proc = cluster.conns[0], cluster.procs[0]
+            asked = time.monotonic()
+            assert cluster._ship(0, ("stop",))
+            assert conn.poll(1.0)
+            tag, node_id, result = conn.recv()
+            assert (tag, node_id, result["live_timers"]) == ("result", 0, 0)
+            proc.join(1.0)
+            assert proc.exitcode == 0
+            assert time.monotonic() - asked < 1.0
+            # EOF: the parent's end closes and the child reaps itself.
+            proc = cluster.procs[1]
+            dropped = time.monotonic()
+            cluster._drop_conn(1)
+            proc.join(1.0)
+            assert proc.exitcode == 0
+            assert time.monotonic() - dropped < 1.0
+            assert cluster.procs[2].is_alive() and cluster.procs[3].is_alive()
+        finally:
+            cluster.close()
+        assert not any(proc.is_alive() for proc in cluster.procs.values())

@@ -5,8 +5,10 @@ applier's gap buffering, abort-as-skip, and measured retirement run against
 the deterministic simulator.  Service layer: end-to-end open-loop runs on
 the asyncio wall-clock backend, including a Crash/Restart churn timeline
 the revenant heals from f+1 matching peer answers, lossy / Byzantine
-delivery of the batch bodies the decided digests stand for, and one socket
-run with a SIGKILLed replica.
+delivery of the batch bodies the decided digests stand for, and two socket
+runs: a SIGKILLed replica, and a SIGSTOPped primary whose full control pipe
+the parent must not block on.  The socket primary's stamp-ordered release
+of commands shipped ahead is tested on a hand-fired loop.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import random
+import time
 from functools import partial
 from types import SimpleNamespace
 
@@ -29,7 +32,7 @@ from repro.net.network import Envelope
 from repro.runtime.framing import FrameEncoder, OversizedFrameError, derive_key
 from repro.service.applier import ReplicaApplier, batch_digest
 from repro.service.coordinator import LogCoordinator, window_bounds
-from repro.service.workload import OpenLoopWorkload, arrival_offsets
+from repro.service.workload import OpenLoopWorkload, StampRelease, arrival_offsets
 from repro.sim.engine import Simulator
 
 
@@ -704,6 +707,84 @@ class TestOpenLoopWorkload:
         assert wl.max_lag_s == 0.0
 
 
+class _TimerLoop:
+    """Just the ``call_later`` a :class:`StampRelease` uses, fired by hand."""
+
+    def __init__(self) -> None:
+        self.armed: list[list] = []  # [delay, callback, cancelled]
+
+    def call_later(self, delay, callback):
+        timer = [delay, callback, False]
+        self.armed.append(timer)
+        return SimpleNamespace(cancel=lambda: timer.__setitem__(2, True))
+
+    def fire(self) -> float:
+        """Run the one armed timer; returns the delay it was armed with."""
+        (timer,) = [t for t in self.armed if not t[2]]
+        self.armed.remove(timer)
+        timer[1]()
+        return timer[0]
+
+
+class TestStampRelease:
+    """The socket primary's intake: commands shipped ahead of their arrival
+    stamps reach the coordinator at their stamps, in stamp order."""
+
+    def test_release_waits_for_each_stamp_in_order(self):
+        now = [100.0]
+        loop = _TimerLoop()
+        submitted: list[tuple[object, float, float]] = []
+        release = StampRelease(
+            loop, lambda cmd, stamp: submitted.append((cmd, stamp, now[0])),
+            clock=lambda: now[0],
+        )
+        # A stamp already past, and one exactly now, go in at once.
+        release.ship([("a", 99.5), ("b", 100.0), ("c", 100.25), ("d", 100.5)])
+        assert [cmd for cmd, *_ in submitted] == ["a", "b"]
+        assert len(loop.armed) == 1 and loop.armed[0][0] == pytest.approx(0.25)
+        # A second batch while the head's timer is armed arms nothing more.
+        release.ship([("e", 100.5), ("f", 101.0)])
+        assert len(loop.armed) == 1
+        # A loop timer that fires a hair early releases nothing before its
+        # stamp: it re-arms for the rest of the wait.
+        now[0] = 100.24
+        loop.fire()
+        assert len(submitted) == 2
+        assert loop.armed[0][0] == pytest.approx(0.01)
+        now[0] = 100.25
+        loop.fire()
+        now[0] = 100.7  # a late wake releases everything due, in order
+        loop.fire()
+        assert [cmd for cmd, *_ in submitted] == ["a", "b", "c", "d", "e"]
+        assert loop.armed[0][0] == pytest.approx(0.3)
+        now[0] = 101.0
+        loop.fire()
+        assert not loop.armed and not release.held
+        assert [cmd for cmd, *_ in submitted] == list("abcdef")
+        assert all(at >= stamp for _cmd, stamp, at in submitted)
+        stamps = [stamp for _cmd, stamp, _at in submitted]
+        assert stamps == sorted(stamps)
+
+    def test_on_a_real_loop_no_command_is_early(self):
+        submitted: list[tuple[float, float]] = []
+
+        async def main() -> None:
+            release = StampRelease(
+                asyncio.get_running_loop(),
+                lambda cmd, stamp: submitted.append((stamp, time.time())),
+            )
+            base = time.time()
+            release.ship([(f"cmd{i}", base - 0.01 + 0.005 * i) for i in range(12)])
+            assert len(submitted) >= 2  # the past stamps went in at once
+            while release.held:
+                await asyncio.sleep(0.005)
+
+        asyncio.run(main())
+        assert len(submitted) == 12
+        assert all(at >= stamp for stamp, at in submitted)
+        assert [s for s, _ in submitted] == sorted(s for s, _ in submitted)
+
+
 class TestServiceAsyncio:
     def _run(self, coro):
         # A wedged run fails with its traceback instead of hanging the suite.
@@ -1334,6 +1415,66 @@ class TestSocketService:
         series = parse_prometheus_text(supervisor_metrics)
         assert series["repro_cluster_commands_applied_min"][""] == total
         assert series["repro_cluster_restarts_total"][""] >= 1
+
+
+    def test_a_stunned_primary_never_blocks_the_parent(self, params4):
+        """A SIGSTOPped primary stops reading its control pipe.  The parent
+        holds its commands back instead of blocking on the full pipe, so
+        the scripted restart (SIGCONT) fires and the run returns."""
+        import threading
+
+        from repro.service.socket_service import SocketLogService
+
+        time_scale, rate, total, settle_s = 0.1, 1000.0, 6000, 15.0
+        service = SocketLogService(
+            params4, primary=0, window=8, max_batch=128, seed=62,
+            time_scale=time_scale, supervise=True,
+            timeout_units=(total / rate + settle_s + 30.0) / time_scale,
+        )
+        d_s = time_scale * params4.d
+        grace = service._startup_grace_s  # injected at_d counts from here
+        service.inject_fault_script([
+            {"at_d": (grace + 1.0) / d_s, "do": "crash", "nodes": [0],
+             "state_loss": False},
+            {"at_d": (grace + 5.0) / d_s, "do": "restart", "nodes": [0]},
+        ])
+        # Four seconds of stun is more than the pipe holds at 1000 cmds/s:
+        # a parent that wrote into it regardless blocked before the restart.
+        held_back = []
+        ship = service._ship
+
+        def watch_ship(node_id, *msgs):
+            shipped = ship(node_id, *msgs)
+            if node_id == 0 and service._held.get(0):
+                held_back.append(len(service._held[0]))
+            return shipped
+
+        service._ship = watch_ship
+        outcome: dict = {}
+
+        def run() -> None:
+            started = time.monotonic()
+            outcome["report"] = service.run_workload(
+                rate=rate, total=total, seed=62, settle_timeout_s=settle_s
+            )
+            outcome["elapsed"] = time.monotonic() - started
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=total / rate + settle_s + 30.0)
+        try:
+            assert not runner.is_alive(), "run_workload wedged"
+        finally:
+            if runner.is_alive():  # unwedge the parent so the test ends
+                for proc in service.procs.values():
+                    proc.kill()
+            service.close()
+        assert held_back, "the primary's pipe never filled: no stun to ride"
+        assert service.faults.fired == ["crash", "restart"]
+        # The run returned within its settle window of the last arrival.
+        assert outcome["elapsed"] < grace + total / rate + settle_s + 5.0
+        assert outcome["report"].commands_issued == total
+        assert not any(proc.is_alive() for proc in service.procs.values())
 
 
 class TestDrainAndSampling:
