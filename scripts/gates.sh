@@ -111,13 +111,17 @@ gate_live_cluster() {
 # exit (span coverage not green, output check failed).  One traced run per
 # family: svc_asyncio_fastnet for the in-process wall-clock seams, a short
 # svc_socket_kill for the socket carrier's (scraped datagram counters, the
-# respawn and the catch-up), and a short sim_adversary for the simulator's
-# (its cleanup, prune and abort paths are the ones sim_agree skips).
+# respawn and the catch-up), a short sim_adversary for the simulator's
+# cleanup, prune and abort paths, and a short sim_agree, the one workload
+# whose output check demands that the watch_fire spans count exactly the
+# watch callbacks that fired (a MessageLog.watch that bypasses the seam
+# fails there).
 gate_bench_seam() {
     python -m pytest bench/ -q
     traced_run --workload svc_asyncio_fastnet
     traced_run --workload svc_socket_kill --seconds 6
     traced_run --workload sim_adversary --seconds 3
+    traced_run --workload sim_agree --seconds 3
 }
 
 # traced_run ARGS...: one traced bench/run.py run; fail on a non-zero exit

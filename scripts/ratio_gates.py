@@ -12,8 +12,8 @@ the ratio is under its ``floor``, or more than ``ALLOWED_DROP`` under its
 ====================  ===========================  ============================  =====  ========
 gate                  fast path                    reference                     floor  baseline
 ====================  ===========================  ============================  =====  ========
-msglog_window_query   ``node.msglog.MessageLog``   ``node.msglog_ref``           3.0    17.7
-evaluator_push        ``core.msgd_broadcast``      ``core.eval_ref`` (eager)     3.0    4.5
+msglog_window_query   ``node.msglog.MessageLog``   ``oracles.msglog_ref``        3.0    17.7
+evaluator_push        ``core.msgd_broadcast``      ``oracles.eval_ref`` (eager)  3.0    4.5
 wire_batch_pipeline   skeleton encode + BATCH      ``encode_frame`` per message  3.0    3.4
 wire_compiled_decode  ``FrameDecoder`` plans       generic tree decode           2.5    4.2
 ====================  ===========================  ============================  =====  ========
@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
+sys.path.insert(0, REPO)  # the references live in tests/oracles/
 
-from repro.core.eval_ref import ReferenceMsgdBroadcast  # noqa: E402
 from repro.core.messages import (  # noqa: E402
     ApproveMsg,
     MBEchoMsg,
@@ -58,7 +58,6 @@ from repro.core.messages import (  # noqa: E402
 from repro.core.msgd_broadcast import MsgdBroadcast  # noqa: E402
 from repro.core.params import ProtocolParams  # noqa: E402
 from repro.node.msglog import MessageLog  # noqa: E402
-from repro.node.msglog_ref import ReferenceMessageLog  # noqa: E402
 from repro.runtime import framing  # noqa: E402
 from repro.runtime.framing import (  # noqa: E402
     FrameBatcher,
@@ -68,6 +67,8 @@ from repro.runtime.framing import (  # noqa: E402
     derive_key,
     encode_frame,
 )
+from tests.oracles.eval_ref import ReferenceMsgdBroadcast  # noqa: E402
+from tests.oracles.msglog_ref import ReferenceMessageLog  # noqa: E402
 
 
 #: Timed passes per side; each gate keeps the best of them.  The wire

@@ -34,8 +34,8 @@ latest-arrival fast path: ``count_distinct_in`` with the window ending at
 ``now`` is a single bisect on the cached ascending latest-arrival array
 (see :mod:`repro.node.msglog`), and the per-value message keys and quorum
 sizes are computed once instead of per arrival.  The original eager
-evaluator is kept verbatim in :mod:`repro.core.eval_ref` and
-``tests/test_eval_equiv.py`` proves behavioural equivalence.
+evaluator is kept verbatim as the test oracle ``tests/oracles/eval_ref.py``
+and ``tests/test_eval_equiv.py`` proves behavioural equivalence.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ mechanically by :mod:`repro.harness.properties`.
 
 Push-based evaluation
 ---------------------
-The original evaluator (kept verbatim as
-:class:`repro.core.eval_ref.ReferenceMsgdBroadcast`) re-issued up to seven
+The original evaluator (kept verbatim as ``ReferenceMsgdBroadcast`` in the
+test oracle ``tests/oracles/eval_ref.py``) re-issued up to seven
 window queries per triplet per arrival.  This implementation inverts that
 pull model:
 

@@ -26,6 +26,7 @@ digests pin it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -152,7 +153,8 @@ class Network:
         The policy, the sender's stream and the partition set are bound
         once, counters are summed once, and only the policy decision runs
         per copy.  The surviving copies' delivery instants go to
-        :meth:`_queue_copies` in one call.
+        :meth:`_queue_copies` in one call, as an ``array('d')``: no float
+        object per copy outlives this sweep.
         """
         self.sent_count += len(receivers)
         tracer = self._tracer
@@ -170,7 +172,7 @@ class Network:
         sender_cut = sender in partitioned
         cut = dropped = 0
         kept: list[int] = []
-        times: list[float] = []
+        times = array("d")
         for receiver in receivers:
             if tracer is not None:
                 tracer.record(now, sender, "send", receiver=receiver, payload=payload)
@@ -218,7 +220,9 @@ class Network:
         (the transient injector) enforce that scenario-side.
         """
         now = self._sim.now
-        self._queue_copies(claimed_sender, (receiver,), payload, now, [now + delay])
+        self._queue_copies(
+            claimed_sender, (receiver,), payload, now, array("d", (now + delay,))
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -235,7 +239,7 @@ class Network:
         receivers: Sequence[int],
         payload: object,
         sent_at: float,
-        times: list[float],
+        times: array,
     ) -> None:
         """Queue copy ``k`` to ``receivers[k]``, due at ``times[k]``.
 

@@ -17,21 +17,28 @@ Window predicates are evaluated on *every* message arrival, so this module
 is the single hottest query path in the simulator.  The log therefore keeps
 incremental per-key state instead of rescanning records:
 
-* a flat time-sorted pair of arrays ``(times, time_senders)`` per key --
-  the one record store -- so a window query is two bisects plus a slice
-  over only the in-window hits;
-* one float per sender, its latest arrival, so per-sender queries and the
-  age prune never touch the record store (a future prune, which only
-  corruption makes necessary, recomputes a cut sender's latest by a
-  backward scan of the kept axis);
-* a lazily cached ascending array of per-sender latest arrivals, so
+* a time-sorted arrival axis per key -- the one record store -- held as
+  two typed arrays, ``times`` (``array('d')``) and ``time_senders``
+  (``array('H')``), so a window query is two bisects plus a slice over
+  only the in-window hits;
+* an ``array('d')`` of each sender's latest arrival, indexed by sender id
+  with NaN for "no record", and a count of the senders that have one, so
+  per-sender queries and the age prune never touch the record store (a
+  future prune, which only corruption makes necessary, recomputes a cut
+  sender's latest by a backward scan of the kept axis);
+* a lazily cached ascending list of per-sender latest arrivals, so
   ``kth_latest_distinct`` is a cache lookup instead of a sort per call.
+
+A record is therefore ten bytes in the axis arrays and no object: no float
+per arrival outlives the call that logged it.  Senders are node ids, ints
+in ``range(65536)``.
 
 Arrivals are observed in nondecreasing local time during normal operation,
 so every maintenance step above is an O(1) append; bisect-insertion only
 happens for out-of-order (corrupted) arrivals.  The naive original
-implementation survives as :class:`repro.node.msglog_ref.ReferenceMessageLog`
-and ``tests/test_msglog_equiv.py`` proves behavioural equivalence.
+implementation survives as the test oracle
+``tests/oracles/msglog_ref.py`` (``ReferenceMessageLog``), and
+``tests/test_msglog_equiv.py`` proves behavioural equivalence.
 
 Push path
 ---------
@@ -67,50 +74,72 @@ latest-arrival array answers the count with a single bisect.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right, insort
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Callable, Hashable, Iterable, Optional
 
 Key = Hashable
 
+_NAN = float("nan")
+_NAN_1 = array("d", (_NAN,))
+# Empty templates: copying one is about three times quicker than
+# ``array("d")``, which parses its typecode.
+_NO_TIMES = array("d")
+_NO_SENDERS = array("H")
+
+
+@lru_cache(maxsize=64)
+def _threshold_set(thresholds: tuple[int, ...]) -> frozenset[int]:
+    """One shared (immutable) set per distinct threshold tuple."""
+    return frozenset(thresholds)
+
 
 class _KeyLog:
-    """Incremental state for one message key."""
+    """Incremental state for one message key, in typed arrays."""
 
-    __slots__ = ("latest", "times", "time_senders", "latest_sorted")
+    __slots__ = ("latest", "nsenders", "times", "time_senders", "latest_sorted")
 
-    def __init__(self) -> None:
-        # sender -> latest arrival local-time (present iff it has a record)
-        self.latest: dict[int, float] = {}
+    def __init__(self, latest: array) -> None:
+        # latest[s]: sender s's latest arrival local-time; NaN: no record
+        self.latest = latest
+        # how many senders have a record (the non-NaN entries of latest)
+        self.nsenders = 0
         # flat arrival axis: times is sorted, time_senders[i] sent times[i]
-        self.times: list[float] = []
-        self.time_senders: list[int] = []
+        self.times = _NO_TIMES.__copy__()
+        self.time_senders = _NO_SENDERS.__copy__()
         # ascending per-sender latest arrivals; None when stale
         self.latest_sorted: Optional[list[float]] = None
 
     # -- recording ------------------------------------------------------
     def add(self, sender: int, arrival: float) -> None:
+        # A sender wider than ``latest`` raises IndexError here, before
+        # anything changes: the log widens the key and retries.
         latest = self.latest
-        old_latest = latest.get(sender)
-        cache = self.latest_sorted
-        if old_latest is None:
-            latest[sender] = arrival
-            if cache is not None:
-                insort(cache, arrival)
-        elif arrival > old_latest:
-            latest[sender] = arrival
-            if cache is not None:
-                del cache[bisect_left(cache, old_latest)]
-                insort(cache, arrival)
-        # else out-of-order (corruption): the sender's latest is unchanged
+        old_latest = latest[sender]
         times = self.times
         if times and arrival < times[-1]:
             idx = bisect_right(times, arrival)
-            times.insert(idx, arrival)
             self.time_senders.insert(idx, sender)
+            times.insert(idx, arrival)
         else:
-            times.append(arrival)
             self.time_senders.append(sender)
+            times.append(arrival)
+        if old_latest == old_latest:  # not the sender's first record
+            if arrival > old_latest:
+                latest[sender] = arrival
+                cache = self.latest_sorted
+                if cache is not None:
+                    del cache[bisect_left(cache, old_latest)]
+                    insort(cache, arrival)
+            # else out-of-order (corruption): the sender's latest is unchanged
+        else:
+            latest[sender] = arrival
+            self.nsenders += 1
+            cache = self.latest_sorted
+            if cache is not None:
+                insort(cache, arrival)
 
     # -- queries --------------------------------------------------------
     def window_senders(self, start: float, end: float) -> set[int]:
@@ -120,13 +149,13 @@ class _KeyLog:
         if lo >= hi:
             return set()
         if hi - lo == len(times):
-            return set(self.latest)
+            return set(self.time_senders)
         return set(self.time_senders[lo:hi])
 
     def latest_ascending(self) -> list[float]:
         cache = self.latest_sorted
         if cache is None:
-            cache = sorted(self.latest.values())
+            cache = sorted(t for t in self.latest if t == t)
             self.latest_sorted = cache
         return cache
 
@@ -139,10 +168,13 @@ class _KeyLog:
         del times[:idx]
         del self.time_senders[:idx]
         latest = self.latest
-        dead = [sender for sender, t in latest.items() if t < cutoff]
+        dead = 0
+        for sender, t in enumerate(latest):
+            if t < cutoff:  # never true of NaN
+                latest[sender] = _NAN
+                dead += 1
         if dead:
-            for sender in dead:
-                del latest[sender]
+            self.nsenders -= dead
             self.latest_sorted = None  # lost whole senders
         return idx
 
@@ -155,18 +187,19 @@ class _KeyLog:
         del times[keep:]
         del self.time_senders[keep:]
         latest = self.latest
-        cut = {sender for sender, t in latest.items() if t > now}
-        # A cut sender's new latest is its last record left on the axis
-        # (updated in place, so the senders keep their order).
+        cut = {sender for sender, t in enumerate(latest) if t > now}
+        # A cut sender's new latest is its last record left on the axis.
         senders = self.time_senders
         i = keep
         while cut and i:
             i -= 1
-            if senders[i] in cut:
-                cut.discard(senders[i])
-                latest[senders[i]] = times[i]
+            sender = senders[i]
+            if sender in cut:
+                cut.discard(sender)
+                latest[sender] = times[i]
         for sender in cut:
-            del latest[sender]
+            latest[sender] = _NAN
+        self.nsenders -= len(cut)
         self.latest_sorted = None  # future stamps are always some latest
         return total - keep
 
@@ -232,7 +265,8 @@ class FreshWindowWatch:
         if self._stale:
             return  # rebuilt from the log on next query
         if advances_time and arrival > self._hwm:
-            self._drain(arrival)
+            if self._pending:
+                self._drain(arrival)
             self._hwm = arrival
         if arrival < self.start:
             return
@@ -317,6 +351,8 @@ class MessageLog:
 
     def __init__(self) -> None:
         self._keys: dict[Key, _KeyLog] = {}
+        # All NaN, one slot per sender id seen so far; new keys copy it.
+        self._blank = array("d")
         self._watches: dict[Key, list[FreshWindowWatch]] = {}
         #: Watch callbacks actually fired (threshold crossings / sentinel
         #: maturations).  Observability only -- never read by protocol code.
@@ -333,8 +369,12 @@ class MessageLog:
         """Record one arrival (stamped with the *current* local time)."""
         klog = self._keys.get(key)
         if klog is None:
-            klog = self._keys[key] = _KeyLog()
-        klog.add(sender, arrival_local)
+            klog = self._keys[key] = _KeyLog(self._blank.__copy__())
+        try:
+            klog.add(sender, arrival_local)
+        except IndexError:
+            self._widen(klog, sender)
+            klog.add(sender, arrival_local)
         if self._watches:
             watches = self._watches.get(key)
             if watches:
@@ -350,13 +390,25 @@ class MessageLog:
         """
         klog = self._keys.get(key)
         if klog is None:
-            klog = self._keys[key] = _KeyLog()
-        klog.add(sender, arrival_local)
+            klog = self._keys[key] = _KeyLog(self._blank.__copy__())
+        try:
+            klog.add(sender, arrival_local)
+        except IndexError:
+            self._widen(klog, sender)
+            klog.add(sender, arrival_local)
         if self._watches:
             watches = self._watches.get(key)
             if watches:
                 for watch in watches:
                     watch._on_add(sender, arrival_local, False)
+
+    def _widen(self, klog: _KeyLog, sender: int) -> None:
+        """Make ``klog.latest`` (and every key made from now on) wide
+        enough for ``sender``: a log learns its width in its first keys."""
+        blank = self._blank
+        if sender >= len(blank):
+            blank = self._blank = _NAN_1 * (sender + 1)
+        klog.latest.extend(blank[len(klog.latest):])
 
     # ------------------------------------------------------------------
     # Subscriptions (the push-based evaluators' fast path)
@@ -375,9 +427,8 @@ class MessageLog:
         when ``sentinel``'s first in-window record matures.  The caller owns
         the watch's lifetime: :meth:`FreshWindowWatch.cancel` detaches it.
         """
-        watch = FreshWindowWatch(
-            self, key, start, frozenset(thresholds), sentinel, on_event
-        )
+        shared = _threshold_set(tuple(thresholds))
+        watch = FreshWindowWatch(self, key, start, shared, sentinel, on_event)
         self._watches.setdefault(key, []).append(watch)
         return watch
 
@@ -409,12 +460,14 @@ class MessageLog:
     def senders(self, key: Key) -> set[int]:
         """All senders with at least one record for the key."""
         klog = self._keys.get(key)
-        return set(klog.latest) if klog is not None else set()
+        if klog is None:
+            return set()
+        return {sender for sender, t in enumerate(klog.latest) if t == t}
 
     def count_distinct(self, key: Key) -> int:
         """Number of distinct senders recorded for the key (any time)."""
         klog = self._keys.get(key)
-        return len(klog.latest) if klog is not None else 0
+        return klog.nsenders if klog is not None else 0
 
     def distinct_senders_in(self, key: Key, start: float, end: float) -> set[int]:
         """Senders with at least one arrival in the closed window [start, end]."""
@@ -440,7 +493,7 @@ class MessageLog:
             return 0
         if end >= times[-1]:
             if start <= times[0]:
-                return len(klog.latest)
+                return klog.nsenders
             latest = klog.latest_ascending()
             return len(latest) - bisect_left(latest, start)
         return len(klog.window_senders(start, end))
@@ -450,7 +503,7 @@ class MessageLog:
         klog = self._keys.get(key)
         if klog is None:
             return {}
-        return dict(klog.latest)
+        return {sender: t for sender, t in enumerate(klog.latest) if t == t}
 
     def kth_latest_distinct(self, key: Key, k: int) -> Optional[float]:
         """Start of the shortest window ending *now* with k distinct senders.
@@ -462,7 +515,7 @@ class MessageLog:
         Block L.
         """
         klog = self._keys.get(key)
-        if klog is None or len(klog.latest) < k or k <= 0:
+        if klog is None or klog.nsenders < k or k <= 0:
             return None
         return klog.latest_ascending()[-k]
 
@@ -476,7 +529,10 @@ class MessageLog:
     def has_from(self, key: Key, sender: int) -> bool:
         """True iff the key has a record from the given sender."""
         klog = self._keys.get(key)
-        return klog is not None and sender in klog.latest
+        if klog is None or not 0 <= sender < len(klog.latest):
+            return False
+        t = klog.latest[sender]
+        return t == t
 
     # ------------------------------------------------------------------
     # Cleanup (the protocols' decay rules)
@@ -489,7 +545,7 @@ class MessageLog:
         empty_keys = []
         for key, klog in self._keys.items():
             dropped += klog.prune_older_than(cutoff_local)
-            if not klog.latest:
+            if not klog.nsenders:
                 empty_keys.append(key)
         for key in empty_keys:
             del self._keys[key]

@@ -26,8 +26,9 @@ such as resend-throttled scenarios.  A timer's ``arg`` is its
 broadcast wave, or a lone send as a run of one -- reserve consecutive
 ``seq`` numbers and share **one** heap entry, keyed by the copy due first
 and re-keyed to the next copy each time one runs (a multiway merge of
-sorted runs).  A copy in flight is then one delivery-time float and one
-position in its run's order, with no tuple, envelope or handle of its own,
+sorted runs).  A copy in flight is then one 8-byte slot of its run's
+``array('d')`` of delivery instants and one 2-byte slot of its
+``array('H')`` order, with no float, tuple, envelope or handle of its own,
 and the heap holds one entry per wave instead of one per copy.  The pop
 order is still the ``(time, seq)`` total order, so a run is bit-identical
 to queueing each copy as its own entry.
@@ -36,7 +37,8 @@ to queueing each copy as its own entry.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from array import array
+from typing import Any, Callable, Optional, Sequence
 
 
 class SimulationError(RuntimeError):
@@ -76,11 +78,14 @@ class _Run:
     Copy ``k`` is due at ``times[k]`` with sequence number ``base + k``;
     ``order`` lists the ``k`` in ``(time, seq)`` order and ``pos`` is the
     next one due.  ``arg`` is handed to the run's action with each ``k``.
+    On the network's path both are typed arrays, ``times`` an
+    ``array('d')`` and ``order`` an ``array('H')`` (a run of one shares
+    ``_FIRST``), so a copy in flight is ten bytes and no object.
     """
 
     __slots__ = ("times", "order", "pos", "base", "arg")
 
-    def __init__(self, times: list[float], order: Any, base: int, arg: Any) -> None:
+    def __init__(self, times: Sequence[float], order: Any, base: int, arg: Any) -> None:
         self.times = times
         self.order = order
         self.pos = 0
@@ -155,7 +160,7 @@ class Simulator:
         return self.schedule_at(self._now + delay, action, tag)
 
     def schedule_run(
-        self, times: list[float], action: Callable[[Any, int], None], arg: Any
+        self, times: Sequence[float], action: Callable[[Any, int], None], arg: Any
     ) -> None:
         """Fire-and-forget batch: ``action(arg, k)`` runs at ``times[k]``.
 
@@ -170,7 +175,7 @@ class Simulator:
         if count == 1:
             order: Any = _FIRST
         else:
-            order = sorted(range(count), key=times.__getitem__)
+            order = array("H", sorted(range(count), key=times.__getitem__))
         k = order[0]
         if times[k] < self._now:
             raise SimulationError(

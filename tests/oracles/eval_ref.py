@@ -12,7 +12,7 @@ and the ``evaluator_push`` gate of ``scripts/ratio_gates.py`` pits them
 head to head (the push path must win by >= 3x).
 
 Do not "optimize" this module -- its eagerness is its value.  It mirrors
-the differential-reference pattern of :mod:`repro.node.msglog_ref`.
+the differential-reference pattern of :mod:`tests.oracles.msglog_ref`.
 """
 
 from __future__ import annotations

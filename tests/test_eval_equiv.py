@@ -5,7 +5,7 @@ threshold subscriptions and deadline timers, :mod:`repro.core.
 initiator_accept` on the log's latest-arrival fast path, and the
 :class:`~repro.core.agreement.SdrPrefixCache` behind Block S) must be
 *observationally indistinguishable* from the eager pull evaluators kept
-verbatim in :mod:`repro.core.eval_ref`.  Both are driven through identical
+verbatim in :mod:`tests.oracles.eval_ref`.  Both are driven through identical
 randomized adversarial schedules -- mixed message arrivals, clock advances,
 anchor sets/clears/resets, cleanup pruning, and full transient corruption
 with identically-seeded randomness -- and after *every* operation the
@@ -25,11 +25,6 @@ import random
 import pytest
 
 from repro.core.agreement import SdrPrefixCache, distinct_chain_exists
-from repro.core.eval_ref import (
-    ReferenceInitiatorAccept,
-    ReferenceMsgdBroadcast,
-    eager_fresh_senders,
-)
 from repro.core.initiator_accept import InitiatorAccept
 from repro.core.messages import (
     ApproveMsg,
@@ -44,6 +39,11 @@ from repro.core.msgd_broadcast import MsgdBroadcast
 from repro.core.params import ProtocolParams
 from repro.node.msglog import MessageLog
 from repro.sim.rand import RandomSource
+from tests.oracles.eval_ref import (
+    ReferenceInitiatorAccept,
+    ReferenceMsgdBroadcast,
+    eager_fresh_senders,
+)
 
 G = 0
 VALUES = ["A", "B"]
@@ -307,7 +307,7 @@ def test_watch_vs_eager_oracle_differential(seed: int) -> None:
     arrivals, arbitrarily-stamped corruption (past *and* future stamps),
     age/future prunes, resets (clears, key removals, predicate removals)
     and watch churn (spawn/cancel mid-schedule), checking ``count``/``has``
-    against :func:`repro.core.eval_ref.eager_fresh_senders` after every
+    against :func:`tests.oracles.eval_ref.eager_fresh_senders` after every
     single operation.  Nothing here knows how the watch is implemented --
     staleness, maturation heaps and rebuilds must all be invisible.
     """

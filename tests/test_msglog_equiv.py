@@ -2,7 +2,7 @@
 
 The incremental log (:mod:`repro.node.msglog`) keeps flat sorted arrays and
 cached per-sender latest arrivals; the reference
-(:mod:`repro.node.msglog_ref`) is the original rescan-everything
+(:mod:`tests.oracles.msglog_ref`) is the original rescan-everything
 implementation.  Equivalence is the correctness argument for the fast path:
 drive both through thousands of identical mixed operations -- in-order adds,
 out-of-order corrupt inserts, age/future prunes, key removals, clears --
@@ -11,12 +11,13 @@ and demand identical answers from every public query at every step.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.node.msglog import MessageLog
-from repro.node.msglog_ref import ReferenceMessageLog
+from tests.oracles.msglog_ref import ReferenceMessageLog
 
 KEYS = [
     ("support", 0, "A"),
@@ -29,15 +30,34 @@ SENDERS = list(range(8))
 KTHS = (1, 2, 3, 5, 8, 12)
 
 
-def _assert_equivalent(fast: MessageLog, ref: ReferenceMessageLog, rng: random.Random) -> None:
+def _assert_no_nan(fast: MessageLog, key) -> None:
+    """The log marks "no record" with NaN inside; none may leak out."""
+    latest = fast.latest_arrival_per_sender(key)
+    assert not any(math.isnan(t) for t in latest.values())
+    senders = fast.senders(key)
+    assert all(type(sender) is int for sender in senders)
+    assert senders == set(latest)
+    for k in range(1, len(senders) + 2):
+        kth = fast.kth_latest_distinct(key, k)
+        assert (kth is None) == (k > len(senders))
+        assert kth is None or not math.isnan(kth)
+    earliest = fast.earliest_arrival(key)
+    assert (earliest is None) == (not senders)
+    assert earliest is None or not math.isnan(earliest)
+
+
+def _assert_equivalent(
+    fast: MessageLog, ref: ReferenceMessageLog, rng: random.Random, probes=SENDERS
+) -> None:
     assert fast.keys == ref.keys
     assert fast.total_records() == ref.total_records()
     for key in KEYS + [("missing", 9, "Z")]:
+        _assert_no_nan(fast, key)
         assert fast.senders(key) == ref.senders(key)
         assert fast.count_distinct(key) == ref.count_distinct(key)
         assert fast.latest_arrival_per_sender(key) == ref.latest_arrival_per_sender(key)
         assert fast.earliest_arrival(key) == ref.earliest_arrival(key)
-        for sender in SENDERS:
+        for sender in probes:
             assert fast.has_from(key, sender) == ref.has_from(key, sender)
         for k in KTHS:
             assert fast.kth_latest_distinct(key, k) == ref.kth_latest_distinct(key, k)
@@ -50,6 +70,10 @@ def _assert_equivalent(fast: MessageLog, ref: ReferenceMessageLog, rng: random.R
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_differential_mixed_operations(seed: int) -> None:
+    _drive_mixed_operations(seed, SENDERS, SENDERS)
+
+
+def _drive_mixed_operations(seed: int, senders: list[int], probes: list[int]) -> None:
     rng = random.Random(seed)
     fast = MessageLog()
     ref = ReferenceMessageLog()
@@ -60,13 +84,13 @@ def test_differential_mixed_operations(seed: int) -> None:
         if roll < 0.55:
             # Normal arrival: nondecreasing local time, duplicates included.
             now += rng.choice([0.0, 0.01, 0.3, 1.0])
-            key, sender = rng.choice(KEYS), rng.choice(SENDERS)
+            key, sender = rng.choice(KEYS), rng.choice(senders)
             fast.add(key, sender, now)
             ref.add(key, sender, now)
         elif roll < 0.70:
             # Corruption: arbitrary past or future stamps.
             t = rng.uniform(-10.0, now + 50.0)
-            key, sender = rng.choice(KEYS), rng.choice(SENDERS)
+            key, sender = rng.choice(KEYS), rng.choice(senders)
             fast.corrupt_insert(key, sender, t)
             ref.corrupt_insert(key, sender, t)
         elif roll < 0.78:
@@ -93,9 +117,9 @@ def test_differential_mixed_operations(seed: int) -> None:
             ref.clear()
 
         if step % 50 == 0:
-            _assert_equivalent(fast, ref, rng)
+            _assert_equivalent(fast, ref, rng, probes)
 
-    _assert_equivalent(fast, ref, rng)
+    _assert_equivalent(fast, ref, rng, probes)
 
 
 def test_differential_in_order_heavy() -> None:
@@ -233,6 +257,7 @@ def test_kth_latest_cache_survives_interleaved_prunes() -> None:
 def _assert_latest_equivalent(
     fast: MessageLog, ref: ReferenceMessageLog, key, rng: random.Random, now: float
 ) -> None:
+    _assert_no_nan(fast, key)
     assert fast.latest_arrival_per_sender(key) == ref.latest_arrival_per_sender(key)
     for k in KTHS:
         assert fast.kth_latest_distinct(key, k) == ref.kth_latest_distinct(key, k)
@@ -305,3 +330,124 @@ def test_out_of_order_inserts_then_prune_older_than(seed: int) -> None:
         cutoff = now - rng.choice([0.0, rng.uniform(0.0, 12.0)])
         assert fast.prune_older_than(cutoff) == ref.prune_older_than(cutoff)
         _assert_latest_equivalent(fast, ref, key, rng, now)
+
+
+# ---------------------------------------------------------------------------
+# The typed-array storage: a per-sender row indexed by sender id (NaN for
+# "no record") that each log widens as it meets wider ids.
+# ---------------------------------------------------------------------------
+SPARSE = [63, 31, 5, 0]  # the highest id first
+#: Ids inside and outside every row, including ones no sender ever uses.
+PROBES = SPARSE + [1, 4, 6, 30, 32, 62, 64, 200]
+
+
+class _Pair:
+    """A fast log and its reference, driven together and compared whole."""
+
+    def __init__(self) -> None:
+        self.fast = MessageLog()
+        self.ref = ReferenceMessageLog()
+
+    def add(self, key, sender: int, t: float) -> None:
+        self.fast.add(key, sender, t)
+        self.ref.add(key, sender, t)
+
+    def corrupt(self, key, sender: int, t: float) -> None:
+        self.fast.corrupt_insert(key, sender, t)
+        self.ref.corrupt_insert(key, sender, t)
+
+    def prune_older_than(self, cutoff: float) -> None:
+        assert self.fast.prune_older_than(cutoff) == self.ref.prune_older_than(cutoff)
+
+    def prune_future(self, now: float) -> None:
+        assert self.fast.prune_future(now) == self.ref.prune_future(now)
+
+    def check(self) -> None:
+        _assert_equivalent(self.fast, self.ref, random.Random(0), PROBES)
+
+
+def test_sparse_ids_highest_first_then_lower():
+    """A key met first by id 63 is 64 wide at once; later keys and lower
+    ids never widen it again, and the gaps between ids read as absent."""
+    pair = _Pair()
+    key, other = KEYS[0], KEYS[1]
+    for step, sender in enumerate(SPARSE):
+        pair.add(key, sender, 1.0 + step)
+        pair.check()
+    pair.add(other, 5, 10.0)  # a new key on a log already 64 wide
+    pair.check()
+    assert len(pair.fast._keys[other].latest) == 64
+
+
+def test_sparse_ids_lowest_first_widens_old_keys():
+    """The reverse: keys made narrow widen when a wider id reaches them."""
+    pair = _Pair()
+    for step, sender in enumerate(reversed(SPARSE)):
+        for key in KEYS[:3]:
+            pair.add(key, sender, 1.0 + step)
+        pair.check()
+    pair.corrupt(KEYS[3], 31, 2.5)
+    pair.check()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_ids_differential(seed: int) -> None:
+    _drive_mixed_operations(seed, SPARSE, PROBES)
+
+
+def test_a_pruned_sender_comes_back():
+    pair = _Pair()
+    key = KEYS[0]
+    pair.add(key, 31, 1.0)
+    pair.add(key, 5, 2.0)
+    pair.add(key, 63, 3.0)
+    pair.fast.kth_latest_distinct(key, 1)  # warm the latest-arrival cache
+    pair.prune_older_than(1.5)  # 31 goes, with its only record
+    pair.check()
+    assert not pair.fast.has_from(key, 31)
+    pair.add(key, 31, 4.0)
+    pair.check()
+    assert pair.fast.latest_arrival_per_sender(key) == {5: 2.0, 63: 3.0, 31: 4.0}
+    # Every sender pruned away: the key goes; the senders come back to a new one.
+    pair.prune_older_than(10.0)
+    pair.check()
+    assert key not in pair.fast.keys
+    pair.add(key, 63, 11.0)
+    pair.add(key, 0, 11.0)
+    pair.check()
+    assert pair.fast.count_distinct(key) == 2
+
+
+def test_prune_future_recomputes_a_cut_senders_latest():
+    pair = _Pair()
+    key = KEYS[0]
+    pair.add(key, 63, 1.0)
+    pair.add(key, 5, 2.0)
+    pair.add(key, 63, 3.0)
+    pair.corrupt(key, 63, 50.0)  # 63's latest is now a future stamp
+    pair.corrupt(key, 31, 40.0)  # 31's only record is a future stamp
+    pair.corrupt(key, 5, 1.5)  # out of order: 5's latest stays 2.0
+    pair.fast.kth_latest_distinct(key, 2)  # warm the latest-arrival cache
+    pair.check()
+    pair.prune_future(10.0)
+    pair.check()
+    assert pair.fast.latest_arrival_per_sender(key) == {63: 3.0, 5: 2.0}
+    assert pair.fast.kth_latest_distinct(key, 2) == 2.0
+    assert not pair.fast.has_from(key, 31)
+
+
+def test_out_of_order_corrupt_inserts():
+    pair = _Pair()
+    key = KEYS[0]
+    pair.add(key, 63, 5.0)
+    pair.add(key, 31, 6.0)
+    pair.corrupt(key, 63, 1.0)  # behind 63's latest: latest unchanged
+    pair.corrupt(key, 0, 0.5)  # a new sender's first record, out of order
+    pair.corrupt(key, 5, 5.5)  # a new sender between two records
+    pair.corrupt(key, 31, 6.0)  # a tie with a recorded arrival
+    pair.check()
+    assert pair.fast.latest_arrival_per_sender(key) == {63: 5.0, 31: 6.0, 0: 0.5, 5: 5.5}
+    assert pair.fast.earliest_arrival(key) == 0.5
+    assert list(pair.fast._keys[key].times) == [0.5, 1.0, 5.0, 5.5, 6.0, 6.0]
+    pair.prune_older_than(0.75)
+    pair.check()

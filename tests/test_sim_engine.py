@@ -492,13 +492,15 @@ def test_runs_match_the_per_copy_oracle(seed):
 
 
 class TestMemoryGuard:
-    """The in-flight copies and the watches stay lean at n = 25."""
+    """The in-flight copies, the logged records and the watches stay lean
+    at n = 25."""
 
-    # tracemalloc peak of the run below, measured when waves became runs
-    # and watches bitmasks: 8.69 MB on CPython 3.11.7 (x86_64).  Before,
-    # with one heap entry and one envelope per copy and a set per watch,
-    # it was 13.2 MB.
-    MEASURED_PEAK_MB = 8.69
+    # tracemalloc peak of the run below, measured when the message log's
+    # records and the runs' delivery instants became typed arrays: 5.29 MB
+    # on CPython 3.11.7 (x86_64).  With a boxed float per logged arrival
+    # and per copy in flight it was 8.69 MB; with one heap entry and one
+    # envelope per copy and a set per watch, 13.2 MB.
+    MEASURED_PEAK_MB = 5.29
 
     def test_one_n25_agreement_peak(self):
         import gc
