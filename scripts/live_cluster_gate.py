@@ -91,7 +91,11 @@ def main() -> int:
     backend = parser.parse_args().backend
     deadline = time.monotonic() + GATE_TIMEOUT_S
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    # Prepend, not replace: an inherited entry (such as the call-surface
+    # collector's ``sitecustomize``) must still reach the child.
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (os.path.join(REPO, "src"), env.get("PYTHONPATH")))
+    )
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",

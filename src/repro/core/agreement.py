@@ -271,12 +271,6 @@ class AgreementInstance:
             return deadlines
         return cache[1]
 
-    def _distinct_chain_exists(
-        self, per_level: dict[int, set[int]], r: int
-    ) -> bool:
-        """Eager SDR predicate (kept for tests; see module-level function)."""
-        return distinct_chain_exists(per_level, r)
-
     # ------------------------------------------------------------------
     # Blocks T and U: aborts at round deadlines
     # ------------------------------------------------------------------
@@ -384,24 +378,28 @@ class AgreementInstance:
     # Cleanup (periodic)
     # ------------------------------------------------------------------
     def cleanup(self) -> None:
-        """Decay stale state; self-heals a corrupted/stuck execution."""
-        now = self.node.local_now()
-        p = self.params
+        """Decay stale state; self-heals a corrupted/stuck execution.
+
+        Past the primitives' rules, an idle instance reads no clock.
+        """
         self.ia.cleanup()
         self.mb.cleanup()
-        horizon = self._anchor_horizon
-        # A (possibly corrupted) anchor older than the whole agreement window
-        # is stale: erase it (the paper's "erase any value ... older than
-        # (2f + 1) Phi + 3d").
-        if self.tau_g is not None and (self.tau_g > now or now - self.tau_g > horizon):
-            self.reset()
-            return
-        # A return whose 3d reset timer was lost to a fault also self-heals.
-        if self.returned_at is not None and (
-            self.returned_at > now or now - self.returned_at > 4.0 * p.d
-        ):
-            self.reset()
-            return
+        tau_g, returned_at = self.tau_g, self.returned_at
+        if tau_g is not None or returned_at is not None:
+            now = self.node.local_now()
+            # A (possibly corrupted) anchor older than the whole agreement
+            # window is stale: erase it (the paper's "erase any value ...
+            # older than (2f + 1) Phi + 3d").  A return whose 3d reset timer
+            # was lost to a fault also self-heals.
+            if (
+                tau_g is not None
+                and (tau_g > now or now - tau_g > self._anchor_horizon)
+            ) or (
+                returned_at is not None
+                and (returned_at > now or now - returned_at > 4.0 * self.params.d)
+            ):
+                self.reset()
+                return
         # Stale accepted-broadcast evidence decays with the mb log; rebuild
         # the level sets from the surviving accepted records.  The sets may
         # shrink, so the cached SDR prefixes are no longer trustworthy.
@@ -635,6 +633,10 @@ class ProtocolNode(Node):
         # General-side pacing stamps: future stamps are "clearly wrong" and
         # are removed (transient-fault hygiene); stale ones have expired
         # anyway and are dropped to bound memory.
+        if not self._last_initiation_by_value and (
+            self._last_initiation is None and self._failed_initiation_at is None
+        ):
+            return
         now = self.local_now()
         p = self.params
         if self._last_initiation is not None and (

@@ -87,9 +87,6 @@ class _TimedFlag:
             and now - self.set_at <= max_age
         )
 
-    def clear(self) -> None:
-        self.set_at = None
-
 
 class _HistoryVar:
     """A scalar with a change history, answering "what was it at time T?".
@@ -123,6 +120,14 @@ class _HistoryVar:
         idx = bisect_left(self._history, horizon, key=_entry_time)
         if idx > 1:
             self._history = self._history[idx - 1 :]
+
+    @property
+    def bottom_only(self) -> bool:
+        """True iff every reading, now or of the past, is BOTTOM."""
+        history = self._history
+        if self.current is not None or (history and history[0][1] is not None):
+            return False  # the common case, decided without a scan
+        return all(value is None for _time, value in history)
 
 
 class InitiatorAccept:
@@ -369,7 +374,7 @@ class InitiatorAccept:
             self.log.remove_keys(
                 [self._key(k, value) for k in (self.SUPPORT, self.APPROVE, self.READY)]
             )
-            self._ready_flag(value).clear()
+            self.ready.pop(value, None)
             return
         tau_g = entry.recording
         # i_values[G, *] := BOTTOM; remove and ignore (G, m) messages for 3d.
@@ -392,11 +397,17 @@ class InitiatorAccept:
     def cleanup(self) -> None:
         """Run the paper's cleanup rules; call every ~d of local time.
 
-        Each rule is skipped when the state it decays is empty *now*.  The
-        skips read the state itself, never a flag kept by the write path:
-        a transient fault writes state behind that path's back.
+        A rule with nothing due reads, in this tick and from the state
+        itself (never from a write-path flag: a transient fault writes state
+        behind that path's back), and rebuilds nothing:
+
+        * the log: each key's oldest and newest stamp;
+        * ``last(G, m)``: each history's current value, and a bisect when
+          it holds two entries or more; one left answering only BOTTOM goes;
+        * ``i_values``, ``ready``: each entry; a flag reading unset goes;
+        * ``_sent_at``, ``line_exec``, ``ignore_until``: the min and max stamp.
         """
-        now = self._now()
+        now = self.host.now()
         p = self.params
 
         self.log.decay(now - p.delta_rmv, now)
@@ -408,11 +419,20 @@ class InitiatorAccept:
 
         # last(G, m): reset if in the future or older than 2 Delta_rmv + 9d.
         horizon = self._last_gm_horizon
-        for value, history in self.last_gm.items():
-            current = history.current
-            if current is not None and (current > now or current < now - horizon):
-                history.assign(now, None)
-            history.prune(now - horizon - p.delta_rmv)
+        if self.last_gm:
+            floor = now - horizon - p.delta_rmv
+            idle = []
+            for value, history in self.last_gm.items():
+                current = history.current
+                if current is not None and (current > now or current < now - horizon):
+                    history.assign(now, None)
+                    current = None
+                if len(history._history) > 1:
+                    history.prune(floor)
+                if current is None and history.bottom_only:
+                    idle.append(value)
+            for value in idle:
+                del self.last_gm[value]
 
         # i_values entries: expire after Delta_rmv; drop future garbage.
         if self.i_values:
@@ -421,17 +441,20 @@ class InitiatorAccept:
                 if not self._i_value_live(entry, now) or entry.recording > now:
                     del self.i_values[value]
 
-        # ready flags: same decay as other values.
-        for flag in self.ready.values():
-            if flag.set_at is not None and (
-                flag.set_at > now or now - flag.set_at > p.delta_rmv
-            ):
-                flag.clear()
+        # ready flags: same decay as other values; one that reads unset goes.
+        if self.ready:
+            for value in [
+                v for v, flag in self.ready.items() if not flag.is_set(now, p.delta_rmv)
+            ]:
+                del self.ready[value]
 
         # Implementation bookkeeping decays on the same horizons.
-        if self._sent_at:
+        low = now - horizon
+        if self._sent_at and (
+            min(self._sent_at.values()) < low or max(self._sent_at.values()) > now
+        ):
             self._sent_at = {
-                key: t for key, t in self._sent_at.items() if now - horizon <= t <= now
+                key: t for key, t in self._sent_at.items() if low <= t <= now
             }
         if self._own_support_sends:
             self._own_support_sends = [
@@ -439,13 +462,20 @@ class InitiatorAccept:
                 for t, v in self._own_support_sends
                 if now - 2.0 * p.d <= t <= now
             ]
+        # An ignore deadline is only ever written as now + 3d: a later one
+        # is "clearly wrong".
         if self.ignore_until:
-            self.ignore_until = {
-                v: t for v, t in self.ignore_until.items() if t > now
-            }
-        if self.line_exec:
+            ceiling = now + 3.0 * p.d
+            deadlines = self.ignore_until.values()
+            if min(deadlines) <= now or max(deadlines) > ceiling:
+                self.ignore_until = {
+                    v: t for v, t in self.ignore_until.items() if now < t <= ceiling
+                }
+        if self.line_exec and (
+            min(self.line_exec.values()) < low or max(self.line_exec.values()) > now
+        ):
             self.line_exec = {
-                key: t for key, t in self.line_exec.items() if now - horizon <= t <= now
+                key: t for key, t in self.line_exec.items() if low <= t <= now
             }
 
     # ------------------------------------------------------------------
@@ -456,8 +486,7 @@ class InitiatorAccept:
         now = self._now()
         self.log.clear()
         self.i_values.clear()
-        for flag in self.ready.values():
-            flag.clear()
+        self.ready.clear()
         # last(G) / last(G, m) are *not* wiped: they enforce the General's
         # pacing (Delta_0 / Delta_v) across consecutive agreements.
         self._sent_at.clear()

@@ -355,25 +355,38 @@ class MsgdBroadcast:
     def cleanup(self) -> None:
         """Decay rule: drop messages older than ``(2f + 3) Phi``.
 
-        Each rule is skipped when the state it decays is empty *now* (read
-        from the state itself, never from a write-path flag: a transient
-        fault writes state behind that path's back).
+        A rule with nothing due reads, in this tick and from the state
+        itself (never from a write-path flag: a transient fault writes state
+        behind that path's back), and rebuilds nothing:
+
+        * the log: each key's oldest and newest stamp;
+        * ``broadcasters``, ``accepted``: the oldest (and newest) stamp;
+        * ``_known_triplets`` and the evaluation states: when nothing above
+          decayed and :meth:`_settled` finds the rebuild a no-op, the
+          counters are still exact and neither is touched.
         """
         now = self.host.now()
         horizon = self._horizon
-        self.log.decay(now - horizon, now)
+        decayed = self.log.decay(now - horizon, now)
         # Stale derived state ages out on the same horizon.
-        if self.broadcasters:
+        if self.broadcasters and now - min(self.broadcasters.values()) > horizon:
             self.broadcasters = {
                 node: t for node, t in self.broadcasters.items() if now - t <= horizon
             }
-        if self.accepted:
+            decayed = True
+        accepted = self.accepted
+        if accepted and (
+            now - min(accepted.values()) > horizon or max(accepted.values()) > now
+        ):
             self.accepted = {
                 trip: t
-                for trip, t in self.accepted.items()
+                for trip, t in accepted.items()
                 if now - t <= horizon and t <= now
             }
+            decayed = True
         if not (self._known_triplets or self.accepted or self._states):
+            return
+        if not decayed and self._settled():
             return
         self._known_triplets = {
             trip
@@ -393,6 +406,17 @@ class MsgdBroadcast:
         for state in self._states.values():
             state.stale = True
             state.done = False
+
+    def _settled(self) -> bool:
+        """Every accepted or evaluated triplet is known, and every known one
+        has a record or an accept (after a decay that dropped nothing, every
+        log key holds a record)."""
+        known = self._known_triplets
+        accepted = self.accepted.keys()
+        if not (accepted <= known and self._states.keys() <= known):
+            return False
+        live = {key[1:] for key in self.log.keys}
+        return known <= live.union(accepted)
 
     def reset(self) -> None:
         """Full reset (3d after the agreement instance returns)."""

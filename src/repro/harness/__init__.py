@@ -18,9 +18,9 @@
   :class:`~repro.harness.registry.ExperimentSpec` entries run by one shared
   :func:`~repro.harness.registry.run_experiment` engine (seeds, ``workers=``
   fan-out, row aggregation).
-* :mod:`repro.harness.experiments` -- the E1..E10 experiment drivers --
-  thin wrappers over the registry engine, whose pass criteria
-  ``tests/test_experiments.py`` asserts.
+* :mod:`repro.harness.experiments` -- the E1..E10 experiments, registered
+  with the engine as ``"e1"``..``"e10"``; ``tests/test_experiments.py``
+  asserts their pass criteria.
 * :mod:`repro.harness.suite` -- the scenario-matrix runner: declarative
   suite configs (grids over n, casts, delivery policies and fault
   timelines) fanned over the pool into one consolidated report.

@@ -6,12 +6,12 @@ registry.ScenarioGroup` entries (a picklable per-seed callable plus a
 parent-side row builder), and the shared :func:`~repro.harness.registry.
 run_experiment` engine handles seeds, ``workers=`` fan-out via
 :meth:`~repro.harness.parallel.SeedPool.shared`, and row aggregation in
-group order.  The public ``run_eN_*`` drivers below are thin wrappers over
-the engine and keep their exact historical signatures and row contents;
-``tests/test_experiments.py`` asserts each experiment's pass criteria.
+group order.  Run one by name, e.g. ``run_experiment("e9", ns=(4, 7),
+seeds=range(2))``; ``tests/test_experiments.py`` asserts each experiment's
+pass criteria.
 
-Every driver takes ``seeds`` so callers can trade confidence for runtime,
-and ``workers`` to fan the per-seed runs out over a process pool
+Every experiment takes ``seeds`` so callers can trade confidence for
+runtime, and ``workers`` to fan the per-seed runs out over a process pool
 (:mod:`repro.harness.parallel`).  The default ``workers=None`` runs
 serially; any worker count returns bit-identical rows because each
 per-seed run is a pure function of (scenario, seed) and results are
@@ -38,7 +38,7 @@ from repro.faults.byzantine import (
 )
 from repro.faults.transient import TransientFaultInjector
 from repro.harness import metrics, properties
-from repro.harness.registry import ScenarioGroup, experiment, run_experiment
+from repro.harness.registry import ScenarioGroup, experiment
 from repro.harness.scenario import Cluster, ScenarioConfig
 from repro.harness.stats import summarize
 from repro.net.delivery import DeliveryPolicy, UniformDelay
@@ -116,14 +116,6 @@ def _e1_groups(ns: Sequence[int] = (4, 7, 10, 13)) -> list[ScenarioGroup]:
     return groups
 
 
-def run_e1_validity(
-    ns: Sequence[int] = (4, 7, 10, 13),
-    seeds: Sequence[int] = range(10),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """Correct General: everyone decides its value within the paper bounds."""
-    return run_experiment("e1", ns=ns, seeds=seeds, workers=workers)
-
 
 # ---------------------------------------------------------------------------
 # E2 -- Agreement under a Byzantine General
@@ -189,14 +181,6 @@ def _e2_groups(n: int = 7) -> list[ScenarioGroup]:
     ]
 
 
-def run_e2_byzantine_general(
-    n: int = 7,
-    seeds: Sequence[int] = range(10),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """Adversarial General strategies: all-or-nothing, single value, always."""
-    return run_experiment("e2", n=n, seeds=seeds, workers=workers)
-
 
 # ---------------------------------------------------------------------------
 # E3 -- Self-stabilization from arbitrary state
@@ -261,17 +245,6 @@ def _e3_groups(n: int = 7, garbage_messages: int = 300) -> list[ScenarioGroup]:
     ]
 
 
-def run_e3_stabilization(
-    n: int = 7,
-    seeds: Sequence[int] = range(10),
-    garbage_messages: int = 300,
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """Havoc everything, wait Delta_stb, then demand a clean agreement."""
-    return run_experiment(
-        "e3", n=n, garbage_messages=garbage_messages, seeds=seeds, workers=workers
-    )
-
 
 # ---------------------------------------------------------------------------
 # E4 -- Early stopping: decision time scales with actual faults f'
@@ -330,14 +303,6 @@ def _e4_groups(n: int = 13) -> list[ScenarioGroup]:
         for f_actual in range(params.f + 1)
     ]
 
-
-def run_e4_early_stopping(
-    n: int = 13,
-    seeds: Sequence[int] = range(10),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """Crash-faulty subsets of size f' = 0..f; latency tracks f', not f."""
-    return run_experiment("e4", n=n, seeds=seeds, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +380,6 @@ def _e5_groups(
     return groups
 
 
-def run_e5_msg_driven(
-    n: int = 7,
-    delay_fracs: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 1.0),
-    seeds: Sequence[int] = range(5),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """Latency of ss-Byz-Agree vs TPS'87 as actual delay shrinks below delta."""
-    return run_experiment(
-        "e5", n=n, delay_fracs=delay_fracs, seeds=seeds, workers=workers
-    )
-
 
 # ---------------------------------------------------------------------------
 # E6 -- Resilience boundary: n > 3f
@@ -498,13 +452,6 @@ def _e6_groups() -> list[ScenarioGroup]:
     return groups
 
 
-def run_e6_resilience(
-    seeds: Sequence[int] = range(10),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """The split-world attack at n = 7, within and beyond the n > 3f bound."""
-    return run_experiment("e6", seeds=seeds, workers=workers)
-
 
 # ---------------------------------------------------------------------------
 # E7 -- Initiator-Accept bounds
@@ -567,14 +514,6 @@ def _e7_groups(ns: Sequence[int] = (4, 7, 10)) -> list[ScenarioGroup]:
     return groups
 
 
-def run_e7_initiator_accept(
-    ns: Sequence[int] = (4, 7, 10),
-    seeds: Sequence[int] = range(10),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """IA-1A/1B/1C/1D with a correct General; IA-3A under a staggered one."""
-    return run_experiment("e7", ns=ns, seeds=seeds, workers=workers)
-
 
 # ---------------------------------------------------------------------------
 # E8 -- Separation / Uniqueness across recurrent agreements
@@ -630,15 +569,6 @@ def _e8_groups(n: int = 7, rounds: int = 3) -> list[ScenarioGroup]:
         )
     ]
 
-
-def run_e8_separation(
-    n: int = 7,
-    rounds: int = 3,
-    seeds: Sequence[int] = range(5),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """Recurrent initiations (distinct and repeated values): IA-4 bounds."""
-    return run_experiment("e8", n=n, rounds=rounds, seeds=seeds, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +628,6 @@ def _e9_groups(ns: Sequence[int] = (4, 7, 10, 13, 16, 19, 22, 25)) -> list[Scena
         )
     return groups
 
-
-def run_e9_scaling(
-    ns: Sequence[int] = (4, 7, 10, 13, 16, 19, 22, 25),
-    seeds: Sequence[int] = range(3),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """Messages per agreement vs n (expected O(n^2) per phase shape)."""
-    return run_experiment("e9", ns=ns, seeds=seeds, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -773,24 +695,3 @@ def _e10_groups(n: int = 7) -> list[ScenarioGroup]:
     ]
 
 
-def run_e10_classic_fails(
-    n: int = 7,
-    seeds: Sequence[int] = range(10),
-    workers: Optional[int] = None,
-) -> list[dict]:
-    """Same transient-corruption idea on EIG vs ss-Byz-Agree."""
-    return run_experiment("e10", n=n, seeds=seeds, workers=workers)
-
-
-__all__ = [
-    "run_e1_validity",
-    "run_e2_byzantine_general",
-    "run_e3_stabilization",
-    "run_e4_early_stopping",
-    "run_e5_msg_driven",
-    "run_e6_resilience",
-    "run_e7_initiator_accept",
-    "run_e8_separation",
-    "run_e9_scaling",
-    "run_e10_classic_fails",
-]

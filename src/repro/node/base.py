@@ -120,17 +120,27 @@ class Node:
         if interval_local <= 0:
             raise ValueError(f"interval must be positive, got {interval_local!r}")
         tag = tag or f"timer:{self.node_id}"
+        # A tick due while crashed ends the chain (a restart arms a new one);
+        # a host that re-arms one handle per chain saves each tick a timer.
+        schedule_every = getattr(self.host, "schedule_every", None)
+        if schedule_every is not None:
+            def tick() -> None:
+                if self._crashed:
+                    handle.cancel()
+                    return
+                action()
+
+            handle = schedule_every(interval_local, tick, tag)
+            return
         schedule_after = self.host.schedule_after
 
-        # One closure re-arms itself for the whole chain; a tick due while
-        # crashed ends it (a restart arms a new one).
-        def tick() -> None:
+        def rearming_tick() -> None:
             if self._crashed:
                 return
             action()
-            schedule_after(interval_local, tick, tag)
+            schedule_after(interval_local, rearming_tick, tag)
 
-        schedule_after(interval_local, tick, tag)
+        schedule_after(interval_local, rearming_tick, tag)
 
     def cancel_timers(self) -> None:
         """Cancel all pending timers (used by crash / corruption)."""

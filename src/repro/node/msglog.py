@@ -538,12 +538,16 @@ class MessageLog:
     # Cleanup (the protocols' decay rules)
     # ------------------------------------------------------------------
     def prune_older_than(self, cutoff_local: float) -> int:
-        """Drop records with arrival before ``cutoff_local``; return count."""
+        """Drop records with arrival before ``cutoff_local``; return count.
+        A key whose oldest stamp is not due costs one read."""
         if not self._keys:
             return 0
         dropped = 0
         empty_keys = []
         for key, klog in self._keys.items():
+            times = klog.times
+            if times and times[0] >= cutoff_local:
+                continue
             dropped += klog.prune_older_than(cutoff_local)
             if not klog.nsenders:
                 empty_keys.append(key)
@@ -561,19 +565,23 @@ class MessageLog:
         time stamps or too old time stamps."  Future stamps only arise from
         transient corruption.  (Matching the original implementation, a key
         emptied here keeps its -- empty -- entry; only age-pruning retires
-        keys.)
+        keys.)  A key whose newest stamp is not due costs one read.
         """
         if not self._keys:
             return 0
         dropped = 0
         for klog in self._keys.values():
-            dropped += klog.prune_future(now_local)
+            times = klog.times
+            if times and times[-1] > now_local:
+                dropped += klog.prune_future(now_local)
         if dropped:
             self._invalidate_watches()
         return dropped
 
     def decay(self, cutoff_local: float, now_local: float) -> int:
         """The cleanup rules' pass: :meth:`prune_older_than`, :meth:`prune_future`."""
+        if not self._keys:
+            return 0
         return self.prune_older_than(cutoff_local) + self.prune_future(now_local)
 
     def remove_keys(self, keys: Iterable[Key]) -> None:

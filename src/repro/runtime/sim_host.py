@@ -96,6 +96,18 @@ class SimHost:
         self._registry.track(handle)
         return handle
 
+    def schedule_every(
+        self, interval_local: float, action: Action, tag: str = ""
+    ) -> TimerHandle:
+        """:meth:`schedule_after`, re-armed by the kernel after each run."""
+        if self._closed:
+            return INERT_TIMER
+        period = self.clock.real_delay_for_local(interval_local)
+        handle = self.sim.schedule_at(self.sim.now + period, action, tag)
+        handle.period = period
+        self._registry.track(handle)
+        return handle
+
     def schedule_at(
         self, when_local: float, action: Action, tag: str = ""
     ) -> TimerHandle:

@@ -21,7 +21,8 @@ construction or rich comparison per event -- the seq tiebreak means
 (non-cancelled) events is tracked incrementally so
 :meth:`Simulator.pending_events` is O(1) even in cancellation-heavy runs
 such as resend-throttled scenarios.  A timer's ``arg`` is its
-:class:`EventHandle` and it runs as ``action()``.  Message copies travel in
+:class:`EventHandle`; it runs as ``action()``, then a periodic one is
+re-queued (one handle per chain, not one per run).  Message copies travel in
 *runs* (:meth:`Simulator.schedule_run`): the copies of one send -- a
 broadcast wave, or a lone send as a run of one -- reserve consecutive
 ``seq`` numbers and share **one** heap entry, keyed by the copy due first
@@ -48,13 +49,16 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A cancellable reference to a scheduled event."""
 
-    __slots__ = ("cancelled", "time", "tag", "_sim")
+    __slots__ = ("cancelled", "time", "tag", "_sim", "period")
 
     def __init__(self, time: float, tag: str = "", _sim: "Optional[Simulator]" = None) -> None:
         self.cancelled = False
         self.time = time
         self.tag = tag
         self._sim = _sim
+        # A periodic timer: the run loop re-queues the handle this long
+        # after each run (with a fresh seq), unless the run cancelled it.
+        self.period: Optional[float] = None
 
     def cancel(self) -> None:
         """Prevent the event from running.  Idempotent."""
@@ -227,6 +231,7 @@ class Simulator:
         budget = -1 if max_events is None else max(0, max_events)
         queue = self._queue
         heappop = heapq.heappop
+        heappush = heapq.heappush
         heapreplace = heapq.heapreplace
         try:
             # Look first, then take: a run with copies left is re-keyed in
@@ -262,6 +267,13 @@ class Simulator:
                 executed += 1
                 if timer:
                     entry[2]()
+                    if arg.period is not None and not arg.cancelled:
+                        at = arg.time = time + arg.period
+                        arg._sim = self
+                        seq = self._next_seq
+                        self._next_seq = seq + 1
+                        heappush(queue, (at, seq, entry[2], arg))
+                        self._live_events += 1
                 else:
                     entry[2](arg.arg, k)
         finally:

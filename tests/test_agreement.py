@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.agreement import AgreementInstance, ProtocolNode
+from repro.core.agreement import ProtocolNode, distinct_chain_exists
 from repro.core.params import BOTTOM, ProtocolParams
 from repro.harness import properties
 from repro.harness.scenario import Cluster, ScenarioConfig
@@ -17,8 +17,7 @@ class TestChainMatching:
     """The Block-S system-of-distinct-representatives check."""
 
     def check(self, per_level, r):
-        inst = AgreementInstance.__new__(AgreementInstance)
-        return AgreementInstance._distinct_chain_exists(inst, per_level, r)
+        return distinct_chain_exists(per_level, r)
 
     def test_empty_fails(self):
         assert not self.check({}, 1)

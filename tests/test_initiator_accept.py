@@ -272,9 +272,25 @@ class TestCleanup:
     def test_ready_decays(self, setup, params):
         host, ia, _ = setup
         feed_approve(ia, [1, 2, 3])
+        assert ia.ready["m"].is_set(host.local_now(), params.delta_rmv)
         host.advance(params.delta_rmv + 1.0)
         ia.cleanup()
-        assert not ia.ready["m"].is_set(host.local_now(), params.delta_rmv)
+        # A decayed flag is dropped: absent reads as unset.
+        assert "m" not in ia.ready
+        assert not ia._ready_flag("m").is_set(host.local_now(), params.delta_rmv)
+
+    def test_far_future_ignore_deadline_removed(self, setup, params):
+        """Only ``now + 3d`` is ever written: a later deadline is garbage."""
+        host, ia, _ = setup
+        ia.ignore_until["v"] = host.local_now() + 1e6
+        ia.ignore_until["m"] = host.local_now() + 3 * params.d
+        ia.cleanup()
+        assert "v" not in ia.ignore_until
+        assert "m" in ia.ignore_until  # a genuine deadline stays
+        feed_support(ia, [1])
+        ia.on_message(SupportMsg(G, "v"), 1)
+        assert ia.log.count_distinct(("support", G, "v")) == 1
+        assert ia.log.count_distinct(("support", G, "m")) == 0
 
     def test_log_pruned_by_age(self, setup, params):
         host, ia, _ = setup

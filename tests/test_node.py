@@ -90,6 +90,21 @@ class TestNodeTimers:
         sim.run_until(5.5)
         assert len(fired) == 5
 
+    def test_every_local_rearms_after_its_action(self):
+        """The next tick is queued after what the tick itself scheduled, as a
+        self-re-arming chain's is: same-instant events keep their order."""
+        sim, a, _b = build_pair()
+        order = []
+
+        def action():
+            order.append(("tick", sim.now))
+            a.after_local(1.0, lambda: order.append(("after", sim.now)))
+
+        a.every_local(1.0, action)
+        sim.run_until(2.5)
+        assert order == [("tick", 1.0), ("after", 2.0), ("tick", 2.0)]
+        assert a.live_timer_count() == 2  # the next tick and one follow-up
+
     def test_every_local_rejects_nonpositive(self):
         _sim, a, _b = build_pair()
         with pytest.raises(ValueError):

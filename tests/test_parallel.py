@@ -2,8 +2,8 @@
 
 The contract under test: for any worker count, ``run_seeds_parallel`` /
 ``SeedPool.map`` return exactly what the serial loop returns, in seed
-order -- and the experiment drivers wired through it produce bit-identical
-rows with and without ``workers=``.
+order -- and the registered experiments run through it produce
+bit-identical rows with and without ``workers=``.
 """
 
 from __future__ import annotations
@@ -12,17 +12,13 @@ from functools import partial
 
 import pytest
 
-from repro.harness.experiments import (
-    run_e1_validity,
-    run_e3_stabilization,
-    run_e9_scaling,
-)
 from repro.harness.parallel import (
     SeedPool,
     resolve_workers,
     run_seeds_parallel,
     shutdown_shared_pools,
 )
+from repro.harness.registry import run_experiment
 
 
 def _square_plus(offset: int, seed: int) -> int:
@@ -155,18 +151,19 @@ class TestDriversBitIdentical:
     """workers= must never change an experiment's rows."""
 
     def test_e1_parallel_matches_serial(self):
-        serial = run_e1_validity(ns=(4,), seeds=range(4))
+        serial = run_experiment("e1", ns=(4,), seeds=range(4))
         for workers in (1, 2, 8):  # 8 > len(seeds)
-            assert run_e1_validity(ns=(4,), seeds=range(4), workers=workers) == serial
+            rows = run_experiment("e1", ns=(4,), seeds=range(4), workers=workers)
+            assert rows == serial
 
     def test_e9_parallel_matches_serial(self):
-        serial = run_e9_scaling(ns=(4, 7), seeds=range(2))
-        assert run_e9_scaling(ns=(4, 7), seeds=range(2), workers=2) == serial
+        serial = run_experiment("e9", ns=(4, 7), seeds=range(2))
+        assert run_experiment("e9", ns=(4, 7), seeds=range(2), workers=2) == serial
 
     def test_e3_parallel_matches_serial(self):
-        serial = run_e3_stabilization(n=4, seeds=range(2), garbage_messages=40)
-        parallel = run_e3_stabilization(
-            n=4, seeds=range(2), garbage_messages=40, workers=2
+        serial = run_experiment("e3", n=4, seeds=range(2), garbage_messages=40)
+        parallel = run_experiment(
+            "e3", n=4, seeds=range(2), garbage_messages=40, workers=2
         )
         assert parallel == serial
 

@@ -27,7 +27,6 @@ from repro.faults.byzantine import (
     TwoFacedParticipantStrategy,
 )
 from repro.faults.transient import TransientFaultInjector
-from repro.harness import experiments as ex
 from repro.harness.registry import (
     ExperimentSpec,
     ScenarioGroup,
@@ -58,19 +57,19 @@ class TestGoldenRows:
     """Drivers reproduce pre-refactor rows bit-identically."""
 
     def test_e1_matches_pre_refactor(self, golden):
-        rows = ex.run_e1_validity(ns=(4, 7), seeds=range(3))
+        rows = run_experiment("e1", ns=(4, 7), seeds=range(3))
         assert _normalize(rows) == golden["e1"]["rows"]
 
     def test_e5_matches_pre_refactor(self, golden):
-        rows = ex.run_e5_msg_driven(n=7, delay_fracs=(0.1, 1.0), seeds=range(2))
+        rows = run_experiment("e5", n=7, delay_fracs=(0.1, 1.0), seeds=range(2))
         assert _normalize(rows) == golden["e5"]["rows"]
 
     def test_e9_matches_pre_refactor(self, golden):
-        rows = ex.run_e9_scaling(ns=(4, 7), seeds=range(2))
+        rows = run_experiment("e9", ns=(4, 7), seeds=range(2))
         assert _normalize(rows) == golden["e9"]["rows"]
 
     def test_e9_parallel_matches_pre_refactor(self, golden):
-        rows = ex.run_e9_scaling(ns=(4, 7), seeds=range(2), workers=2)
+        rows = run_experiment("e9", ns=(4, 7), seeds=range(2), workers=2)
         assert _normalize(rows) == golden["e9"]["rows"]
 
 
@@ -95,10 +94,10 @@ class TestRegistry:
 
 
 class TestRunEngine:
-    def test_run_by_name_matches_wrapper(self):
+    def test_run_by_name_matches_spec_object(self):
         by_name = run_experiment("e9", ns=(4,), seeds=range(2))
-        by_wrapper = ex.run_e9_scaling(ns=(4,), seeds=range(2))
-        assert by_name == by_wrapper
+        by_spec = run_experiment(get_experiment("e9"), ns=(4,), seeds=range(2))
+        assert by_name == by_spec
 
     def test_spec_defaults_fill_missing_kwargs(self):
         # Only override seeds: the ns default from the spec applies.
