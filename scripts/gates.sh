@@ -6,14 +6,14 @@
 #   ./scripts/gates.sh tier1 ratios     # the named gates only
 #
 # Gates: tier1 hygiene asyncio_smoke socket_smoke chaos_smoke service_smoke
-#        live_cluster bench_seam ratios surface
+#        live_cluster bench_seam ratios surface surface_product
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 ALL=(tier1 hygiene asyncio_smoke socket_smoke chaos_smoke service_smoke
-     live_cluster bench_seam ratios surface)
+     live_cluster bench_seam ratios surface surface_product)
 
 # The test files the hygiene gate runs under dev mode; tier1 skips them so
 # no test runs twice.
@@ -152,6 +152,17 @@ gate_ratios() {
 # and on any allowlist entry naming a function that is gone.
 gate_surface() {
     python scripts/surface.py
+}
+
+# The product's call surface: every product entry point once, small
+# (scripts/product_roots.py holds the list: the experiments, every CLI
+# command, both live-cluster legs, each bench workload traced for 3 s)
+# under the same collector; fails on any src/ function none of them calls
+# that neither surface_allow.txt nor surface_tests_only.txt lists, and on
+# an entry listed in both.  The benchmark runs write bench/out/.
+gate_surface_product() {
+    python scripts/surface.py --allow scripts/surface_allow.txt \
+        --allow scripts/surface_tests_only.txt -- python scripts/product_roots.py
 }
 
 if [ "$#" -eq 0 ]; then

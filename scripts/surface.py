@@ -2,7 +2,7 @@
 
     python scripts/surface.py                    # tier-1 under the collector
     python scripts/surface.py -- CMD ARGS...     # any other command instead
-    python scripts/surface.py --src DIR --allow FILE -- CMD ARGS...
+    python scripts/surface.py --src DIR --allow FILE [--allow FILE...] -- CMD ARGS...
 
 CMD runs with a ``sitecustomize`` hook first on ``PYTHONPATH``, so every
 Python process it starts loads the collector: the command itself, its
@@ -20,7 +20,9 @@ allowlist entry that names no function.  A function nested inside a
 never-called one is not listed on its own.  Allowlist lines read
 ``path::qualname  # reason``, ``path`` relative to the source root; the
 reason is required, and names the caller outside the run when there is one
-(``repro/cli.py::cmd_chaos  # gates.sh chaos_smoke``).
+(``repro/cli.py::cmd_chaos  # gates.sh chaos_smoke``).  ``--allow`` may be
+given more than once; the run then reads every file, and a name listed in
+two of them is an error.
 
 Test outcomes are not judged here (the tier-1 gate does that); a run whose
 command exits non-zero is reported, and the call surface is still checked.
@@ -119,21 +121,27 @@ def called(out: Path, src: Path) -> set[tuple[str, int, str]]:
     return seen
 
 
-def read_allowlist(path: Path) -> tuple[dict[str, str], list[str]]:
-    """``{path::qualname: reason}`` and the malformed lines."""
+def read_allowlist(paths: list[Path]) -> tuple[dict[str, str], list[str]]:
+    """``{path::qualname: reason}`` over every file, and the bad lines."""
     entries, bad = {}, []
-    if not path.exists():
-        return entries, bad
-    for number, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for path in paths:
+        if not path.exists():
             continue
-        name, _, reason = line.partition("#")
-        name = name.strip()
-        if "::" not in name or not reason.strip():
-            bad.append(f"{path.name}:{number}: {raw}")
-        else:
-            entries[name] = reason.strip()
+        for number, raw in enumerate(path.read_text().splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            name, _, reason = line.partition("#")
+            name = name.strip()
+            if "::" not in name or not reason.strip():
+                bad.append(
+                    f"{path.name}:{number}: no path::qualname or no # reason: "
+                    f"{raw}"
+                )
+            elif name in entries:
+                bad.append(f"{path.name}:{number}: {name} is listed twice")
+            else:
+                entries[name] = reason.strip()
     return entries, bad
 
 
@@ -159,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument(
-        "--allow", type=Path, default=ROOT / "scripts" / "surface_allow.txt"
+        "--allow", type=Path, action="append",
+        help="allowlist file, repeatable (default: scripts/surface_allow.txt)",
     )
     parser.add_argument("command", nargs="*", help="default: tier-1 pytest")
     args = parser.parse_args(argv)
@@ -167,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
 
     status, seen = run(args.command or TIER1, src)
     functions = defined(src)
-    allow, bad = read_allowlist(args.allow)
+    allow, bad = read_allowlist(
+        args.allow or [ROOT / "scripts" / "surface_allow.txt"]
+    )
 
     uncalled = [f for f in functions if f[:3] not in seen]
     # A def nested in a never-called function cannot run either: list the
@@ -190,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in stale:
         print(f"  stale allowlist entry (no such function): {name}")
     for line in bad:
-        print(f"  allowlist line without path::qualname and a # reason: {line}")
+        print(f"  bad allowlist line: {line}")
     ok = not (unlisted or stale or bad)
     print("surface: OK" if ok else "surface: FAILED")
     return 0 if ok else 1

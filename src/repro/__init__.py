@@ -21,9 +21,19 @@ from repro.core.agreement import AgreementInstance, Decision, ProtocolNode
 from repro.core.initiator_accept import InitiatorAccept
 from repro.core.msgd_broadcast import MsgdBroadcast
 from repro.core.params import BOTTOM, ProtocolParams, max_faults
-from repro.harness.scenario import Cluster, ScenarioConfig
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # The simulator harness loads on first use, so a process that runs only
+    # the protocol over the wire (a socket-backend child) never imports it.
+    if name in ("Cluster", "ScenarioConfig"):
+        from repro.harness import scenario
+
+        return getattr(scenario, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AgreementInstance",

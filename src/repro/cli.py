@@ -771,22 +771,12 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
         print(f"{len(args.seeds)} seeds: {'all recovered' if all_ok else 'FAILURES'}")
         return 0 if all_ok else 1
 
-    cluster = Cluster(ScenarioConfig(params=params, seed=args.seed))
-    injector = TransientFaultInjector(
-        params, cluster.rng.split("inj"), value_pool=["A", "B", "C"], generals=[0, 1]
-    )
-    cluster.run_for(5 * params.d)
-    injector.havoc(cluster.correct_nodes(), cluster.net, args.garbage)
-    print(f"havoc applied (garbage={args.garbage}); waiting Delta_stb = "
+    print(f"havoc (garbage={args.garbage}), then waiting Delta_stb = "
           f"{params.delta_stb:.0f}")
-    cluster.run_for(params.delta_stb)
-    since = cluster.sim.now
-    ok = cluster.propose(general=0, value="recovered")
-    cluster.run_for(params.delta_agr + 10 * params.d)
-    validity = properties.validity(cluster, 0, "recovered", since_real=since)
+    ok, valid = _stabilize_one_seed(params, args.garbage, args.seed)
     print(f"proposal unblocked: {ok}")
-    print(f"post-stabilization validity: {validity.holds}")
-    return 0 if (ok and validity.holds) else 1
+    print(f"post-stabilization validity: {valid}")
+    return 0 if (ok and valid) else 1
 
 
 def cmd_suite(args: argparse.Namespace) -> int:

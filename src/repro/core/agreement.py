@@ -385,6 +385,10 @@ class AgreementInstance:
         self.ia.cleanup()
         self.mb.cleanup()
         tau_g, returned_at = self.tau_g, self.returned_at
+        # The anchor is set with tau_G and cleared with it, so an anchor
+        # without one can only be corrupted state.
+        if tau_g is None and self.mb.anchor is not None:
+            self.mb.clear_anchor()
         if tau_g is not None or returned_at is not None:
             now = self.node.local_now()
             # A (possibly corrupted) anchor older than the whole agreement

@@ -360,7 +360,7 @@ class MsgdBroadcast:
         behind that path's back), and rebuilds nothing:
 
         * the log: each key's oldest and newest stamp;
-        * ``broadcasters``, ``accepted``: the oldest (and newest) stamp;
+        * ``broadcasters``, ``accepted``: the oldest and newest stamp;
         * ``_known_triplets`` and the evaluation states: when nothing above
           decayed and :meth:`_settled` finds the rebuild a no-op, the
           counters are still exact and neither is touched.
@@ -368,10 +368,17 @@ class MsgdBroadcast:
         now = self.host.now()
         horizon = self._horizon
         decayed = self.log.decay(now - horizon, now)
-        # Stale derived state ages out on the same horizon.
-        if self.broadcasters and now - min(self.broadcasters.values()) > horizon:
+        # Stale derived state ages out on the same horizon, and a stamp in
+        # the future is clearly wrong.
+        broadcasters = self.broadcasters
+        if broadcasters and (
+            now - min(broadcasters.values()) > horizon
+            or max(broadcasters.values()) > now
+        ):
             self.broadcasters = {
-                node: t for node, t in self.broadcasters.items() if now - t <= horizon
+                node: t
+                for node, t in broadcasters.items()
+                if now - t <= horizon and t <= now
             }
             decayed = True
         accepted = self.accepted

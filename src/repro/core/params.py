@@ -173,12 +173,6 @@ class ProtocolParams:
         """
         return (2 * r + 1) * self.phi
 
-    def with_faults(self, f: int) -> "ProtocolParams":
-        """Copy with a different fault bound (for sweeps)."""
-        return ProtocolParams(
-            n=self.n, f=f, delta=self.delta, pi=self.pi, rho=self.rho
-        )
-
     def describe(self) -> dict[str, float]:
         """All derived constants as a flat dict (for experiment reports)."""
         return {

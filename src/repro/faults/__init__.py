@@ -22,8 +22,6 @@ from repro.faults.byzantine import (
     CrashStrategy,
     EquivocatingGeneralStrategy,
     MirrorParticipantStrategy,
-    NoiseStrategy,
-    ReplayStrategy,
     ScriptedStrategy,
     SelectiveGeneralStrategy,
     SplitWorldStrategy,
@@ -65,8 +63,6 @@ __all__ = [
     "build_timeline",
     "EquivocatingGeneralStrategy",
     "MirrorParticipantStrategy",
-    "NoiseStrategy",
-    "ReplayStrategy",
     "ScriptedStrategy",
     "SelectiveGeneralStrategy",
     "SplitWorldStrategy",

@@ -12,7 +12,6 @@ The strategies here are the attack repertoire the experiments sweep:
 Strategy                                 Targets
 =======================================  =====================================
 :class:`CrashStrategy`                   liveness with silent faults (E4)
-:class:`NoiseStrategy`                   robustness to garbage traffic
 :class:`EquivocatingGeneralStrategy`     Agreement under a two-faced General,
                                          incl. split support/approve waves (E2)
 :class:`StaggeredGeneralStrategy`        the "sends its values at completely
@@ -32,7 +31,7 @@ Strategy                                 Targets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol
 
 from repro.core.messages import (
     ApproveMsg,
@@ -48,7 +47,6 @@ from repro.core.messages import (
 from repro.core.params import ProtocolParams
 from repro.net.network import Envelope
 from repro.node.base import Node
-from repro.sim.rand import RandomSource
 
 
 class Strategy(Protocol):
@@ -96,49 +94,6 @@ class CrashStrategy:
 
     def install(self, node: ByzantineNode) -> None:
         node.trace("byz_crash_installed")
-
-    def on_message(self, node: ByzantineNode, envelope: Envelope) -> None:
-        pass
-
-
-class NoiseStrategy:
-    """Floods random protocol messages at a fixed local-time interval."""
-
-    def __init__(
-        self,
-        rng: RandomSource,
-        value_pool: Sequence[Value],
-        generals: Sequence[int],
-        interval_local: float,
-    ) -> None:
-        self.rng = rng
-        self.value_pool = list(value_pool)
-        self.generals = list(generals)
-        self.interval_local = interval_local
-
-    def install(self, node: ByzantineNode) -> None:
-        node.every_local(self.interval_local, lambda: self._spam(node), tag="byz_noise")
-
-    def _spam(self, node: ByzantineNode) -> None:
-        general = self.rng.choice(self.generals)
-        value = self.rng.choice(self.value_pool)
-        origin = self.rng.randint(0, node.params.n - 1)
-        k = self.rng.randint(1, node.params.f + 1)
-        factories = [
-            lambda: SupportMsg(general, value),
-            lambda: ApproveMsg(general, value),
-            lambda: ReadyMsg(general, value),
-            lambda: InitiatorMsg(node.node_id, value),
-            lambda: MBInitMsg(general, node.node_id, value, k),
-            lambda: MBEchoMsg(general, origin, value, k),
-            lambda: MBInitPrimeMsg(general, origin, value, k),
-            lambda: MBEchoPrimeMsg(general, origin, value, k),
-        ]
-        payload = self.rng.choice(factories)()
-        receivers = self.rng.sample(
-            node.net.node_ids, self.rng.randint(1, len(node.net.node_ids))
-        )
-        node.send_to_all(receivers, payload)
 
     def on_message(self, node: ByzantineNode, envelope: Envelope) -> None:
         pass
@@ -362,44 +317,6 @@ class SplitWorldStrategy:
 
 
 @dataclass
-class ReplayStrategy:
-    """Records every protocol message it receives, then replays all of them.
-
-    Transient faults aside, replay is the adversary's main tool against the
-    *Uniqueness* and *Separation* properties (IA-4, Timeliness-4): stale
-    waves must never re-trigger acceptance.  The decay rules (message age
-    ``Delta_rmv``, ``last(G, m)`` horizons) are exactly what defeats this --
-    the tests assert no second decision materializes.
-    """
-
-    delay_local: float
-    bursts: int = 3
-    burst_gap_local: float = 0.0
-
-    def __post_init__(self) -> None:
-        self._recorded: list[object] = []
-
-    def install(self, node: ByzantineNode) -> None:
-        gap = self.burst_gap_local or 2.0 * node.params.d
-        for burst in range(self.bursts):
-            node.after_local(
-                self.delay_local + burst * gap,
-                lambda: self._replay(node),
-                tag="byz_replay",
-            )
-
-    def _replay(self, node: ByzantineNode) -> None:
-        node.trace("byz_replay_burst", count=len(self._recorded))
-        for payload in self._recorded:
-            node.broadcast(payload)
-
-    def on_message(self, node: ByzantineNode, envelope: Envelope) -> None:
-        if envelope.sender == node.node_id:
-            return
-        self._recorded.append(envelope.payload)
-
-
-@dataclass
 class ScriptedStrategy:
     """Plays back an exact schedule of (local_delay, receivers, payload).
 
@@ -426,8 +343,6 @@ __all__ = [
     "CrashStrategy",
     "EquivocatingGeneralStrategy",
     "MirrorParticipantStrategy",
-    "NoiseStrategy",
-    "ReplayStrategy",
     "ScriptedStrategy",
     "SelectiveGeneralStrategy",
     "SplitWorldStrategy",

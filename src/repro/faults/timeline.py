@@ -375,9 +375,6 @@ class FaultScript:
                 churned.update(action.nodes)
         return frozenset(churned)
 
-    def __len__(self) -> int:
-        return len(self.actions)
-
 
 class _Firing:
     """One scheduled action application (a named callable for picklability

@@ -26,7 +26,7 @@
   timelines) fanned over the pool into one consolidated report.
 """
 
-from repro.harness.parallel import SeedPool, run_seeds_parallel
+from repro.harness.parallel import SeedPool
 from repro.harness.registry import (
     ExperimentSpec,
     ScenarioGroup,
@@ -58,6 +58,5 @@ __all__ = [
     "decision_latencies",
     "decision_spread_real",
     "message_stats",
-    "run_seeds_parallel",
     "summarize",
 ]

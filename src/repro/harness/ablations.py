@@ -1,4 +1,9 @@
-"""Ablation drivers A1..A3: stress the design choices DESIGN.md calls out.
+"""Ablations A1..A3: stress the design choices DESIGN.md calls out.
+
+Registered with the experiment engine as ``"a1"``..``"a3"``, written the
+way E1..E10 are (a picklable per-seed function and a row builder per sweep
+point), so ``run_experiment("a1", workers=...)`` fans them out over the
+seed pool and ``list-experiments`` shows them.
 
 * **A1 -- phase length Phi.**  The paper sets ``Phi = tau_skew + 2d = 8d``;
   the round deadlines of msgd-broadcast and Blocks S/T/U are all multiples
@@ -17,11 +22,13 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from repro.core.params import ProtocolParams
 from repro.faults.transient import TransientFaultInjector
 from repro.harness import properties
+from repro.harness.registry import ScenarioGroup, experiment
 from repro.harness.scenario import Cluster, ScenarioConfig
 from repro.net.delivery import FixedDelay
 
@@ -59,11 +66,42 @@ def _split_anchor_attack(params: ProtocolParams, release_d: float = 3.2):
     }
 
 
-def run_a1_phi_ablation(
+def _a1_seed(params: ProtocolParams, release_d: float, seed: int) -> bool:
+    cluster = Cluster(
+        ScenarioConfig(
+            params=params,
+            seed=seed,
+            byzantine=_split_anchor_attack(params, release_d),
+            policy=FixedDelay(0.1 * params.delta),
+        )
+    )
+    cluster.run_for(3 * max(params.delta_agr, 20 * params.d))
+    return properties.agreement(cluster, 0).holds
+
+
+def _a1_rows(params: ProtocolParams, results: list, seed_list: Sequence[int]) -> list[dict]:
+    agreement_ok = sum(results)
+    return [
+        {
+            "phi_scale": params.phi_scale,
+            "phi_d": params.phi / params.d,
+            "runs": len(seed_list),
+            "agreement_ok": agreement_ok,
+            "violations": len(seed_list) - agreement_ok,
+        }
+    ]
+
+
+@experiment(
+    "a1",
+    title="A1: Phi shrunk under the split-anchor attack",
+    defaults={"phi_scales": (0.25, 0.5, 0.75, 1.0), "release_d": 3.2,
+              "seeds": range(8)},
+)
+def _a1_groups(
     phi_scales: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    seeds: Sequence[int] = range(8),
     release_d: float = 3.2,
-) -> list[dict]:
+) -> list[ScenarioGroup]:
     """Shrink Phi under the split-anchor attack.
 
     Nodes 1-3 decide via Block R; nodes 4-5 must decide through relayed
@@ -73,109 +111,102 @@ def run_a1_phi_ablation(
     nodes miss their deadlines and abort while the others decided: an
     Agreement violation.
     """
-    rows = []
+    groups = []
     for scale in phi_scales:
         params = ProtocolParams(n=7, f=2, delta=1.0, rho=DEFAULT_RHO, phi_scale=scale)
-        agreement_ok = 0
-        stranded = 0
-        for seed in seeds:
-            cluster = Cluster(
-                ScenarioConfig(
-                    params=params,
-                    seed=seed,
-                    byzantine=_split_anchor_attack(params, release_d),
-                    policy=FixedDelay(0.1 * params.delta),
-                )
+        groups.append(
+            ScenarioGroup(
+                seed_fn=partial(_a1_seed, params, release_d),
+                rows=partial(_a1_rows, params),
+                label=f"phi_scale={scale}",
             )
-            cluster.run_for(3 * max(params.delta_agr, 20 * params.d))
-            if properties.agreement(cluster, 0).holds:
-                agreement_ok += 1
-            else:
-                stranded += 1
-        rows.append(
-            {
-                "phi_scale": scale,
-                "phi_d": params.phi / params.d,
-                "runs": len(list(seeds)),
-                "agreement_ok": agreement_ok,
-                "violations": stranded,
-            }
         )
-    return rows
+    return groups
 
 
-def run_a2_cleanup_interval(
+def _a2_seed(params: ProtocolParams, interval: float, seed: int) -> bool:
+    cluster = Cluster(
+        ScenarioConfig(params=params, seed=seed, cleanup_interval_d=interval)
+    )
+    injector = TransientFaultInjector(
+        params,
+        cluster.rng.split("inj"),
+        value_pool=["A", "B", "C"],
+        generals=[0, 1],
+    )
+    cluster.run_for(5 * params.d)
+    injector.havoc(cluster.correct_nodes(), cluster.net, 250)
+    cluster.run_for(params.delta_stb)
+    since = cluster.sim.now
+    if not cluster.propose(general=0, value="r"):
+        return False
+    cluster.run_for(params.delta_agr + 10 * params.d)
+    return properties.validity(cluster, 0, "r", since_real=since).holds
+
+
+def _a2_rows(interval: float, results: list, seed_list: Sequence[int]) -> list[dict]:
+    return [
+        {
+            "cleanup_interval_d": interval,
+            "runs": len(seed_list),
+            "recovered": sum(results),
+        }
+    ]
+
+
+@experiment(
+    "a2",
+    title="A2: stabilization vs the cleanup cadence",
+    defaults={"intervals_d": (0.5, 1.0, 4.0, 16.0), "seeds": range(5)},
+)
+def _a2_groups(
     intervals_d: Sequence[float] = (0.5, 1.0, 4.0, 16.0),
-    seeds: Sequence[int] = range(5),
-) -> list[dict]:
+) -> list[ScenarioGroup]:
     """Stabilization success vs the background cleanup cadence."""
-    rows = []
-    for interval in intervals_d:
-        params = ProtocolParams(n=7, f=2, delta=1.0, rho=DEFAULT_RHO)
-        recovered = 0
-        for seed in seeds:
-            cluster = Cluster(
-                ScenarioConfig(
-                    params=params, seed=seed, cleanup_interval_d=interval
-                )
-            )
-            injector = TransientFaultInjector(
-                params,
-                cluster.rng.split("inj"),
-                value_pool=["A", "B", "C"],
-                generals=[0, 1],
-            )
-            cluster.run_for(5 * params.d)
-            injector.havoc(cluster.correct_nodes(), cluster.net, 250)
-            cluster.run_for(params.delta_stb)
-            since = cluster.sim.now
-            if cluster.propose(general=0, value="r"):
-                cluster.run_for(params.delta_agr + 10 * params.d)
-                if properties.validity(cluster, 0, "r", since_real=since).holds:
-                    recovered += 1
-        rows.append(
-            {
-                "cleanup_interval_d": interval,
-                "runs": len(list(seeds)),
-                "recovered": recovered,
-            }
+    params = ProtocolParams(n=7, f=2, delta=1.0, rho=DEFAULT_RHO)
+    return [
+        ScenarioGroup(
+            seed_fn=partial(_a2_seed, params, interval),
+            rows=partial(_a2_rows, interval),
+            label=f"cleanup_interval_d={interval}",
         )
-    return rows
+        for interval in intervals_d
+    ]
 
 
-def run_a3_resend_throttle(
-    gaps_d: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-    seeds: Sequence[int] = range(5),
-) -> list[dict]:
+def _a3_seed(params: ProtocolParams, gap: float, seed: int) -> tuple:
+    cluster = Cluster(ScenarioConfig(params=params, seed=seed, resend_gap_d=gap))
+    base = cluster.net.sent_count
+    assert cluster.propose(general=0, value="v")
+    cluster.run_for(params.delta_agr + 10 * params.d)
+    sent = cluster.net.sent_count - base
+    return properties.validity(cluster, 0, "v").holds, sent
+
+
+def _a3_rows(gap: float, results: list, seed_list: Sequence[int]) -> list[dict]:
+    return [
+        {
+            "resend_gap_d": gap,
+            "runs": len(seed_list),
+            "validity_ok": sum(ok for ok, _sent in results),
+            "messages_mean": sum(sent for _ok, sent in results) / len(results),
+        }
+    ]
+
+
+@experiment(
+    "a3",
+    title="A3: message volume vs the re-send throttle",
+    defaults={"gaps_d": (0.5, 1.0, 2.0, 4.0), "seeds": range(5)},
+)
+def _a3_groups(gaps_d: Sequence[float] = (0.5, 1.0, 2.0, 4.0)) -> list[ScenarioGroup]:
     """Message volume and correctness vs the re-send throttle gap."""
-    rows = []
-    for gap in gaps_d:
-        params = ProtocolParams(n=7, f=2, delta=1.0, rho=DEFAULT_RHO)
-        validity_ok = 0
-        messages: list[int] = []
-        for seed in seeds:
-            cluster = Cluster(
-                ScenarioConfig(params=params, seed=seed, resend_gap_d=gap)
-            )
-            base = cluster.net.sent_count
-            assert cluster.propose(general=0, value="v")
-            cluster.run_for(params.delta_agr + 10 * params.d)
-            messages.append(cluster.net.sent_count - base)
-            if properties.validity(cluster, 0, "v").holds:
-                validity_ok += 1
-        rows.append(
-            {
-                "resend_gap_d": gap,
-                "runs": len(list(seeds)),
-                "validity_ok": validity_ok,
-                "messages_mean": sum(messages) / len(messages),
-            }
+    params = ProtocolParams(n=7, f=2, delta=1.0, rho=DEFAULT_RHO)
+    return [
+        ScenarioGroup(
+            seed_fn=partial(_a3_seed, params, gap),
+            rows=partial(_a3_rows, gap),
+            label=f"resend_gap_d={gap}",
         )
-    return rows
-
-
-__all__ = [
-    "run_a1_phi_ablation",
-    "run_a2_cleanup_interval",
-    "run_a3_resend_throttle",
-]
+        for gap in gaps_d
+    ]

@@ -30,12 +30,11 @@ Pool reuse
 Worker startup (forkserver fork + interpreter warmup) costs a visible fraction
 of a short driver call, so the executor can outlive a single ``with``
 block: :meth:`SeedPool.shared` returns a per-worker-count cached pool whose
-context exit leaves the processes warm.  Successive ``run_e*`` calls with
-the same ``workers=`` then pay pool startup once per process lifetime; the
-experiment drivers all use this path.  :func:`shutdown_shared_pools`
-releases the warm pools explicitly (the interpreter's atexit handling
-reaps them otherwise), and a one-shot :func:`run_seeds_parallel` exposes
-the same reuse via ``reuse_pool=True``.
+context exit leaves the processes warm.  Successive ``run_experiment``
+calls with the same ``workers=`` then pay pool startup once per process
+lifetime; the experiment engine and the CLI's seed fan-out both use this
+path.  :func:`shutdown_shared_pools` releases the warm pools explicitly
+(the interpreter's atexit handling reaps them otherwise).
 
 The mapped callable and its bound arguments must be picklable: use
 module-level functions (optionally wrapped in :func:`functools.partial`),
@@ -48,7 +47,7 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 R = TypeVar("R")
 
@@ -154,25 +153,6 @@ class SeedPool:
         return list(self._executor.map(fn, seed_list))
 
 
-def run_seeds_parallel(
-    fn: Callable[[int], R],
-    seeds: Sequence[int],
-    workers: Optional[int] = None,
-    reuse_pool: bool = False,
-) -> list[R]:
-    """One-shot fan-out: map a picklable per-seed function over ``seeds``.
-
-    Equivalent to ``[fn(s) for s in seeds]`` -- same results, same order --
-    but runs on ``workers`` processes when ``workers`` exceeds one.  With
-    ``reuse_pool=True`` the workers stay warm for the next call (see
-    :meth:`SeedPool.shared`).
-    """
-    if reuse_pool:
-        return SeedPool.shared(workers).map(fn, seeds)
-    with SeedPool(workers) as pool:
-        return pool.map(fn, seeds)
-
-
 def shutdown_shared_pools() -> None:
     """Release every warm shared pool (idempotent)."""
     for pool in list(_SHARED_POOLS.values()):
@@ -182,6 +162,5 @@ def shutdown_shared_pools() -> None:
 __all__ = [
     "SeedPool",
     "resolve_workers",
-    "run_seeds_parallel",
     "shutdown_shared_pools",
 ]

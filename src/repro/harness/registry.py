@@ -81,14 +81,16 @@ _REGISTRY: dict[str, ExperimentSpec] = {}
 
 
 def _ensure_builtin_experiments() -> None:
-    """Populate the registry with the built-in E1..E10 specs.
+    """Populate the registry with the built-in E1..E10 and A1..A3 specs.
 
     Registration happens as a side effect of importing
-    :mod:`repro.harness.experiments`; importing it lazily here means
-    ``run_experiment("e1")`` works without the caller knowing about that
-    module (and without an import cycle: experiments imports this module
-    at load time, but this hook only fires at call time).
+    :mod:`repro.harness.experiments` and :mod:`repro.harness.ablations`;
+    importing them lazily here means ``run_experiment("e1")`` works without
+    the caller knowing about those modules (and without an import cycle:
+    they import this module at load time, but this hook only fires at call
+    time).
     """
+    import repro.harness.ablations  # noqa: F401
     import repro.harness.experiments  # noqa: F401
 
 

@@ -1,17 +1,13 @@
-"""Report rendering: experiment rows to Markdown / CSV, trace timelines.
+"""Report rendering: experiment rows to Markdown / CSV.
 
 The benchmark suite prints raw rows; these helpers turn the same rows into
-the artifacts EXPERIMENTS.md embeds, and render per-node event timelines
-from a run trace for debugging.
+the artifacts EXPERIMENTS.md embeds.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Any, Optional, Sequence
-
-from repro.harness.scenario import Cluster
-from repro.sim.trace import TraceEvent
+from typing import Any, Sequence
 
 
 def _fmt(value: Any) -> str:
@@ -46,65 +42,4 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-INTERESTING_KINDS = (
-    "propose",
-    "i_accept",
-    "decide",
-    "abort",
-    "mb_invoke",
-    "mb_accept",
-    "corrupt",
-    "coherent",
-    "pulse",
-    "initiation_failed",
-)
-
-
-def timeline(
-    cluster: Cluster,
-    kinds: Sequence[str] = INTERESTING_KINDS,
-    node: Optional[int] = None,
-    limit: Optional[int] = None,
-) -> str:
-    """Human-readable timeline of the semantically interesting trace events.
-
-    One line per event: real time, node, kind, and the detail payload.
-    """
-    wanted = set(kinds)
-    lines = []
-    for ev in cluster.tracer.events:
-        if ev.kind not in wanted:
-            continue
-        if node is not None and ev.node != node:
-            continue
-        detail = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(ev.detail.items()))
-        who = "net " if ev.node is None else f"n{ev.node:<3}"
-        lines.append(f"{ev.real_time:10.3f}  {who} {ev.kind:<18} {detail}")
-        if limit is not None and len(lines) >= limit:
-            lines.append("... (truncated)")
-            break
-    return "\n".join(lines)
-
-
-def decision_table(cluster: Cluster, general: int) -> str:
-    """Markdown table of the latest per-node outcomes for one General."""
-    latest = cluster.latest_decision_per_node(general)
-    rows = [
-        {
-            "node": node_id,
-            "value": repr(latest[node_id].value),
-            "returned_real": latest[node_id].returned_real,
-            "tau_g_real": latest[node_id].tau_g_real,
-        }
-        for node_id in sorted(latest)
-    ]
-    return rows_to_markdown(rows, title=f"Decisions for General {general}")
-
-
-__all__ = [
-    "INTERESTING_KINDS",
-    "decision_table",
-    "rows_to_csv",
-    "rows_to_markdown",
-    "timeline",
-]
+__all__ = ["rows_to_csv", "rows_to_markdown"]

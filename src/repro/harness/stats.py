@@ -84,12 +84,4 @@ def summarize_latencies(latencies: Sequence[float]) -> dict[str, float]:
     }
 
 
-def fraction_true(outcomes: Iterable[bool]) -> float:
-    """Share of True values (1.0 for an empty iterable is wrong -> raise)."""
-    data = list(outcomes)
-    if not data:
-        raise ValueError("empty sample")
-    return sum(1 for item in data if item) / len(data)
-
-
-__all__ = ["Summary", "fraction_true", "percentile", "summarize", "summarize_latencies"]
+__all__ = ["Summary", "percentile", "summarize", "summarize_latencies"]

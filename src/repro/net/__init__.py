@@ -15,25 +15,21 @@ attribute message loss to the adversary action that caused it.
 """
 
 from repro.net.delivery import (
-    AdversarialDelay,
     BurstyDelay,
     DeliveryDecision,
     DeliveryPolicy,
     FixedDelay,
-    IncoherentDelivery,
     LinkPartitionPolicy,
     UniformDelay,
 )
 from repro.net.network import Envelope, Network
 
 __all__ = [
-    "AdversarialDelay",
     "BurstyDelay",
     "DeliveryDecision",
     "DeliveryPolicy",
     "Envelope",
     "FixedDelay",
-    "IncoherentDelivery",
     "LinkPartitionPolicy",
     "Network",
     "UniformDelay",

@@ -103,64 +103,6 @@ def wall_clock_default(delta: float) -> UniformDelay:
     return UniformDelay(0.05 * delta, 0.5 * delta)
 
 
-class AdversarialDelay:
-    """Maximizes arrival-time skew between receivers, within the legal bound.
-
-    Receivers in ``fast_set`` get messages at ``delta_min``; everyone else at
-    ``delta_max``.  This is the pattern the paper's trickiest lemmas (window
-    boundaries in Blocks L/M) are exposed to: some correct nodes see a quorum
-    "just in time" while others see it as late as legally possible.
-    """
-
-    def __init__(
-        self, delta_min: float, delta_max: float, fast_set: frozenset[int]
-    ) -> None:
-        if not (0 <= delta_min <= delta_max):
-            raise ValueError(f"invalid range [{delta_min!r}, {delta_max!r}]")
-        self.delta_min = delta_min
-        self.delta_max = delta_max
-        self.fast_set = fast_set
-
-    def decide(
-        self, sender: int, receiver: int, payload: object, rng: RandomSource
-    ) -> DeliveryDecision:
-        if receiver in self.fast_set:
-            return DeliveryDecision(self.delta_min)
-        return DeliveryDecision(self.delta_max)
-
-    def min_delay(self) -> float:
-        return self.delta_min
-
-
-class IncoherentDelivery:
-    """Transient-period network behaviour: loss and unbounded delay.
-
-    Used *before* the scenario declares coherence.  Each copy is independently
-    dropped with ``drop_probability``, otherwise delayed uniformly up to
-    ``max_delay`` (which may far exceed the model's ``delta``).
-    """
-
-    def __init__(self, drop_probability: float, max_delay: float) -> None:
-        if not (0.0 <= drop_probability <= 1.0):
-            raise ValueError(f"invalid probability {drop_probability!r}")
-        if max_delay < 0:
-            raise ValueError(f"negative max delay {max_delay!r}")
-        self.drop_probability = drop_probability
-        self.max_delay = max_delay
-
-    def decide(
-        self, sender: int, receiver: int, payload: object, rng: RandomSource
-    ) -> DeliveryDecision:
-        if rng.chance(self.drop_probability):
-            return DeliveryDecision.dropped()
-        return DeliveryDecision(rng.uniform(0.0, self.max_delay))
-
-    def min_delay(self) -> float:
-        # Delivered copies may arrive instantly -- the transient-period
-        # network offers no floor at all.
-        return 0.0
-
-
 class BurstyDelay:
     """Alternates between a fast regime and a congested regime.
 
@@ -233,12 +175,10 @@ class LinkPartitionPolicy:
 
 
 __all__ = [
-    "AdversarialDelay",
     "BurstyDelay",
     "DeliveryDecision",
     "DeliveryPolicy",
     "FixedDelay",
-    "IncoherentDelivery",
     "LinkPartitionPolicy",
     "UniformDelay",
     "wall_clock_default",

@@ -174,11 +174,6 @@ class Node:
     # ------------------------------------------------------------------
     # Tracing helpers
     # ------------------------------------------------------------------
-    @property
-    def trace_enabled(self) -> bool:
-        """True while full tracing is on -- hot call sites guard on this."""
-        return self.tracer.enabled
-
     def trace(self, kind: str, **detail: object) -> None:
         """Record a trace event attributed to this node, with both clocks."""
         tracer = self.tracer

@@ -1,7 +1,7 @@
 """Replica-side applier with per-slot protocol-state retirement.
 
-Extends the :class:`~repro.extensions.state_machine.Replica` gap-healing
-applier for service duty:
+Applies decided slots in index order, buffering out-of-order decisions
+until the gap below them heals, with service duty on top:
 
 * **The decided value is a digest; the batch arrives once, separately.**
   The primary broadcasts ``("body", slot, batch)`` and proposes
@@ -63,9 +63,11 @@ from collections import Counter
 from typing import Callable, Iterable, Optional
 
 from repro.core.agreement import Decision, ProtocolNode
+from repro.core.messages import Value
 from repro.core.params import BOTTOM
-from repro.extensions.state_machine import ApplyCallback, Replica
 from repro.runtime.api import INERT_TIMER, Delivery, TimerHandle
+
+ApplyCallback = Callable[[int, Value], None]
 
 
 def batch_digest(batch: tuple) -> str:
@@ -77,7 +79,62 @@ def batch_digest(batch: tuple) -> str:
     return hashlib.sha256(repr(batch).encode()).hexdigest()[:32]
 
 
-class ReplicaApplier(Replica):
+class DecisionTap:
+    """A chainable ``node.on_decision`` observer with clean teardown.
+
+    Observers stack: each tap remembers the callback that was installed
+    before it and forwards every decision to it, so several independent
+    observers (the coordinator, the applier, a test probe) compose on one
+    node.  :meth:`detach` splices the tap back *out* of the chain wherever
+    it sits -- head or middle -- so observers can tear down in any order
+    without orphaning each other.
+
+    Subclasses implement :meth:`_on_decision`.
+    """
+
+    def __init__(self, node: ProtocolNode) -> None:
+        self.node = node
+        self._previous = node.on_decision
+        self._detached = False
+        node.on_decision = self._dispatch
+
+    def _dispatch(self, decision: Decision) -> None:
+        if self._previous is not None:
+            self._previous(decision)
+        if not self._detached:
+            self._on_decision(decision)
+
+    def _on_decision(self, decision: Decision) -> None:
+        raise NotImplementedError
+
+    def detach(self) -> None:
+        """Remove this tap from the node's decision chain.
+
+        Restores ``node.on_decision`` to the previous callback when this
+        tap is at the head; when a later tap was stacked on top, the later
+        tap's back-pointer is re-spliced past this one instead.  If a
+        foreign (non-tap) callback was interposed the tap cannot be
+        spliced out structurally; it stays in the chain as an inert
+        pass-through.
+        """
+        if self._detached:
+            return
+        self._detached = True
+        if self.node.on_decision == self._dispatch:
+            self.node.on_decision = self._previous
+            return
+        cursor = self.node.on_decision
+        while cursor is not None:
+            owner = getattr(cursor, "__self__", None)
+            if not isinstance(owner, DecisionTap):
+                return
+            if owner._previous == self._dispatch:
+                owner._previous = self._previous
+                return
+            cursor = owner._previous
+
+
+class ReplicaApplier(DecisionTap):
     """Applies decided slots in order, then retires their protocol state."""
 
     def __init__(
@@ -87,6 +144,13 @@ class ReplicaApplier(Replica):
         retire_after_d: float = 6.0,
         on_apply: Optional[ApplyCallback] = None,
     ) -> None:
+        self.primary = primary
+        self.on_apply = on_apply
+        #: Applied ``(slot, batch)`` pairs, in slot order.
+        self.applied: list[tuple[int, Value]] = []
+        #: Decided slots not yet applied: slot -> digest | BOTTOM.
+        self._pending: dict[int, Value] = {}
+        self._next_index = 0
         self.retire_after_d = retire_after_d
         #: Slot indexes that aborted (recorded so sequences stay dense).
         self.skipped: list[int] = []
@@ -132,7 +196,7 @@ class ReplicaApplier(Replica):
         #: :meth:`~repro.service.coordinator.LogCoordinator.notify_retired`
         #: so a launch pipeline gated on unretired slots resumes promptly.
         self.on_retire: Optional[Callable[[int], None]] = None
-        super().__init__(node, primary, on_apply)
+        super().__init__(node)
         node.instance_gate = self._gate
         node.on_service_payload = self._on_service_payload
 
@@ -142,7 +206,7 @@ class ReplicaApplier(Replica):
         self.node.on_service_payload = None
 
     # ------------------------------------------------------------------
-    # Decision intake (aborts included, unlike the base Replica)
+    # Decision intake (aborts included)
     # ------------------------------------------------------------------
     def _on_decision(self, decision: Decision) -> None:
         general = decision.general
@@ -477,4 +541,4 @@ class ReplicaApplier(Replica):
         return len(self._bodies)
 
 
-__all__ = ["ReplicaApplier", "batch_digest"]
+__all__ = ["ApplyCallback", "DecisionTap", "ReplicaApplier", "batch_digest"]

@@ -1,7 +1,8 @@
 """Primary-side log coordinator: a bounded pipeline of slot agreements.
 
 Turns a stream of client commands into slot-indexed
-:class:`~repro.extensions.concurrent.ConcurrentGeneral` invocations:
+:class:`ConcurrentGeneral` invocations (the paper's footnote 9: concurrent
+agreements of one General, told apart by an index):
 
 * **Batching.**  Up to ``max_batch`` queued commands become one slot, so a
   single protocol execution carries many commands -- the ratio is the
@@ -86,14 +87,90 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from repro.core.agreement import Decision, ProtocolNode
+from repro.core.messages import InitiatorMsg, Value
 from repro.core.params import BOTTOM
-from repro.extensions.concurrent import ConcurrentGeneral
-from repro.extensions.state_machine import DecisionTap
 from repro.runtime.api import INERT_TIMER, TimerHandle
-from repro.service.applier import ReplicaApplier, batch_digest
+from repro.service.applier import DecisionTap, ReplicaApplier, batch_digest
 
 #: Weight of the newest sample in the launch-to-decision EWMA.
 _EWMA_GAIN = 0.125
+
+IndexedKey = tuple[int, int]  # (general node id, index)
+
+
+class IndexReuseError(ValueError):
+    """An index was reused within ``Delta_v`` of its previous initiation.
+
+    Footnote 9 removes the *cross*-index pacing, but the per-instance
+    Sending Validity Criteria still apply: a correct General must not
+    reinitiate the same ``(G, index)`` instance within ``Delta_v``, or
+    receivers can confuse the two executions' messages.
+    """
+
+
+def indexed_general(general: int, index: int) -> IndexedKey:
+    """The instance key for invocation ``index`` of ``general``."""
+    return (general, index)
+
+
+class ConcurrentGeneral:
+    """Drives concurrent indexed agreements from one (correct) General.
+
+    The paper notes that ``Delta_0`` / ``Delta_v`` pacing "can be
+    circumvented by adding counters to concurrent agreement initiations":
+    every piece of per-instance state is keyed by ``(G, index)`` instead of
+    ``G``.  Instance keys are already opaque in
+    :class:`~repro.core.agreement.AgreementInstance` (the
+    authenticated-sender checks use ``general_node_id``), so an indexed
+    instance is simply keyed by that tuple.  The per-*instance* pacing
+    still applies (an index is not reused within ``Delta_v``); *across*
+    indexes there is none.
+    """
+
+    def __init__(self, node: ProtocolNode) -> None:
+        self.node = node
+        self.next_index = 0
+        self._index_last_used: dict[int, float] = {}
+
+    def propose(self, value: Value, index: Optional[int] = None) -> int:
+        """Initiate an indexed agreement; returns the index used.
+
+        A fresh index is allocated by default, which trivially satisfies the
+        per-instance pacing rules (an index is never reused).
+        """
+        if index is None:
+            index = self.next_index
+            self.next_index += 1
+        else:
+            # Keep the allocator ahead of explicit indexes so a later
+            # default-allocated propose cannot collide with this one.
+            self.next_index = max(self.next_index, index + 1)
+        now = self.node.local_now()
+        delta_v = self.node.params.delta_v
+        last = self._index_last_used.get(index)
+        if last is not None and now - last < delta_v:
+            raise IndexReuseError(
+                f"index {index} reused within Delta_v ({now - last:.3f} time "
+                f"units after its previous initiation, Delta_v = "
+                f"{delta_v:.3f}); a correct General must allocate a fresh "
+                f"index"
+            )
+        # Amortized pruning keeps the pacing map bounded in a long-lived
+        # process: stamps are inserted in monotone time order, so expired
+        # entries cluster at the front.
+        while self._index_last_used:
+            stale = next(iter(self._index_last_used))
+            if now - self._index_last_used[stale] <= delta_v:
+                break
+            del self._index_last_used[stale]
+        self._index_last_used.pop(index, None)
+        self._index_last_used[index] = now
+        key = indexed_general(self.node.node_id, index)
+        # The General clears its own prior messages for this instance.
+        self.node.instance(key).ia.log.clear()
+        self.node.trace("propose_indexed", value=value, index=index)
+        self.node.broadcast(InitiatorMsg(key, value))
+        return index
 
 
 class WindowBounds(NamedTuple):
@@ -394,4 +471,12 @@ class LogCoordinator(DecisionTap):
         await self._drained.wait()
 
 
-__all__ = ["LogCoordinator", "WindowBounds", "window_bounds"]
+__all__ = [
+    "ConcurrentGeneral",
+    "IndexReuseError",
+    "IndexedKey",
+    "LogCoordinator",
+    "WindowBounds",
+    "indexed_general",
+    "window_bounds",
+]

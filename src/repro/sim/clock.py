@@ -11,20 +11,14 @@ with an arbitrary ``offset``.  The inverse map is exact because the clock is
 affine, which is what lets the simulator schedule "wake me at local time tau"
 requests precisely.
 
-Wrap-around
------------
 The paper notes local time may wrap but assumes the wrap period is a large
-constant factor of the longest measured interval.  We model that by an
-optional ``wrap`` modulus used by :meth:`DriftClock.local_now` consumers that
-want to exercise wrap behaviour; interval arithmetic helpers are provided so
-protocol code stays wrap-safe.
+constant factor of the longest measured interval; the clocks here never
+wrap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.sim.engine import Simulator
 
 
@@ -38,20 +32,14 @@ class ClockConfig:
         Drift rate; must lie in ``[1 - rho, 1 + rho]`` for a correct node.
     offset:
         Arbitrary initial local reading at clock creation time.
-    wrap:
-        Optional wrap-around modulus for the local reading.  ``None`` means
-        the clock never wraps (the default for most experiments).
     """
 
     rate: float = 1.0
     offset: float = 0.0
-    wrap: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ValueError(f"clock rate must be positive, got {self.rate!r}")
-        if self.wrap is not None and self.wrap <= 0:
-            raise ValueError(f"wrap modulus must be positive, got {self.wrap!r}")
 
 
 class DriftClock:
@@ -62,7 +50,6 @@ class DriftClock:
         self._rate = config.rate
         self._offset = config.offset
         self._epoch = sim.now
-        self._wrap = config.wrap
 
     # ------------------------------------------------------------------
     # Reading the clock
@@ -85,13 +72,6 @@ class DriftClock:
         """
         return self._offset + self._rate * (self._sim._now - self._epoch)
 
-    def display_now(self) -> float:
-        """Local reading as the node's hardware would display it (wrapped)."""
-        value = self.local_now()
-        if self._wrap is None:
-            return value
-        return value % self._wrap
-
     # ------------------------------------------------------------------
     # Converting local intervals to the real-time axis
     # ------------------------------------------------------------------
@@ -104,10 +84,6 @@ class DriftClock:
         if local_interval < 0:
             raise ValueError(f"negative local interval {local_interval!r}")
         return local_interval / self._rate
-
-    def local_elapsed_between(self, real_a: float, real_b: float) -> float:
-        """Local time elapsed between two real times (``real_b >= real_a``)."""
-        return self._rate * (real_b - real_a)
 
     # ------------------------------------------------------------------
     # Transient-fault support
@@ -124,9 +100,4 @@ class DriftClock:
         self._epoch = self._sim.now
 
 
-def check_drift_bound(rate: float, rho: float) -> bool:
-    """True iff ``rate`` satisfies the paper's bounded-drift condition."""
-    return (1.0 - rho) <= rate <= (1.0 + rho)
-
-
-__all__ = ["ClockConfig", "DriftClock", "check_drift_bound"]
+__all__ = ["ClockConfig", "DriftClock"]

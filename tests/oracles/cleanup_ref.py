@@ -6,9 +6,11 @@ These are the cleanup rules of :class:`~repro.node.msglog.MessageLog`,
 :class:`~repro.core.agreement.AgreementInstance` as they stood before the
 production rules learned to skip what is not due: every tick walks every
 key, rebuilds every stamped dict, recomputes the known triplets and the
-accept level sets, and marks every evaluation state stale.  The one change
-since is the ``ignore_until`` rule, which also drops a deadline beyond
-``now + 3d`` (the only value the protocol ever writes).
+accept level sets, and marks every evaluation state stale.  The changes
+since: the ``ignore_until`` rule also drops a deadline beyond ``now + 3d``
+(the only value the protocol ever writes), ``broadcasters`` drops a stamp
+in the future as ``accepted`` always did, and an instance without
+``tau_G`` clears a msgd-broadcast anchor (the two are set together).
 
 Each class subclasses its production counterpart and overrides only the
 cleanup rules, so the paired instances of ``tests/test_cleanup_equiv.py``
@@ -135,7 +137,9 @@ class ReferenceCleanupMB(MsgdBroadcast):
         # Stale derived state ages out on the same horizon.
         if self.broadcasters:
             self.broadcasters = {
-                node: t for node, t in self.broadcasters.items() if now - t <= horizon
+                node: t
+                for node, t in self.broadcasters.items()
+                if now - t <= horizon and t <= now
             }
         if self.accepted:
             self.accepted = {
@@ -179,6 +183,8 @@ class ReferenceCleanupInstance(AgreementInstance):
         p = self.params
         self.ia.cleanup()
         self.mb.cleanup()
+        if self.tau_g is None and self.mb.anchor is not None:
+            self.mb.clear_anchor()
         horizon = self._anchor_horizon
         # A (possibly corrupted) anchor older than the whole agreement window
         # is stale: erase it (the paper's "erase any value ... older than

@@ -1,15 +1,11 @@
-"""Tests for the ablation drivers (small seed budgets)."""
+"""Tests for the ablations A1..A3 (small seed budgets)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.params import ProtocolParams
-from repro.harness.ablations import (
-    run_a1_phi_ablation,
-    run_a2_cleanup_interval,
-    run_a3_resend_throttle,
-)
+from repro.harness.registry import run_experiment
 
 
 class TestPhiScaleKnob:
@@ -26,7 +22,7 @@ class TestPhiScaleKnob:
 
 class TestA1:
     def test_paper_phi_safe_small_phi_broken(self):
-        rows = run_a1_phi_ablation(phi_scales=(0.25, 1.0), seeds=range(4))
+        rows = run_experiment("a1", phi_scales=(0.25, 1.0), seeds=range(4))
         small, paper = rows[0], rows[1]
         assert paper["violations"] == 0
         assert small["violations"] > 0
@@ -34,13 +30,13 @@ class TestA1:
 
 class TestA2:
     def test_default_cadence_recovers(self):
-        rows = run_a2_cleanup_interval(intervals_d=(1.0, 4.0), seeds=range(2))
+        rows = run_experiment("a2", intervals_d=(1.0, 4.0), seeds=range(2))
         for row in rows:
             assert row["recovered"] == row["runs"]
 
 
 class TestA3:
     def test_throttle_trades_messages_not_correctness(self):
-        rows = run_a3_resend_throttle(gaps_d=(0.5, 2.0), seeds=range(2))
+        rows = run_experiment("a3", gaps_d=(0.5, 2.0), seeds=range(2))
         assert all(row["validity_ok"] == row["runs"] for row in rows)
         assert rows[0]["messages_mean"] >= rows[1]["messages_mean"]

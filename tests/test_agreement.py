@@ -8,8 +8,9 @@ from repro.core.agreement import ProtocolNode, distinct_chain_exists
 from repro.core.params import BOTTOM, ProtocolParams
 from repro.harness import properties
 from repro.harness.scenario import Cluster, ScenarioConfig
-from repro.net.delivery import AdversarialDelay, FixedDelay, UniformDelay
+from repro.net.delivery import FixedDelay, UniformDelay
 
+from tests.adversaries import AdversarialDelay
 from tests.conftest import make_cluster, run_agreement
 
 
@@ -233,6 +234,17 @@ class TestInstanceHygiene:
         inst.tau_g = node.local_now() + 100 * params7.d
         cluster.run_for(3 * params7.d)
         assert inst.tau_g is None
+
+    def test_anchor_without_tau_g_self_heals(self, params7):
+        """tau_G and the msgd-broadcast anchor are set and cleared together;
+        a corrupted anchor with no tau_G goes at the next cleanup tick."""
+        cluster = make_cluster(params7, seed=3)
+        node = cluster.correct_nodes()[1]
+        inst = node.instance(0)
+        inst.mb.anchor = node.local_now() + 1e6
+        cluster.run_for(2 * params7.d)
+        assert inst.tau_g is None
+        assert inst.mb.anchor is None
 
     def test_lost_reset_timer_self_heals(self, params7):
         cluster = make_cluster(params7, seed=23)

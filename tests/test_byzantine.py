@@ -10,7 +10,6 @@ from repro.faults.byzantine import (
     CrashStrategy,
     EquivocatingGeneralStrategy,
     MirrorParticipantStrategy,
-    NoiseStrategy,
     ScriptedStrategy,
     SelectiveGeneralStrategy,
     SplitWorldStrategy,
@@ -21,6 +20,7 @@ from repro.core.messages import InitiatorMsg, ReadyMsg, SupportMsg
 from repro.harness import properties
 from repro.harness.scenario import Cluster, ScenarioConfig
 
+from tests.adversaries import NoiseStrategy
 from tests.conftest import make_cluster, run_agreement
 
 

@@ -167,7 +167,7 @@ class TestListExperiments:
             for line in out.splitlines()
             if line and not line.startswith(" ")
         }
-        assert {f"e{i}" for i in range(1, 11)} <= names
+        assert {f"e{i}" for i in range(1, 11)} | {"a1", "a2", "a3"} <= names
         assert "defaults:" in out
 
 

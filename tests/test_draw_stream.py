@@ -2,7 +2,8 @@
 
 Golden rows and trace digests see the delay draws only through the
 decisions they lead to; this file pins the draws themselves.  For each
-policy in :mod:`repro.net.delivery` a fixed send/broadcast script runs on
+policy in :mod:`repro.net.delivery` (and the two test-only ones in
+``tests/adversaries.py``) a fixed send/broadcast script runs on
 the sim :class:`~repro.net.network.Network` and on the wall-clock
 :class:`~repro.runtime.wire.WireTransport` (through its in-process
 carrier), and every ``decide`` call is recorded as ``(sender, receiver,
@@ -14,7 +15,7 @@ exactly.
 Regenerate (only when a PR changes the draw stream on purpose, and say
 so in the PR)::
 
-    PYTHONPATH=src python tests/test_draw_stream.py --write
+    PYTHONPATH=src:. python tests/test_draw_stream.py --write
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from pathlib import Path
 import pytest
 
 from repro.net.delivery import (
-    AdversarialDelay,
     BurstyDelay,
     FixedDelay,
-    IncoherentDelivery,
     LinkPartitionPolicy,
     UniformDelay,
 )
@@ -40,6 +39,8 @@ from repro.runtime.aio import AsyncioTransport
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
+
+from tests.adversaries import AdversarialDelay, IncoherentDelivery
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_draw_streams.json"
 NODES = range(5)

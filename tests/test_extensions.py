@@ -1,23 +1,44 @@
-"""Tests for the extensions: concurrent invocations and pulse sync."""
+"""Concurrent indexed invocations of one General (paper footnote 9)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.params import ProtocolParams
-from repro.extensions.concurrent import (
+from repro.faults.byzantine import MirrorParticipantStrategy
+from repro.harness.scenario import Cluster, ScenarioConfig
+from repro.service.coordinator import (
     ConcurrentGeneral,
     IndexReuseError,
     indexed_general,
 )
-from repro.extensions.pulse_sync import PulseConfig, PulseSyncCluster
-from repro.faults.byzantine import CrashStrategy, MirrorParticipantStrategy
-from repro.harness.scenario import Cluster, ScenarioConfig
 
 
 @pytest.fixture
 def params7() -> ProtocolParams:
     return ProtocolParams(n=7, f=2, delta=1.0, rho=1e-4)
+
+
+def decisions_at(node, general: int) -> dict:
+    """Latest decision per index of ``general`` as observed by one node."""
+    out = {}
+    for dec in node.decisions:
+        key = dec.general
+        if isinstance(key, tuple) and key[0] == general:
+            held = out.get(key[1])
+            if held is None or dec.returned_real > held.returned_real:
+                out[key[1]] = dec
+    return out
+
+
+def decided_values(cluster, general: int = 0) -> dict[int, set]:
+    """Index -> the values the correct nodes decided for it."""
+    out: dict[int, set] = {}
+    for node in cluster.correct_nodes():
+        for index, dec in decisions_at(node, general).items():
+            if dec.decided:
+                out.setdefault(index, set()).add(dec.value)
+    return out
 
 
 class TestConcurrentInvocations:
@@ -27,7 +48,7 @@ class TestConcurrentInvocations:
         indexes = [cg.propose(v) for v in ("a", "b", "c")]
         assert indexes == [0, 1, 2]
         cluster.run_for(params7.delta_agr + 10 * params7.d)
-        values = cg.decided_values(cluster.correct_nodes())
+        values = decided_values(cluster)
         assert values == {0: {"a"}, 1: {"b"}, 2: {"c"}}
 
     def test_no_pacing_across_indexes(self, params7):
@@ -37,7 +58,7 @@ class TestConcurrentInvocations:
         for i in range(5):
             cg.propose(f"v{i}")  # no waiting whatsoever
         cluster.run_for(params7.delta_agr + 10 * params7.d)
-        values = cg.decided_values(cluster.correct_nodes())
+        values = decided_values(cluster)
         assert values == {i: {f"v{i}"} for i in range(5)}
 
     def test_index_reuse_within_delta_v_rejected(self, params7):
@@ -91,7 +112,7 @@ class TestConcurrentInvocations:
         cg.propose("x")
         cg.propose("y")
         cluster.run_for(params7.delta_agr + 10 * params7.d)
-        values = cg.decided_values(cluster.correct_nodes())
+        values = decided_values(cluster)
         assert all(len(vals) == 1 for vals in values.values())
         assert values[0] == {"x"} and values[1] == {"y"}
 
@@ -104,79 +125,6 @@ class TestConcurrentInvocations:
         cg.propose("solo")
         cluster.run_for(params7.delta_agr + 10 * params7.d)
         for node in cluster.correct_nodes():
-            per_index = cg.decisions_at(node)
+            per_index = decisions_at(node, 0)
             assert per_index[0].value == "solo"
             assert per_index[0].general == (0, 0)
-
-
-class TestPulseSync:
-    def test_pulses_fire_with_bounded_skew(self, params7):
-        ps = PulseSyncCluster(params7, seed=1)
-        ps.run_for(6 * ps.pulse_config.cycle)
-        trains = ps.pulse_trains()
-        counts = {node: len(train) for node, train in trains.items()}
-        assert min(counts.values()) >= 4
-        # Every node fired the same number of pulses (no one skipped).
-        assert len(set(counts.values())) == 1
-        assert ps.max_skew() <= 3 * params7.d
-
-    def test_period_bounded(self, params7):
-        ps = PulseSyncCluster(params7, seed=2)
-        ps.run_for(8 * ps.pulse_config.cycle)
-        for train in ps.pulse_trains().values():
-            gaps = [b - a for a, b in zip(train, train[1:])]
-            assert all(gap >= ps.pulse_config.refractory for gap in gaps)
-            upper = (
-                ps.pulse_config.cycle
-                + params7.n * ps.pulse_config.retry_gap
-                + params7.delta_agr
-            )
-            assert all(gap <= upper for gap in gaps)
-
-    def test_survives_crashed_lowest_node(self, params7):
-        """Node 0 is the usual initiator; with it crashed the next correct
-        node's staggered timer takes over."""
-        ps = PulseSyncCluster(params7, seed=3, byzantine={0: CrashStrategy()})
-        ps.run_for(8 * ps.pulse_config.cycle)
-        counts = {node: len(train) for node, train in ps.pulse_trains().items()}
-        assert min(counts.values()) >= 3
-        assert ps.max_skew() <= 3 * params7.d
-
-    def test_recovers_from_havoc(self, params7):
-        from repro.faults.transient import TransientFaultInjector
-
-        ps = PulseSyncCluster(params7, seed=4)
-        ps.run_for(2 * ps.pulse_config.cycle)
-        injector = TransientFaultInjector(
-            params7,
-            ps.cluster.rng.split("inj"),
-            value_pool=[("pulse", 0, 1), "junk"],
-            generals=list(range(params7.n)),
-        )
-        injector.havoc(
-            [ps.cluster.nodes[i] for i in ps.cluster.correct_ids],
-            ps.cluster.net,
-            garbage_messages=200,
-        )
-        ps.run_for(params7.delta_stb)
-        before = {node: len(t) for node, t in ps.pulse_trains().items()}
-        ps.run_for(4 * ps.pulse_config.cycle)
-        after = {node: len(t) for node, t in ps.pulse_trains().items()}
-        # Pulsing resumed at every correct node after stabilization...
-        assert all(after[node] > before[node] for node in after)
-        # ...and the post-stabilization pulses are tightly aligned.
-        events = ps.aligned_pulses()
-        settle = ps.cluster.sim.now - 3 * ps.pulse_config.cycle
-        late_events = [ev for ev in events if min(ev.values()) > settle]
-        for event in late_events:
-            assert max(event.values()) - min(event.values()) <= 3 * params7.d
-
-    def test_cycle_too_short_rejected(self, params7):
-        bad = PulseConfig(cycle=params7.d, retry_gap=1.0, refractory=0.5)
-        with pytest.raises(ValueError, match="cycle too short"):
-            PulseSyncCluster(params7, seed=5, pulse_config=bad)
-
-    def test_default_config_sane(self, params7):
-        cfg = PulseConfig.default_for(params7)
-        assert cfg.cycle >= params7.delta_0 + params7.delta_agr
-        assert cfg.refractory < cfg.cycle

@@ -7,7 +7,7 @@ import pytest
 from repro.core.params import BOTTOM, ProtocolParams
 from repro.harness import metrics
 from repro.harness.scenario import Cluster, ScenarioConfig
-from repro.harness.stats import fraction_true, percentile, summarize
+from repro.harness.stats import percentile, summarize
 from repro.faults.byzantine import CrashStrategy
 
 from tests.conftest import make_cluster, run_agreement
@@ -146,11 +146,6 @@ class TestStats:
     def test_percentile_empty_raises(self):
         with pytest.raises(ValueError):
             percentile([], 0.5)
-
-    def test_fraction_true(self):
-        assert fraction_true([True, False, True, True]) == 0.75
-        with pytest.raises(ValueError):
-            fraction_true([])
 
     def test_summary_as_dict(self):
         s = summarize([5.0])

@@ -209,6 +209,13 @@ class TestCleanupReset:
         mb.cleanup()
         assert mb.broadcasters == {}
 
+    def test_cleanup_drops_future_broadcasters(self, setup, params):
+        host, mb, _, _ = setup
+        now = host.local_now()
+        mb.broadcasters = {1: now, 2: now + 5 * params.d}
+        mb.cleanup()
+        assert mb.broadcasters == {1: now}
+
     def test_reset_clears_everything(self, setup):
         host, mb, accepts, _ = setup
         mb.set_anchor(host.local_now())

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.delivery import (
-    AdversarialDelay,
     BurstyDelay,
     DeliveryDecision,
     FixedDelay,
-    IncoherentDelivery,
     LinkPartitionPolicy,
     UniformDelay,
 )
@@ -19,6 +17,8 @@ from repro.net.network import Envelope, Network
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
+
+from tests.adversaries import AdversarialDelay, IncoherentDelivery
 
 
 @pytest.fixture

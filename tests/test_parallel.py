@@ -1,8 +1,7 @@
 """Tests for the process-pool seed fan-out (repro.harness.parallel).
 
-The contract under test: for any worker count, ``run_seeds_parallel`` /
-``SeedPool.map`` return exactly what the serial loop returns, in seed
-order -- and the registered experiments run through it produce
+The contract under test: for any worker count, ``SeedPool.map`` returns
+exactly what the serial loop returns, in seed order -- and the registered experiments run through it produce
 bit-identical rows with and without ``workers=``.
 """
 
@@ -12,12 +11,7 @@ from functools import partial
 
 import pytest
 
-from repro.harness.parallel import (
-    SeedPool,
-    resolve_workers,
-    run_seeds_parallel,
-    shutdown_shared_pools,
-)
+from repro.harness.parallel import SeedPool, resolve_workers, shutdown_shared_pools
 from repro.harness.registry import run_experiment
 
 
@@ -31,6 +25,12 @@ def _seed_fingerprint(seed: int) -> tuple:
 
     rng = RandomSource(seed).split("fingerprint")
     return seed, rng.uniform(0.0, 1.0), rng.randint(0, 10**6)
+
+
+def run_seeds_parallel(fn, seeds, workers):
+    """One-shot fan-out through a private pool."""
+    with SeedPool(workers) as pool:
+        return pool.map(fn, seeds)
 
 
 class TestRunSeedsParallel:
@@ -131,10 +131,10 @@ class TestSharedPools:
     def test_shared_map_matches_serial(self):
         seeds = list(range(8))
         serial = [_square_plus(5, s) for s in seeds]
-        assert SeedPool.shared(2).map(partial(_square_plus, 5), seeds) == serial
-        assert run_seeds_parallel(
-            partial(_square_plus, 5), seeds, workers=2, reuse_pool=True
-        ) == serial
+        pool = SeedPool.shared(2)
+        assert pool.map(partial(_square_plus, 5), seeds) == serial
+        # A second map on the warm pool returns the same.
+        assert pool.map(partial(_square_plus, 5), seeds) == serial
 
     def test_close_evicts_from_cache(self):
         pool = SeedPool.shared(2)

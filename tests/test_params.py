@@ -106,9 +106,11 @@ class TestDerivedConstants:
         assert p.round_deadline(p.f) == p.delta_agr
 
     def test_with_faults(self):
-        p = self.params().with_faults(1)
+        # A copy with another fault bound derives its constants afresh.
+        p = dataclasses.replace(self.params(), f=1)
         assert p.f == 1
         assert p.n == 7
+        assert p.weak_quorum == 7 - 2 * 1
 
     def test_describe_contains_everything(self):
         desc = self.params().describe()

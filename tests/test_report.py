@@ -1,24 +1,8 @@
-"""Tests for the report/timeline rendering helpers."""
+"""Tests for the report rendering helpers."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.params import ProtocolParams
-from repro.harness.report import (
-    decision_table,
-    rows_to_csv,
-    rows_to_markdown,
-    timeline,
-)
-from repro.harness.scenario import Cluster, ScenarioConfig
-
-from tests.conftest import make_cluster, run_agreement
-
-
-@pytest.fixture
-def params4() -> ProtocolParams:
-    return ProtocolParams(n=4, f=1, delta=1.0, rho=1e-4)
+from repro.harness.report import rows_to_csv, rows_to_markdown
 
 
 ROWS = [
@@ -53,38 +37,3 @@ class TestCsv:
 
     def test_empty(self):
         assert rows_to_csv([]) == ""
-
-
-class TestTimeline:
-    def test_contains_protocol_milestones(self, params4):
-        cluster = make_cluster(params4, seed=1)
-        run_agreement(cluster, general=0, value="v")
-        text = timeline(cluster)
-        assert "propose" in text
-        assert "i_accept" in text
-        assert "decide" in text
-        # Every line starts with a timestamp column.
-        for line in text.splitlines():
-            float(line.split()[0])  # must parse
-
-    def test_node_filter(self, params4):
-        cluster = make_cluster(params4, seed=2)
-        run_agreement(cluster, general=0, value="v")
-        text = timeline(cluster, node=1)
-        assert all(" n1  " in line for line in text.splitlines())
-
-    def test_limit_truncates(self, params4):
-        cluster = make_cluster(params4, seed=3)
-        run_agreement(cluster, general=0, value="v")
-        text = timeline(cluster, limit=2)
-        assert "truncated" in text
-        assert len(text.splitlines()) == 3
-
-
-class TestDecisionTable:
-    def test_one_row_per_correct_node(self, params4):
-        cluster = make_cluster(params4, seed=4)
-        run_agreement(cluster, general=0, value="v")
-        text = decision_table(cluster, 0)
-        assert "Decisions for General 0" in text
-        assert text.count("'v'") == len(cluster.correct_ids)

@@ -25,13 +25,16 @@ import pytest
 from repro.core.agreement import Decision
 from repro.core.messages import SupportMsg
 from repro.core.params import BOTTOM, ProtocolParams
-from repro.extensions.concurrent import ConcurrentGeneral
 from repro.harness.scenario import Cluster, ScenarioConfig
 from repro.net.delivery import DeliveryDecision, UniformDelay
 from repro.net.network import Envelope
 from repro.runtime.framing import FrameEncoder, OversizedFrameError, derive_key
 from repro.service.applier import ReplicaApplier, batch_digest
-from repro.service.coordinator import LogCoordinator, window_bounds
+from repro.service.coordinator import (
+    ConcurrentGeneral,
+    LogCoordinator,
+    window_bounds,
+)
 from repro.service.workload import OpenLoopWorkload, StampRelease, arrival_offsets
 from repro.sim.engine import Simulator
 

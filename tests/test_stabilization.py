@@ -8,8 +8,9 @@ from repro.core.params import ProtocolParams
 from repro.faults.transient import TransientFaultInjector
 from repro.harness import properties
 from repro.harness.scenario import Cluster, ScenarioConfig
-from repro.net.delivery import IncoherentDelivery, UniformDelay
+from repro.net.delivery import UniformDelay
 
+from tests.adversaries import IncoherentDelivery
 from tests.conftest import make_cluster
 
 

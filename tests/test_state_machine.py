@@ -1,17 +1,17 @@
-"""Tests for the replicated-state-machine extension."""
+"""The replicated state machine on the sim: ``ReplicaApplier`` fed by a
+``ConcurrentGeneral``, and the ``DecisionTap`` chain it is built on."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.params import ProtocolParams
-from repro.extensions.state_machine import (
-    DecisionTap,
-    Replica,
-    ReplicatedStateMachine,
-)
+from repro.core.agreement import Decision
+from repro.core.params import BOTTOM, ProtocolParams
 from repro.faults.byzantine import CrashStrategy, MirrorParticipantStrategy
 from repro.harness.scenario import Cluster, ScenarioConfig
+from repro.net.network import Envelope
+from repro.service.applier import DecisionTap, ReplicaApplier, batch_digest
+from repro.service.coordinator import ConcurrentGeneral
 
 
 @pytest.fixture
@@ -19,17 +19,30 @@ def params7() -> ProtocolParams:
     return ProtocolParams(n=7, f=2, delta=1.0, rho=1e-4)
 
 
+def _replicate(cluster, commands) -> dict:
+    """Each command as one slot through the sim: the primary (node 0)
+    pushes the body and proposes its digest, one applier per correct node."""
+    appliers = {
+        node_id: ReplicaApplier(cluster.protocol_node(node_id), primary=0)
+        for node_id in cluster.correct_ids
+    }
+    primary = cluster.protocol_node(0)
+    general = ConcurrentGeneral(primary)
+    for slot, command in enumerate(commands):
+        primary.broadcast(("body", slot, (command,)))
+        assert general.propose(batch_digest((command,))) == slot
+    params = cluster.params
+    cluster.run_for(params.delta_agr + 10 * params.d)
+    return appliers
+
+
 class TestReplication:
     def test_batch_applies_in_order_everywhere(self, params7):
         cluster = Cluster(ScenarioConfig(params=params7, seed=1))
-        rsm = ReplicatedStateMachine(cluster, primary=0)
         commands = [f"cmd{i}" for i in range(6)]
-        indexes = rsm.submit_batch(commands)
-        assert indexes == list(range(6))
-        cluster.run_for(params7.delta_agr + 10 * params7.d)
-        logs = rsm.logs()
-        assert all(log == commands for log in logs.values())
-        assert rsm.logs_consistent()
+        appliers = _replicate(cluster, commands)
+        expected = [(slot, (cmd,)) for slot, cmd in enumerate(commands)]
+        assert all(a.applied == expected for a in appliers.values())
 
     def test_with_crashed_and_byzantine_replicas(self, params7):
         cluster = Cluster(
@@ -39,69 +52,31 @@ class TestReplication:
                 byzantine={5: CrashStrategy(), 6: MirrorParticipantStrategy()},
             )
         )
-        rsm = ReplicatedStateMachine(cluster, primary=0)
         commands = ["a", "b", "c", "d"]
-        rsm.submit_batch(commands)
-        cluster.run_for(params7.delta_agr + 10 * params7.d)
-        assert all(log == commands for log in rsm.logs().values())
-
-    def test_out_of_order_decisions_buffered(self, params7):
-        """A replica built after submission still applies in index order."""
-        cluster = Cluster(ScenarioConfig(params=params7, seed=3))
-        rsm = ReplicatedStateMachine(cluster, primary=0)
-        applied_order: list[int] = []
-        victim = rsm.replicas[3]
-        victim.on_apply = lambda index, _value: applied_order.append(index)
-        rsm.submit_batch(["x", "y", "z"])
-        cluster.run_for(params7.delta_agr + 10 * params7.d)
-        assert applied_order == [0, 1, 2]
-        assert victim.gap is None
-
-    def test_gap_reported_while_waiting(self, params7):
-        cluster = Cluster(ScenarioConfig(params=params7, seed=4))
-        node = cluster.protocol_node(1)
-        replica = Replica(node, primary=0)
-        # Hand-feed a decision for index 2 only.
-        from repro.core.agreement import Decision
-
-        replica._on_decision(
-            Decision(
-                node=1,
-                general=(0, 2),
-                value="late",
-                tau_g_local=0.0,
-                tau_g_real=0.0,
-                returned_local=1.0,
-                returned_real=1.0,
-            )
-        )
-        assert replica.log == []
-        assert replica.gap == 0
+        appliers = _replicate(cluster, commands)
+        expected = [(slot, (cmd,)) for slot, cmd in enumerate(commands)]
+        assert all(a.applied == expected for a in appliers.values())
 
     def test_duplicate_decisions_ignored(self, params7):
         cluster = Cluster(ScenarioConfig(params=params7, seed=5))
-        replica = Replica(cluster.protocol_node(1), primary=0)
-        from repro.core.agreement import Decision
-
-        dec = Decision(
-            node=1,
-            general=(0, 0),
-            value="once",
-            tau_g_local=0.0,
-            tau_g_real=0.0,
-            returned_local=1.0,
-            returned_real=1.0,
+        node = cluster.protocol_node(1)
+        applier = ReplicaApplier(node, primary=0)
+        node.on_message(
+            Envelope(sender=0, receiver=1, payload=("body", 0, ("once",)),
+                     sent_at=0.0, delivered_at=0.0)
         )
-        replica._on_decision(dec)
-        replica._on_decision(dec)
-        assert replica.log == ["once"]
+        dec = _decision(batch_digest(("once",)))
+        applier._on_decision(dec)
+        applier._on_decision(dec)
+        assert applier.applied == [(0, ("once",))]
 
     def test_preserves_prior_decision_callback(self, params7):
         cluster = Cluster(ScenarioConfig(params=params7, seed=6))
         node = cluster.protocol_node(2)
         seen = []
         node.on_decision = lambda dec: seen.append(dec.value)
-        ReplicatedStateMachine(cluster, primary=0).submit("hello")
+        ReplicaApplier(node, primary=0)
+        ConcurrentGeneral(cluster.protocol_node(0)).propose("hello")
         cluster.run_for(params7.delta_agr + 10 * params7.d)
         assert "hello" in seen
 
@@ -117,12 +92,10 @@ class _Probe(DecisionTap):
         self.seen.append(decision.value)
 
 
-def _decision(value) -> "Decision":
-    from repro.core.agreement import Decision
-
+def _decision(value, index: int = 0) -> Decision:
     return Decision(
         node=1,
-        general=(0, 0),
+        general=(0, index),
         value=value,
         tau_g_local=0.0,
         tau_g_real=0.0,
@@ -192,29 +165,14 @@ class TestDecisionTapChaining:
         assert probe.seen == []
 
     def test_replica_detach_composes_with_observers(self, params7):
-        """A Replica is a DecisionTap: stacking and detaching compose."""
+        """A ReplicaApplier is a DecisionTap: stacking and detaching compose."""
         cluster = Cluster(ScenarioConfig(params=params7, seed=24))
         node = cluster.protocol_node(1)
-        replica = Replica(node, primary=0)
+        replica = ReplicaApplier(node, primary=0)
         probe = _Probe(node)
-        node.on_decision(_decision("cmd"))
-        assert replica.log == ["cmd"] and probe.seen == ["cmd"]
+        node.on_decision(_decision(BOTTOM))
+        assert replica.skipped == [0] and probe.seen == [BOTTOM]
         replica.detach()
-        node.on_decision(_decision("cmd2"))
-        assert replica.log == ["cmd"]  # detached: no longer applying
-        assert probe.seen == ["cmd", "cmd2"]
-
-
-class TestConsistencyChecker:
-    def test_prefix_consistency(self, params7):
-        cluster = Cluster(ScenarioConfig(params=params7, seed=7))
-        rsm = ReplicatedStateMachine(cluster, primary=0)
-        rsm.submit_batch(["a", "b"])
-        cluster.run_for(params7.delta_agr + 10 * params7.d)
-        # Truncate one replica's view to simulate an observer lag.
-        some_replica = next(iter(rsm.replicas.values()))
-        some_replica.applied = some_replica.applied[:1]
-        assert rsm.logs_consistent()
-        # A *divergent* log is flagged.
-        some_replica.applied = [(0, "WRONG")]
-        assert not rsm.logs_consistent()
+        node.on_decision(_decision(BOTTOM, index=1))
+        assert replica.skipped == [0]  # detached: no longer applying
+        assert probe.seen == [BOTTOM, BOTTOM]

@@ -90,3 +90,23 @@ def test_reports_uncalled_functions_and_stale_allowlist_entries(tmp_path):
     assert unlisted == {"fixpkg/mod.py::unused", "fixpkg/mod.py::Box.method"}
     assert "stale allowlist entry (no such function): fixpkg/mod.py::gone" in out
     assert "3 never called" in out and "1 of them allowlisted" in out
+
+
+def test_allowlists_combine_and_a_name_in_two_fails(tmp_path):
+    package = tmp_path / "src" / "fixpkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text("def allowed():\n    return 4\n")
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("fixpkg/mod.py::allowed  # kept for the fixture\n")
+    command = [sys.executable, str(SCRIPT), "--src", str(tmp_path / "src"),
+               "--allow", str(first), "--allow", str(second), "--",
+               sys.executable, "-c", "import fixpkg.mod"]
+    second.write_text("")
+    result = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "1 of them allowlisted" in result.stdout
+    second.write_text("fixpkg/mod.py::allowed  # listed again\n")
+    result = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "second.txt:1: fixpkg/mod.py::allowed is listed twice" in result.stdout

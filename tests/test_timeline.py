@@ -235,7 +235,7 @@ class TestFromSpec:
                 {"at_d": 6.0, "do": "policy", "policy": "bursty"},
             ]
         )
-        assert len(script) == 5
+        assert len(script.actions) == 5
         assert script.actions[0] == Partition(at_d=1.0, island=(0, 1))
         assert script.churned_nodes() == frozenset({3})
 

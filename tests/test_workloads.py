@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.params import ProtocolParams
-from repro.faults.byzantine import MirrorParticipantStrategy, ReplayStrategy
+from repro.faults.byzantine import MirrorParticipantStrategy
 from repro.harness import properties
 from repro.harness.scenario import Cluster, ScenarioConfig
-from repro.harness.workloads import (
+from tests.adversaries import ReplayStrategy
+from tests.workloads import (
     ChurnEvent,
     run_churn_stream,
     run_interleaved_generals,

@@ -1,10 +1,10 @@
-"""Workload drivers: multi-agreement traffic patterns over a cluster.
+"""Soak-test drivers: multi-agreement traffic patterns over a sim cluster.
 
 The single-agreement experiments (E1..E10) isolate one claim each; the
-workloads here exercise the protocol the way a deployment would -- long
-streams of agreements, several Generals interleaving, nodes crashing and
-recovering mid-stream -- with the property checkers run continuously.
-Used by the soak tests in ``tests/test_workloads.py``.
+drivers here run long streams of agreements, several Generals
+interleaving, nodes crashing and recovering mid-stream, with the property
+checkers run continuously.  Used by the soak tests in
+``tests/test_workloads.py``.
 """
 
 from __future__ import annotations
