@@ -17,34 +17,33 @@ True
 {'attack'}
 """
 
-from repro.core.agreement import AgreementInstance, Decision, ProtocolNode
-from repro.core.initiator_accept import InitiatorAccept
-from repro.core.msgd_broadcast import MsgdBroadcast
-from repro.core.params import BOTTOM, ProtocolParams, max_faults
+import importlib
 
 __version__ = "1.0.0"
 
 
-def __getattr__(name: str):
-    # The simulator harness loads on first use, so a process that runs only
-    # the protocol over the wire (a socket-backend child) never imports it.
-    if name in ("Cluster", "ScenarioConfig"):
-        from repro.harness import scenario
+def _lazy(package: str, exports: dict[str, tuple[str, ...]]):
+    """A package's module ``__getattr__`` and ``__all__``: ``{module: names}``.
 
-        return getattr(scenario, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    Each name imports its module on first use, so importing a package loads
+    none of them: a socket-backend child, which runs only the protocol over
+    the wire, never loads the simulator, the fault library or the harness.
+    """
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(where[name]), name)
+
+    return __getattr__, list(where)
 
 
-__all__ = [
-    "AgreementInstance",
-    "BOTTOM",
-    "Cluster",
-    "Decision",
-    "InitiatorAccept",
-    "MsgdBroadcast",
-    "ProtocolNode",
-    "ProtocolParams",
-    "ScenarioConfig",
-    "max_faults",
-    "__version__",
-]
+__getattr__, __all__ = _lazy(__name__, {
+    "repro.core.agreement": ("AgreementInstance", "Decision", "ProtocolNode"),
+    "repro.core.initiator_accept": ("InitiatorAccept",),
+    "repro.core.msgd_broadcast": ("MsgdBroadcast",),
+    "repro.core.params": ("BOTTOM", "ProtocolParams", "max_faults"),
+    "repro.harness.scenario": ("Cluster", "ScenarioConfig"),
+})
+__all__.append("__version__")

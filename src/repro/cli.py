@@ -550,6 +550,7 @@ def cmd_run_socket(args: argparse.Namespace) -> int:
     leaked = {i: c for i, c in report.live_timers.items() if c != 0}
     dirty = {i: c for i, c in report.exit_codes.items() if c != 0}
     rejected = {i: c for i, c in sorted(report.rejected_by_node.items()) if c}
+    armed = "never" if report.armed_at is None else f"local {report.armed_at:+.3f}"
     ok = _wallclock_verdict(
         decisions,
         sorted(report.correct_ids),
@@ -561,7 +562,8 @@ def cmd_run_socket(args: argparse.Namespace) -> int:
         f"(time_scale={args.time_scale}s/unit, udp localhost)\n"
         f"rejected/node: {rejected if rejected else 'none'}\n"
         f"live timers: {'all drained' if not leaked else leaked}\n"
-        f"children:    {'all exited 0' if not dirty else dirty}",
+        f"children:    {'all exited 0' if not dirty else dirty}\n"
+        f"last armed:  {armed} (the epoch is local 0)",
     )
     return 0 if (ok and report.clean_exit) else 1
 

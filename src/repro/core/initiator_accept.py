@@ -40,7 +40,7 @@ and ``tests/test_eval_equiv.py`` proves behavioural equivalence.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional
@@ -101,7 +101,10 @@ class _HistoryVar:
 
     def assign(self, now: float, value: Optional[float]) -> None:
         self.current = value
-        self._history.append((now, value))
+        history = self._history
+        if history and history[-1][0] > now:  # the clock jumped back
+            self.drop_future(now)
+        history.append((now, value))
 
     def value_at(self, when: float) -> Optional[float]:
         """Value at an earlier time; entries before any record are BOTTOM."""
@@ -113,9 +116,18 @@ class _HistoryVar:
                 break
         return result
 
+    def drop_future(self, now: float) -> None:
+        """Drop entries stamped after ``now``, which a backward clock jump
+        leaves behind.  ``assign`` calls this before it appends and cleanup
+        before it prunes, so the stamps stay sorted and any future ones are
+        a suffix."""
+        history = self._history
+        if history and history[-1][0] > now:
+            del history[bisect_right(history, now, key=_entry_time) :]
+
     def prune(self, horizon: float) -> None:
         """Drop history before ``horizon`` keeping the last earlier entry."""
-        # Assignment times are nondecreasing, so the last entry before the
+        # The stamps are sorted (drop_future), so the last entry before the
         # horizon is found by bisect; only slice when something drops.
         idx = bisect_left(self._history, horizon, key=_entry_time)
         if idx > 1:
@@ -402,8 +414,9 @@ class InitiatorAccept:
         behind that path's back), and rebuilds nothing:
 
         * the log: each key's oldest and newest stamp;
-        * ``last(G, m)``: each history's current value, and a bisect when
-          it holds two entries or more; one left answering only BOTTOM goes;
+        * ``last(G, m)``: each history's current value and newest stamp,
+          and a bisect when it holds two entries or more; one left
+          answering only BOTTOM goes;
         * ``i_values``, ``ready``: each entry; a flag reading unset goes;
         * ``_sent_at``, ``line_exec``, ``ignore_until``: the min and max stamp.
         """
@@ -427,6 +440,7 @@ class InitiatorAccept:
                 if current is not None and (current > now or current < now - horizon):
                     history.assign(now, None)
                     current = None
+                history.drop_future(now)
                 if len(history._history) > 1:
                     history.prune(floor)
                 if current is None and history.bottom_only:

@@ -17,56 +17,34 @@
   replayable at any worker count.
 """
 
-from repro.faults.byzantine import (
-    ByzantineNode,
-    CrashStrategy,
-    EquivocatingGeneralStrategy,
-    MirrorParticipantStrategy,
-    ScriptedStrategy,
-    SelectiveGeneralStrategy,
-    SplitWorldStrategy,
-    StaggeredGeneralStrategy,
-    TwoFacedParticipantStrategy,
-)
-from repro.faults.timeline import (
-    Coherent,
-    Crash,
-    FaultAction,
-    FaultScript,
-    Havoc,
-    Heal,
-    Isolate,
-    Partition,
-    Reconnect,
-    Restart,
-    SwapPolicy,
-    SwapStrategy,
-    build_timeline,
-)
-from repro.faults.transient import TransientFaultInjector
+from repro import _lazy
 
-__all__ = [
-    "ByzantineNode",
-    "Coherent",
-    "Crash",
-    "CrashStrategy",
-    "FaultAction",
-    "FaultScript",
-    "Havoc",
-    "Heal",
-    "Isolate",
-    "Partition",
-    "Reconnect",
-    "Restart",
-    "SwapPolicy",
-    "SwapStrategy",
-    "build_timeline",
-    "EquivocatingGeneralStrategy",
-    "MirrorParticipantStrategy",
-    "ScriptedStrategy",
-    "SelectiveGeneralStrategy",
-    "SplitWorldStrategy",
-    "StaggeredGeneralStrategy",
-    "TransientFaultInjector",
-    "TwoFacedParticipantStrategy",
-]
+__getattr__, __all__ = _lazy(__name__, {
+    "repro.faults.byzantine": (
+        "ByzantineNode",
+        "CrashStrategy",
+        "EquivocatingGeneralStrategy",
+        "MirrorParticipantStrategy",
+        "ScriptedStrategy",
+        "SelectiveGeneralStrategy",
+        "SplitWorldStrategy",
+        "StaggeredGeneralStrategy",
+        "TwoFacedParticipantStrategy",
+    ),
+    "repro.faults.timeline": (
+        "Coherent",
+        "Crash",
+        "FaultAction",
+        "FaultScript",
+        "Havoc",
+        "Heal",
+        "Isolate",
+        "Partition",
+        "Reconnect",
+        "Restart",
+        "SwapPolicy",
+        "SwapStrategy",
+        "build_timeline",
+    ),
+    "repro.faults.transient": ("TransientFaultInjector",),
+})

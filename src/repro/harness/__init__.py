@@ -26,37 +26,24 @@
   timelines) fanned over the pool into one consolidated report.
 """
 
-from repro.harness.parallel import SeedPool
-from repro.harness.registry import (
-    ExperimentSpec,
-    ScenarioGroup,
-    get_experiment,
-    list_experiments,
-    run_experiment,
-)
-from repro.harness.metrics import (
-    anchor_spread_real,
-    decision_latencies,
-    decision_spread_real,
-    message_stats,
-)
-from repro.harness.properties import PropertyReport
-from repro.harness.scenario import Cluster, ScenarioConfig
-from repro.harness.stats import summarize
+from repro import _lazy
 
-__all__ = [
-    "Cluster",
-    "ExperimentSpec",
-    "PropertyReport",
-    "ScenarioConfig",
-    "ScenarioGroup",
-    "SeedPool",
-    "get_experiment",
-    "list_experiments",
-    "run_experiment",
-    "anchor_spread_real",
-    "decision_latencies",
-    "decision_spread_real",
-    "message_stats",
-    "summarize",
-]
+__getattr__, __all__ = _lazy(__name__, {
+    "repro.harness.parallel": ("SeedPool",),
+    "repro.harness.registry": (
+        "ExperimentSpec",
+        "ScenarioGroup",
+        "get_experiment",
+        "list_experiments",
+        "run_experiment",
+    ),
+    "repro.harness.metrics": (
+        "anchor_spread_real",
+        "decision_latencies",
+        "decision_spread_real",
+        "message_stats",
+    ),
+    "repro.harness.properties": ("PropertyReport",),
+    "repro.harness.scenario": ("Cluster", "ScenarioConfig"),
+    "repro.harness.stats": ("summarize",),
+})

@@ -14,23 +14,16 @@ lossy-policy drops; ``dropped_count`` is their sum) so scenario reports can
 attribute message loss to the adversary action that caused it.
 """
 
-from repro.net.delivery import (
-    BurstyDelay,
-    DeliveryDecision,
-    DeliveryPolicy,
-    FixedDelay,
-    LinkPartitionPolicy,
-    UniformDelay,
-)
-from repro.net.network import Envelope, Network
+from repro import _lazy
 
-__all__ = [
-    "BurstyDelay",
-    "DeliveryDecision",
-    "DeliveryPolicy",
-    "Envelope",
-    "FixedDelay",
-    "LinkPartitionPolicy",
-    "Network",
-    "UniformDelay",
-]
+__getattr__, __all__ = _lazy(__name__, {
+    "repro.net.delivery": (
+        "BurstyDelay",
+        "DeliveryDecision",
+        "DeliveryPolicy",
+        "FixedDelay",
+        "LinkPartitionPolicy",
+        "UniformDelay",
+    ),
+    "repro.net.network": ("Envelope", "Network"),
+})

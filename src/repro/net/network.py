@@ -27,30 +27,13 @@ digests pin it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.net.delivery import DeliveryPolicy
+from repro.runtime.api import Envelope
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
-
-
-@dataclass(slots=True)
-class Envelope:
-    """One message copy as its receiver sees it, built when it is delivered.
-
-    A copy in flight is only a slot in its wave's run
-    (:meth:`~repro.sim.engine.Simulator.schedule_run`); its envelope is made
-    at delivery, with ``delivered_at`` the instant drawn at send.
-    """
-
-    sender: int
-    receiver: int
-    payload: object
-    sent_at: float
-    delivered_at: float
-
 
 Receiver = Callable[[Envelope], None]
 

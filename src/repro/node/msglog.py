@@ -78,7 +78,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 Key = Hashable
 
@@ -204,6 +204,11 @@ class _KeyLog:
         return total - keep
 
 
+def _each(held) -> Sequence:
+    """A key's watches, from one stored bare or a list of two or more."""
+    return held if held.__class__ is list else (held,)
+
+
 class FreshWindowWatch:
     """Incremental distinct-sender counter for one ``[start, now]`` window.
 
@@ -212,8 +217,8 @@ class FreshWindowWatch:
     ``sender in distinct_senders_in(key, start, now)`` would, in O(1)
     amortized instead of a window scan.  ``now`` must be nondecreasing
     across queries (local clocks are monotone); records stamped beyond the
-    highest ``now`` seen so far are parked in ``_pending`` and mature as
-    time passes them.
+    highest ``now`` seen so far are parked in ``_pending`` (allocated when
+    the first one parks) and mature as time passes them.
 
     ``on_event`` (if given) fires with the watch as its argument whenever
     the distinct count *reaches* one of ``thresholds``, or the ``sentinel``
@@ -255,7 +260,7 @@ class FreshWindowWatch:
         # Matured senders: bit ``s`` set for sender ``s``, and how many.
         self._matured = 0
         self._count = 0
-        self._pending: list[tuple[float, int]] = []
+        self._pending: Optional[list[tuple[float, int]]] = None
         self._hwm = float("-inf")
         self._stale = True  # built lazily on first query
         self.cancelled = False
@@ -272,6 +277,8 @@ class FreshWindowWatch:
             return
         if arrival <= self._hwm:
             self._mature(sender)
+        elif self._pending is None:
+            self._pending = [(arrival, sender)]
         else:
             heappush(self._pending, (arrival, sender))
 
@@ -300,7 +307,7 @@ class FreshWindowWatch:
             matured |= 1 << sender
         self._matured = matured
         self._count = len(senders)
-        pending: list[tuple[float, int]] = []
+        pending = None
         klog = self.log._keys.get(self.key)
         if klog is not None and klog.times and klog.times[-1] > now:
             idx = bisect_right(klog.times, now)
@@ -311,7 +318,7 @@ class FreshWindowWatch:
                 if t >= start
             ]
             heapify(pending)
-        self._pending = pending
+        self._pending = pending or None
         self._hwm = now
         self._stale = False
 
@@ -353,14 +360,15 @@ class MessageLog:
         self._keys: dict[Key, _KeyLog] = {}
         # All NaN, one slot per sender id seen so far; new keys copy it.
         self._blank = array("d")
-        self._watches: dict[Key, list[FreshWindowWatch]] = {}
+        #: Each watched key's watch, or a list of them once it has two.
+        self._watches: dict[Key, FreshWindowWatch | list[FreshWindowWatch]] = {}
         #: Watch callbacks actually fired (threshold crossings / sentinel
         #: maturations).  Observability only -- never read by protocol code.
         self.watch_fires = 0
 
     def live_watch_count(self) -> int:
         """Currently registered (uncancelled) watches across all keys."""
-        return sum(len(watches) for watches in self._watches.values())
+        return sum(len(_each(held)) for held in self._watches.values())
 
     # ------------------------------------------------------------------
     # Recording
@@ -376,10 +384,12 @@ class MessageLog:
             self._widen(klog, sender)
             klog.add(sender, arrival_local)
         if self._watches:
-            watches = self._watches.get(key)
-            if watches:
-                for watch in watches:
+            held = self._watches.get(key)
+            if held.__class__ is list:
+                for watch in held:
                     watch._on_add(sender, arrival_local, True)
+            elif held is not None:
+                held._on_add(sender, arrival_local, True)
 
     def corrupt_insert(self, key: Key, sender: int, arrival_local: float) -> None:
         """Insert a fabricated record (transient-fault modelling).
@@ -396,11 +406,9 @@ class MessageLog:
         except IndexError:
             self._widen(klog, sender)
             klog.add(sender, arrival_local)
-        if self._watches:
-            watches = self._watches.get(key)
-            if watches:
-                for watch in watches:
-                    watch._on_add(sender, arrival_local, False)
+        if self._watches and key in self._watches:
+            for watch in _each(self._watches[key]):
+                watch._on_add(sender, arrival_local, False)
 
     def _widen(self, klog: _KeyLog, sender: int) -> None:
         """Make ``klog.latest`` (and every key made from now on) wide
@@ -429,29 +437,35 @@ class MessageLog:
         """
         shared = _threshold_set(tuple(thresholds))
         watch = FreshWindowWatch(self, key, start, shared, sentinel, on_event)
-        self._watches.setdefault(key, []).append(watch)
+        held = self._watches.get(key)
+        if held is None:
+            self._watches[key] = watch
+        elif held.__class__ is list:
+            held.append(watch)
+        else:
+            self._watches[key] = [held, watch]
         return watch
 
     def _unwatch(self, watch: FreshWindowWatch) -> None:
-        watches = self._watches.get(watch.key)
-        if watches is not None:
-            try:
-                watches.remove(watch)
-            except ValueError:
-                pass
-            if not watches:
-                del self._watches[watch.key]
+        key = watch.key
+        held = self._watches.get(key)
+        if held is watch:
+            del self._watches[key]
+        elif held.__class__ is list and watch in held:
+            held.remove(watch)
+            if len(held) == 1:
+                self._watches[key] = held[0]
 
     def _invalidate_watches(self, key: Optional[Key] = None) -> None:
         """Mark watches stale (all of them, or one key's)."""
         if not self._watches:
             return
         if key is None:
-            for watches in self._watches.values():
-                for watch in watches:
+            for held in self._watches.values():
+                for watch in _each(held):
                     watch._stale = True
-        else:
-            for watch in self._watches.get(key, ()):
+        elif key in self._watches:
+            for watch in _each(self._watches[key]):
                 watch._stale = True
 
     # ------------------------------------------------------------------

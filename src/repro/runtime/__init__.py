@@ -14,61 +14,23 @@
 * :mod:`repro.runtime.framing` -- the authenticated wire format that
   transport speaks.
 
-The backends are imported lazily so pulling in the API (or the sim adapter)
-never drags the asyncio machinery along, and vice versa.
+Every name is imported lazily, so pulling in the API (or the sim adapter)
+never drags the asyncio machinery along, and vice versa, and a socket
+child's spawn entry loads nothing of the package before its port report.
 """
 
-from repro.runtime.api import (
-    ALWAYS_ENABLED,
-    Delivery,
-    ProtocolHost,
-    RandomStream,
-    TimerHandle,
-    TimerRegistry,
-    TraceSink,
-    Transport,
-)
+from repro import _lazy
 
-_LAZY = {
-    "SimHost": "repro.runtime.sim_host",
-    "NodeContext": "repro.runtime.sim_host",
-    "AsyncioHost": "repro.runtime.aio",
-    "AsyncioTransport": "repro.runtime.aio",
-    "AsyncioCluster": "repro.runtime.aio",
-    "run_agreement_async": "repro.runtime.aio",
-    "SocketHost": "repro.runtime.socket_host",
-    "SocketTransport": "repro.runtime.socket_host",
-    "SocketCluster": "repro.runtime.socket_host",
-    "run_agreement_socket": "repro.runtime.socket_host",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-__all__ = [
-    "ALWAYS_ENABLED",
-    "AsyncioCluster",
-    "AsyncioHost",
-    "AsyncioTransport",
-    "Delivery",
-    "NodeContext",
-    "ProtocolHost",
-    "RandomStream",
-    "SimHost",
-    "SocketCluster",
-    "SocketHost",
-    "SocketTransport",
-    "TimerHandle",
-    "TimerRegistry",
-    "TraceSink",
-    "Transport",
-    "run_agreement_async",
-    "run_agreement_socket",
-]
+__getattr__, __all__ = _lazy(__name__, {
+    "repro.runtime.api": (
+        "ALWAYS_ENABLED", "Delivery", "ProtocolHost", "RandomStream",
+        "TimerHandle", "TimerRegistry", "TraceSink", "Transport",
+    ),
+    "repro.runtime.sim_host": ("SimHost", "NodeContext"),
+    "repro.runtime.aio": (
+        "AsyncioHost", "AsyncioTransport", "AsyncioCluster", "run_agreement_async"
+    ),
+    "repro.runtime.socket_host": (
+        "SocketHost", "SocketTransport", "SocketCluster", "run_agreement_socket"
+    ),
+})

@@ -38,8 +38,7 @@ from repro.core.agreement import Decision, ProtocolNode
 from repro.core.messages import Value
 from repro.core.params import ProtocolParams
 from repro.net.delivery import DeliveryPolicy, wall_clock_default
-from repro.net.network import Envelope
-from repro.runtime.api import INERT_TIMER, Action, TimerHandle, TimerRegistry
+from repro.runtime.api import INERT_TIMER, Action, Envelope, TimerHandle, TimerRegistry
 from repro.runtime.framing import FrameError, decode_frames, derive_key
 from repro.runtime.wire import WireTransport
 from repro.sim.rand import RandomSource

@@ -26,6 +26,7 @@ exactly-once broadcast, trace attribution).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, Sequence, TypeVar
 
 if TYPE_CHECKING:  # structural typing only -- no runtime import of the sim
@@ -100,6 +101,24 @@ class Delivery(Protocol):
 
     sender: int
     payload: object
+
+
+@dataclass(slots=True)
+class Envelope:
+    """One message copy as its receiver sees it, built when it is delivered.
+
+    Every fabric makes its envelopes at delivery.  On the sim kernel a copy
+    in flight is only a slot in its wave's run
+    (:meth:`~repro.sim.engine.Simulator.schedule_run`), with
+    ``delivered_at`` the instant drawn at send; on the wall-clock carriers
+    it is the receiver's clock reading as it delivers.
+    """
+
+    sender: int
+    receiver: int
+    payload: object
+    sent_at: float
+    delivered_at: float
 
 
 class Transport(Protocol):
@@ -248,6 +267,7 @@ __all__ = [
     "ALWAYS_ENABLED",
     "Action",
     "Delivery",
+    "Envelope",
     "INERT_TIMER",
     "InertTimerHandle",
     "ProtocolHost",

@@ -30,6 +30,24 @@ Pieces
   over the results pipes, and tears everything down with hard timeouts so
   a hung child is killed, not waited on.
 
+Bring-up order
+--------------
+1. **Port.**  A child's spawn target (:mod:`repro.runtime.socket_entry`)
+   imports only :mod:`socket`: it binds and reports its UDP port before it
+   loads anything else.
+2. **Address book.**  Once every port is in, the parent sends ``start``
+   (peers, epoch, frame key); the epoch lies one start-up grace ahead.
+3. **Imports inside the grace.**  Right after its port report the child
+   loads this module and what its node runs, and only then reads
+   ``start``, so its imports overlap the other children's starts and the
+   grace.
+4. **Armed before the epoch.**  The child builds its node and arms its
+   timers; the protocol-local time at which it armed (negative: before the
+   epoch) comes back in its result and ``SocketRunReport.armed_at`` holds
+   the latest.  A supervisor respawn runs the same steps and is reachable
+   from its port report on: datagrams queue in its bound socket until it
+   runs.
+
 Determinism caveat
 ------------------
 Like the asyncio backend, runs are **not** replayable: the seeded draws
@@ -46,24 +64,28 @@ import asyncio
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import select
 import signal
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.agreement import Decision, ProtocolNode
 from repro.core.messages import Value
 from repro.core.params import ProtocolParams
-from repro.faults.timeline import Restart
 from repro.net.delivery import DeliveryPolicy, wall_clock_default
-from repro.net.network import Envelope
 from repro.runtime.aio import AsyncioHost
+from repro.runtime.api import Envelope
 from repro.runtime.framing import FrameError, decode_frames, derive_key
+from repro.runtime.socket_entry import socket_node_main
 from repro.runtime.wire import WireTransport
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer
+
+if TYPE_CHECKING:  # the parent's fault vocabulary; a child never loads it
+    from repro.faults.timeline import Restart
 
 #: Default wall-clock seconds per protocol time unit (d = 50 ms): UDP and
 #: spawn-child scheduling latencies stay far below the protocol windows.
@@ -387,6 +409,7 @@ async def _child_run(
     # The child exits at this protocol time whatever the parent does.
     delay = max(0.0, cfg["timeout_units"] - host.now()) * cfg["time_scale"]
     deadline = loop.call_later(delay, stopped.set)
+    armed_at = host.now()  # negative: armed before the epoch, as it should be
     await stopped.wait()
     loop.remove_reader(conn.fileno())
     deadline.cancel()
@@ -418,6 +441,7 @@ async def _child_run(
                 "dropped": transport.dropped_count,
                 "rejected": transport.rejected_count,
                 "datagrams": transport.datagrams_sent,
+                "armed_at": armed_at,
                 "live_timers": host.live_timer_count(),
                 "timers_at_close": timers_at_close,
                 "decisions": decisions,
@@ -439,23 +463,27 @@ async def _child_run(
         pass
 
 
-def _socket_node_main(cfg: dict, conn) -> None:
-    """Child-process entry point (module-level so spawn can import it)."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+def run_child(cfg_pickle: bytes, conn, sock: socket.socket) -> None:
+    """A child whose port is out: load what it runs, await ``start``, run.
+
+    The config's classes (policy, strategy, scramble) import as it unpickles,
+    and the service and metrics modules load here too: all of it inside the
+    start-up grace, ahead of the address book.
+    """
+    cfg = pickle.loads(cfg_pickle)
+    if cfg["service"] is not None:
+        import repro.service.service  # noqa: F401
+    if cfg["metrics"]:
+        import repro.obs.http  # noqa: F401
+        import repro.obs.metrics  # noqa: F401
     try:
-        sock.bind(("127.0.0.1", 0))
-        conn.send(("port", cfg["node_id"], sock.getsockname()[1]))
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):  # parent died during setup
-            return
-        if msg[0] != "start":  # parent aborted setup
-            return
-        _tag, peers, epoch_wall, key = msg
-        asyncio.run(_child_run(cfg, conn, sock, peers, epoch_wall, key))
-    finally:
-        sock.close()
-        conn.close()
+        msg = conn.recv()
+    except (EOFError, OSError):  # parent died during setup
+        return
+    if msg[0] != "start":  # parent aborted setup
+        return
+    _tag, peers, epoch_wall, key = msg
+    asyncio.run(_child_run(cfg, conn, sock, peers, epoch_wall, key))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +524,9 @@ class SocketRunReport:
     exit_reasons: dict[int, str] = field(default_factory=dict)
     #: Supervisor respawn count per node (0 = never died).
     restart_counts: dict[int, int] = field(default_factory=dict)
+    #: Protocol-local time at which the last final incarnation armed (node
+    #: built, timers and readers in place); negative means before the epoch.
+    armed_at: Optional[float] = None
     tracer: Optional[Tracer] = None
 
     @property
@@ -582,16 +613,16 @@ class SocketCluster:
         self._restart_budget = restart_budget
         self._restart_backoff_s = restart_backoff_s
         #: The ``Restart`` a supervisor respawn stands for, if it scrambles.
-        self._respawn_scramble = (
-            Restart(
+        self._respawn_scramble = None
+        if scramble_on_restart:
+            from repro.faults.timeline import Restart
+
+            self._respawn_scramble = Restart(
                 at_d=0.0,
                 scramble=True,
                 value_pool=tuple(value_pool),
                 generals=(general,),
             )
-            if scramble_on_restart
-            else None
-        )
         self._repropose_every_d = repropose_every_d
         #: NodeService arguments shipped to each correct child (None: a
         #: plain agreement run).
@@ -664,9 +695,11 @@ class SocketCluster:
         self, node_id: int, incarnation: int = 0, scramble: Optional[Restart] = None
     ) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
+        # Pickled here, unpickled by the child after its port report.
+        cfg = pickle.dumps(self._make_cfg(node_id, incarnation, scramble))
         proc = self._ctx.Process(
-            target=_socket_node_main,
-            args=(self._make_cfg(node_id, incarnation, scramble), child_conn),
+            target=socket_node_main,
+            args=(node_id, cfg, child_conn),
             daemon=True,
             name=f"repro-socket-node-{node_id}.{incarnation}",
         )
@@ -1125,6 +1158,10 @@ class SocketCluster:
             _tag, reported_id, port = msg
             self._metrics_ports[reported_id] = port
 
+    def _armed_at(self) -> Optional[float]:
+        """The latest protocol-local arming time among the children's results."""
+        return max((p["armed_at"] for p in self._results.values()), default=None)
+
     def _send_stop(self) -> None:
         self._stop_sent = True
         for node_id in list(self.conns):
@@ -1166,6 +1203,7 @@ class SocketCluster:
                 for rt, node, kind, detail, lt in merged_events
             )
         report.tracer = tracer
+        report.armed_at = self._armed_at()
         self.close()
         for node_id, proc in self.procs.items():
             code = proc.exitcode

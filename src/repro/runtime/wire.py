@@ -43,7 +43,7 @@ from heapq import heappop, heappush
 from typing import Callable, Mapping, Optional
 
 from repro.net.delivery import DeliveryPolicy, FixedDelay, LinkPartitionPolicy
-from repro.net.network import Envelope
+from repro.runtime.api import Envelope
 from repro.runtime.framing import FrameBatcher, FrameDecoder, FrameEncoder
 from repro.sim.rand import RandomSource
 from repro.sim.trace import Tracer

@@ -84,6 +84,8 @@ class ServiceReport:
     bodies_rejected: int = 0
     #: Fate of each node's process (socket backend; empty in-process).
     exit_reasons: dict[int, str] = field(default_factory=dict)
+    #: Protocol-local time of the latest child arming (socket backend).
+    armed_at: Optional[float] = None
 
     @classmethod
     def from_results(

@@ -207,6 +207,7 @@ class SocketLogService(SocketCluster):
             [i for i in self.correct_ids if i not in self._retired],
             self._exit_reason,
         )
+        report.armed_at = self._armed_at()
         self.close()
         return report
 

@@ -13,17 +13,11 @@ This package provides the execution substrate on which every protocol in
   consumed by the property checkers in :mod:`repro.harness.properties`.
 """
 
-from repro.sim.clock import ClockConfig, DriftClock
-from repro.sim.engine import EventHandle, Simulator
-from repro.sim.rand import RandomSource
-from repro.sim.trace import TraceEvent, Tracer
+from repro import _lazy
 
-__all__ = [
-    "ClockConfig",
-    "DriftClock",
-    "EventHandle",
-    "Simulator",
-    "RandomSource",
-    "TraceEvent",
-    "Tracer",
-]
+__getattr__, __all__ = _lazy(__name__, {
+    "repro.sim.clock": ("ClockConfig", "DriftClock"),
+    "repro.sim.engine": ("EventHandle", "Simulator"),
+    "repro.sim.rand": ("RandomSource",),
+    "repro.sim.trace": ("TraceEvent", "Tracer"),
+})

@@ -9,8 +9,9 @@ key, rebuilds every stamped dict, recomputes the known triplets and the
 accept level sets, and marks every evaluation state stale.  The changes
 since: the ``ignore_until`` rule also drops a deadline beyond ``now + 3d``
 (the only value the protocol ever writes), ``broadcasters`` drops a stamp
-in the future as ``accepted`` always did, and an instance without
-``tau_G`` clears a msgd-broadcast anchor (the two are set together).
+in the future as ``accepted`` always did, an instance without ``tau_G``
+clears a msgd-broadcast anchor (the two are set together), and a
+``last(G, m)`` history drops its entries stamped in the future.
 
 Each class subclasses its production counterpart and overrides only the
 cleanup rules, so the paired instances of ``tests/test_cleanup_equiv.py``
@@ -84,6 +85,7 @@ class ReferenceCleanupIA(InitiatorAccept):
             current = history.current
             if current is not None and (current > now or current < now - horizon):
                 history.assign(now, None)
+            history._history = [e for e in history._history if e[0] <= now]
             history.prune(now - horizon - p.delta_rmv)
 
         # i_values entries: expire after Delta_rmv; drop future garbage.

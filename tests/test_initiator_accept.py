@@ -262,6 +262,26 @@ class TestCleanup:
         ia.cleanup()
         assert ia.last_gm["m"].current is not None
 
+    def test_backward_clock_jump_leaves_no_future_last_gm_entry(self, setup, params):
+        # A corrupted clock jumps 50 units back: the entry stamped before the
+        # jump now lies in the future, ahead of the one written after it.
+        host, ia, _ = setup
+        host.advance(100.0)
+        ia._touch_last_gm("m", host.local_now())
+        ia._touch_last_gm("w", host.local_now())
+        host.clock.corrupt_offset(-50.0)
+        host.advance(2.0)
+        written = host.local_now()
+        ia._touch_last_gm("m", written)
+        host.advance(2 * params.d)
+        ia.cleanup()
+        # Only the entry written after the jump is left, so last(G, m) read
+        # d ago is that value, and Line K1 refuses a fresh invocation.
+        assert ia.last_gm["m"].value_at(host.local_now() - params.d) == written
+        assert ia.invoke("m") is False
+        # A value untouched since the jump has only a future past: it goes.
+        assert "w" not in ia.last_gm
+
     def test_i_values_expire(self, setup, params):
         host, ia, _ = setup
         ia.invoke("m")

@@ -9,20 +9,36 @@ import sys
 import repro
 
 
-def test_wire_path_loads_neither_harness_nor_extensions():
-    # A fresh interpreter: this one has long since imported everything.
+def _loaded_after(*modules: str) -> list[str]:
+    """The ``repro`` modules a fresh interpreter holds after importing
+    ``modules`` (this one has long since imported everything)."""
     probe = (
         "import sys\n"
-        "import repro.runtime.socket_host, repro.service\n"
+        f"import {', '.join(modules)}\n"
         "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))\n"
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
+
+
+def test_the_spawn_entry_loads_nothing_before_the_port_report():
+    assert sorted(_loaded_after("repro.runtime.socket_entry")) == [
+        "repro",
+        "repro.runtime",
+        "repro.runtime.socket_entry",
+    ]
+
+
+def test_the_wire_path_loads_no_simulator_faults_harness_or_obs():
+    out = _loaded_after("repro.runtime.socket_host", "repro.service")
     assert "repro.service.coordinator" in out
     assert not [
-        m for m in out if m.startswith(("repro.harness", "repro.extensions"))
+        m
+        for m in out
+        if m.startswith(("repro.faults", "repro.harness", "repro.obs"))
+        or m in ("repro.sim.engine", "repro.sim.clock", "repro.net.network")
     ]
 
 

@@ -620,6 +620,44 @@ class TestSocketAgreementSmoke:
         assert report.clean_exit
 
 
+class TestSocketBringUp:
+    """A child reports its port before it loads the stack, loads the stack
+    inside the start-up grace, and is armed before the epoch."""
+
+    def test_a_clean_run_arms_every_child_before_its_epoch(self) -> None:
+        report, decisions = run_agreement_socket(n=4, f=1, seed=11, time_scale=0.05)
+        assert sorted(decisions) == [0, 1, 2, 3]
+        assert report.clean_exit
+        # The latest arming of the four, at the default start-up grace.
+        assert report.armed_at is not None and report.armed_at < 0.0
+
+    def test_a_datagram_sent_at_the_port_report_waits_in_the_socket(self) -> None:
+        import socket
+
+        from repro.runtime.socket_host import SocketCluster
+
+        class EarlyGreeting(SocketCluster):
+            """Sends each child one unauthenticated datagram the moment its
+            port arrives: before ``start``, while its stack still loads."""
+
+            def _safe_recv(self, node_id, conn):
+                msg = super()._safe_recv(node_id, conn)
+                if msg is not None and msg[0] == "port":
+                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                        udp.sendto(b"early", ("127.0.0.1", msg[2]))
+                return msg
+
+        cluster = EarlyGreeting(PARAMS, seed=4, time_scale=0.05, value="v")
+        try:
+            report = cluster.run_agreement()
+        finally:
+            cluster.close()
+        assert {d.value for d in report.decisions.values()} == {"v"}
+        # Queued in the bound socket, read once the node ran, and refused.
+        assert report.rejected_by_node == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert report.clean_exit
+
+
 class TestSocketChildTeardown:
     """A child reads its control pipe as messages arrive: ``stop`` and a
     pipe EOF (the parent gone) each end it at once, cleanly."""
