@@ -8,8 +8,10 @@ Subcommands::
     python -m repro.cli run --n 7 --f 2 --seed 3 [--attack equivocate]
         Run one agreement scenario and print per-node outcomes plus the
         property-checker verdicts.  With ``--seeds 0 1 2 ... --workers K``
-        the per-seed runs fan out over a process pool and a summary table
-        is printed instead.
+        the per-seed runs fan out over a process pool and one verdict line
+        per seed plus a summary is printed instead.  One seed or many, the
+        scenario runs through the experiment engine
+        (:func:`repro.harness.registry.run_experiment`).
 
     python -m repro.cli run-async --n 4 --f 1
         Run one agreement on the **asyncio runtime backend**: real
@@ -32,7 +34,8 @@ Subcommands::
         agreement, convergence, recovery, and a clean teardown all hold.
 
     python -m repro.cli stabilize --n 7 --seed 5
-        Run the havoc -> Delta_stb -> agree stabilization scenario and
+        Run experiment E3's havoc -> Delta_stb -> agree scenario (the
+        registered per-seed body, through the same engine as ``run``) and
         report recovery.  Also accepts ``--seeds``/``--workers``.
 
     python -m repro.cli serve --backend asyncio --commands 10000 --rate 1000
@@ -50,6 +53,11 @@ Subcommands::
 
     python -m repro.cli list-experiments
         List every experiment registered with the scenario engine.
+
+Importing this module loads no simulator, fault or harness code: the sim
+commands import it when they run.  Under ``python -m repro.cli`` the
+socket backend's spawn children re-import this module before they report
+their ports, so its module-level imports stay on their critical path.
 """
 
 from __future__ import annotations
@@ -60,16 +68,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.core.params import BOTTOM, ProtocolParams, max_faults
-from repro.faults.byzantine import (
-    CrashStrategy,
-    EquivocatingGeneralStrategy,
-    SelectiveGeneralStrategy,
-    StaggeredGeneralStrategy,
-)
-from repro.faults.transient import TransientFaultInjector
-from repro.harness import properties
-from repro.harness.parallel import SeedPool
-from repro.harness.scenario import Cluster, ScenarioConfig
 
 ATTACKS = ("none", "equivocate", "staggered", "selective", "crash")
 ASYNC_ATTACKS = ("none", "mirror", "twofaced", "crash")
@@ -301,9 +299,31 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _general_out_of_range(command: str, general: int, params: ProtocolParams) -> bool:
+    """Report a ``--general`` that names no node (the caller exits 2)."""
+    if 0 <= general < params.n:
+        return False
+    print(f"{command}: --general {general} out of range for n={params.n}",
+          file=sys.stderr)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Sim commands: one scenario over ``--seed``, or over ``--seeds`` fanned out
+# across ``--workers``, run as a one-group experiment by the engine.  The
+# per-seed bodies are module level so they pickle into pool workers, and
+# they import the sim stack themselves (see the module docstring).
+# ---------------------------------------------------------------------------
 def _attack_strategies(
     attack: str, general: int, params: ProtocolParams
 ) -> dict:
+    from repro.faults.byzantine import (
+        CrashStrategy,
+        EquivocatingGeneralStrategy,
+        SelectiveGeneralStrategy,
+        StaggeredGeneralStrategy,
+    )
+
     others = tuple(i for i in range(params.n) if i != general)
     half = len(others) // 2
     if attack == "none":
@@ -323,118 +343,100 @@ def _attack_strategies(
     raise AssertionError(attack)
 
 
-# ---------------------------------------------------------------------------
-# Per-seed bodies (module level so they pickle into pool workers)
-# ---------------------------------------------------------------------------
-def _run_one_seed(
+def _run_seed(
     params: ProtocolParams, attack: str, general: int, value: str, seed: int
 ) -> tuple:
-    """One `run` scenario: (agreement, validity, timeliness, decided_nodes)."""
+    """One `run` scenario: (per-node outcomes, verdicts, decided nodes)."""
+    from repro.harness import properties
+    from repro.harness.scenario import Cluster, ScenarioConfig
+
     byzantine = _attack_strategies(attack, general, params)
     cluster = Cluster(ScenarioConfig(params=params, seed=seed, byzantine=byzantine))
     t0 = cluster.sim.now
     if attack == "none":
         cluster.propose(general=general, value=value)
     cluster.run_for(3 * params.delta_agr)
-    agree = properties.agreement(cluster, general).holds
-    latest = cluster.latest_decision_per_node(general)
-    decided = sum(1 for dec in latest.values() if dec.decided)
+    verdicts = {"agreement": properties.agreement(cluster, general).holds}
     if attack == "none":
-        v_ok = properties.validity(cluster, general, value).holds
-        t_ok = properties.timeliness_validity(cluster, general, t0).holds
-    else:
-        v_ok = t_ok = None
-    return agree, v_ok, t_ok, decided
+        verdicts["validity"] = properties.validity(cluster, general, value).holds
+        verdicts["timeliness"] = properties.timeliness_validity(
+            cluster, general, t0
+        ).holds
+    latest = cluster.latest_decision_per_node(general)
+    nodes = [
+        (node_id, "ABORT" if dec.value is BOTTOM else repr(dec.value),
+         dec.returned_real)
+        for node_id, dec in sorted(latest.items())
+    ]
+    return nodes, verdicts, sum(1 for dec in latest.values() if dec.decided)
 
 
-def _stabilize_one_seed(params: ProtocolParams, garbage: int, seed: int) -> tuple:
-    """One `stabilize` scenario: (proposal_unblocked, post_stb_validity)."""
-    cluster = Cluster(ScenarioConfig(params=params, seed=seed))
-    injector = TransientFaultInjector(
-        params, cluster.rng.split("inj"), value_pool=["A", "B", "C"], generals=[0, 1]
-    )
-    cluster.run_for(5 * params.d)
-    injector.havoc(cluster.correct_nodes(), cluster.net, garbage)
-    cluster.run_for(params.delta_stb)
-    since = cluster.sim.now
-    ok = cluster.propose(general=0, value="recovered")
-    cluster.run_for(params.delta_agr + 10 * params.d)
-    validity = properties.validity(cluster, 0, "recovered", since_real=since)
-    return ok, validity.holds
+def _seed_results(args: argparse.Namespace, seed_fn) -> list[tuple]:
+    """``seed_fn`` over the command's seeds: (seed, result) in seed order."""
+    from repro.harness.registry import ExperimentSpec, ScenarioGroup, run_experiment
+
+    group = ScenarioGroup(seed_fn, lambda results, seeds: list(zip(seeds, results)))
+    spec = ExperimentSpec(args.command, title=args.command, groups=lambda: [group])
+    seeds = [args.seed] if args.seeds is None else args.seeds
+    return run_experiment(spec, seeds=seeds, workers=args.workers)
+
+
+def _seeds_report(lines: list[tuple[int, dict, str]], all_good: str) -> int:
+    """The ``--seeds`` report: a line per (seed, verdicts, suffix), then a
+    summary; every verdict must hold."""
+    for seed, verdicts, suffix in lines:
+        shown = " ".join(f"{name}={held}" for name, held in verdicts.items())
+        print(f"seed {seed}: {shown}{suffix}")
+    ok = all(all(verdicts.values()) for _, verdicts, _ in lines)
+    print(f"{len(lines)} seeds: {all_good if ok else 'FAILURES'}")
+    return 0 if ok else 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     params = _params(args)
-    if args.seeds is not None:
-        seed_fn = partial(_run_one_seed, params, args.attack, args.general, args.value)
-        with SeedPool.shared(args.workers) as pool:
-            results = pool.map(seed_fn, args.seeds)
-        all_ok = True
-        for seed, (agree, v_ok, t_ok, decided) in zip(args.seeds, results):
-            verdicts = f"agreement={agree}"
-            seed_ok = agree
-            if v_ok is not None:
-                verdicts += f" validity={v_ok} timeliness={t_ok}"
-                seed_ok = agree and v_ok and t_ok
-            print(f"seed {seed}: {verdicts} decided_nodes={decided}")
-            all_ok = all_ok and seed_ok
-        print(f"{len(args.seeds)} seeds: {'all ok' if all_ok else 'FAILURES'}")
-        return 0 if all_ok else 1
-
-    byzantine = _attack_strategies(args.attack, args.general, params)
-    cluster = Cluster(
-        ScenarioConfig(
-            params=params,
-            seed=args.seed,
-            byzantine=byzantine,
-        )
+    if _general_out_of_range("run", args.general, params):
+        return 2
+    results = _seed_results(
+        args, partial(_run_seed, params, args.attack, args.general, args.value)
     )
-    if args.attack == "none":
-        t0 = cluster.sim.now
-        cluster.propose(general=args.general, value=args.value)
-    cluster.run_for(3 * params.delta_agr)
+    if args.seeds is not None:
+        return _seeds_report([
+            (seed, verdicts, f" decided_nodes={decided}")
+            for seed, (_, verdicts, decided) in results
+        ], "all ok")
 
-    latest = cluster.latest_decision_per_node(args.general)
-    if not latest:
+    [(_, (nodes, verdicts, _))] = results
+    if not nodes:
         print("no correct node returned anything")
-    for node_id in sorted(latest):
-        dec = latest[node_id]
-        outcome = "ABORT" if dec.value is BOTTOM else repr(dec.value)
-        print(f"node {node_id}: {outcome} at rt={dec.returned_real:.2f}")
-
-    report = properties.agreement(cluster, args.general)
-    print(f"agreement: {report.holds}")
-    if args.attack == "none":
-        validity = properties.validity(cluster, args.general, args.value)
-        timeliness = properties.timeliness_validity(cluster, args.general, t0)
-        print(f"validity:  {validity.holds}")
-        print(f"timeliness: {timeliness.holds}")
-        return 0 if (report.holds and validity.holds and timeliness.holds) else 1
-    return 0 if report.holds else 1
+    for node_id, outcome, returned_real in nodes:
+        print(f"node {node_id}: {outcome} at rt={returned_real:.2f}")
+    print(f"agreement: {verdicts['agreement']}")
+    if "validity" in verdicts:
+        print(f"validity:  {verdicts['validity']}")
+        print(f"timeliness: {verdicts['timeliness']}")
+    return 0 if all(verdicts.values()) else 1
 
 
 def _wallclock_attack_cast(
     command: str, attack: str, general: int, params: ProtocolParams
-) -> tuple[Optional[int], dict]:
-    """Byzantine cast for the wall-clock backends; raises SystemExit(2) on
-    an unusable configuration (mirrors the argparse error convention)."""
+) -> Optional[tuple[Optional[int], dict]]:
+    """(Byzantine id, cast) for the wall-clock backends; ``None`` after
+    reporting an unusable configuration (the caller exits 2)."""
     from repro.faults.byzantine import (
-        CrashStrategy as _Crash,
+        CrashStrategy,
         MirrorParticipantStrategy,
         TwoFacedParticipantStrategy,
     )
 
-    if not 0 <= general < params.n:
-        print(f"{command}: --general {general} out of range for n={params.n}",
-              file=sys.stderr)
-        raise SystemExit(2)
+    if _general_out_of_range(command, general, params):
+        return None
     byz_id: Optional[int] = None
     if attack != "none":
         others = tuple(i for i in range(params.n) if i != general)
         if not others:
             print(f"{command}: no non-General node left to play the Byzantine "
                   "sender; use --attack none", file=sys.stderr)
-            raise SystemExit(2)
+            return None
         byz_id = others[-1]  # highest non-General id plays the Byzantine sender
     if attack == "none":
         byzantine = {}
@@ -444,7 +446,7 @@ def _wallclock_attack_cast(
         half = [i for i in range(params.n) if i != byz_id][: params.n // 2]
         byzantine = {byz_id: TwoFacedParticipantStrategy(tuple(half))}
     elif attack == "crash":
-        byzantine = {byz_id: _Crash()}
+        byzantine = {byz_id: CrashStrategy()}
     else:
         raise AssertionError(attack)
     return byz_id, byzantine
@@ -488,12 +490,10 @@ def cmd_run_async(args: argparse.Namespace) -> int:
 
     params = _params(args)
     general = args.general
-    try:
-        byz_id, byzantine = _wallclock_attack_cast(
-            "run-async", args.attack, general, params
-        )
-    except SystemExit as exc:
-        return int(exc.code)
+    cast = _wallclock_attack_cast("run-async", args.attack, general, params)
+    if cast is None:
+        return 2
+    byz_id, byzantine = cast
 
     cluster, decisions = asyncio.run(
         run_agreement_async(
@@ -527,12 +527,10 @@ def cmd_run_socket(args: argparse.Namespace) -> int:
 
     params = _params(args)
     general = args.general
-    try:
-        byz_id, byzantine = _wallclock_attack_cast(
-            "run-socket", args.attack, general, params
-        )
-    except SystemExit as exc:
-        return int(exc.code)
+    cast = _wallclock_attack_cast("run-socket", args.attack, general, params)
+    if cast is None:
+        return 2
+    byz_id, byzantine = cast
 
     report, decisions = run_agreement_socket(
         n=params.n,
@@ -646,8 +644,7 @@ def _control_plane(args: argparse.Namespace, service):
 def _run_service(args: argparse.Namespace):
     """Run one service workload on the selected backend; returns its
     :class:`~repro.service.service.ServiceReport`."""
-    f = args.f if args.f is not None else max_faults(args.n)
-    params = ProtocolParams(n=args.n, f=f, delta=args.delta, rho=args.rho)
+    params = _params(args)
     if args.primary >= args.n:
         print(f"service: primary {args.primary} not in 0..{args.n - 1}",
               file=sys.stderr)
@@ -760,25 +757,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_stabilize(args: argparse.Namespace) -> int:
-    params = _params(args)
-    if args.seeds is not None:
-        with SeedPool.shared(args.workers) as pool:
-            results = pool.map(
-                partial(_stabilize_one_seed, params, args.garbage), args.seeds
-            )
-        all_ok = True
-        for seed, (ok, valid) in zip(args.seeds, results):
-            print(f"seed {seed}: proposal_unblocked={ok} post_stb_validity={valid}")
-            all_ok = all_ok and ok and valid
-        print(f"{len(args.seeds)} seeds: {'all recovered' if all_ok else 'FAILURES'}")
-        return 0 if all_ok else 1
+    from repro.harness.experiments import _e3_seed
 
-    print(f"havoc (garbage={args.garbage}), then waiting Delta_stb = "
-          f"{params.delta_stb:.0f}")
-    ok, valid = _stabilize_one_seed(params, args.garbage, args.seed)
+    params = _params(args)
+    if args.seeds is None:
+        print(f"havoc (garbage={args.garbage}), then waiting Delta_stb = "
+              f"{params.delta_stb:.0f}")
+    results = _seed_results(args, partial(_e3_seed, params, args.garbage))
+    if args.seeds is not None:
+        names = ("proposal_unblocked", "post_stb_validity", "post_stb_timeliness")
+        return _seeds_report([
+            (seed, dict(zip(names, result)), "") for seed, result in results
+        ], "all recovered")
+
+    [(_, (ok, valid, timely))] = results
     print(f"proposal unblocked: {ok}")
     print(f"post-stabilization validity: {valid}")
-    return 0 if (ok and valid) else 1
+    print(f"post-stabilization timeliness: {timely}")
+    return 0 if (ok and valid and timely) else 1
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -827,27 +823,22 @@ def cmd_list_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
+COMMANDS = {
+    "constants": cmd_constants,
+    "run": cmd_run,
+    "run-async": cmd_run_async,
+    "run-socket": cmd_run_socket,
+    "chaos": cmd_chaos,
+    "serve": cmd_serve,
+    "stabilize": cmd_stabilize,
+    "suite": cmd_suite,
+    "list-experiments": cmd_list_experiments,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "constants":
-        return cmd_constants(args)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "run-async":
-        return cmd_run_async(args)
-    if args.command == "run-socket":
-        return cmd_run_socket(args)
-    if args.command == "chaos":
-        return cmd_chaos(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "stabilize":
-        return cmd_stabilize(args)
-    if args.command == "suite":
-        return cmd_suite(args)
-    if args.command == "list-experiments":
-        return cmd_list_experiments(args)
-    raise AssertionError(args.command)
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

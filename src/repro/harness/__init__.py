@@ -11,19 +11,21 @@
   PropertyReport`.
 * :mod:`repro.harness.stats` -- aggregation helpers for sweeps, and the
   nearest-rank latency summary the service CLI prints.
-* :mod:`repro.harness.parallel` -- process-pool seed fan-out; every
-  experiment driver takes ``workers=`` and routes its per-seed runs
-  through a :class:`~repro.harness.parallel.SeedPool`.
-* :mod:`repro.harness.registry` -- experiments as data: named
-  :class:`~repro.harness.registry.ExperimentSpec` entries run by one shared
-  :func:`~repro.harness.registry.run_experiment` engine (seeds, ``workers=``
-  fan-out, row aggregation).
+* :mod:`repro.harness.parallel` -- process-pool seed fan-out: one warm
+  :class:`~repro.harness.parallel.SeedPool` per worker count, results in
+  seed order.
+* :mod:`repro.harness.registry` -- experiments as data, and the one engine
+  that fans seeds out: :func:`~repro.harness.registry.run_experiment` runs
+  an :class:`~repro.harness.registry.ExperimentSpec` (seeds, ``workers=``
+  fan-out, row aggregation) for the registered experiments, the suites
+  and the CLI's ``run`` and ``stabilize`` alike.
 * :mod:`repro.harness.experiments` -- the E1..E10 experiments, registered
   with the engine as ``"e1"``..``"e10"``; ``tests/test_experiments.py``
   asserts their pass criteria.
 * :mod:`repro.harness.suite` -- the scenario-matrix runner: declarative
   suite configs (grids over n, casts, delivery policies and fault
-  timelines) fanned over the pool into one consolidated report.
+  timelines) run by the engine, one group per cell, into one
+  consolidated report.
 """
 
 from repro import _lazy

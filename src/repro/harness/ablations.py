@@ -28,11 +28,10 @@ from typing import Sequence
 from repro.core.params import ProtocolParams
 from repro.faults.transient import TransientFaultInjector
 from repro.harness import properties
+from repro.harness.experiments import DEFAULT_RHO
 from repro.harness.registry import ScenarioGroup, experiment
 from repro.harness.scenario import Cluster, ScenarioConfig
 from repro.net.delivery import FixedDelay
-
-DEFAULT_RHO = 1e-4
 
 
 def _split_anchor_attack(params: ProtocolParams, release_d: float = 3.2):
@@ -111,17 +110,13 @@ def _a1_groups(
     nodes miss their deadlines and abort while the others decided: an
     Agreement violation.
     """
-    groups = []
-    for scale in phi_scales:
-        params = ProtocolParams(n=7, f=2, delta=1.0, rho=DEFAULT_RHO, phi_scale=scale)
-        groups.append(
-            ScenarioGroup(
-                seed_fn=partial(_a1_seed, params, release_d),
-                rows=partial(_a1_rows, params),
-                label=f"phi_scale={scale}",
-            )
+    return [
+        ScenarioGroup(partial(_a1_seed, params, release_d), partial(_a1_rows, params))
+        for params in (
+            ProtocolParams(n=7, f=2, delta=1.0, rho=DEFAULT_RHO, phi_scale=scale)
+            for scale in phi_scales
         )
-    return groups
+    ]
 
 
 def _a2_seed(params: ProtocolParams, interval: float, seed: int) -> bool:
@@ -168,7 +163,6 @@ def _a2_groups(
         ScenarioGroup(
             seed_fn=partial(_a2_seed, params, interval),
             rows=partial(_a2_rows, interval),
-            label=f"cleanup_interval_d={interval}",
         )
         for interval in intervals_d
     ]
@@ -206,7 +200,6 @@ def _a3_groups(gaps_d: Sequence[float] = (0.5, 1.0, 2.0, 4.0)) -> list[ScenarioG
         ScenarioGroup(
             seed_fn=partial(_a3_seed, params, gap),
             rows=partial(_a3_rows, gap),
-            label=f"resend_gap_d={gap}",
         )
         for gap in gaps_d
     ]

@@ -43,6 +43,8 @@ from repro.harness.scenario import Cluster, ScenarioConfig
 from repro.harness.stats import summarize
 from repro.net.delivery import DeliveryPolicy, UniformDelay
 
+# The clock drift bound of every harness scenario (the ablations and the
+# suite presets read it from here).
 DEFAULT_RHO = 1e-4
 
 
@@ -103,17 +105,10 @@ def _e1_rows(params: ProtocolParams, results: list, seed_list: Sequence[int]) ->
 )
 def _e1_groups(ns: Sequence[int] = (4, 7, 10, 13)) -> list[ScenarioGroup]:
     """Correct General: everyone decides its value within the paper bounds."""
-    groups = []
-    for n in ns:
-        params = _params(n)
-        groups.append(
-            ScenarioGroup(
-                seed_fn=partial(_e1_seed, params),
-                rows=partial(_e1_rows, params),
-                label=f"n={n}",
-            )
-        )
-    return groups
+    return [
+        ScenarioGroup(seed_fn=partial(_e1_seed, params), rows=partial(_e1_rows, params))
+        for params in map(_params, ns)
+    ]
 
 
 
@@ -175,7 +170,6 @@ def _e2_groups(n: int = 7) -> list[ScenarioGroup]:
         ScenarioGroup(
             seed_fn=partial(_e2_seed, params, byz),
             rows=partial(_e2_rows, name),
-            label=name,
         )
         for name, byz in attacks.items()
     ]
@@ -186,6 +180,8 @@ def _e2_groups(n: int = 7) -> list[ScenarioGroup]:
 # E3 -- Self-stabilization from arbitrary state
 # ---------------------------------------------------------------------------
 def _e3_seed(params: ProtocolParams, garbage_messages: int, seed: int) -> tuple:
+    """One havoc -> Delta_stb -> agree run (``repro.cli stabilize`` runs it
+    too): (proposal unblocked, post-stabilization validity, timeliness)."""
     cluster = Cluster(ScenarioConfig(params=params, seed=seed))
     injector = TransientFaultInjector(
         params,
@@ -198,11 +194,10 @@ def _e3_seed(params: ProtocolParams, garbage_messages: int, seed: int) -> tuple:
     cluster.mark_coherent()
     cluster.run_for(params.delta_stb)
     since = cluster.sim.now
-    t0 = cluster.sim.now
     proposed = cluster.propose(general=0, value="recovered")
     cluster.run_for(params.delta_agr + 10 * params.d)
     v_ok = properties.validity(cluster, 0, "recovered", since_real=since).holds
-    t_ok = properties.timeliness_validity(cluster, 0, t0, since_real=since).holds
+    t_ok = properties.timeliness_validity(cluster, 0, since, since_real=since).holds
     return proposed, v_ok, t_ok
 
 
@@ -298,7 +293,6 @@ def _e4_groups(n: int = 13) -> list[ScenarioGroup]:
         ScenarioGroup(
             seed_fn=partial(_e4_seed, params, f_actual),
             rows=partial(_e4_rows, params, f_actual),
-            label=f"f'={f_actual}",
         )
         for f_actual in range(params.f + 1)
     ]
@@ -374,7 +368,6 @@ def _e5_groups(
             ScenarioGroup(
                 seed_fn=partial(_e5_seed, params, policy, actual_max),
                 rows=partial(_e5_rows, params, frac),
-                label=f"delay={frac}",
             )
         )
     return groups
@@ -446,7 +439,6 @@ def _e6_groups() -> list[ScenarioGroup]:
             ScenarioGroup(
                 seed_fn=partial(_e6_seed, params, byz_count, camp_a, camp_b),
                 rows=partial(_e6_rows, label, n, byz_count),
-                label=label,
             )
         )
     return groups
@@ -501,17 +493,10 @@ def _e7_rows(params: ProtocolParams, results: list, seed_list: Sequence[int]) ->
 )
 def _e7_groups(ns: Sequence[int] = (4, 7, 10)) -> list[ScenarioGroup]:
     """IA-1A/1B/1C/1D with a correct General; IA-3A under a staggered one."""
-    groups = []
-    for n in ns:
-        params = _params(n)
-        groups.append(
-            ScenarioGroup(
-                seed_fn=partial(_e7_seed, params),
-                rows=partial(_e7_rows, params),
-                label=f"n={n}",
-            )
-        )
-    return groups
+    return [
+        ScenarioGroup(seed_fn=partial(_e7_seed, params), rows=partial(_e7_rows, params))
+        for params in map(_params, ns)
+    ]
 
 
 
@@ -616,17 +601,10 @@ def _e9_rows(params: ProtocolParams, results: list, seed_list: Sequence[int]) ->
 )
 def _e9_groups(ns: Sequence[int] = (4, 7, 10, 13, 16, 19, 22, 25)) -> list[ScenarioGroup]:
     """Messages per agreement vs n (expected O(n^2) per phase shape)."""
-    groups = []
-    for n in ns:
-        params = _params(n)
-        groups.append(
-            ScenarioGroup(
-                seed_fn=partial(_e9_seed, params),
-                rows=partial(_e9_rows, params),
-                label=f"n={n}",
-            )
-        )
-    return groups
+    return [
+        ScenarioGroup(seed_fn=partial(_e9_seed, params), rows=partial(_e9_rows, params))
+        for params in map(_params, ns)
+    ]
 
 
 

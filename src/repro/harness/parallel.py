@@ -1,40 +1,28 @@
 """Process-pool fan-out over experiment seeds.
 
-Every experiment driver in :mod:`repro.harness.experiments` runs a family of
-scenarios as ``for seed in seeds: <build cluster, run, measure>``.  Each
-per-seed run is a pure function of ``(scenario, seed)`` -- all randomness is
-derived from the seed via sha256 (:mod:`repro.sim.rand`), so results are
-identical across processes and interpreter invocations.  That makes seeds
-embarrassingly parallel: this module fans them out over a
-:class:`concurrent.futures.ProcessPoolExecutor` while preserving the seed
-order of the results, so parallel execution is *bit-identical* to serial.
+Every sim scenario runs as ``for seed in seeds: <build cluster, run,
+measure>``, and each per-seed run is a pure function of ``(scenario,
+seed)`` -- all randomness is derived from the seed via sha256
+(:mod:`repro.sim.rand`), so results are identical across processes and
+interpreter invocations.  That makes seeds embarrassingly parallel: this
+module fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`
+while preserving the seed order of the results, so parallel execution is
+*bit-identical* to serial.  :func:`repro.harness.registry.run_experiment` is
+the one caller in ``src/``::
 
-Usage::
-
-    from repro.harness.parallel import SeedPool
-
-    with SeedPool(workers=8) as pool:
-        results = pool.map(per_seed_fn, seeds)   # ordered like ``seeds``
+    results = SeedPool.shared(workers).map(per_seed_fn, seeds)  # seed order
 
 ``workers=None`` (the default everywhere) or ``workers=1`` runs serially in
-process -- no pool, no pickling, deterministic output *ordering and content*
-exactly as before this subsystem existed.  ``workers`` larger than the seed
-count is fine; the pool simply leaves the extra workers idle.
+process -- no pool, no pickling.  ``workers`` larger than the seed count is
+fine; the pool simply leaves the extra workers idle.
 
-Workers start from a ``forkserver``, never by ``fork`` of the calling
-process: the caller may already run HTTP or metrics threads, and a child
-forked mid-lock by one of them can hang.
-
-Pool reuse
-----------
-Worker startup (forkserver fork + interpreter warmup) costs a visible fraction
-of a short driver call, so the executor can outlive a single ``with``
-block: :meth:`SeedPool.shared` returns a per-worker-count cached pool whose
-context exit leaves the processes warm.  Successive ``run_experiment``
-calls with the same ``workers=`` then pay pool startup once per process
-lifetime; the experiment engine and the CLI's seed fan-out both use this
-path.  :func:`shutdown_shared_pools` releases the warm pools explicitly
-(the interpreter's atexit handling reaps them otherwise).
+There is one pool per effective worker count.  Its workers start at its
+first fanned-out map (forkserver fork plus interpreter warm-up, a visible
+fraction of a short run) and stay warm for every later map in the process,
+until :func:`shutdown_shared_pools` or interpreter exit.  Workers start
+from a ``forkserver``, never by ``fork`` of the calling process: the caller
+may already run HTTP or metrics threads, and a child forked mid-lock by one
+of them can hang.
 
 The mapped callable and its bound arguments must be picklable: use
 module-level functions (optionally wrapped in :func:`functools.partial`),
@@ -51,7 +39,7 @@ from typing import Callable, Iterable, Optional, TypeVar
 
 R = TypeVar("R")
 
-# Warm executors cached by effective worker count (see SeedPool.shared).
+# Warm pools cached by effective worker count (see SeedPool.shared).
 _SHARED_POOLS: dict[int, "SeedPool"] = {}
 
 
@@ -85,78 +73,44 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 class SeedPool:
-    """A reusable seed fan-out: one process pool spanning many map calls.
+    """The ordered seed fan-out for one effective worker count.
 
-    Drivers with outer sweep loops (over ``n``, attack names, delay
-    fractions, ...) open one pool for the whole driver so worker startup is
-    amortized across every inner seed loop.
+    Get it from :meth:`shared`; the executor behind it starts lazily and
+    lives as long as the process (or until :func:`shutdown_shared_pools`).
     """
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.requested_workers = workers
-        self._workers = resolve_workers(workers)
+    def __init__(self, workers: int) -> None:
+        self._workers = workers
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._shared = False
 
     @classmethod
     def shared(cls, workers: Optional[int] = None) -> "SeedPool":
-        """A cached, reusable pool for this worker count.
-
-        The first call starts the workers; later calls (and later ``with``
-        blocks) reuse them -- context exit does *not* shut a shared pool
-        down.  Call :meth:`close` or :func:`shutdown_shared_pools` to
-        release the processes.
-        """
+        """The cached pool for this worker count (see :func:`resolve_workers`)."""
         count = resolve_workers(workers)
         pool = _SHARED_POOLS.get(count)
         if pool is None:
-            pool = cls(count)
-            pool._shared = True
-            pool._ensure()
-            _SHARED_POOLS[count] = pool
+            pool = _SHARED_POOLS[count] = cls(count)
         return pool
-
-    @property
-    def workers(self) -> int:
-        """Effective worker count (1 means serial in-process)."""
-        return self._workers
-
-    def _ensure(self) -> None:
-        if self._workers > 1 and self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=multiprocessing.get_context("forkserver"),
-            )
-
-    def __enter__(self) -> "SeedPool":
-        self._ensure()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if not self._shared:
-            self.close()
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); shared pools leave the cache."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-        if self._shared:
-            _SHARED_POOLS.pop(self._workers, None)
-            self._shared = False
 
     def map(self, fn: Callable[[int], R], seeds: Iterable[int]) -> list[R]:
         """Apply ``fn`` to every seed; results come back in seed order."""
         seed_list = list(seeds)
-        if self._executor is None or len(seed_list) <= 1:
+        if self._workers == 1 or len(seed_list) <= 1:
             return [fn(seed) for seed in seed_list]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._workers,
+                mp_context=multiprocessing.get_context("forkserver"),
+            )
         return list(self._executor.map(fn, seed_list))
 
 
 def shutdown_shared_pools() -> None:
-    """Release every warm shared pool (idempotent)."""
-    for pool in list(_SHARED_POOLS.values()):
-        pool.close()
+    """Stop every warm pool's workers (idempotent); later maps start anew."""
+    for pool in _SHARED_POOLS.values():
+        if pool._executor is not None:
+            pool._executor.shutdown()
+    _SHARED_POOLS.clear()
 
 
 __all__ = [

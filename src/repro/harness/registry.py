@@ -1,22 +1,24 @@
 """Experiment registry: experiments as data, one engine for all of them.
 
-Every experiment in :mod:`repro.harness.experiments` used to be its own
-~60-line driver loop; the only real differences between them were *which
+Every sim scenario in ``src/`` runs through :func:`run_experiment`: the
+registered experiments E1..E10 and A1..A3, each cell of a
+:mod:`~repro.harness.suite` grid, and the CLI's ``run`` and ``stabilize``
+(one group each, one seed or many).  What differs between them is *which
 sweep points* they visit and *how a sweep point's per-seed results collapse
-into a result row*.  This module factors that shape out:
+into result rows*:
 
 * a :class:`ScenarioGroup` is one sweep point -- a picklable per-seed
   callable (shipped to pool workers) plus a parent-side row builder;
 * an :class:`ExperimentSpec` names an experiment and knows how to expand its
-  sweep kwargs into groups;
-* :func:`run_experiment` is the single engine: it resolves the spec, opens
-  one warm :meth:`~repro.harness.parallel.SeedPool.shared` pool for the
-  whole sweep, fans each group's seeds out, and aggregates rows in group
+  sweep kwargs into groups; a caller may build one without registering it;
+* :func:`run_experiment` is the single engine: it resolves the spec, takes
+  the warm :meth:`~repro.harness.parallel.SeedPool.shared` pool for the
+  worker count, fans each group's seeds out, and aggregates rows in group
   order.
 
 Because the engine visits groups in order and :class:`~repro.harness.
-parallel.SeedPool` returns results in seed order, rows are bit-identical to
-the pre-registry hand-written loops at any worker count.
+parallel.SeedPool` returns results in seed order, rows are bit-identical at
+any worker count.
 
 Registering an experiment::
 
@@ -41,8 +43,9 @@ from repro.harness.parallel import SeedPool
 # over one (the seed is always the trailing positional argument).
 SeedFn = Callable[[int], Any]
 # Parent-side aggregation: (per-seed results in seed order, seed list) ->
-# zero or more result rows.  Never pickled, so closures/partials are fine.
-RowsFn = Callable[[list, Sequence[int]], list[dict]]
+# zero or more result rows (dicts, for the registered experiments).  Never
+# pickled, so closures/partials are fine.
+RowsFn = Callable[[list, Sequence[int]], list]
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class ScenarioGroup:
 
     seed_fn: SeedFn
     rows: RowsFn
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,6 @@ class ExperimentSpec:
     title: str
     groups: Callable[..., list[ScenarioGroup]]
     defaults: dict[str, Any] = field(default_factory=dict)
-    description: str = ""
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
@@ -106,7 +107,6 @@ def experiment(
     name: str,
     title: str,
     defaults: Optional[dict[str, Any]] = None,
-    description: str = "",
 ) -> Callable[[Callable[..., list[ScenarioGroup]]], Callable[..., list[ScenarioGroup]]]:
     """Decorator form of :func:`register` for a groups-builder function."""
 
@@ -117,7 +117,6 @@ def experiment(
                 title=title,
                 groups=groups,
                 defaults=dict(defaults or {}),
-                description=description or (groups.__doc__ or "").strip(),
             )
         )
         return groups
@@ -164,11 +163,10 @@ def run_experiment(
     default_seeds = merged.pop("seeds", range(10))
     seed_list = list(seeds if seeds is not None else default_seeds)
 
-    rows: list[dict] = []
-    with SeedPool.shared(workers) as pool:
-        for group in spec.groups(**merged):
-            results = pool.map(group.seed_fn, seed_list)
-            rows.extend(group.rows(results, seed_list))
+    pool = SeedPool.shared(workers)
+    rows: list = []
+    for group in spec.groups(**merged):
+        rows.extend(group.rows(pool.map(group.seed_fn, seed_list), seed_list))
     return rows
 
 

@@ -20,9 +20,10 @@ each cell runs once per seed -- a correct General proposes, the cell's
 scored with the property checkers and the network's split drop counters
 (``dropped_partition`` vs ``dropped_policy``).  Cells reference Byzantine
 casts, delivery policies and fault timelines *by name* (or inline dict
-specs for timelines), so a cell is a plain picklable dict and the per-seed
-runs fan out over the shared process pool exactly like the experiment
-drivers -- bit-identical rows and trace digests at any worker count.
+specs for timelines), so a cell is a plain picklable dict.  A suite is an
+unregistered :class:`~repro.harness.registry.ExperimentSpec` with one
+group per cell, run by the same engine as the experiments -- bit-identical
+rows and trace digests at any worker count.
 
 Every cell runs on the simulator, so rows and trace digests replay bit
 for bit.
@@ -35,6 +36,7 @@ entry point.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from functools import partial
@@ -49,13 +51,12 @@ from repro.faults.byzantine import (
 )
 from repro.faults.timeline import build_policy, build_timeline
 from repro.harness import metrics, properties
-from repro.harness.parallel import SeedPool
+from repro.harness.experiments import DEFAULT_RHO
+from repro.harness.registry import ExperimentSpec, ScenarioGroup, run_experiment
 from repro.harness.report import rows_to_markdown
 from repro.harness.scenario import Cluster, ScenarioConfig
 from repro.harness.stats import summarize
 from repro.sim.trace import trace_digest
-
-DEFAULT_RHO = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +189,15 @@ def expand_grid(config: dict) -> list[dict]:
     return cells
 
 
-def _cell_row(cell: dict, results: list, seed_list: Sequence[int]) -> dict:
+def _cell_rows(cell: dict, results: list, seed_list: Sequence[int]) -> list[dict]:
     params = _cell_params(cell)
     agree_ok = sum(1 for r in results if r[1])
     decided_runs = sum(1 for r in results if r[2] > 0)
     latencies = [lat for r in results for lat in r[3]]
     lat = summarize(latencies)
     runs = len(seed_list)
-    combined = "|".join(r[8] for r in results)
-    return {
+    combined = "|".join(r[8] for r in results).encode()
+    return [{
         "n": params.n,
         "f": params.f,
         "backend": "sim",
@@ -212,14 +213,8 @@ def _cell_row(cell: dict, results: list, seed_list: Sequence[int]) -> dict:
         "sent_mean": sum(r[4] for r in results) / runs if runs else None,
         "dropped_partition_mean": sum(r[6] for r in results) / runs if runs else None,
         "dropped_policy_mean": sum(r[7] for r in results) / runs if runs else None,
-        "digest": _combine_digests(combined),
-    }
-
-
-def _combine_digests(combined: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(combined.encode()).hexdigest()[:12]
+        "digest": hashlib.sha256(combined).hexdigest()[:12],
+    }]
 
 
 def run_suite(
@@ -231,17 +226,21 @@ def run_suite(
 
     ``seeds``/``workers`` override the config's own values (CLI flags).
     Rows come back in grid order and are bit-identical for any worker
-    count: each (cell, seed) run is a pure function shipped to the shared
-    process pool, and aggregation happens in seed order in the parent.
+    count: each cell is one group of the experiment engine, each (cell,
+    seed) run a pure function it ships to the pool, and aggregation happens
+    in seed order in the parent.
     """
-    seed_list = list(seeds if seeds is not None else config.get("seeds", range(3)))
-    cells = expand_grid(config)
-    rows = []
-    with SeedPool.shared(workers) as pool:
-        for cell in cells:
-            results = pool.map(partial(_run_cell, cell), seed_list)
-            rows.append(_cell_row(cell, results, seed_list))
-    return rows
+    name = config.get("name", "suite")
+    spec = ExperimentSpec(
+        name=name,
+        title=f"suite {name}",
+        groups=lambda: [
+            ScenarioGroup(partial(_run_cell, cell), partial(_cell_rows, cell))
+            for cell in expand_grid(config)
+        ],
+        defaults={"seeds": config.get("seeds", range(3))},
+    )
+    return run_experiment(spec, seeds=seeds, workers=workers)
 
 
 def load_suite_config(path: "str | Path") -> dict:

@@ -38,6 +38,13 @@ class TestRun:
         assert main(["run", "--n", "7", "--seed", "4", "--attack", "staggered"]) == 0
         assert "agreement: True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("attack", [[], ["--attack", "crash"]], ids=["none", "crash"])
+    def test_general_out_of_range_exits_2(self, attack, capsys):
+        assert main(["run", "--n", "4", "--general", "9", *attack]) == 2
+        captured = capsys.readouterr()
+        assert "run: --general 9 out of range for n=4" in captured.err
+        assert "agreement" not in captured.out
+
 
 class TestRunAsync:
     def test_reaches_agreement_with_byzantine_mirror(self, capsys):
@@ -106,6 +113,14 @@ class TestSeedFanout:
     def test_run_seeds_with_workers(self, capsys):
         assert main(["run", "--n", "4", "--seeds", "0", "1", "--workers", "2"]) == 0
         assert "2 seeds: all ok" in capsys.readouterr().out
+
+    def test_run_seed_lines_identical_at_any_worker_count(self, capsys):
+        command = ["run", "--n", "4", "--seeds", "0", "1", "2"]
+        assert main(command) == 0
+        serial = capsys.readouterr().out.splitlines()
+        assert main([*command, "--workers", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == serial
+        assert len(serial) == 4 and serial[0].startswith("seed 0: agreement=True")
 
     def test_stabilize_multiple_seeds(self, capsys):
         assert main(

@@ -42,6 +42,18 @@ def test_the_wire_path_loads_no_simulator_faults_harness_or_obs():
     ]
 
 
+def test_the_cli_module_loads_no_simulator_faults_or_harness():
+    """Socket children spawned under ``python -m repro.cli`` re-import it."""
+    out = _loaded_after("repro.cli")
+    assert "repro.cli" in out
+    assert not [
+        m
+        for m in out
+        if m.startswith(("repro.faults", "repro.harness"))
+        or m in ("repro.sim.engine", "repro.sim.clock", "repro.net.network")
+    ]
+
+
 def test_quickstart_doctest_runs():
     result = doctest.testmod(repro)
     assert result.attempted > 0 and result.failed == 0

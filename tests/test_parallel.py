@@ -1,8 +1,9 @@
 """Tests for the process-pool seed fan-out (repro.harness.parallel).
 
 The contract under test: for any worker count, ``SeedPool.map`` returns
-exactly what the serial loop returns, in seed order -- and the registered experiments run through it produce
-bit-identical rows with and without ``workers=``.
+exactly what the serial loop returns, in seed order -- and the registered
+experiments and suites run through it produce bit-identical rows with and
+without ``workers=``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ def _seed_fingerprint(seed: int) -> tuple:
 
 
 def run_seeds_parallel(fn, seeds, workers):
-    """One-shot fan-out through a private pool."""
-    with SeedPool(workers) as pool:
-        return pool.map(fn, seeds)
+    """Fan-out through the warm pool for ``workers``."""
+    return SeedPool.shared(workers).map(fn, seeds)
 
 
 class TestRunSeedsParallel:
@@ -62,24 +62,6 @@ class TestRunSeedsParallel:
 
 
 class TestSeedPool:
-    def test_pool_reusable_across_map_calls(self):
-        with SeedPool(workers=3) as pool:
-            first = pool.map(partial(_square_plus, 0), range(6))
-            second = pool.map(partial(_square_plus, 10), range(6))
-        assert first == [s * s for s in range(6)]
-        assert second == [s * s + 10 for s in range(6)]
-
-    def test_serial_pool_has_no_executor(self):
-        with SeedPool(workers=None) as pool:
-            assert pool.workers == 1
-            assert pool._executor is None
-            assert pool.map(partial(_square_plus, 1), [4]) == [17]
-
-    def test_close_is_idempotent(self):
-        pool = SeedPool(workers=2).__enter__()
-        pool.close()
-        pool.close()
-
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.setattr("repro.harness.parallel._cpu_count", lambda: 8)
         assert resolve_workers(None) == 1
@@ -95,20 +77,14 @@ class TestSeedPool:
         # At or below the core count: taken literally, no warning.
         assert resolve_workers(4) == 4
 
-    def test_pool_exposes_requested_and_effective_counts(self, monkeypatch):
-        monkeypatch.setattr("repro.harness.parallel._cpu_count", lambda: 2)
-        with pytest.warns(RuntimeWarning):
-            pool = SeedPool(workers=16)
-        assert pool.requested_workers == 16
-        assert pool.workers == 2
-        pool.close()
-
 
 class TestSharedPools:
     """SeedPool.shared keeps workers warm across driver calls."""
 
-    def teardown_method(self):
+    def setup_method(self):
         shutdown_shared_pools()
+
+    teardown_method = setup_method
 
     def test_shared_returns_same_instance_per_worker_count(self, monkeypatch):
         monkeypatch.setattr("repro.harness.parallel._cpu_count", lambda: 8)
@@ -118,15 +94,21 @@ class TestSharedPools:
         assert SeedPool.shared(None) is SeedPool.shared(1)
         assert SeedPool.shared(None) is not a
 
-    def test_context_exit_keeps_shared_executor_alive(self, monkeypatch):
+    def test_executor_stays_warm_across_engine_runs(self, monkeypatch):
         monkeypatch.setattr("repro.harness.parallel._cpu_count", lambda: 8)
-        with SeedPool.shared(2) as pool:
-            executor = pool._executor
-            assert executor is not None
-        assert pool._executor is executor  # still warm after exit
-        with SeedPool.shared(2) as again:
-            assert again is pool
-            assert again._executor is executor
+        pool = SeedPool.shared(2)
+        assert pool._executor is None  # workers start at the first fan-out
+        run_experiment("e9", ns=(4,), seeds=range(2), workers=2)
+        executor = pool._executor
+        assert executor is not None
+        run_experiment("e9", ns=(4,), seeds=range(2), workers=2)
+        assert SeedPool.shared(2) is pool
+        assert pool._executor is executor
+
+    def test_serial_pool_never_starts_workers(self):
+        pool = SeedPool.shared(None)
+        assert pool.map(partial(_square_plus, 1), [4, 5]) == [17, 26]
+        assert pool._executor is None
 
     def test_shared_map_matches_serial(self):
         seeds = list(range(8))
@@ -137,9 +119,14 @@ class TestSharedPools:
         assert pool.map(partial(_square_plus, 5), seeds) == serial
 
     def test_close_evicts_from_cache(self):
+        """Shutting the warm pools down closes their workers and evicts them."""
         pool = SeedPool.shared(2)
-        pool.close()
+        pool.map(partial(_square_plus, 0), range(4))
+        executor = pool._executor
+        shutdown_shared_pools()
         assert SeedPool.shared(2) is not pool
+        with pytest.raises(RuntimeError):
+            executor.submit(_square_plus, 0, 1)
 
     def test_shutdown_shared_pools_is_idempotent(self):
         SeedPool.shared(2)

@@ -116,7 +116,6 @@ class TestRunEngine:
                 ScenarioGroup(
                     seed_fn=_identity_seed,
                     rows=lambda results, seeds, lab=label: [{"label": lab}],
-                    label=label,
                 )
                 for label in labels
             ]

@@ -301,8 +301,7 @@ class TestDeterminism:
         seeds = list(range(4))
         serial = [_run_cell(self.CELL, seed) for seed in seeds]
         for workers in (1, 4):
-            with SeedPool.shared(workers) as pool:
-                fanned = pool.map(partial(_run_cell, self.CELL), seeds)
+            fanned = SeedPool.shared(workers).map(partial(_run_cell, self.CELL), seeds)
             assert fanned == serial, f"workers={workers} diverged"
 
     def test_digest_sensitive_to_timeline(self):
